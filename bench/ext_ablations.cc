@@ -39,15 +39,14 @@ SelectionResult
 selectByStaticRank(const Program &program, const GreedyConfig &config)
 {
     Cfg cfg = Cfg::build(program);
-    std::vector<Candidate> candidates = enumerateCandidates(
+    CandidateSet candidates = enumerateCandidates(
         program, cfg, config.minEntryLen, config.maxEntryLen);
     std::vector<std::pair<int64_t, uint32_t>> ranked;
     for (uint32_t id = 0; id < candidates.size(); ++id) {
-        uint32_t length =
-            static_cast<uint32_t>(candidates[id].seq.size());
-        uint32_t occ =
-            countNonOverlapping(candidates[id].positions, length, {});
-        int64_t savings = savingsNibbles(config, length, occ);
+        const Candidate &cand = candidates[id];
+        uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
+                                           cand.len, {});
+        int64_t savings = savingsNibbles(config, cand.len, occ);
         if (savings > 0)
             ranked.emplace_back(-savings, id);
     }
@@ -59,16 +58,16 @@ selectByStaticRank(const Program &program, const GreedyConfig &config)
         if (result.dict.entries.size() >= config.maxEntries)
             break;
         const Candidate &cand = candidates[id];
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
-        uint32_t occ =
-            countNonOverlapping(cand.positions, length, consumed);
+        uint32_t length = cand.len;
+        uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
+                                           length, consumed);
         if (savingsNibbles(config, length, occ) <= 0)
             continue;
         uint32_t entry_id =
             static_cast<uint32_t>(result.dict.entries.size());
         uint32_t count = 0;
         uint64_t next_free = 0;
-        for (uint32_t pos : cand.positions) {
+        for (uint32_t pos : candidates.positionsOf(cand)) {
             if (pos < next_free)
                 continue;
             bool blocked = false;
@@ -83,7 +82,8 @@ selectByStaticRank(const Program &program, const GreedyConfig &config)
             ++count;
             next_free = static_cast<uint64_t>(pos) + length;
         }
-        result.dict.entries.push_back(cand.seq);
+        std::span<const isa::Word> seq = candidates.sequenceOf(cand);
+        result.dict.entries.emplace_back(seq.begin(), seq.end());
         result.useCount.push_back(count);
     }
     std::sort(result.placements.begin(), result.placements.end(),

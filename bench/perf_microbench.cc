@@ -266,22 +266,23 @@ BM_CompressedExecution(benchmark::State &state)
 BENCHMARK(BM_CompressedExecution)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_EnumerateSharded(benchmark::State &state)
+BM_Enumerate(benchmark::State &state)
 {
-    // Candidate enumeration -- the dictionary-building hot loop --
-    // sharded across the worker pool at the given job count.
-    setGlobalJobs(static_cast<unsigned>(state.range(0)));
-    const Program &program = ijpeg();
+    // Candidate enumeration -- the dictionary-building hot loop -- on
+    // gcc at paper scale (--scale 16, about 282k instructions).
+    static const Program program = workloads::buildBenchmark("gcc", 16);
     Cfg cfg = Cfg::build(program);
+    uint64_t bytes = 0;
     for (auto _ : state) {
-        auto candidates = enumerateCandidates(program, cfg, 1, 4);
+        CandidateSet candidates = enumerateCandidates(program, cfg, 1, 4);
+        bytes = candidates.bytes();
         benchmark::DoNotOptimize(candidates.size());
     }
-    setGlobalJobs(0);
+    state.counters["candidate_bytes"] = static_cast<double>(bytes);
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                            ijpeg().textBytes());
+                            program.textBytes());
 }
-BENCHMARK(BM_EnumerateSharded)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_Enumerate)->Unit(benchmark::kMillisecond);
 
 /** Wall time in ms to compress every suite program at @p jobs. */
 double

@@ -29,7 +29,8 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
  * Persistent entry file layout (big-endian, support/serialize.hh):
  *
  *   u32  magic   "CCCH"
- *   u16  version (kStoreVersion; bumped when the payload shape changes)
+ *   u16  version (kStoreVersion; bumped when the payload shape changes
+ *                 -- version 2 stores candidate sets as CSR arrays)
  *   u8   kind    (1 = Enumerate, 2 = Select)
  *   u64  key     (must match the file's own name)
  *   blob payload (serializeCandidates / serializeSelection)
@@ -40,16 +41,7 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
  * parsing -- quarantines the file and reads as a miss.
  */
 constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
-constexpr uint16_t kStoreVersion = 1;
-
-uint64_t
-approxCandidateBytes(const PipelineCache::CandidateList &candidates)
-{
-    uint64_t bytes = 4;
-    for (const Candidate &c : candidates)
-        bytes += 8 + 4 * (c.seq.size() + c.positions.size());
-    return bytes;
-}
+constexpr uint16_t kStoreVersion = 2;
 
 uint64_t
 approxSelectionBytes(const CachedSelection &cached)
@@ -62,20 +54,64 @@ approxSelectionBytes(const CachedSelection &cached)
     return bytes;
 }
 
-PipelineCache::CandidateList
+/** A u32 count followed by that many u32 values. */
+std::vector<uint32_t>
+getWords(ByteSource &source)
+{
+    std::vector<uint32_t> words(source.get32());
+    for (uint32_t &word : words)
+        word = source.get32();
+    return words;
+}
+
+void
+putWords(ByteSink &sink, const std::vector<uint32_t> &words)
+{
+    sink.put32(static_cast<uint32_t>(words.size()));
+    for (uint32_t word : words)
+        sink.put32(word);
+}
+
+/** Parse the CSR arrays of serializeCandidates, checking that every
+ *  view stays inside them so a parsed set is safe to select over. */
+CandidateSet
 parseCandidates(ByteSource &source)
 {
-    source.setContext("cached candidate list");
-    PipelineCache::CandidateList candidates(source.get32());
-    for (Candidate &c : candidates) {
-        c.seq.resize(source.get32());
-        for (isa::Word &word : c.seq)
-            word = source.get32();
-        c.positions.resize(source.get32());
-        for (uint32_t &pos : c.positions)
-            pos = source.get32();
+    source.setContext("cached candidate set");
+    CandidateSet set;
+    set.text = getWords(source);
+    std::vector<uint32_t> lengths = getWords(source);
+    std::vector<uint32_t> ends = getWords(source);
+    set.positions = getWords(source);
+    if (lengths.size() != ends.size())
+        throw LoadFailure({LoadStatus::BadValue, source.pos(),
+                           "cached candidate set",
+                           "length/offset count mismatch"});
+    set.candidates.resize(lengths.size());
+    uint32_t begin = 0;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+        Candidate &cand = set.candidates[i];
+        cand.len = lengths[i];
+        cand.posBegin = begin;
+        cand.posEnd = ends[i];
+        if (cand.len == 0 || cand.posEnd <= begin ||
+            cand.posEnd > set.positions.size())
+            throw LoadFailure({LoadStatus::BadValue, source.pos(),
+                               "cached candidate set",
+                               "bad candidate view"});
+        cand.firstPos = set.positions[begin];
+        for (uint32_t pos : set.positionsOf(cand))
+            if (static_cast<uint64_t>(pos) + cand.len > set.text.size())
+                throw LoadFailure({LoadStatus::BadValue, source.pos(),
+                                   "cached candidate set",
+                                   "occurrence outside .text"});
+        begin = cand.posEnd;
     }
-    return candidates;
+    if (begin != set.positions.size())
+        throw LoadFailure({LoadStatus::TrailingBytes, source.pos(),
+                           "cached candidate set",
+                           "unreferenced occurrences"});
+    return set;
 }
 
 CachedSelection
@@ -105,18 +141,24 @@ parseSelection(ByteSource &source)
 } // namespace
 
 std::vector<uint8_t>
-serializeCandidates(const PipelineCache::CandidateList &candidates)
+serializeCandidates(const CandidateSet &candidates)
 {
-    ByteSink sink;
-    sink.put32(static_cast<uint32_t>(candidates.size()));
-    for (const Candidate &c : candidates) {
-        sink.put32(static_cast<uint32_t>(c.seq.size()));
-        for (isa::Word word : c.seq)
-            sink.put32(word);
-        sink.put32(static_cast<uint32_t>(c.positions.size()));
-        for (uint32_t pos : c.positions)
-            sink.put32(pos);
+    // The CSR arrays: .text, then per candidate its length and the end
+    // of its occurrence list (each list starts where the previous one
+    // ends, and its first entry is the candidate's first occurrence),
+    // then the occurrence lists.
+    std::vector<uint32_t> lengths, ends;
+    lengths.reserve(candidates.size());
+    ends.reserve(candidates.size());
+    for (const Candidate &cand : candidates) {
+        lengths.push_back(cand.len);
+        ends.push_back(cand.posEnd);
     }
+    ByteSink sink;
+    putWords(sink, candidates.text);
+    putWords(sink, lengths);
+    putWords(sink, ends);
+    putWords(sink, candidates.positions);
     return sink.take();
 }
 
@@ -175,7 +217,7 @@ PipelineCache::selectKey(uint64_t programHash,
                        config.refitMaxRounds});
 }
 
-std::shared_ptr<const PipelineCache::CandidateList>
+std::shared_ptr<const CandidateSet>
 PipelineCache::findCandidates(uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -189,7 +231,7 @@ PipelineCache::findCandidates(uint64_t key)
     Entry loaded;
     if (loadFromDiskLocked(Kind::Enumerate, key, loaded)) {
         ++stats_.enumHits;
-        std::shared_ptr<const CandidateList> product = loaded.candidates;
+        std::shared_ptr<const CandidateSet> product = loaded.candidates;
         insertLocked(Kind::Enumerate, key, std::move(loaded));
         return product;
     }
@@ -221,11 +263,11 @@ PipelineCache::findSelection(uint64_t key)
 
 void
 PipelineCache::storeCandidates(
-    uint64_t key, std::shared_ptr<const CandidateList> candidates)
+    uint64_t key, std::shared_ptr<const CandidateSet> candidates)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Entry entry;
-    entry.bytes = approxCandidateBytes(*candidates);
+    entry.bytes = candidates->bytes();
     entry.candidates = std::move(candidates);
     persistLocked(Kind::Enumerate, key, entry);
     insertLocked(Kind::Enumerate, key, std::move(entry));
@@ -404,9 +446,9 @@ PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
                                "cache entry payload", path});
         ByteSource body(payload);
         if (kind == Kind::Enumerate) {
-            out.candidates = std::make_shared<const CandidateList>(
+            out.candidates = std::make_shared<const CandidateSet>(
                 parseCandidates(body));
-            out.bytes = approxCandidateBytes(*out.candidates);
+            out.bytes = out.candidates->bytes();
         } else {
             out.selection = std::make_shared<const CachedSelection>(
                 parseSelection(body));

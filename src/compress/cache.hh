@@ -83,8 +83,6 @@ class PipelineCache
         uint64_t persistCorrupt = 0; //!< damaged files quarantined
     };
 
-    using CandidateList = std::vector<Candidate>;
-
     /** FNV-1a64 over the program's serialized bytes -- the
      *  content-identity half of every cache key. */
     static uint64_t programHash(const Program &program);
@@ -100,7 +98,7 @@ class PipelineCache
                               const CompressorConfig &config);
 
     /** Cached candidates for @p key, or null on a miss (counted). */
-    std::shared_ptr<const CandidateList> findCandidates(uint64_t key);
+    std::shared_ptr<const CandidateSet> findCandidates(uint64_t key);
 
     /** Cached selection for @p key, or null on a miss (counted). */
     std::shared_ptr<const CachedSelection> findSelection(uint64_t key);
@@ -108,7 +106,7 @@ class PipelineCache
     /** Store a product; the first store for a key wins and later ones
      *  are dropped (concurrent fills compute identical values). */
     void storeCandidates(uint64_t key,
-                         std::shared_ptr<const CandidateList> candidates);
+                         std::shared_ptr<const CandidateSet> candidates);
     void storeSelection(uint64_t key,
                         std::shared_ptr<const CachedSelection> selection);
 
@@ -145,7 +143,7 @@ class PipelineCache
 
     struct Entry
     {
-        std::shared_ptr<const CandidateList> candidates;
+        std::shared_ptr<const CandidateSet> candidates;
         std::shared_ptr<const CachedSelection> selection;
         uint64_t bytes = 0;
         std::list<EntryKey>::iterator lruIt;
@@ -175,8 +173,7 @@ class PipelineCache
 /** @{ Serialized form of the cached products -- the payload of the
  *  persistent store's entry files (format in cache.cc). Exposed for
  *  the corruption tests, which build damaged payloads on purpose. */
-std::vector<uint8_t>
-serializeCandidates(const PipelineCache::CandidateList &candidates);
+std::vector<uint8_t> serializeCandidates(const CandidateSet &candidates);
 std::vector<uint8_t> serializeSelection(const CachedSelection &selection);
 /** @} */
 

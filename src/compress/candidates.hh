@@ -12,6 +12,7 @@
 #ifndef CODECOMP_COMPRESS_CANDIDATES_HH
 #define CODECOMP_COMPRESS_CANDIDATES_HH
 
+#include <span>
 #include <vector>
 
 #include "program/cfg.hh"
@@ -19,29 +20,84 @@
 
 namespace codecomp::compress {
 
-/** A unique candidate sequence with all its occurrence positions. */
+/**
+ * One unique candidate sequence, as a view into its CandidateSet: the
+ * sequence is text[firstPos, firstPos + len), and its occurrence start
+ * indices are positions[posBegin, posEnd), sorted ascending (so
+ * positions[posBegin] == firstPos).
+ */
 struct Candidate
 {
-    std::vector<isa::Word> seq;
-    std::vector<uint32_t> positions; //!< sorted start indices
+    uint32_t firstPos;
+    uint32_t len;
+    uint32_t posBegin;
+    uint32_t posEnd;
+
+    bool operator==(const Candidate &) const = default;
+};
+
+/**
+ * Every candidate of one program. The set owns a copy of .text (so a
+ * cached set stands alone) and keeps every occurrence list in one CSR
+ * array: candidate i's positions are immediately followed by candidate
+ * i+1's.
+ */
+struct CandidateSet
+{
+    std::vector<isa::Word> text;
+    std::vector<Candidate> candidates; //!< first occurrence, then length
+    std::vector<uint32_t> positions;
+
+    size_t size() const { return candidates.size(); }
+    bool empty() const { return candidates.empty(); }
+    const Candidate &operator[](size_t id) const { return candidates[id]; }
+    auto begin() const { return candidates.begin(); }
+    auto end() const { return candidates.end(); }
+
+    /** Sorted occurrence start indices of @p cand. */
+    std::span<const uint32_t>
+    positionsOf(const Candidate &cand) const
+    {
+        return {positions.data() + cand.posBegin,
+                positions.data() + cand.posEnd};
+    }
+
+    /** The instruction words of @p cand. */
+    std::span<const isa::Word>
+    sequenceOf(const Candidate &cand) const
+    {
+        return {text.data() + cand.firstPos, cand.len};
+    }
+
+    /** Heap footprint of the three arrays, in bytes. */
+    uint64_t
+    bytes() const
+    {
+        return 4 * text.size() + sizeof(Candidate) * candidates.size() +
+               4 * positions.size();
+    }
+
+    bool operator==(const CandidateSet &) const = default;
 };
 
 /** Per-instruction compressibility mask (false for relative branches). */
 std::vector<bool> eligibilityMask(const Program &program);
 
 /**
- * Enumerate all candidates with lengths in [minLen, maxLen].
+ * Enumerate all candidates with lengths in [minLen, maxLen]
+ * (maxLen <= maxImageEntryWords).
  *
- * Runs sharded across CFG blocks on the global thread pool
- * (support/thread_pool.hh): each worker hashes the subsequences of a
- * contiguous block range into a private map, and the shards are merged
- * with a deterministic order key — first occurrence position, then
- * length — which is exactly the order a serial left-to-right scan
- * produces. Output is therefore byte-identical for any job count.
+ * Windows are grouped exactly by prefix-ID refinement: level 1 numbers
+ * each distinct word, and level L numbers each distinct pair (level
+ * L-1 ID at p, text[p + L - 1]), so two windows share an ID exactly
+ * when their words are equal. IDs are handed out in ascending position
+ * order, so one last pass over positions emits candidates in the order
+ * of a serial left-to-right scan -- ascending first occurrence, then
+ * length -- which selection and the pipeline cache rely on. The scan
+ * is serial and deterministic.
  */
-std::vector<Candidate> enumerateCandidates(const Program &program,
-                                           const Cfg &cfg, uint32_t minLen,
-                                           uint32_t maxLen);
+CandidateSet enumerateCandidates(const Program &program, const Cfg &cfg,
+                                 uint32_t minLen, uint32_t maxLen);
 
 /**
  * Walk the maximal set of non-overlapping occurrences from the sorted
@@ -60,7 +116,7 @@ std::vector<Candidate> enumerateCandidates(const Program &program,
  */
 template <typename Fn>
 uint32_t
-forEachNonOverlapping(const std::vector<uint32_t> &positions, uint32_t length,
+forEachNonOverlapping(std::span<const uint32_t> positions, uint32_t length,
                       const std::vector<bool> &consumed, Fn &&fn)
 {
     uint32_t count = 0;
@@ -87,7 +143,7 @@ forEachNonOverlapping(const std::vector<uint32_t> &positions, uint32_t length,
 }
 
 /** forEachNonOverlapping with no per-occurrence action: just the count. */
-uint32_t countNonOverlapping(const std::vector<uint32_t> &positions,
+uint32_t countNonOverlapping(std::span<const uint32_t> positions,
                              uint32_t length,
                              const std::vector<bool> &consumed);
 

@@ -42,20 +42,26 @@ costOf(const GreedyConfig &config, const std::vector<uint32_t> &costs,
  *  the identical forEachNonOverlapping as countNonOverlapping, so the
  *  savings evaluated before acceptance always match what is placed. */
 void
-accept(const Candidate &cand, uint32_t entry_id, std::vector<bool> &consumed,
-       SelectionResult &result)
+accept(const CandidateSet &candidates, uint32_t id,
+       std::vector<bool> &consumed, SelectionResult &result,
+       std::vector<uint32_t> *acceptedIds)
 {
-    uint32_t length = static_cast<uint32_t>(cand.seq.size());
+    const Candidate &cand = candidates[id];
+    uint32_t length = cand.len;
+    uint32_t entry_id = static_cast<uint32_t>(result.dict.entries.size());
     uint32_t count = forEachNonOverlapping(
-        cand.positions, length, consumed,
+        candidates.positionsOf(cand), length, consumed,
         [&](uint32_t pos) {
             for (uint32_t i = pos; i < pos + length; ++i)
                 consumed[i] = true;
             result.placements.push_back({pos, length, entry_id});
         });
     CC_ASSERT(count > 0, "accepted candidate with no live occurrences");
-    result.dict.entries.push_back(cand.seq);
+    std::span<const isa::Word> seq = candidates.sequenceOf(cand);
+    result.dict.entries.emplace_back(seq.begin(), seq.end());
     result.useCount.push_back(count);
+    if (acceptedIds)
+        acceptedIds->push_back(id);
 }
 
 SelectionResult
@@ -77,8 +83,7 @@ checkConfig(const GreedyConfig &config)
 }
 
 void
-checkInputs(const GreedyConfig &config,
-            const std::vector<Candidate> &candidates,
+checkInputs(const GreedyConfig &config, const CandidateSet &candidates,
             const std::vector<uint32_t> &codewordCosts)
 {
     checkConfig(config);
@@ -90,20 +95,19 @@ checkInputs(const GreedyConfig &config,
 } // namespace
 
 SelectionResult
-selectGreedyFromCandidates(size_t textSize,
-                           const std::vector<Candidate> &candidates,
+selectGreedyFromCandidates(size_t textSize, const CandidateSet &candidates,
                            const GreedyConfig &config,
-                           const std::vector<uint32_t> &codewordCosts)
+                           const std::vector<uint32_t> &codewordCosts,
+                           std::vector<uint32_t> *acceptedIds)
 {
     checkInputs(config, candidates, codewordCosts);
 
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
     for (uint32_t id = 0; id < candidates.size(); ++id) {
-        uint32_t length =
-            static_cast<uint32_t>(candidates[id].seq.size());
-        uint32_t occ = countNonOverlapping(candidates[id].positions,
-                                           length, {});
-        int64_t savings = savingsNibbles(config, length, occ,
+        const Candidate &cand = candidates[id];
+        uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
+                                           cand.len, {});
+        int64_t savings = savingsNibbles(config, cand.len, occ,
                                          costOf(config, codewordCosts, id));
         if (savings > 0)
             heap.push({savings, id});
@@ -117,11 +121,10 @@ selectGreedyFromCandidates(size_t textSize,
         HeapEntry top = heap.top();
         heap.pop();
         const Candidate &cand = candidates[top.candId];
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
-        uint32_t occ =
-            countNonOverlapping(cand.positions, length, consumed);
+        uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
+                                           cand.len, consumed);
         int64_t savings =
-            savingsNibbles(config, length, occ,
+            savingsNibbles(config, cand.len, occ,
                            costOf(config, codewordCosts, top.candId));
         CC_ASSERT(savings <= top.savings,
                   "candidate savings increased; lazy heap invalid");
@@ -131,15 +134,14 @@ selectGreedyFromCandidates(size_t textSize,
             heap.push({savings, top.candId});
             continue;
         }
-        accept(cand, static_cast<uint32_t>(result.dict.entries.size()),
-               consumed, result);
+        accept(candidates, top.candId, consumed, result, acceptedIds);
     }
     return finish(std::move(result));
 }
 
 SelectionResult
 selectGreedyReferenceFromCandidates(size_t textSize,
-                                    const std::vector<Candidate> &candidates,
+                                    const CandidateSet &candidates,
                                     const GreedyConfig &config,
                                     const std::vector<uint32_t> &codewordCosts)
 {
@@ -152,12 +154,11 @@ selectGreedyReferenceFromCandidates(size_t textSize,
         int64_t best_savings = 0;
         uint32_t best_id = UINT32_MAX;
         for (uint32_t id = 0; id < candidates.size(); ++id) {
-            uint32_t length =
-                static_cast<uint32_t>(candidates[id].seq.size());
-            uint32_t occ = countNonOverlapping(candidates[id].positions,
-                                               length, consumed);
+            const Candidate &cand = candidates[id];
+            uint32_t occ = countNonOverlapping(
+                candidates.positionsOf(cand), cand.len, consumed);
             int64_t savings =
-                savingsNibbles(config, length, occ,
+                savingsNibbles(config, cand.len, occ,
                                costOf(config, codewordCosts, id));
             if (savings > best_savings) {
                 best_savings = savings;
@@ -166,9 +167,7 @@ selectGreedyReferenceFromCandidates(size_t textSize,
         }
         if (best_id == UINT32_MAX)
             break;
-        accept(candidates[best_id],
-               static_cast<uint32_t>(result.dict.entries.size()), consumed,
-               result);
+        accept(candidates, best_id, consumed, result, nullptr);
     }
     return finish(std::move(result));
 }
@@ -178,7 +177,7 @@ selectGreedy(const Program &program, const GreedyConfig &config)
 {
     checkConfig(config); // before enumeration sees the bad lengths
     Cfg cfg = Cfg::build(program);
-    std::vector<Candidate> candidates = enumerateCandidates(
+    CandidateSet candidates = enumerateCandidates(
         program, cfg, config.minEntryLen, config.maxEntryLen);
     return selectGreedyFromCandidates(program.text.size(), candidates,
                                       config);
@@ -189,7 +188,7 @@ selectGreedyReference(const Program &program, const GreedyConfig &config)
 {
     checkConfig(config);
     Cfg cfg = Cfg::build(program);
-    std::vector<Candidate> candidates = enumerateCandidates(
+    CandidateSet candidates = enumerateCandidates(
         program, cfg, config.minEntryLen, config.maxEntryLen);
     return selectGreedyReferenceFromCandidates(program.text.size(),
                                                candidates, config);

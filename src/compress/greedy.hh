@@ -32,19 +32,20 @@ namespace codecomp::compress {
  * span of the consumed-slot mask). @p codewordCosts, when non-empty,
  * gives the assumed codeword cost in nibbles per candidate and must
  * have one element per candidate; empty means
- * config.codewordNibbles for every candidate.
+ * config.codewordNibbles for every candidate. @p acceptedIds, when
+ * non-null, receives the candidate ID of each dictionary entry.
  */
 SelectionResult
-selectGreedyFromCandidates(size_t textSize,
-                           const std::vector<Candidate> &candidates,
+selectGreedyFromCandidates(size_t textSize, const CandidateSet &candidates,
                            const GreedyConfig &config,
-                           const std::vector<uint32_t> &codewordCosts = {});
+                           const std::vector<uint32_t> &codewordCosts = {},
+                           std::vector<uint32_t> *acceptedIds = nullptr);
 
 /** Reference implementation over pre-enumerated candidates: recompute
  *  every candidate's savings from scratch each round. Same tie-breaking
  *  rules as selectGreedyFromCandidates; O(candidates * selections). */
 SelectionResult selectGreedyReferenceFromCandidates(
-    size_t textSize, const std::vector<Candidate> &candidates,
+    size_t textSize, const CandidateSet &candidates,
     const GreedyConfig &config,
     const std::vector<uint32_t> &codewordCosts = {});
 

@@ -508,10 +508,11 @@ passEnumerate(PipelineContext &ctx)
                             ctx.greedy.maxEntryLen);
     ctx.counter("blocks", ctx.cfg->blocks().size());
     ctx.counter("candidates", ctx.candidates.size());
+    ctx.counter("candidate_bytes", ctx.candidates.bytes());
     if (ctx.cache) {
-        auto computed = std::make_shared<PipelineCache::CandidateList>(
-            std::move(ctx.candidates));
-        ctx.candidates.clear();
+        auto computed =
+            std::make_shared<CandidateSet>(std::move(ctx.candidates));
+        ctx.candidates = {};
         ctx.sharedCandidates = computed;
         ctx.cache->storeCandidates(
             PipelineCache::enumerateKey(ctx.programHash, ctx.config),

@@ -5,8 +5,7 @@
  *
  * The passes, in order (Pipeline::standard()):
  *
- *   Enumerate   - CFG construction + candidate enumeration (the only
- *                 parallel stage; deterministic for any job count)
+ *   Enumerate   - CFG construction + candidate enumeration
  *   Select      - dictionary selection through the configured
  *                 SelectionStrategy (strategy.hh)
  *   RankAssign  - frequency ranking, rank-ordered dictionary
@@ -104,9 +103,9 @@ struct PipelineContext
 
     // ---- pass products ----
     std::optional<Cfg> cfg;            //!< Enumerate
-    std::vector<Candidate> candidates; //!< Enumerate
+    CandidateSet candidates;           //!< Enumerate
     /** Enumerate product when served by (or stored into) the cache. */
-    std::shared_ptr<const PipelineCache::CandidateList> sharedCandidates;
+    std::shared_ptr<const CandidateSet> sharedCandidates;
     /** Select product when the cache already held it (set during
      *  Enumerate, consumed by Select). */
     std::shared_ptr<const CachedSelection> cachedSelection;
@@ -118,7 +117,7 @@ struct PipelineContext
     CompressedImage image;             //!< RankAssign..Emit
 
     /** The enumerated candidates, wherever they live. */
-    const std::vector<Candidate> &
+    const CandidateSet &
     candidateList() const
     {
         return sharedCandidates ? *sharedCandidates : candidates;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "compress/objfile.hh"
+
 namespace codecomp::compress {
 
 std::string
@@ -10,6 +12,10 @@ greedyConfigError(const GreedyConfig &config)
 {
     if (config.maxEntryLen == 0)
         return "maxEntryLen must be at least 1";
+    if (config.maxEntryLen > maxImageEntryWords)
+        return "maxEntryLen (" + std::to_string(config.maxEntryLen) +
+               ") exceeds the largest image entry (" +
+               std::to_string(maxImageEntryWords) + " words)";
     if (config.minEntryLen == 0)
         return "minEntryLen must be at least 1";
     if (config.minEntryLen > config.maxEntryLen)

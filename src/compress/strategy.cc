@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "compress/greedy.hh"
 #include "support/logging.hh"
@@ -12,25 +11,13 @@ namespace codecomp::compress {
 
 namespace {
 
-/** Hash key for one instruction sequence (same scheme as the candidate
- *  index in candidates.cc: no custom hasher needed). */
-std::u32string
-keyOf(const std::vector<isa::Word> &seq)
-{
-    std::u32string key;
-    key.reserve(seq.size());
-    for (isa::Word word : seq)
-        key.push_back(static_cast<char32_t>(word));
-    return key;
-}
-
 class GreedyStrategy : public SelectionStrategy
 {
   public:
     const char *name() const override { return "greedy"; }
 
     SelectionResult
-    select(size_t textSize, const std::vector<Candidate> &candidates,
+    select(size_t textSize, const CandidateSet &candidates,
            const GreedyConfig &config, Scheme) override
     {
         return selectGreedyFromCandidates(textSize, candidates, config);
@@ -43,7 +30,7 @@ class GreedyReferenceStrategy : public SelectionStrategy
     const char *name() const override { return "reference"; }
 
     SelectionResult
-    select(size_t textSize, const std::vector<Candidate> &candidates,
+    select(size_t textSize, const CandidateSet &candidates,
            const GreedyConfig &config, Scheme) override
     {
         return selectGreedyReferenceFromCandidates(textSize, candidates,
@@ -93,11 +80,13 @@ class IterativeRefitStrategy : public SelectionStrategy
     uint32_t rounds() const override { return rounds_; }
 
     SelectionResult
-    select(size_t textSize, const std::vector<Candidate> &candidates,
+    select(size_t textSize, const CandidateSet &candidates,
            const GreedyConfig &config, Scheme scheme) override
     {
-        SelectionResult best =
-            selectGreedyFromCandidates(textSize, candidates, config);
+        // best_ids[e]: the candidate behind entry e of best.
+        std::vector<uint32_t> best_ids;
+        SelectionResult best = selectGreedyFromCandidates(
+            textSize, candidates, config, {}, &best_ids);
         uint64_t best_estimate =
             estimateSelectionNibbles(best, config, scheme, textSize);
         rounds_ = 1;
@@ -108,23 +97,26 @@ class IterativeRefitStrategy : public SelectionStrategy
                 break;
             GreedyConfig biased = config;
             biased.codewordNibbles = width;
-            SelectionResult result =
-                selectGreedyFromCandidates(textSize, candidates, biased);
+            std::vector<uint32_t> ids;
+            SelectionResult result = selectGreedyFromCandidates(
+                textSize, candidates, biased, {}, &ids);
             uint64_t estimate =
                 estimateSelectionNibbles(result, config, scheme, textSize);
             ++rounds_;
             --budget;
             if (estimate < best_estimate) {
                 best = std::move(result);
+                best_ids = std::move(ids);
                 best_estimate = estimate;
             }
         }
 
         while (budget > 0) {
             std::vector<uint32_t> costs =
-                rankDerivedCosts(candidates, best, scheme);
+                rankDerivedCosts(candidates, best, best_ids, scheme);
+            std::vector<uint32_t> ids;
             SelectionResult result = selectGreedyFromCandidates(
-                textSize, candidates, config, costs);
+                textSize, candidates, config, costs, &ids);
             uint64_t estimate =
                 estimateSelectionNibbles(result, config, scheme, textSize);
             ++rounds_;
@@ -132,6 +124,7 @@ class IterativeRefitStrategy : public SelectionStrategy
             if (estimate >= best_estimate)
                 break;
             best = std::move(result);
+            best_ids = std::move(ids);
             best_estimate = estimate;
         }
         return best;
@@ -155,19 +148,20 @@ class IterativeRefitStrategy : public SelectionStrategy
     }
 
     /** True per-candidate codeword costs under @p previous's frequency
-     *  ranking: actual rank width for previously selected sequences,
-     *  predicted rank width (by standalone occurrence count) for the
-     *  rest. */
+     *  ranking: actual rank width for previously selected sequences
+     *  (entry e is candidate previousIds[e]), predicted rank width (by
+     *  standalone occurrence count) for the rest. */
     static std::vector<uint32_t>
-    rankDerivedCosts(const std::vector<Candidate> &candidates,
-                     const SelectionResult &previous, Scheme scheme)
+    rankDerivedCosts(const CandidateSet &candidates,
+                     const SelectionResult &previous,
+                     const std::vector<uint32_t> &previousIds,
+                     Scheme scheme)
     {
         std::vector<uint32_t> rank_of_entry = rankByUseCount(previous);
-        std::unordered_map<std::u32string, uint32_t> rank_of_seq;
-        rank_of_seq.reserve(previous.dict.entries.size());
-        for (uint32_t id = 0; id < previous.dict.entries.size(); ++id)
-            rank_of_seq.emplace(keyOf(previous.dict.entries[id]),
-                                rank_of_entry[id]);
+        constexpr uint32_t kUnselected = UINT32_MAX;
+        std::vector<uint32_t> rank_of_cand(candidates.size(), kUnselected);
+        for (uint32_t e = 0; e < previousIds.size(); ++e)
+            rank_of_cand[previousIds[e]] = rank_of_entry[e];
 
         // useCount sorted descending IS the rank order; an unselected
         // candidate with occ occurrences would slot in after every
@@ -178,14 +172,10 @@ class IterativeRefitStrategy : public SelectionStrategy
         std::vector<uint32_t> costs(candidates.size());
         for (uint32_t id = 0; id < candidates.size(); ++id) {
             const Candidate &cand = candidates[id];
-            uint32_t rank;
-            auto it = rank_of_seq.find(keyOf(cand.seq));
-            if (it != rank_of_seq.end()) {
-                rank = it->second;
-            } else {
+            uint32_t rank = rank_of_cand[id];
+            if (rank == kUnselected) {
                 uint32_t occ = countNonOverlapping(
-                    cand.positions,
-                    static_cast<uint32_t>(cand.seq.size()), {});
+                    candidates.positionsOf(cand), cand.len, {});
                 rank = static_cast<uint32_t>(
                     std::upper_bound(by_rank.begin(), by_rank.end(), occ,
                                      std::greater<>()) -
@@ -305,7 +295,7 @@ selectByTraffic(const Program &program,
                  " instructions, program has ", program.text.size());
 
     Cfg cfg = Cfg::build(program);
-    std::vector<Candidate> candidates = enumerateCandidates(
+    CandidateSet candidates = enumerateCandidates(
         program, cfg, config.minEntryLen, config.maxEntryLen);
 
     // Dynamic nibbles saved by one occurrence per execution; the whole
@@ -313,12 +303,12 @@ selectByTraffic(const Program &program,
     // the count of its first instruction.
     auto traffic_savings = [&](const Candidate &cand,
                                const std::vector<bool> &consumed) {
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
         int64_t per_exec =
-            static_cast<int64_t>(config.insnNibbles) * length -
+            static_cast<int64_t>(config.insnNibbles) * cand.len -
             static_cast<int64_t>(config.codewordNibbles);
         int64_t total = 0;
-        forEachNonOverlapping(cand.positions, length, consumed,
+        forEachNonOverlapping(candidates.positionsOf(cand), cand.len,
+                              consumed,
                               [&](uint32_t pos) {
                                   total += per_exec *
                                            static_cast<int64_t>(
@@ -342,16 +332,18 @@ selectByTraffic(const Program &program,
         if (best_id == UINT32_MAX)
             break;
         const Candidate &cand = candidates[best_id];
-        uint32_t length = static_cast<uint32_t>(cand.seq.size());
+        uint32_t length = cand.len;
         uint32_t entry_id =
             static_cast<uint32_t>(result.dict.entries.size());
         uint32_t uses = forEachNonOverlapping(
-            cand.positions, length, consumed, [&](uint32_t pos) {
+            candidates.positionsOf(cand), length, consumed,
+            [&](uint32_t pos) {
                 for (uint32_t i = pos; i < pos + length; ++i)
                     consumed[i] = true;
                 result.placements.push_back({pos, length, entry_id});
             });
-        result.dict.entries.push_back(cand.seq);
+        std::span<const isa::Word> seq = candidates.sequenceOf(cand);
+        result.dict.entries.emplace_back(seq.begin(), seq.end());
         result.useCount.push_back(uses);
     }
     std::sort(result.placements.begin(), result.placements.end(),

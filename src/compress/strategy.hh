@@ -79,7 +79,7 @@ class SelectionStrategy
      *  @p textSize is program.text.size(); @p scheme feeds rank-aware
      *  cost models (ignored by the fixed-cost strategies). */
     virtual SelectionResult select(size_t textSize,
-                                   const std::vector<Candidate> &candidates,
+                                   const CandidateSet &candidates,
                                    const GreedyConfig &config,
                                    Scheme scheme) = 0;
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <system_error>
 #include <thread>
 
@@ -591,22 +592,40 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     report.buildMillis = millisSince(buildStart);
 
     // Shard the queue: one pool task per job, results index-addressed
-    // so the report order is the queue order at any pool width. Each
-    // job's own parallel enumeration nests and therefore runs inline.
+    // so the report order is the queue order at any pool width.
     compress::PipelineCache cache;
     if (options.cacheMaxEntries || options.cacheMaxBytes)
         cache.setCapacity(options.cacheMaxEntries, options.cacheMaxBytes);
     if (!options.cacheDir.empty() && options.cache)
         cache.setDiskStore(options.cacheDir);
+    auto programFor = [&](const FarmJob &job) -> const BuiltProgram & {
+        return built[programOf.at({job.workload, job.scale})];
+    };
+
+    // A duplicate job (same program and Select key as an earlier one)
+    // waits for a second wave, after the first copy has stored its
+    // selection: duplicates are then Select cache hits at any pool
+    // width instead of racing to compute the same entry.
+    std::vector<size_t> firsts, duplicates;
+    std::set<uint64_t> seenSelectKeys;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        uint64_t key = compress::PipelineCache::selectKey(
+            programFor(jobs[i]).hash, jobs[i].config);
+        if (!options.cache || seenSelectKeys.insert(key).second)
+            firsts.push_back(i);
+        else
+            duplicates.push_back(i);
+    }
+
     Clock::time_point compressStart = Clock::now();
-    report.results = parallelMap<FarmJobResult>(
-        jobs.size(), [&](size_t i) {
-            const FarmJob &job = jobs[i];
-            const BuiltProgram &prog =
-                built[programOf.at({job.workload, job.scale})];
-            return runFarmJob(job, prog.program, prog.hash,
-                              options.cache ? &cache : nullptr,
-                              options.keepImages);
+    report.results.resize(jobs.size());
+    for (const std::vector<size_t> *wave : {&firsts, &duplicates})
+        globalPool().parallelFor(wave->size(), [&](size_t k) {
+            size_t i = (*wave)[k];
+            const BuiltProgram &prog = programFor(jobs[i]);
+            report.results[i] = runFarmJob(
+                jobs[i], prog.program, prog.hash,
+                options.cache ? &cache : nullptr, options.keepImages);
         });
     report.compressMillis = millisSince(compressStart);
     report.cacheStats = cache.stats();

@@ -8,13 +8,14 @@
  *
  *  - builds each distinct (workload, scale) program exactly once, in
  *    parallel on the global worker pool;
- *  - shards the job queue across the same pool (one task per job; a
- *    job's own candidate enumeration then runs inline, so the pool is
- *    never re-entered concurrently);
+ *  - shards the job queue across the same pool (one task per job;
+ *    each job's compression is serial within its task);
  *  - deduplicates Enumerate/Select work through a shared PipelineCache
  *    (compress/cache.hh) keyed by program content hash + config --
  *    optionally backed by a crash-safe on-disk store (cacheDir) that
- *    survives across runs and processes;
+ *    survives across runs and processes; a job that duplicates an
+ *    earlier one (same program and Select key) runs in a second wave,
+ *    so it is a Select hit at any pool width;
  *  - streams per-job results (sizes, image bytes + FNV-1a64 digest,
  *    per-pass PipelineStats) into a FarmReport in job order.
  *

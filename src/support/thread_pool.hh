@@ -2,13 +2,12 @@
  * @file
  * A small reusable worker pool plus the process-wide parallelism knob.
  *
- * Every parallel stage in the system (candidate enumeration sharding,
- * multi-workload compression, benchmark suite construction) runs
- * through this pool. Work is always *deterministically decomposed*:
- * callers split their problem into an index space, the pool only
- * decides which thread evaluates which index, and callers combine
- * results by index. Combined with the deterministic merge in
- * enumerateCandidates, this is what makes compressed output
+ * Every parallel stage in the system (multi-workload compression, farm
+ * jobs, benchmark suite construction) runs through this pool. Work is
+ * always *deterministically decomposed*: callers split their problem
+ * into an index space, the pool only decides which thread evaluates
+ * which index, and callers combine results by index. Each single
+ * compression is serial, so this is what makes compressed output
  * byte-identical for any job count.
  *
  * The job count comes from, in priority order: an explicit

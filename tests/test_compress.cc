@@ -73,15 +73,13 @@ TEST(Candidates, SequencesStayInsideBlocks)
     auto candidates = enumerateCandidates(program, cfg, 1, 4);
     EXPECT_FALSE(candidates.empty());
     for (const Candidate &cand : candidates) {
-        for (uint32_t pos : cand.positions) {
+        std::span<const isa::Word> seq = candidates.sequenceOf(cand);
+        for (uint32_t pos : candidates.positionsOf(cand)) {
             uint32_t block = cfg.blockOf(pos);
-            EXPECT_EQ(cfg.blockOf(pos +
-                                  static_cast<uint32_t>(cand.seq.size()) -
-                                  1),
-                      block);
+            EXPECT_EQ(cfg.blockOf(pos + cand.len - 1), block);
             // Occurrence content matches the candidate key.
-            for (size_t k = 0; k < cand.seq.size(); ++k)
-                EXPECT_EQ(program.text[pos + k], cand.seq[k]);
+            for (size_t k = 0; k < seq.size(); ++k)
+                EXPECT_EQ(program.text[pos + k], seq[k]);
         }
     }
 }
@@ -380,13 +378,7 @@ TEST(Candidates, EnumerationIdenticalAcrossJobCounts)
     for (unsigned jobs : {2u, 3u, 8u}) {
         setGlobalJobs(jobs);
         auto parallel = enumerateCandidates(program, cfg, 1, 4);
-        ASSERT_EQ(parallel.size(), serial.size()) << "jobs " << jobs;
-        for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(parallel[i].seq, serial[i].seq)
-                << "jobs " << jobs << " candidate " << i;
-            EXPECT_EQ(parallel[i].positions, serial[i].positions)
-                << "jobs " << jobs << " candidate " << i;
-        }
+        EXPECT_TRUE(parallel == serial) << "jobs " << jobs;
     }
     setGlobalJobs(0);
 }

@@ -145,6 +145,30 @@ TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
     EXPECT_EQ(report.results[0].imageBytes, report.results[1].imageBytes);
 }
 
+TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
+{
+    // Three copies of one job and two of another on a pool wider than
+    // the queue: the copies run after their first instance, so every
+    // copy is a Select hit however the workers interleave.
+    std::vector<farm::FarmJob> jobs;
+    for (int copy = 0; copy < 3; ++copy)
+        jobs.push_back(makeJob("compress", compress::Scheme::Nibble,
+                               compress::StrategyKind::Greedy));
+    for (int copy = 0; copy < 2; ++copy)
+        jobs.push_back(makeJob("li", compress::Scheme::Nibble,
+                               compress::StrategyKind::IterativeRefit));
+
+    setGlobalJobs(8);
+    farm::FarmReport report = farm::runFarm(jobs);
+    setGlobalJobs(0);
+
+    ASSERT_EQ(report.failures(), 0u);
+    EXPECT_EQ(report.cacheStats.selectHits, 3u);
+    EXPECT_EQ(report.cacheStats.selectMisses, 2u);
+    EXPECT_EQ(report.results[0].imageBytes, report.results[2].imageBytes);
+    EXPECT_EQ(report.results[3].imageBytes, report.results[4].imageBytes);
+}
+
 TEST(Farm, CacheOffRecordsNoActivity)
 {
     farm::FarmOptions options;

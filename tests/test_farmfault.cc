@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -19,15 +20,19 @@
 
 #include <unistd.h>
 
+#include "candidate_oracle.hh"
 #include "compress/cache.hh"
 #include "compress/compressor.hh"
 #include "compress/encoding.hh"
+#include "compress/objfile.hh"
+#include "compress/pipeline.hh"
 #include "compress/strategy.hh"
 #include "farm/farm.hh"
 #include "farm/worker.hh"
 #include "support/serialize.hh"
 #include "support/subprocess.hh"
 #include "support/thread_pool.hh"
+#include "workloads/workloads.hh"
 
 using namespace codecomp;
 
@@ -541,6 +546,74 @@ TEST(FarmFaultCache, CapacityCapEvictsLruButNeverChangesResults)
     EXPECT_EQ(a.resultsJson(), b.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(a.results[i].imageBytes, b.results[i].imageBytes);
+}
+
+TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
+{
+    // A store written before candidate sets became CSR arrays holds
+    // version-1 Enumerate entries (one vector pair per candidate). The
+    // checksum still holds, so only the version check stands between
+    // that payload and the version-2 parser: the entry must be
+    // quarantined and recomputed, with the cold run's image.
+    ScratchDir dir("v1");
+    Program program = workloads::buildBenchmark("compress");
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Nibble;
+    config.maxEntries = 4680;
+    std::vector<uint8_t> cold =
+        saveImage(compress::compressProgram(program, config));
+
+    uint64_t programHash = compress::PipelineCache::programHash(program);
+    uint64_t key =
+        compress::PipelineCache::enumerateKey(programHash, config);
+    Cfg cfg = Cfg::build(program);
+    ByteSink payload;
+    std::vector<test::OracleCandidate> candidates =
+        test::oracleEnumerate(program, cfg, 1, config.maxEntryLen);
+    payload.put32(static_cast<uint32_t>(candidates.size()));
+    for (const test::OracleCandidate &cand : candidates) {
+        payload.put32(static_cast<uint32_t>(cand.seq.size()));
+        for (isa::Word word : cand.seq)
+            payload.put32(word);
+        payload.put32(static_cast<uint32_t>(cand.positions.size()));
+        for (uint32_t pos : cand.positions)
+            payload.put32(pos);
+    }
+    ByteSink entry;
+    entry.put32(0x43434348); // "CCCH"
+    entry.put16(1);          // the old store version
+    entry.put8(1);           // Enumerate
+    entry.put64(key);
+    entry.putBlob(payload.bytes());
+    entry.put64(fnv1a64(payload.bytes()));
+    char name[40];
+    std::snprintf(name, sizeof(name), "enum-%016llx.cce",
+                  static_cast<unsigned long long>(key));
+    std::filesystem::path path = dir.path() / name;
+    writeFile(path.string(), entry.bytes());
+
+    compress::PipelineCache cache;
+    ASSERT_TRUE(cache.setDiskStore(dir.str()));
+    compress::PipelineContext ctx(program, config);
+    ctx.cache = &cache;
+    ctx.programHash = programHash;
+    compress::Pipeline::standard().run(ctx);
+    EXPECT_EQ(saveImage(ctx.image), cold);
+    compress::PipelineCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.persistCorrupt, 1u);
+    EXPECT_EQ(stats.enumMisses, 1u);
+    EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
+
+    // The recomputed entry replaced it in the current format and reads
+    // back as exactly the enumerated set.
+    compress::PipelineCache fresh;
+    ASSERT_TRUE(fresh.setDiskStore(dir.str()));
+    auto loaded = fresh.findCandidates(key);
+    ASSERT_TRUE(loaded);
+    EXPECT_TRUE(*loaded == compress::enumerateCandidates(
+                               program, cfg, 1, config.maxEntryLen));
+    EXPECT_EQ(fresh.stats().persistHits, 1u);
+    EXPECT_EQ(fresh.stats().persistCorrupt, 0u);
 }
 
 TEST(FarmFaultCache, ByteCapAlsoEvicts)

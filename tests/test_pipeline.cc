@@ -184,6 +184,28 @@ TEST(PipelineConfig, InvalidConfigIsFatal)
                  std::runtime_error);
 }
 
+TEST(PipelineConfig, MaxEntryLenIsBoundedByTheImageFormat)
+{
+    // An image holds entries of at most maxImageEntryWords words, so
+    // every selection entry point rejects a longer window up front.
+    GreedyConfig longest;
+    longest.maxEntryLen = maxImageEntryWords;
+    EXPECT_EQ(greedyConfigError(longest), "");
+    GreedyConfig too_long;
+    too_long.maxEntryLen = maxImageEntryWords + 1;
+    EXPECT_NE(greedyConfigError(too_long).find("65"), std::string::npos);
+
+    Program program = workloads::buildBenchmark("compress");
+    CompressorConfig config;
+    config.maxEntryLen = maxImageEntryWords + 1;
+    EXPECT_THROW(compressProgram(program, config), std::runtime_error);
+    EXPECT_THROW(selectGreedy(program, too_long), std::runtime_error);
+    EXPECT_THROW(selectByTraffic(program,
+                                 std::vector<uint64_t>(program.text.size()),
+                                 too_long),
+                 std::runtime_error);
+}
+
 // ---------------- strategies ----------------
 
 TEST(Strategy, NamesRoundTrip)
