@@ -78,30 +78,20 @@ void
 BM_StreamDecode(benchmark::State &state)
 {
     // The decompression engine's sequential scan: the per-item decode
-    // rule a hardware fetch stage applies. Arg(1) selects the decode
-    // path: 0 = fast table-driven window scan, 1 = reference
-    // nibble-at-a-time decoder.
+    // rule a hardware fetch stage applies.
     CompressorConfig config;
     config.scheme = static_cast<Scheme>(state.range(0));
     config.maxEntries = 8192;
-    DecodePath path = state.range(1) == 0 ? DecodePath::Fast
-                                          : DecodePath::Reference;
     CompressedImage image = compressProgram(ijpeg(), config);
     for (auto _ : state) {
-        DecompressionEngine engine(image, path);
+        DecompressionEngine engine(image);
         benchmark::DoNotOptimize(engine.items().size());
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(
                                 image.compressedTextBytes()));
 }
-BENCHMARK(BM_StreamDecode)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1});
+BENCHMARK(BM_StreamDecode)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_FetchExpand(benchmark::State &state)
@@ -375,41 +365,33 @@ reportItemLookup()
 void
 reportDecodeScan()
 {
-    // PERF_JSON line pinning the tentpole: the table-driven window
-    // scan vs the reference nibble-at-a-time decoder, same image (the
-    // golden-checksum suite proves they produce identical items).
+    // PERF_JSON line for the table-driven window scan: one engine
+    // construction over the ijpeg nibble image.
     CompressorConfig config;
     config.scheme = Scheme::Nibble;
     config.maxEntries = 8192;
     CompressedImage image = compressProgram(ijpeg(), config);
 
     constexpr int rounds = 50;
-    auto time_ms_per_scan = [&image](DecodePath path) {
-        DecompressionEngine warm(image, path); // warm allocator/caches
-        benchmark::DoNotOptimize(warm.items().size());
-        auto start = std::chrono::steady_clock::now();
-        size_t items = 0;
-        for (int r = 0; r < rounds; ++r) {
-            DecompressionEngine engine(image, path);
-            items = engine.items().size();
-            benchmark::DoNotOptimize(items);
-        }
-        auto end = std::chrono::steady_clock::now();
-        return std::chrono::duration<double, std::milli>(end - start)
-                   .count() /
-               rounds;
-    };
-    double fast_ms = time_ms_per_scan(DecodePath::Fast);
-    double reference_ms = time_ms_per_scan(DecodePath::Reference);
-    size_t items = DecompressionEngine(image).items().size();
+    DecompressionEngine warm(image); // warm allocator/caches
+    size_t items = warm.items().size();
+    benchmark::DoNotOptimize(items);
+    auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < rounds; ++r) {
+        DecompressionEngine engine(image);
+        benchmark::DoNotOptimize(engine.items().size());
+    }
+    auto end = std::chrono::steady_clock::now();
+    double fast_ms =
+        std::chrono::duration<double, std::milli>(end - start).count() /
+        rounds;
     std::printf("stream decode scan (ijpeg nibble, %zu items): "
-                "fast %.3f ms, reference %.3f ms, speedup %.2fx\n",
-                items, fast_ms, reference_ms, reference_ms / fast_ms);
+                "%.3f ms\n",
+                items, fast_ms);
     std::printf("PERF_JSON: {\"bench\":\"decode_scan\","
                 "\"scheme\":\"nibble\",\"items\":%zu,"
-                "\"fast_ms\":%.4f,\"reference_ms\":%.4f,"
-                "\"speedup\":%.3f}\n",
-                items, fast_ms, reference_ms, reference_ms / fast_ms);
+                "\"fast_ms\":%.4f}\n",
+                items, fast_ms);
 }
 
 void

@@ -190,18 +190,6 @@ peekItemNibbles(NibbleReader reader, Scheme scheme)
     return schemeCodec(scheme).peekItemNibbles(reader);
 }
 
-std::optional<uint32_t>
-referenceDecodeCodeword(NibbleReader &reader, Scheme scheme)
-{
-    return schemeCodec(scheme).referenceDecodeCodeword(reader);
-}
-
-std::optional<unsigned>
-referencePeekItemNibbles(NibbleReader reader, Scheme scheme)
-{
-    return schemeCodec(scheme).referencePeekItemNibbles(reader);
-}
-
 const char *
 schemeName(Scheme scheme)
 {

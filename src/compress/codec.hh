@@ -6,8 +6,7 @@
  *
  * A SchemeCodec owns everything that varies per scheme -- codeword
  * widths, stream emission, the constexpr decode tables the engine's
- * fast path indexes, the reference decoders the golden-checksum suite
- * cross-checks, the Composition accounting split, the dictionary's
+ * scan indexes, the Composition accounting split, the dictionary's
  * serialized form and ROM cost, and the CLI/display names. Every other
  * layer (pipeline, engine, objfile, verify, timing, farm, tools,
  * benches) either queries one codec or iterates allCodecs(); none of
@@ -131,8 +130,8 @@ class SchemeCodec
 
     virtual SchemeParams params() const = 0;
 
-    /** The precomputed (constexpr) decode tables; the engine's fast
-     *  scan and the generic decodeCodeword/peekItemNibbles below index
+    /** The precomputed (constexpr) decode tables; the engine's scan
+     *  and the generic decodeCodeword/peekItemNibbles below index
      *  these directly. */
     virtual const DecodeTables &tables() const = 0;
 
@@ -145,17 +144,6 @@ class SchemeCodec
     /** Append one uncompressed instruction (escape included). */
     virtual void emitInstruction(NibbleWriter &writer,
                                  isa::Word word) const = 0;
-
-    /**
-     * The cascaded-branch reference decoders the table-driven fast path
-     * is verified against (golden-checksum suite, DecodePath::Reference
-     * engine scans). Semantically identical to decodeCodeword /
-     * peekItemNibbles by contract.
-     */
-    virtual std::optional<uint32_t>
-    referenceDecodeCodeword(NibbleReader &reader) const = 0;
-    virtual std::optional<unsigned>
-    referencePeekItemNibbles(NibbleReader reader) const = 0;
 
     /**
      * Decode the item at the reader's cursor: a codeword rank, or
@@ -235,10 +223,6 @@ void emitInstruction(NibbleWriter &writer, Scheme scheme, uint32_t word);
 const DecodeTables &decodeTables(Scheme scheme);
 std::optional<uint32_t> decodeCodeword(NibbleReader &reader, Scheme scheme);
 std::optional<unsigned> peekItemNibbles(NibbleReader reader, Scheme scheme);
-std::optional<uint32_t> referenceDecodeCodeword(NibbleReader &reader,
-                                                Scheme scheme);
-std::optional<unsigned> referencePeekItemNibbles(NibbleReader reader,
-                                                 Scheme scheme);
 const char *schemeName(Scheme scheme);
 const char *schemeCliName(Scheme scheme);
 /** @} */

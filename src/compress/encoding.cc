@@ -1,7 +1,5 @@
 #include "compress/encoding.hh"
 
-#include <array>
-
 #include "compress/nibble_geometry.hh"
 #include "isa/isa.hh"
 #include "support/logging.hh"
@@ -33,52 +31,21 @@ illegalPrimOpsDistinct()
 static_assert(illegalPrimOpsDistinct(),
               "illegal primary opcodes alias: escape bytes ambiguous");
 
-/** 256-entry inverse of escapeByte: group for a byte, -1 if legal.
- *  Replaces a linear scan of illegalPrimOps on the per-byte decode hot
- *  path. */
-constexpr std::array<int8_t, 256>
-buildEscapeGroupTable()
-{
-    std::array<int8_t, 256> table{};
-    for (auto &slot : table)
-        slot = -1;
-    for (uint32_t group = 0; group < 32; ++group)
-        table[escapeByte(group)] = static_cast<int8_t>(group);
-    return table;
-}
-constexpr std::array<int8_t, 256> escapeGroupTable =
-    buildEscapeGroupTable();
-
-/** Group for an escape byte, or nullopt if the byte is a legal opcode
- *  byte (one table lookup). */
-inline std::optional<uint32_t>
-escapeGroup(uint8_t byte)
-{
-    int8_t group = escapeGroupTable[byte];
-    if (group < 0)
-        return std::nullopt;
-    return static_cast<uint32_t>(group);
-}
-
-/** Baseline / OneByte: the first byte classifies -- an illegal primary
- *  opcode marks a codeword, any legal byte begins a plain instruction
- *  (which decodeCodeword pushes back whole, hence the 2-nibble
- *  rewind). */
+/** Baseline / OneByte: the first byte classifies -- one of the 32
+ *  escape bytes marks a codeword, any legal byte begins a plain
+ *  instruction (which decodeCodeword pushes back whole, hence the
+ *  2-nibble rewind). */
 constexpr DecodeTables
 buildByteEscapeTables(bool baseline)
 {
     DecodeTables tables{};
     tables.prefixNibbles = 2;
-    for (uint32_t byte = 0; byte < 256; ++byte) {
-        ItemClass &cls = tables.classes[byte];
-        int8_t group = escapeGroupTable[byte];
-        if (group < 0)
-            cls = {8, 0, 0, 2, 0};
-        else if (baseline)
-            cls = {4, 1, 2, 0, static_cast<uint32_t>(group) * 256};
-        else
-            cls = {2, 1, 0, 0, static_cast<uint32_t>(group)};
-    }
+    for (ItemClass &cls : tables.classes)
+        cls = {8, 0, 0, 2, 0};
+    for (uint32_t group = 0; group < 32; ++group)
+        tables.classes[escapeByte(group)] =
+            baseline ? ItemClass{4, 1, 2, 0, group * 256}
+                     : ItemClass{2, 1, 0, 0, group};
     return tables;
 }
 
@@ -140,32 +107,6 @@ class BaselineCodec final : public SchemeCodec
         emitByteSchemeInstruction(writer, word);
     }
 
-    std::optional<uint32_t>
-    referenceDecodeCodeword(NibbleReader &reader) const override
-    {
-        uint8_t first = static_cast<uint8_t>(reader.getNibbles(2));
-        auto group = escapeGroup(first);
-        if (!group) {
-            reader.seek(reader.pos() - 2); // plain instruction
-            return std::nullopt;
-        }
-        uint32_t index = reader.getNibbles(2);
-        return *group * 256 + index;
-    }
-
-    std::optional<unsigned>
-    referencePeekItemNibbles(NibbleReader reader) const override
-    {
-        size_t remaining = reader.size() - reader.pos();
-        if (remaining < 2)
-            return std::nullopt;
-        uint8_t first = static_cast<uint8_t>(reader.getNibbles(2));
-        unsigned need = escapeGroup(first) ? 4u : 8u;
-        if (need > remaining)
-            return std::nullopt;
-        return need;
-    }
-
     EmitAccounting
     codewordAccounting(uint32_t) const override
     {
@@ -213,31 +154,6 @@ class OneByteCodec final : public SchemeCodec
     {
         emitByteSchemeInstruction(writer, word);
     }
-
-    std::optional<uint32_t>
-    referenceDecodeCodeword(NibbleReader &reader) const override
-    {
-        uint8_t first = static_cast<uint8_t>(reader.getNibbles(2));
-        auto group = escapeGroup(first);
-        if (!group) {
-            reader.seek(reader.pos() - 2);
-            return std::nullopt;
-        }
-        return *group;
-    }
-
-    std::optional<unsigned>
-    referencePeekItemNibbles(NibbleReader reader) const override
-    {
-        size_t remaining = reader.size() - reader.pos();
-        if (remaining < 2)
-            return std::nullopt;
-        uint8_t first = static_cast<uint8_t>(reader.getNibbles(2));
-        unsigned need = escapeGroup(first) ? 2u : 8u;
-        if (need > remaining)
-            return std::nullopt;
-        return need;
-    }
 };
 
 class NibbleCodec final : public SchemeCodec
@@ -279,18 +195,6 @@ class NibbleCodec final : public SchemeCodec
     emitInstruction(NibbleWriter &writer, isa::Word word) const override
     {
         nibgeom::emitInstruction(writer, word);
-    }
-
-    std::optional<uint32_t>
-    referenceDecodeCodeword(NibbleReader &reader) const override
-    {
-        return nibgeom::referenceDecodeCodeword(reader);
-    }
-
-    std::optional<unsigned>
-    referencePeekItemNibbles(NibbleReader reader) const override
-    {
-        return nibgeom::referencePeekItemNibbles(reader);
     }
 };
 

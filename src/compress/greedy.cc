@@ -140,39 +140,6 @@ selectGreedyFromCandidates(size_t textSize, const CandidateSet &candidates,
 }
 
 SelectionResult
-selectGreedyReferenceFromCandidates(size_t textSize,
-                                    const CandidateSet &candidates,
-                                    const GreedyConfig &config,
-                                    const std::vector<uint32_t> &codewordCosts)
-{
-    checkInputs(config, candidates, codewordCosts);
-
-    SelectionResult result;
-    std::vector<bool> consumed(textSize, false);
-
-    while (result.dict.entries.size() < config.maxEntries) {
-        int64_t best_savings = 0;
-        uint32_t best_id = UINT32_MAX;
-        for (uint32_t id = 0; id < candidates.size(); ++id) {
-            const Candidate &cand = candidates[id];
-            uint32_t occ = countNonOverlapping(
-                candidates.positionsOf(cand), cand.len, consumed);
-            int64_t savings =
-                savingsNibbles(config, cand.len, occ,
-                               costOf(config, codewordCosts, id));
-            if (savings > best_savings) {
-                best_savings = savings;
-                best_id = id;
-            }
-        }
-        if (best_id == UINT32_MAX)
-            break;
-        accept(candidates, best_id, consumed, result, nullptr);
-    }
-    return finish(std::move(result));
-}
-
-SelectionResult
 selectGreedy(const Program &program, const GreedyConfig &config)
 {
     checkConfig(config); // before enumeration sees the bad lengths
@@ -181,17 +148,6 @@ selectGreedy(const Program &program, const GreedyConfig &config)
         program, cfg, config.minEntryLen, config.maxEntryLen);
     return selectGreedyFromCandidates(program.text.size(), candidates,
                                       config);
-}
-
-SelectionResult
-selectGreedyReference(const Program &program, const GreedyConfig &config)
-{
-    checkConfig(config);
-    Cfg cfg = Cfg::build(program);
-    CandidateSet candidates = enumerateCandidates(
-        program, cfg, config.minEntryLen, config.maxEntryLen);
-    return selectGreedyReferenceFromCandidates(program.text.size(),
-                                               candidates, config);
 }
 
 } // namespace codecomp::compress

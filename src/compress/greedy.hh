@@ -7,12 +7,12 @@
  * a lazy max-heap: replacing a sequence can only *destroy* occurrences of
  * other candidates (codeword tokens can never re-create an instruction
  * pattern), so a candidate's savings only ever decreases and lazy
- * revalidation at pop time is exact, not a heuristic. A naive reference
- * implementation is provided for differential testing.
+ * revalidation at pop time is exact, not a heuristic. The tests check
+ * it against a naive from-scratch oracle (tests/greedy_oracle.hh).
  *
- * Both algorithms run over a pre-enumerated candidate list (the
- * pipeline's Enumerate pass), and both accept an optional per-candidate
- * codeword-cost vector so rank-aware strategies can replace the single
+ * Selection runs over a pre-enumerated candidate list (the pipeline's
+ * Enumerate pass) and accepts an optional per-candidate codeword-cost
+ * vector so rank-aware strategies can replace the single
  * assumed cost of GreedyConfig::codewordNibbles with the true
  * rank-derived cost of each candidate (strategy.hh, IterativeRefit).
  */
@@ -41,22 +41,9 @@ selectGreedyFromCandidates(size_t textSize, const CandidateSet &candidates,
                            const std::vector<uint32_t> &codewordCosts = {},
                            std::vector<uint32_t> *acceptedIds = nullptr);
 
-/** Reference implementation over pre-enumerated candidates: recompute
- *  every candidate's savings from scratch each round. Same tie-breaking
- *  rules as selectGreedyFromCandidates; O(candidates * selections). */
-SelectionResult selectGreedyReferenceFromCandidates(
-    size_t textSize, const CandidateSet &candidates,
-    const GreedyConfig &config,
-    const std::vector<uint32_t> &codewordCosts = {});
-
 /** Enumerate + lazy-heap greedy selection over @p program. */
 SelectionResult selectGreedy(const Program &program,
                              const GreedyConfig &config);
-
-/** Enumerate + reference greedy selection over @p program; used by
- *  tests to prove the lazy heap exact. */
-SelectionResult selectGreedyReference(const Program &program,
-                                      const GreedyConfig &config);
 
 /** Savings, in nibbles, of one candidate of @p length instructions
  *  with @p occ live non-overlapping occurrences, paying

@@ -102,48 +102,6 @@ emitInstruction(NibbleWriter &writer, isa::Word word)
     writer.putWord(word);
 }
 
-/** The original cascaded-branch decoder, kept as the checkable
- *  reference for the table-driven fast path. */
-inline std::optional<uint32_t>
-referenceDecodeCodeword(NibbleReader &reader)
-{
-    uint8_t n0 = reader.getNibble();
-    if (n0 < 8)
-        return n0;
-    if (n0 < 12)
-        return class4Count + (n0 - 8u) * 16 + reader.getNibble();
-    if (n0 < 14)
-        return class4Count + class8Count + (n0 - 12u) * 256 +
-               reader.getNibbles(2);
-    if (n0 == 14)
-        return class4Count + class8Count + class12Count +
-               reader.getNibbles(3);
-    return std::nullopt; // escape: instruction follows
-}
-
-inline std::optional<unsigned>
-referencePeekItemNibbles(NibbleReader reader)
-{
-    size_t remaining = reader.size() - reader.pos();
-    if (remaining < 1)
-        return std::nullopt;
-    auto fits = [&](unsigned need) -> std::optional<unsigned> {
-        if (need > remaining)
-            return std::nullopt;
-        return need;
-    };
-    uint8_t n0 = reader.getNibble();
-    if (n0 < 8)
-        return fits(1);
-    if (n0 < 12)
-        return fits(2);
-    if (n0 < 14)
-        return fits(3);
-    if (n0 == 14)
-        return fits(4);
-    return fits(9); // escape nibble + 8-nibble instruction
-}
-
 } // namespace codecomp::compress::nibgeom
 
 #endif // CODECOMP_COMPRESS_NIBBLE_GEOMETRY_HH

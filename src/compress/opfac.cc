@@ -252,18 +252,6 @@ class OperandFactoredCodec final : public SchemeCodec
         nibgeom::emitInstruction(writer, word);
     }
 
-    std::optional<uint32_t>
-    referenceDecodeCodeword(NibbleReader &reader) const override
-    {
-        return nibgeom::referenceDecodeCodeword(reader);
-    }
-
-    std::optional<unsigned>
-    referencePeekItemNibbles(NibbleReader reader) const override
-    {
-        return nibgeom::referencePeekItemNibbles(reader);
-    }
-
     size_t
     dictionaryBytes(const std::vector<DictEntry> &entries) const override
     {

@@ -24,20 +24,6 @@ class GreedyStrategy : public SelectionStrategy
     }
 };
 
-class GreedyReferenceStrategy : public SelectionStrategy
-{
-  public:
-    const char *name() const override { return "reference"; }
-
-    SelectionResult
-    select(size_t textSize, const CandidateSet &candidates,
-           const GreedyConfig &config, Scheme) override
-    {
-        return selectGreedyReferenceFromCandidates(textSize, candidates,
-                                                   config);
-    }
-};
-
 /**
  * Rank-aware cost refit. Greedy selection prices every codeword at one
  * assumed width, but the nibble scheme's true width is rank-dependent
@@ -201,8 +187,6 @@ strategyName(StrategyKind kind)
     switch (kind) {
       case StrategyKind::Greedy:
         return "greedy";
-      case StrategyKind::GreedyReference:
-        return "reference";
       case StrategyKind::IterativeRefit:
         return "refit";
     }
@@ -214,8 +198,6 @@ parseStrategyName(std::string_view name)
 {
     if (name == "greedy")
         return StrategyKind::Greedy;
-    if (name == "reference")
-        return StrategyKind::GreedyReference;
     if (name == "refit")
         return StrategyKind::IterativeRefit;
     return std::nullopt;
@@ -226,7 +208,6 @@ allStrategyKinds()
 {
     static const std::vector<StrategyKind> kinds = {
         StrategyKind::Greedy,
-        StrategyKind::GreedyReference,
         StrategyKind::IterativeRefit,
     };
     return kinds;
@@ -250,8 +231,6 @@ strategySummary(StrategyKind kind)
     switch (kind) {
       case StrategyKind::Greedy:
         return "lazy-heap greedy at the scheme's assumed codeword cost";
-      case StrategyKind::GreedyReference:
-        return "naive from-scratch greedy oracle (differential anchor)";
       case StrategyKind::IterativeRefit:
         return "rank-aware cost refit loop around greedy";
     }
@@ -274,8 +253,6 @@ makeStrategy(StrategyKind kind, const RefitOptions &refit)
     switch (kind) {
       case StrategyKind::Greedy:
         return std::make_unique<GreedyStrategy>();
-      case StrategyKind::GreedyReference:
-        return std::make_unique<GreedyReferenceStrategy>();
       case StrategyKind::IterativeRefit:
         return std::make_unique<IterativeRefitStrategy>(refit);
     }

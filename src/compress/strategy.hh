@@ -8,19 +8,17 @@
  * bits depending on the entry's final frequency rank (DESIGN.md section
  * 5.3). A strategy object turns that choice into a policy:
  *
- *  - Greedy:          the production lazy-heap greedy at the scheme's
- *                     assumed cost (exact greedy, fast).
- *  - GreedyReference: the O(candidates x selections) oracle with the
- *                     same tie-breaking; differential-testing anchor.
- *  - IterativeRefit:  re-runs greedy selection with corrected codeword
- *                     costs -- first the alternative uniform widths the
- *                     scheme can produce, then per-candidate costs
- *                     derived from the best round's frequency ranking
- *                     -- keeping the best selection by estimated
- *                     compressed size, until the estimate stops
- *                     improving or a bounded round count is hit.
- *                     Round 0 equals Greedy, so refit never estimates
- *                     worse than greedy.
+ *  - Greedy:         the production lazy-heap greedy at the scheme's
+ *                    assumed cost (exact greedy, fast).
+ *  - IterativeRefit: re-runs greedy selection with corrected codeword
+ *                    costs -- first the alternative uniform widths the
+ *                    scheme can produce, then per-candidate costs
+ *                    derived from the best round's frequency ranking
+ *                    -- keeping the best selection by estimated
+ *                    compressed size, until the estimate stops
+ *                    improving or a bounded round count is hit.
+ *                    Round 0 equals Greedy, so refit never estimates
+ *                    worse than greedy.
  *
  * Strategies are stateless between select() calls except for
  * per-invocation statistics (rounds), so one instance per compression
@@ -41,13 +39,14 @@
 
 namespace codecomp::compress {
 
+/** Selection policies. The values are part of the Select cache key
+ *  (and so of every on-disk store): pinned, never renumbered. */
 enum class StrategyKind : uint8_t {
-    Greedy,          //!< lazy-heap greedy, assumed codeword cost
-    GreedyReference, //!< naive from-scratch greedy oracle
-    IterativeRefit,  //!< rank-aware cost refit loop around greedy
+    Greedy = 0,         //!< lazy-heap greedy, assumed codeword cost
+    IterativeRefit = 2, //!< rank-aware cost refit loop around greedy
 };
 
-/** CLI name of @p kind: "greedy", "reference", "refit". */
+/** CLI name of @p kind: "greedy", "refit". */
 const char *strategyName(StrategyKind kind);
 
 /** Inverse of strategyName; nullopt for an unknown name. */
@@ -57,7 +56,7 @@ std::optional<StrategyKind> parseStrategyName(std::string_view name);
 const std::vector<StrategyKind> &allStrategyKinds();
 
 /** The CLI names of every strategy joined by @p sep, for usage text
- *  and error messages ("greedy, reference, refit"). */
+ *  and error messages ("greedy, refit"). */
 std::string strategyCliNames(const char *sep = ", ");
 
 /** One-line description of @p kind (ccompress --list-strategies). */

@@ -47,18 +47,15 @@ throwBadRank(uint32_t pos, uint32_t rank, size_t dict_size)
 } // namespace
 
 DecompressionEngine::DecompressionEngine(
-    const compress::CompressedImage &image, DecodePath path)
-    : image_(image), path_(path)
+    const compress::CompressedImage &image)
+    : image_(image)
 {
     indexByAddr_.assign(image.textNibbles, noItem);
     // Every item is at least two nibbles except Nibble's one-nibble
     // codewords; half the nibble count is a tight upper bound in
-    // practice and spares the scans their reallocation copies.
+    // practice and spares the scan its reallocation copies.
     items_.reserve(image.textNibbles / 2 + 1);
-    if (path == DecodePath::Fast)
-        scanFast();
-    else
-        scanReference();
+    scan();
     predecodeEntries();
 }
 
@@ -67,11 +64,11 @@ DecompressionEngine::DecompressionEngine(
  * the leading nibbles of a 64-bit window, and the rank index and
  * instruction word fall out as shift/mask extractions. The only
  * per-item branches are the two machine-check guards, never taken on a
- * valid image. Faults (kind, address, message) match scanReference
- * exactly -- the corruption campaign runs over both paths.
+ * valid image. Faults (kind, address, message) match the test-only
+ * nibble-at-a-time decoder exactly (tests/decode_oracle.hh).
  */
 void
-DecompressionEngine::scanFast()
+DecompressionEngine::scan()
 {
     const compress::DecodeTables &tables =
         compress::schemeCodec(image_.scheme).tables();
@@ -114,38 +111,6 @@ DecompressionEngine::scanFast()
         indexByAddr_[pos] = static_cast<uint32_t>(items_.size());
         items_.push_back(item);
         pos += cls.nibbles;
-    }
-}
-
-void
-DecompressionEngine::scanReference()
-{
-    const compress::SchemeCodec &codec =
-        compress::schemeCodec(image_.scheme);
-    NibbleReader reader(image_.text.data(), image_.textNibbles);
-    while (!reader.atEnd()) {
-        DecodedItem item;
-        item.nibbleAddr = static_cast<uint32_t>(reader.pos());
-        // Classify the item length before decoding: a truncated stream
-        // must surface as a machine check, not a read past the end.
-        if (!codec.referencePeekItemNibbles(reader))
-            throwTruncated(item.nibbleAddr);
-        auto rank = codec.referenceDecodeCodeword(reader);
-        if (rank) {
-            item.isCodeword = true;
-            item.rank = *rank;
-            if (item.rank >= image_.entriesByRank.size())
-                throwBadRank(item.nibbleAddr, item.rank,
-                             image_.entriesByRank.size());
-        } else {
-            item.isCodeword = false;
-            item.word = reader.getWord();
-        }
-        item.nibbles =
-            static_cast<uint8_t>(reader.pos() - item.nibbleAddr);
-        indexByAddr_[item.nibbleAddr] =
-            static_cast<uint32_t>(items_.size());
-        items_.push_back(item);
     }
 }
 

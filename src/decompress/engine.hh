@@ -11,14 +11,13 @@
  * sequential scan builds the random-access item table that the fetch
  * stage consults.
  *
- * Two scan implementations exist (DESIGN.md section 10). The fast path
- * (default) loads the stream a 64-bit window -- a 16-nibble slice of a
- * fetch line -- at a time and classifies each item with one indexed
- * load from the scheme's precomputed decode tables, extracting the
- * rank index and instruction word by shift/mask with no per-nibble
- * branching. The reference path is the original nibble-at-a-time
- * decoder; the golden-checksum suite proves the two produce identical
- * item tables and expanded instruction streams on every image.
+ * The scan (DESIGN.md section 10) loads the stream a 64-bit window --
+ * a 16-nibble slice of a fetch line -- at a time and classifies each
+ * item with one indexed load from the scheme's precomputed decode
+ * tables, extracting the rank index and instruction word by shift/mask
+ * with no per-nibble branching. The golden-checksum suite checks its
+ * item tables and expanded instruction streams against a test-only
+ * nibble-at-a-time decoder (tests/decode_oracle.hh) on every image.
  *
  * The engine also pre-decodes every dictionary entry into isa::Inst
  * form at construction, so the execution core expands hot codewords
@@ -75,18 +74,10 @@ struct DecodedEntry
     }
 };
 
-/** Which stream-scan implementation an engine uses; both must agree
- *  bit-for-bit on every valid and every corrupt image. */
-enum class DecodePath : uint8_t {
-    Fast,      //!< table-driven 64-bit-window scan
-    Reference, //!< original nibble-at-a-time decoder
-};
-
 class DecompressionEngine
 {
   public:
-    explicit DecompressionEngine(const compress::CompressedImage &image,
-                                 DecodePath path = DecodePath::Fast);
+    explicit DecompressionEngine(const compress::CompressedImage &image);
 
     /** Item starting at compressed-text nibble offset @p nibble_addr;
      *  raises a machine check if the address is not an item boundary (a
@@ -142,25 +133,21 @@ class DecompressionEngine
 
     const std::vector<DecodedItem> &items() const { return items_; }
     const compress::CompressedImage &image() const { return image_; }
-    DecodePath path() const { return path_; }
 
     /** FNV-1a64 digest of the fully expanded instruction stream (every
      *  item in address order, codewords expanded through the
-     *  dictionary, each word hashed big-endian). Two engines over the
-     *  same image must agree regardless of DecodePath -- the
-     *  golden-checksum contract (DESIGN.md section 10). */
+     *  dictionary, each word hashed big-endian) -- the value the
+     *  golden-checksum suite pins per image (DESIGN.md section 10). */
     uint64_t expandedStreamDigest() const;
 
   private:
     /** indexByAddr_ sentinel for nibbles inside (not starting) an item. */
     static constexpr uint32_t noItem = UINT32_MAX;
 
-    void scanFast();
-    void scanReference();
+    void scan();
     void predecodeEntries();
 
     const compress::CompressedImage &image_;
-    DecodePath path_;
     std::vector<DecodedItem> items_;
     std::vector<uint32_t> indexByAddr_; //!< nibble addr -> items_ index
     std::vector<isa::Inst> decodedPool_;  //!< all entries, rank order

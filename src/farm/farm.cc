@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "compress/objfile.hh"
+#include "decompress/fault.hh"
 #include "farm/jobspec.hh"
 #include "farm/worker.hh"
 #include "support/json.hh"
@@ -189,11 +190,7 @@ runIsolatedJob(const FarmJob &job, size_t index,
         }
         if (!options.keepImages)
             argv.push_back("--worker-no-images");
-        bool injected =
-            (options.inject.kind == InjectKind::Crash ||
-             options.inject.kind == InjectKind::Hang) &&
-            shouldInject(options.inject, index, attempt);
-        if (injected) {
+        if (shouldInject(options.inject, index, attempt)) {
             argv.push_back("--worker-inject");
             argv.push_back(options.inject.kind == InjectKind::Crash
                                ? "crash"
@@ -299,11 +296,20 @@ failureKindName(FailureKind kind)
     return "?";
 }
 
+FailureKind
+classifyJobError(const std::exception &error)
+{
+    if (dynamic_cast<const MachineCheckError *>(&error))
+        return FailureKind::MachineCheck;
+    if (dynamic_cast<const LoadFailure *>(&error))
+        return FailureKind::LoadError;
+    return FailureKind::SpecError;
+}
+
 bool
 shouldInject(const FaultPlan &plan, size_t jobIndex, uint32_t attempt)
 {
-    if (plan.kind == InjectKind::None ||
-        plan.kind == InjectKind::CorruptCache || plan.rateDen == 0)
+    if (plan.kind == InjectKind::None || plan.rateDen == 0)
         return false;
     // Job-level decision only: the injected subset is a pure function
     // of (seed, jobIndex), so reports reproduce across runs, pool
@@ -493,12 +499,9 @@ runFarmJob(const FarmJob &job, const Program &program,
         result.imageFnv64 = fnv1a64(bytes);
         if (keepImages)
             result.imageBytes = std::move(bytes);
-    } catch (const LoadFailure &failure) {
-        result.error = failure.what();
-        result.failureKind = FailureKind::LoadError;
     } catch (const std::exception &error) {
         result.error = error.what();
-        result.failureKind = FailureKind::SpecError;
+        result.failureKind = classifyJobError(error);
     }
     result.millis = millisSince(jobStart);
     return result;

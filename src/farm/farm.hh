@@ -43,6 +43,7 @@
 #define CODECOMP_FARM_FARM_HH
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,17 +78,22 @@ enum class FailureKind : uint8_t {
     Crash,        //!< worker died: signal, CC_PANIC, or abrupt exit
     Timeout,      //!< deadline expired; the worker was killed
     LoadError,    //!< spec/result/file plumbing failed (LoadFailure)
-    MachineCheck, //!< a MachineCheckError surfaced from the worker
+    MachineCheck, //!< a MachineCheckError surfaced from the job
     SpecError,    //!< deterministic job error (bad config); not retried
 };
 
 const char *failureKindName(FailureKind kind);
 
-/** Seeded deliberate-fault plan for the farm's self-test campaign
- *  (ccfarm --inject): crash or hang a deterministic subset of worker
- *  subprocesses. CorruptCache is driven at the tool level (bit-flip
- *  the persistent store between runs), not per worker. */
-enum class InjectKind : uint8_t { None = 0, Crash, Hang, CorruptCache };
+/** The failure kind of a job that threw @p error: MachineCheck for a
+ *  MachineCheckError, LoadError for a LoadFailure, SpecError for any
+ *  other error. The one classifier of the inline (runFarmJob) and the
+ *  isolated (worker) paths, so both report the same kind. */
+FailureKind classifyJobError(const std::exception &error);
+
+/** Seeded deliberate-fault plan for the fault-tolerance tests: crash
+ *  or hang a deterministic subset of worker subprocesses (passed to
+ *  each worker as the hidden --worker-inject flag). */
+enum class InjectKind : uint8_t { None = 0, Crash, Hang };
 
 struct FaultPlan
 {
@@ -159,8 +165,8 @@ struct FarmOptions
     /** Seed for backoff jitter and fault injection. */
     uint64_t seed = 1;
 
-    /** Deliberate-fault plan (self-test); requires isolate for
-     *  Crash/Hang. */
+    /** Deliberate-fault plan for the fault-tolerance tests; takes
+     *  effect only with isolate. */
     FaultPlan inject;
 };
 

@@ -8,7 +8,7 @@
  *       { "workload": "gcc",                 // required
  *         "scale": 1,                        // generator scale, >= 1
  *         "scheme": "nibble",                // baseline|onebyte|nibble
- *         "strategy": "refit",               // greedy|reference|refit
+ *         "strategy": "refit",               // greedy|refit
  *         "layout": "hotcold",               // linear|hotcold
  *         "max_entries": 4680,
  *         "max_len": 4,

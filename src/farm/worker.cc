@@ -7,7 +7,6 @@
 
 #include "compress/codec.hh"
 #include "compress/strategy.hh"
-#include "decompress/fault.hh"
 #include "support/logging.hh"
 #include "workloads/workloads.hh"
 
@@ -206,8 +205,9 @@ runWorkerJob(const FarmJob &job, const std::string &cacheDir,
         Program program =
             workloads::buildBenchmark(job.workload, job.scale);
 
-        // Deliberate faults for the self-test campaign, placed mid-job
-        // (after the expensive build) so a kill interrupts real work.
+        // Deliberate faults for the fault-tolerance tests, placed
+        // mid-job (after the expensive build) so a kill interrupts
+        // real work.
         if (inject == InjectKind::Crash)
             std::abort();
         if (inject == InjectKind::Hang)
@@ -223,17 +223,11 @@ runWorkerJob(const FarmJob &job, const std::string &cacheDir,
             cachePtr ? compress::PipelineCache::programHash(program) : 0;
         result = runFarmJob(job, program, hash, cachePtr, keepImages);
         worker.cacheStats = cache.stats();
-    } catch (const MachineCheckError &error) {
-        result.error = error.what();
-        result.failureKind = FailureKind::MachineCheck;
     } catch (const PanicError &) {
         throw; // a library bug: let the worker exit 3 (Crash)
-    } catch (const LoadFailure &failure) {
-        result.error = failure.what();
-        result.failureKind = FailureKind::LoadError;
     } catch (const std::exception &error) {
         result.error = error.what();
-        result.failureKind = FailureKind::SpecError;
+        result.failureKind = classifyJobError(error);
     }
     return worker;
 }

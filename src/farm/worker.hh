@@ -50,8 +50,8 @@ Result<WorkerResult> parseWorkerResult(const std::vector<uint8_t> &bytes);
  * run the pipeline, and capture any catchable failure in-band (with
  * its FailureKind) so the parent can distinguish a deterministic
  * SpecError from retryable faults. @p inject deliberately crashes
- * (abort) or hangs (sleep forever) mid-job for the fault-injection
- * campaign.
+ * (abort) or hangs (sleep forever) mid-job for the fault-tolerance
+ * tests.
  */
 WorkerResult runWorkerJob(const FarmJob &job, const std::string &cacheDir,
                           bool keepImages,

@@ -15,6 +15,7 @@
 #include "isa/builder.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "greedy_oracle.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
@@ -146,7 +147,7 @@ TEST(Greedy, LazyHeapMatchesReference)
         config.maxEntries = 128;
         config.maxEntryLen = max_len;
         SelectionResult fast = selectGreedy(program, config);
-        SelectionResult slow = selectGreedyReference(program, config);
+        SelectionResult slow = test::selectGreedyReference(program, config);
         EXPECT_EQ(fast.dict.entries, slow.dict.entries)
             << "maxEntryLen=" << max_len;
         EXPECT_EQ(fast.placements, slow.placements);
@@ -169,7 +170,7 @@ TEST(Greedy, StaleHeapReevaluationMatchesReference)
         config.maxEntries = 48;
         config.maxEntryLen = max_len;
         SelectionResult fast = selectGreedy(program, config);
-        SelectionResult slow = selectGreedyReference(program, config);
+        SelectionResult slow = test::selectGreedyReference(program, config);
         EXPECT_EQ(fast.dict.entries, slow.dict.entries)
             << "maxEntryLen=" << max_len;
         EXPECT_EQ(fast.placements, slow.placements);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
@@ -27,6 +29,17 @@ struct SweepPoint
     uint32_t maxEntries;
     uint32_t maxEntryLen;
 };
+
+/** gtest's parameter printer for the ctest names: the fields, not the
+ *  struct's raw bytes (which hold the bench-name pointer and so change
+ *  with every link). */
+void
+PrintTo(const SweepPoint &pt, std::ostream *os)
+{
+    *os << pt.bench << " " << schemeCliName(pt.scheme)
+        << " maxEntries=" << pt.maxEntries
+        << " maxEntryLen=" << pt.maxEntryLen;
+}
 
 std::string
 pointName(const ::testing::TestParamInfo<SweepPoint> &info)

@@ -17,6 +17,7 @@
 #include "compress/objfile.hh"
 #include "compress/pipeline.hh"
 #include "compress/strategy.hh"
+#include "greedy_oracle.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
 
@@ -180,8 +181,6 @@ TEST(PipelineConfig, InvalidConfigIsFatal)
     inverted.minEntryLen = 9;
     inverted.maxEntryLen = 2;
     EXPECT_THROW(selectGreedy(program, inverted), std::runtime_error);
-    EXPECT_THROW(selectGreedyReference(program, inverted),
-                 std::runtime_error);
 }
 
 TEST(PipelineConfig, MaxEntryLenIsBoundedByTheImageFormat)
@@ -211,17 +210,18 @@ TEST(PipelineConfig, MaxEntryLenIsBoundedByTheImageFormat)
 TEST(Strategy, NamesRoundTrip)
 {
     for (StrategyKind kind :
-         {StrategyKind::Greedy, StrategyKind::GreedyReference,
-          StrategyKind::IterativeRefit})
+         {StrategyKind::Greedy, StrategyKind::IterativeRefit})
         EXPECT_EQ(parseStrategyName(strategyName(kind)), kind);
+    EXPECT_EQ(allStrategyKinds().size(), 2u);
+    EXPECT_EQ(parseStrategyName("reference"), std::nullopt);
     EXPECT_EQ(parseStrategyName("simulated-annealing"), std::nullopt);
     EXPECT_EQ(parseStrategyName(""), std::nullopt);
 }
 
 TEST(Strategy, GreedyMatchesReferenceOnEveryWorkload)
 {
-    // The two greedy implementations must agree candidate-for-candidate
-    // on every workload (small budget: the reference is O(n*k)).
+    // The lazy heap must pick exactly what the naive oracle picks on
+    // every workload (small budget: the oracle is O(n*k)).
     for (const std::string &name : workloads::benchmarkNames()) {
         Program program = workloads::buildBenchmark(name);
         CompressorConfig config;
@@ -231,13 +231,11 @@ TEST(Strategy, GreedyMatchesReferenceOnEveryWorkload)
         passEnumerate(ctx);
 
         auto fast = makeStrategy(StrategyKind::Greedy);
-        auto slow = makeStrategy(StrategyKind::GreedyReference);
         SelectionResult a = fast->select(program.text.size(),
                                          ctx.candidates, ctx.greedy,
                                          config.scheme);
-        SelectionResult b = slow->select(program.text.size(),
-                                         ctx.candidates, ctx.greedy,
-                                         config.scheme);
+        SelectionResult b = test::selectGreedyReferenceFromCandidates(
+            program.text.size(), ctx.candidates, ctx.greedy);
         EXPECT_EQ(a.dict.entries, b.dict.entries) << name;
         EXPECT_EQ(a.placements, b.placements) << name;
         EXPECT_EQ(a.useCount, b.useCount) << name;
@@ -285,15 +283,10 @@ TEST(Strategy, ImagesBitIdenticalAcrossJobCounts)
     // is the only parallel stage, so --jobs must never change the
     // output image, whichever selection policy runs on top.
     Program program = workloads::buildBenchmark("compress");
-    for (StrategyKind strategy :
-         {StrategyKind::Greedy, StrategyKind::GreedyReference,
-          StrategyKind::IterativeRefit}) {
+    for (StrategyKind strategy : allStrategyKinds()) {
         CompressorConfig config;
         config.scheme = Scheme::Nibble;
         config.strategy = strategy;
-        // Keep the O(n*k) reference tractable.
-        if (strategy == StrategyKind::GreedyReference)
-            config.maxEntries = 48;
         setGlobalJobs(1);
         CompressedImage serial = compressProgram(program, config);
         std::vector<uint8_t> serialBytes = saveImage(serial);

@@ -9,7 +9,7 @@
  *          [--backoff MS] [--seed S]
  *          [--no-cache] [--cache-dir dir/] [--cache-cap N]
  *          [--report out.json] [--results out.json] [--images outdir/]
- *          [--inject crash|hang|corrupt-cache] [--list]
+ *          [--list]
  *
  * Without --spec the queue is the starter corpus (all 8 workloads x
  * every registered scheme x {greedy, refit}), optionally narrowed by
@@ -28,13 +28,6 @@
  * detected (checksums), quarantined, and silently recomputed --
  * results are never affected.
  *
- * --inject runs a seeded self-test campaign against the farm's own
- * fault tolerance: deliberately crash or hang a deterministic subset
- * of workers (or bit-flip the persistent cache between runs) and
- * verify every non-injected job's image is bit-identical to a clean
- * reference run while every injected fault is correctly attributed.
- * A violated expectation exits 2 (a finding), per the tool contract.
- *
  * --images writes each job's .cci image into the directory (job ids
  * with '/' becoming '-'); the images are bit-identical to what serial
  * ccompress produces for the same program and config, at any --jobs /
@@ -52,14 +45,11 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "compress/encoding.hh"
 #include "compress/strategy.hh"
 #include "farm/farm.hh"
 #include "farm/jobspec.hh"
 #include "farm/worker.hh"
-#include "support/rng.hh"
 #include "support/serialize.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
@@ -75,12 +65,11 @@ usage()
     std::fprintf(stderr,
                  "usage: ccfarm [--spec jobs.json] [--workloads a,b,...] "
                  "[--schemes %s,...] "
-                 "[--strategies greedy,reference,refit] [--jobs N] "
+                 "[--strategies greedy,refit] [--jobs N] "
                  "[--isolate N] [--job-timeout MS] [--retries N] "
                  "[--backoff MS] [--seed S] [--no-cache] "
                  "[--cache-dir dir/] [--cache-cap N] [--report out.json] "
-                 "[--results out.json] [--images outdir/] "
-                 "[--inject crash|hang|corrupt-cache] [--list]\n",
+                 "[--results out.json] [--images outdir/] [--list]\n",
                  compress::schemeCliNames(",").c_str());
     return tools::exitUserError;
 }
@@ -90,13 +79,6 @@ badArg(const std::string &message)
 {
     std::fprintf(stderr, "ccfarm: %s\n", message.c_str());
     return tools::exitUserError;
-}
-
-int
-finding(const std::string &message)
-{
-    std::fprintf(stderr, "ccfarm: FINDING: %s\n", message.c_str());
-    return tools::exitFinding;
 }
 
 std::vector<std::string>
@@ -189,228 +171,6 @@ runWorker(int argc, char **argv)
     return tools::exitOk;
 }
 
-// ---- the --inject self-test campaign ----
-
-/** A seed whose injected subset is mixed (some jobs injected, some
- *  not), so both campaign assertions have teeth. Deterministic: scans
- *  forward from @p seed. */
-uint64_t
-mixedInjectionSeed(farm::FaultPlan plan, size_t jobCount)
-{
-    for (int tries = 0; tries < 1000; ++tries, ++plan.seed) {
-        size_t injected = 0;
-        for (size_t i = 0; i < jobCount; ++i)
-            injected += farm::shouldInject(plan, i, 0) ? 1 : 0;
-        if (injected >= 1 && (jobCount == 1 || injected < jobCount))
-            return plan.seed;
-    }
-    return plan.seed;
-}
-
-/**
- * Crash/hang campaign: a clean inline reference run, then an isolated
- * run with hard faults injected into a seeded subset (those jobs must
- * fail with the right kind; everything else must be bit-identical),
- * then an isolated run with the same faults made transient (first
- * attempt only) and a retry budget (every job must recover).
- */
-int
-runFaultCampaign(const std::vector<farm::FarmJob> &jobs,
-                 farm::FarmOptions options, farm::InjectKind kind)
-{
-    farm::FailureKind expected = kind == farm::InjectKind::Crash
-                                     ? farm::FailureKind::Crash
-                                     : farm::FailureKind::Timeout;
-    // A hung worker is only detected by its deadline.
-    if (kind == farm::InjectKind::Hang && options.jobTimeoutMs == 0)
-        options.jobTimeoutMs = 2000;
-
-    farm::FarmOptions reference = options;
-    reference.isolate = false;
-    reference.inject = farm::FaultPlan{};
-    reference.keepImages = true;
-    farm::FarmReport ref = farm::runFarm(jobs, reference);
-    if (ref.failures())
-        return finding("reference run failed (" +
-                       std::to_string(ref.failures()) + " of " +
-                       std::to_string(jobs.size()) + " jobs)");
-
-    farm::FaultPlan plan;
-    plan.kind = kind;
-    plan.seed = options.seed;
-    plan.seed = mixedInjectionSeed(plan, jobs.size());
-    size_t injectedCount = 0;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        injectedCount += farm::shouldInject(plan, i, 0) ? 1 : 0;
-    std::printf("inject %s: seed %llu faults %zu of %zu jobs\n",
-                kind == farm::InjectKind::Crash ? "crash" : "hang",
-                static_cast<unsigned long long>(plan.seed),
-                injectedCount, jobs.size());
-
-    // Phase 1: hard faults. Injected jobs must fail -- attributed to
-    // the right kind, with every attempt burned -- and must not
-    // disturb any other job.
-    farm::FarmOptions hard = options;
-    hard.isolate = true;
-    hard.keepImages = true;
-    hard.inject = plan;
-    farm::FarmReport hardReport = farm::runFarm(jobs, hard);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const farm::FarmJobResult &got = hardReport.results[i];
-        const farm::FarmJobResult &want = ref.results[i];
-        if (farm::shouldInject(plan, i, 0)) {
-            if (got.ok())
-                return finding("injected job '" + got.id +
-                               "' unexpectedly succeeded");
-            if (got.failureKind != expected)
-                return finding(
-                    "injected job '" + got.id + "' classified as " +
-                    farm::failureKindName(got.failureKind) +
-                    ", expected " + farm::failureKindName(expected));
-            uint32_t wantAttempts =
-                1 + (jobs[i].retries >= 0
-                         ? static_cast<uint32_t>(jobs[i].retries)
-                         : options.retries);
-            if (got.attempts != wantAttempts)
-                return finding("injected job '" + got.id + "' made " +
-                               std::to_string(got.attempts) +
-                               " attempts, expected " +
-                               std::to_string(wantAttempts));
-        } else {
-            if (!got.ok())
-                return finding("non-injected job '" + got.id +
-                               "' failed: " + got.error);
-            if (got.imageBytes != want.imageBytes ||
-                got.imageFnv64 != want.imageFnv64)
-                return finding("non-injected job '" + got.id +
-                               "' image differs from the reference");
-        }
-    }
-    if (hardReport.failuresOfKind(expected) != injectedCount)
-        return finding("failure-kind tally mismatch");
-
-    // Phase 2: the same faults, transient. A retry budget must
-    // recover every job bit-identically.
-    farm::FarmOptions soft = hard;
-    soft.inject.firstAttemptOnly = true;
-    soft.retries = std::max(options.retries, 1u);
-    farm::FarmReport softReport = farm::runFarm(jobs, soft);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const farm::FarmJobResult &got = softReport.results[i];
-        if (!got.ok())
-            return finding("transient-fault job '" + got.id +
-                           "' did not recover: " + got.error);
-        if (got.imageBytes != ref.results[i].imageBytes)
-            return finding("recovered job '" + got.id +
-                           "' image differs from the reference");
-        bool injected = farm::shouldInject(plan, i, 0);
-        if (injected && got.attempts < 2)
-            return finding("transient-fault job '" + got.id +
-                           "' recorded no retry");
-        if (!injected && got.attempts != 1)
-            return finding("clean job '" + got.id +
-                           "' recorded a spurious retry");
-    }
-    std::printf("inject %s: ok (%zu faults attributed, %zu recovered, "
-                "%zu jobs undisturbed)\n",
-                kind == farm::InjectKind::Crash ? "crash" : "hang",
-                injectedCount, injectedCount,
-                jobs.size() - injectedCount);
-    return tools::exitOk;
-}
-
-/**
- * Corrupt-cache campaign: a cold run populates the persistent store, a
- * seeded damage pass bit-flips / truncates / version-skews every entry
- * file, and a warm run must detect and quarantine the damage while
- * producing bit-identical results.
- */
-int
-runCorruptCacheCampaign(const std::vector<farm::FarmJob> &jobs,
-                        farm::FarmOptions options)
-{
-    std::filesystem::path dir =
-        options.cacheDir.empty()
-            ? std::filesystem::temp_directory_path() /
-                  ("ccfarm-inject-" + std::to_string(::getpid()))
-            : std::filesystem::path(options.cacheDir);
-    bool scratchStore = options.cacheDir.empty();
-    std::filesystem::create_directories(dir);
-
-    farm::FarmOptions runOptions = options;
-    runOptions.isolate = false;
-    runOptions.inject = farm::FaultPlan{};
-    runOptions.keepImages = true;
-    runOptions.cache = true;
-    runOptions.cacheDir = dir.string();
-
-    farm::FarmReport cold = farm::runFarm(jobs, runOptions);
-    if (cold.failures())
-        return finding("cold run failed");
-    if (cold.cacheStats.persistStores == 0)
-        return finding("cold run stored nothing in the persistent "
-                       "cache");
-
-    // Damage every entry file, cycling through the three corruption
-    // classes so one campaign exercises every detector.
-    std::vector<std::filesystem::path> files;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        if (entry.path().extension() == ".cce")
-            files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
-    if (files.empty())
-        return finding("persistent store is empty after the cold run");
-    Rng rng(options.seed);
-    for (size_t i = 0; i < files.size(); ++i) {
-        std::vector<uint8_t> bytes = readFile(files[i].string());
-        switch (i % 3) {
-          case 0: // flip one random bit somewhere in the file
-            bytes[rng.below(bytes.size())] ^=
-                static_cast<uint8_t>(1u << rng.below(8));
-            break;
-          case 1: // truncate mid-file
-            bytes.resize(bytes.size() / 2);
-            break;
-          case 2: // version skew (the u16 after the 4-byte magic)
-            bytes[5] ^= 0xff;
-            break;
-        }
-        writeFile(files[i].string(), bytes);
-    }
-    std::printf("inject corrupt-cache: damaged %zu entry files\n",
-                files.size());
-
-    farm::FarmReport warm = farm::runFarm(jobs, runOptions);
-    if (warm.failures())
-        return finding("warm run failed after cache damage");
-    for (size_t i = 0; i < jobs.size(); ++i)
-        if (warm.results[i].imageBytes != cold.results[i].imageBytes)
-            return finding("job '" + warm.results[i].id +
-                           "' image changed after cache damage");
-    if (warm.resultsJson() != cold.resultsJson())
-        return finding("deterministic report half changed after cache "
-                       "damage");
-    if (warm.cacheStats.persistCorrupt == 0)
-        return finding("no damaged entries were detected");
-
-    size_t quarantined = 0;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        if (entry.path().extension() == ".quarantined")
-            ++quarantined;
-    if (quarantined == 0)
-        return finding("no damaged entries were quarantined");
-    std::printf("inject corrupt-cache: ok (%llu detected, %zu "
-                "quarantined, results bit-identical)\n",
-                static_cast<unsigned long long>(
-                    warm.cacheStats.persistCorrupt),
-                quarantined);
-    if (scratchStore) {
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-    }
-    return tools::exitOk;
-}
-
 int
 run(int argc, char **argv)
 {
@@ -426,7 +186,6 @@ run(int argc, char **argv)
     std::vector<std::string> schemeFilter;
     std::vector<std::string> strategyFilter;
     bool list = false;
-    farm::InjectKind campaign = farm::InjectKind::None;
     farm::FarmOptions options;
 
     for (int i = 1; i < argc; ++i) {
@@ -483,18 +242,6 @@ run(int argc, char **argv)
             resultsPath = argv[++i];
         } else if (arg == "--images" && i + 1 < argc) {
             imagesDir = argv[++i];
-        } else if (arg == "--inject" && i + 1 < argc) {
-            std::string kind = argv[++i];
-            if (kind == "crash")
-                campaign = farm::InjectKind::Crash;
-            else if (kind == "hang")
-                campaign = farm::InjectKind::Hang;
-            else if (kind == "corrupt-cache")
-                campaign = farm::InjectKind::CorruptCache;
-            else
-                return badArg("unknown --inject '" + kind +
-                              "' (expected crash, hang, or "
-                              "corrupt-cache)");
         } else if (arg == "--list") {
             list = true;
         } else {
@@ -573,12 +320,6 @@ run(int argc, char **argv)
             std::printf("%s\n", job.id.c_str());
         return tools::exitOk;
     }
-
-    if (campaign == farm::InjectKind::Crash ||
-        campaign == farm::InjectKind::Hang)
-        return runFaultCampaign(jobs, options, campaign);
-    if (campaign == farm::InjectKind::CorruptCache)
-        return runCorruptCacheCampaign(jobs, options);
 
     options.keepImages = !imagesDir.empty();
     farm::FarmReport report = farm::runFarm(jobs, options);

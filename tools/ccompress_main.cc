@@ -3,7 +3,7 @@
  * ccompress -- compress linked .ccp programs into .cci images.
  *
  *   ccompress prog.ccp -o prog.cci [--scheme <name>]
- *             [--strategy greedy|reference|refit] [--max-entries N]
+ *             [--strategy greedy|refit] [--max-entries N]
  *             [--max-len N] [--jobs N] [--stats] [--stats-json file]
  *   ccompress a.ccp b.ccp ... -o outdir/ [options]
  *   ccompress --list-schemes
@@ -51,7 +51,7 @@ usage()
     std::fprintf(stderr,
                  "usage: ccompress <in.ccp>... -o <out.cci | outdir/> "
                  "[--scheme %s] "
-                 "[--strategy greedy|reference|refit] [--max-entries N] "
+                 "[--strategy greedy|refit] [--max-entries N] "
                  "[--max-len N] [--jobs N] [--stats] "
                  "[--stats-json <file>]\n"
                  "       ccompress --list-schemes | --list-strategies\n",

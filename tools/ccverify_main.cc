@@ -13,7 +13,7 @@
  * Options:
  *   --scheme <name>|all  scheme(s) to verify (all); names come from
  *                        the codec registry (ccompress --list-schemes)
- *   --strategy greedy|reference|refit   selection strategy (greedy)
+ *   --strategy greedy|refit   selection strategy (greedy)
  *   --max-steps N        instruction budget per run
  *   --window N           retired instructions of history per side
  *   --max-divergences N  stop after N divergences
@@ -25,17 +25,13 @@
  *                        structural mutant set) per scheme, each of
  *                        which must be load-rejected, machine-check
  *                        trapped, or provably behavior-preserving
- *   --checksum           golden-checksum mode: build the image with the
- *                        fast table-driven decoder and the reference
- *                        decoder, compare the item tables and the
- *                        FNV-1a64 digests of the expanded streams
  *   --seed N             fault-injection / corruption seed
  *
  * Exit status follows tool_common.hh: 0 all verified (with --inject,
- * every fault detected; with --corrupt, every mutant contained;
- * with --checksum, both decoders agree); 1 usage or input error;
- * 2 a verification finding (divergence, undetected fault, corruption-
- * hardening failure, or decoder disagreement); 3 internal panic.
+ * every fault detected; with --corrupt, every mutant contained);
+ * 1 usage or input error; 2 a verification finding (divergence,
+ * undetected fault, or corruption-hardening failure); 3 internal
+ * panic.
  */
 
 #include <cstdio>
@@ -44,7 +40,6 @@
 
 #include "compress/compressor.hh"
 #include "compress/objfile.hh"
-#include "decompress/engine.hh"
 #include "support/serialize.hh"
 #include "tool_common.hh"
 #include "verify/fault.hh"
@@ -62,9 +57,9 @@ usage()
         stderr,
         "usage: ccverify <prog.ccp> | --benchmark <name>\n"
         "  [--scheme %s|all]\n"
-        "  [--strategy greedy|reference|refit] [--max-steps N]\n"
+        "  [--strategy greedy|refit] [--max-steps N]\n"
         "  [--window N] [--max-divergences N] [--check-interval N]\n"
-        "  [--inject dict|rank|disp|all] [--corrupt N] [--checksum]\n"
+        "  [--inject dict|rank|disp|all] [--corrupt N]\n"
         "  [--seed N]\n",
         compress::schemeCliNames().c_str());
     return tools::exitUserError;
@@ -124,36 +119,6 @@ verifyInjected(const Program &program, compress::Scheme scheme,
     return true;
 }
 
-/** Golden-checksum mode: the fast table-driven decoder and the
- *  reference decoder must agree item-for-item and on the digest of the
- *  fully expanded instruction stream. */
-bool
-verifyChecksum(const Program &program, compress::Scheme scheme,
-               compress::StrategyKind strategy)
-{
-    compress::CompressorConfig cc;
-    cc.scheme = scheme;
-    cc.strategy = strategy;
-    compress::CompressedImage image =
-        compress::compressProgram(program, cc);
-    DecompressionEngine fast(image, DecodePath::Fast);
-    DecompressionEngine reference(image, DecodePath::Reference);
-
-    bool items_equal = fast.items() == reference.items();
-    uint64_t fast_digest = fast.expandedStreamDigest();
-    uint64_t reference_digest = reference.expandedStreamDigest();
-    std::printf("[%s/%s] checksum: %zu items, expanded-stream digest "
-                "%016llx (fast) vs %016llx (reference): %s\n",
-                compress::schemeName(scheme),
-                compress::strategyName(strategy), fast.items().size(),
-                static_cast<unsigned long long>(fast_digest),
-                static_cast<unsigned long long>(reference_digest),
-                items_equal && fast_digest == reference_digest
-                    ? "match"
-                    : "MISMATCH");
-    return items_equal && fast_digest == reference_digest;
-}
-
 /** Corruption campaign: every mutant must be contained. */
 bool
 verifyCorrupt(const Program &program, compress::Scheme scheme,
@@ -189,7 +154,6 @@ run(int argc, char **argv)
     std::string input, benchmark, scheme_arg = "all", inject_arg;
     compress::StrategyKind strategy = compress::StrategyKind::Greedy;
     uint64_t seed = 1, corrupt_count = 0;
-    bool checksum = false;
     verify::LockstepConfig config;
 
     for (int i = 1; i < argc; ++i) {
@@ -218,8 +182,6 @@ run(int argc, char **argv)
             inject_arg = argv[++i];
         } else if (arg == "--corrupt" && i + 1 < argc) {
             corrupt_count = static_cast<uint64_t>(std::atoll(argv[++i]));
-        } else if (arg == "--checksum") {
-            checksum = true;
         } else if (arg == "--seed" && i + 1 < argc) {
             seed = static_cast<uint64_t>(std::atoll(argv[++i]));
         } else if (!arg.empty() && arg[0] != '-') {
@@ -272,9 +234,7 @@ run(int argc, char **argv)
 
     bool ok = true;
     for (compress::Scheme scheme : schemes) {
-        if (checksum) {
-            ok = verifyChecksum(program, scheme, strategy) && ok;
-        } else if (corrupt_count > 0) {
+        if (corrupt_count > 0) {
             ok = verifyCorrupt(program, scheme, strategy, corrupt_count,
                                seed, config.maxSteps) &&
                  ok;
