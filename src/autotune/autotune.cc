@@ -29,7 +29,7 @@ geometryId(const cache::CacheConfig &geometry)
 }
 
 /** Timers for one execution run: one per kept geometry, all fed from
- *  a single fetch hook so every geometry prices the same stream. */
+ *  a single fetch stream so every geometry prices the same stream. */
 std::vector<timing::FetchTimer>
 makeTimers(const BudgetSpec &spec,
            const std::vector<cache::CacheConfig> &geometries)
@@ -44,16 +44,14 @@ makeTimers(const BudgetSpec &spec,
     return timers;
 }
 
-template <typename AnyCpu>
-void
-runTimed(AnyCpu &cpu, std::vector<timing::FetchTimer> &timers,
-         uint64_t max_steps)
+/** A fetch observer that charges each event to every timer. */
+auto
+fanOut(std::vector<timing::FetchTimer> &timers)
 {
-    cpu.setFetchHook([&timers](const FetchEvent &event) {
+    return [&timers](const FetchEvent &event) {
         for (timing::FetchTimer &timer : timers)
             timer.onFetch(event);
-    });
-    cpu.run(max_steps);
+    };
 }
 
 /** Dominated-point elimination over (onChipBytes, cycles): ascending
@@ -229,17 +227,56 @@ autotune(const std::vector<std::string> &workloadNames,
     result.pruned = space.pruned();
     result.prunedGeometries = space.prunedGeometries();
 
+    // One native run per program, before the farm: its fetch stream
+    // prices the native baseline under every kept geometry and counts
+    // the traffic profile that the program's hot/cold jobs lay out by.
+    const std::vector<cache::CacheConfig> &geometries = space.geometries();
+    std::vector<std::vector<uint64_t>> profiles(workloadNames.size());
+    result.workloads = parallelMap<WorkloadResult>(
+        workloadNames.size(), [&](size_t w) {
+            WorkloadResult wr;
+            wr.workload = workloadNames[w];
+            Program program = workloads::buildBenchmark(workloadNames[w]);
+            std::vector<timing::FetchTimer> timers =
+                makeTimers(spec, geometries);
+            std::vector<uint64_t> &profile = profiles[w];
+            profile.assign(program.text.size(), 0);
+            auto price = fanOut(timers);
+            Cpu(program).run(
+                [&](const FetchEvent &event) {
+                    price(event);
+                    ++profile[program.indexOfAddr(event.addr)];
+                },
+                spec.maxSteps);
+            for (size_t g = 0; g < geometries.size(); ++g) {
+                CandidatePoint point;
+                point.id = "native@" + geometryId(geometries[g]);
+                point.scheme = "native";
+                point.geometry = geometries[g];
+                point.totalBytes = program.textBytes();
+                point.onChipBytes = geometries[g].capacityBytes;
+                point.native = true;
+                point.report = timers[g].report();
+                wr.points.push_back(std::move(point));
+            }
+            return wr;
+        });
+
     // Compress every candidate as a farm job: the shared PipelineCache
     // enumerates each workload once (enumeration keys are
     // scheme-independent) and --isolate fault tolerance comes free.
+    // Isolated workers do not receive the profile (job specs carry no
+    // profile) and profile the program themselves.
     std::vector<farm::FarmJob> jobs;
     jobs.reserve(workloadNames.size() * space.points().size());
-    for (const std::string &name : workloadNames) {
+    for (size_t w = 0; w < workloadNames.size(); ++w) {
         for (const SearchPoint &point : space.points()) {
             farm::FarmJob job;
-            job.id = name + "/" + point.label;
-            job.workload = name;
+            job.id = workloadNames[w] + "/" + point.label;
+            job.workload = workloadNames[w];
             job.config = point.config;
+            if (job.config.layout == compress::LayoutMode::HotCold)
+                job.config.trafficProfile = profiles[w];
             jobs.push_back(std::move(job));
         }
     }
@@ -255,71 +292,42 @@ autotune(const std::vector<std::string> &workloadNames,
         if (!job.ok())
             ++result.failedJobs;
 
-    // Time every surviving image (and the native baseline) under every
-    // kept geometry; one execution per image feeds all timers.
+    // Time every surviving image under every kept geometry; one
+    // execution per image feeds all timers.
     size_t points_per_workload = space.points().size();
-    result.workloads = parallelMap<WorkloadResult>(
-        workloadNames.size(), [&](size_t w) {
-            WorkloadResult wr;
-            wr.workload = workloadNames[w];
-            Program program = workloads::buildBenchmark(workloadNames[w]);
-            const std::vector<cache::CacheConfig> &geometries =
-                space.geometries();
-
-            {
-                std::vector<timing::FetchTimer> timers =
-                    makeTimers(spec, geometries);
-                Cpu cpu(program);
-                runTimed(cpu, timers, spec.maxSteps);
-                for (size_t g = 0; g < geometries.size(); ++g) {
-                    CandidatePoint point;
-                    point.id = "native@" + geometryId(geometries[g]);
-                    point.scheme = "native";
-                    point.geometry = geometries[g];
-                    point.totalBytes = program.textBytes();
-                    point.onChipBytes = geometries[g].capacityBytes;
-                    point.native = true;
-                    point.report = timers[g].report();
-                    wr.points.push_back(std::move(point));
-                }
+    globalPool().parallelFor(workloadNames.size(), [&](size_t w) {
+        WorkloadResult &wr = result.workloads[w];
+        for (size_t j = 0; j < points_per_workload; ++j) {
+            const farm::FarmJobResult &job =
+                report.results[w * points_per_workload + j];
+            if (!job.ok())
+                continue;
+            const SearchPoint &searched = space.points()[j];
+            compress::CompressedImage image = loadImage(job.imageBytes);
+            std::vector<timing::FetchTimer> timers =
+                makeTimers(spec, geometries);
+            CompressedCpu(image).run(fanOut(timers), spec.maxSteps);
+            for (size_t g = 0; g < geometries.size(); ++g) {
+                CandidatePoint point;
+                point.id = searched.label + "@" + geometryId(geometries[g]);
+                point.scheme = compress::schemeCliName(searched.config.scheme);
+                point.strategy =
+                    compress::strategyName(searched.config.strategy);
+                point.layout =
+                    compress::layoutModeName(searched.config.layout);
+                point.dictEntries = searched.config.maxEntries;
+                point.geometry = geometries[g];
+                point.dictBytes = job.dictBytes;
+                point.totalBytes = job.totalBytes;
+                point.onChipBytes =
+                    geometries[g].capacityBytes + job.dictBytes;
+                point.report = timers[g].report();
+                wr.points.push_back(std::move(point));
             }
-
-            for (size_t j = 0; j < points_per_workload; ++j) {
-                const farm::FarmJobResult &job =
-                    report.results[w * points_per_workload + j];
-                if (!job.ok())
-                    continue;
-                const SearchPoint &searched = space.points()[j];
-                compress::CompressedImage image = loadImage(job.imageBytes);
-                std::vector<timing::FetchTimer> timers =
-                    makeTimers(spec, geometries);
-                CompressedCpu cpu(image);
-                runTimed(cpu, timers, spec.maxSteps);
-                for (size_t g = 0; g < geometries.size(); ++g) {
-                    CandidatePoint point;
-                    point.id =
-                        searched.label + "@" + geometryId(geometries[g]);
-                    point.scheme =
-                        compress::schemeCliName(searched.config.scheme);
-                    point.strategy =
-                        compress::strategyName(searched.config.strategy);
-                    point.layout =
-                        compress::layoutModeName(searched.config.layout);
-                    point.dictEntries = searched.config.maxEntries;
-                    point.geometry = geometries[g];
-                    point.dictBytes = job.dictBytes;
-                    point.totalBytes = job.totalBytes;
-                    point.onChipBytes =
-                        geometries[g].capacityBytes + job.dictBytes;
-                    point.report = timers[g].report();
-                    wr.points.push_back(std::move(point));
-                }
-            }
-
-            computeFrontier(wr);
-            computeWinners(wr, result.budgets);
-            return wr;
-        });
+        }
+        computeFrontier(wr);
+        computeWinners(wr, result.budgets);
+    });
 
     result.wallMillis = std::chrono::duration<double, std::milli>(
                             Clock::now() - start)

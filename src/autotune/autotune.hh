@@ -11,7 +11,9 @@
  * once) and the farm's --isolate fault tolerance -- times every image
  * under every kept geometry with timing::FetchTimer, and reports the
  * Pareto frontier over (on-chip bytes, cycles) plus the winner at each
- * requested budget.
+ * requested budget. Each program runs natively once, before the farm:
+ * that run prices the native baseline and supplies the traffic profile
+ * of the program's hot/cold candidates (DESIGN.md section 14.6).
  *
  * Pruning keeps the sweep tractable (DESIGN.md section 14):
  *

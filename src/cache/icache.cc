@@ -1,23 +1,16 @@
 #include "cache/icache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace codecomp::cache {
 
-namespace {
-
-bool
-isPowerOfTwo(uint32_t value)
-{
-    return value != 0 && (value & (value - 1)) == 0;
-}
-
-} // namespace
-
 std::string
 cacheConfigError(const CacheConfig &config)
 {
-    if (!isPowerOfTwo(config.lineBytes) || config.lineBytes < 4)
+    if (!std::has_single_bit(config.lineBytes) || config.lineBytes < 4)
         return "line size must be a power of two >= 4 (got " +
                std::to_string(config.lineBytes) + ")";
     if (config.ways < 1)
@@ -32,7 +25,7 @@ cacheConfigError(const CacheConfig &config)
     if (sets == 0)
         return "capacity " + std::to_string(config.capacityBytes) +
                " holds no complete set";
-    if (!isPowerOfTwo(sets))
+    if (!std::has_single_bit(sets))
         return "set count " + std::to_string(sets) +
                " must be a power of two";
     return "";
@@ -49,6 +42,9 @@ validateCacheConfig(const CacheConfig &config)
 ICache::ICache(const CacheConfig &config) : config_(config)
 {
     validateCacheConfig(config);
+    lineShift_ = static_cast<uint32_t>(std::countr_zero(config.lineBytes));
+    setMask_ = config.numSets() - 1;
+    setShift_ = static_cast<uint32_t>(std::countr_zero(config.numSets()));
     ways_.resize(static_cast<size_t>(config.numSets()) * config.ways);
 }
 
@@ -60,44 +56,15 @@ ICache::reset()
     tick_ = 0;
 }
 
-bool
-ICache::touch(uint32_t addr)
-{
-    uint32_t line = addr / config_.lineBytes;
-    uint32_t set = line & (config_.numSets() - 1);
-    uint64_t tag = line / config_.numSets();
-
-    Way *base = &ways_[static_cast<size_t>(set) * config_.ways];
-    ++stats_.accesses;
-    ++tick_;
-
-    Way *victim = base;
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-        if (base[w].tag == tag) {
-            base[w].lastUse = tick_;
-            return true; // hit
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    ++stats_.misses;
-    ++stats_.lineFills;
-    if (victim->tag != invalidTag)
-        ++stats_.evictions;
-    victim->tag = tag;
-    victim->lastUse = tick_;
-    return false;
-}
-
 unsigned
 ICache::access(uint32_t addr, uint32_t bytes)
 {
     CC_ASSERT(bytes >= 1, "empty access");
-    uint32_t first_line = addr / config_.lineBytes;
-    uint32_t last_line = (addr + bytes - 1) / config_.lineBytes;
+    uint32_t first_line = addr >> lineShift_;
+    uint32_t last_line = (addr + bytes - 1) >> lineShift_;
     unsigned missed = 0;
     for (uint32_t line = first_line; line <= last_line; ++line)
-        missed += !touch(line * config_.lineBytes);
+        missed += !touchLine(line);
     return missed;
 }
 

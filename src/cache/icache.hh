@@ -84,7 +84,14 @@ class ICache
     unsigned access(uint32_t addr, uint32_t bytes);
 
     /** Probe a single line containing @p addr; true on a hit. */
-    bool touch(uint32_t addr);
+    bool touch(uint32_t addr) { return touchLine(addr >> lineShift_); }
+
+    /** Probe line number @p line (an address shifted right by
+     *  lineShift()); true on a hit. */
+    bool touchLine(uint32_t line);
+
+    /** log2 of the line size: addr >> lineShift() is the line number. */
+    uint32_t lineShift() const { return lineShift_; }
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
@@ -102,10 +109,41 @@ class ICache
     static constexpr uint64_t invalidTag = UINT64_MAX;
 
     CacheConfig config_;
+    // Validation makes the line size and the set count powers of two,
+    // so the index math is shifts and masks, computed once here.
+    uint32_t lineShift_; //!< log2(lineBytes)
+    uint32_t setMask_;   //!< numSets - 1: line & setMask_ is the set
+    uint32_t setShift_;  //!< log2(numSets): line >> setShift_ is the tag
     std::vector<Way> ways_; //!< numSets * ways, row-major by set
     CacheStats stats_;
     uint64_t tick_ = 0;
 };
+
+inline bool
+ICache::touchLine(uint32_t line)
+{
+    Way *base = &ways_[static_cast<size_t>(line & setMask_) * config_.ways];
+    uint64_t tag = line >> setShift_;
+    ++stats_.accesses;
+    ++tick_;
+
+    Way *victim = base;
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+        if (base[w].tag == tag) {
+            base[w].lastUse = tick_;
+            return true; // hit
+        }
+        if (base[w].lastUse < victim->lastUse)
+            victim = &base[w];
+    }
+    ++stats_.misses;
+    ++stats_.lineFills;
+    if (victim->tag != invalidTag)
+        ++stats_.evictions;
+    victim->tag = tag;
+    victim->lastUse = tick_;
+    return false;
+}
 
 } // namespace codecomp::cache
 

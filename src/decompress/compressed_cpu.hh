@@ -9,6 +9,7 @@
 #ifndef CODECOMP_DECOMPRESS_COMPRESSED_CPU_HH
 #define CODECOMP_DECOMPRESS_COMPRESSED_CPU_HH
 
+#include <concepts>
 #include <functional>
 
 #include "decompress/engine.hh"
@@ -24,10 +25,26 @@ class CompressedCpu
 
     explicit CompressedCpu(const compress::CompressedImage &image);
 
+    /**
+     * Run until exit, handing every fetch event (fetch.hh) to
+     * @p on_fetch; fatal if more than @p max_steps architectural
+     * instructions would retire. The observer is a template parameter,
+     * so it compiles into the step loop; neither hook fires.
+     */
+    template <typename OnFetch>
+        requires std::invocable<OnFetch &, const FetchEvent &>
+    ExecResult
+    run(OnFetch &&on_fetch, uint64_t max_steps = defaultMaxSteps)
+    {
+        auto no_retire = [](const isa::Inst &, uint32_t, unsigned) {};
+        return runWith(on_fetch, no_retire, max_steps);
+    }
+
+    /** Run until exit, feeding the fetch and retire hooks. */
     ExecResult run(uint64_t max_steps = defaultMaxSteps);
 
     /** Execute one fetch slot (a whole codeword expansion counts as
-     *  one slot); returns false once halted. */
+     *  one slot), feeding both hooks; returns false once halted. */
     bool step();
 
     const Machine &machine() const { return machine_; }
@@ -57,6 +74,26 @@ class CompressedCpu
     uint64_t instCount() const { return inst_count_; }
 
   private:
+    /** The run loop behind both run() overloads. */
+    template <typename OnFetch, typename OnRetire>
+    ExecResult runWith(OnFetch &on_fetch, OnRetire &on_retire,
+                       uint64_t max_steps);
+
+    /** The one step body behind run() and step(). */
+    template <typename OnFetch, typename OnRetire>
+    bool stepWith(OnFetch &on_fetch, OnRetire &on_retire);
+
+    /** Machine-check a PC below the compressed text. */
+    [[noreturn]] void belowTextFault() const;
+
+    /** Machine-check a relative branch inside the expansion of the
+     *  codeword at @p self_pc (dictionary rank @p rank). */
+    [[noreturn]] static void relativeBranchInEntry(uint32_t self_pc,
+                                                   uint32_t rank);
+
+    /** Catchable fatal: the run's step budget is spent. */
+    [[noreturn]] void stepLimitExceeded() const;
+
     /** Shared branch handling; @p next_pc is the fall-through pointer. */
     void execBranch(const isa::Inst &inst, uint32_t next_pc,
                     uint32_t self_pc);
@@ -77,6 +114,109 @@ class CompressedCpu
     FetchHook fetch_hook_;
     RetireHook retire_hook_;
 };
+
+template <typename OnFetch, typename OnRetire>
+ExecResult
+CompressedCpu::runWith(OnFetch &on_fetch, OnRetire &on_retire,
+                       uint64_t max_steps)
+{
+    // The limit is enforced inside stepWith() before every expanded
+    // instruction; checking between items here would let a
+    // multi-instruction dictionary entry overshoot the budget. The
+    // guard restores the unbudgeted default even when a machine check
+    // or fatal escapes mid-run, so a caught fault does not leave a
+    // stale budget behind for later step()/run() calls.
+    struct BudgetGuard
+    {
+        uint64_t &limit;
+        ~BudgetGuard() { limit = UINT64_MAX; }
+    } guard{step_limit_};
+    step_limit_ = max_steps;
+    while (!machine_.halted())
+        stepWith(on_fetch, on_retire);
+    return {machine_.output(), machine_.exitCode(), inst_count_};
+}
+
+template <typename OnFetch, typename OnRetire>
+bool
+CompressedCpu::stepWith(OnFetch &on_fetch, OnRetire &on_retire)
+{
+    if (machine_.halted())
+        return false;
+
+    uint32_t base = compress::CompressedImage::nibbleBase;
+    if (pc_ < base)
+        belowTextFault();
+    const DecodedItem &item = engine_.itemAt(pc_ - base);
+    uint32_t first_byte = pc_ / 2;
+    uint32_t last_byte = (pc_ + item.nibbles - 1) / 2;
+    // One event per item, fired after its effects land so the retired
+    // count and redirect flag are final (fetch.hh) -- a redirect can cut
+    // a dictionary expansion short, and the halting Sc still counts.
+    FetchEvent event{first_byte, last_byte - first_byte + 1, 0,
+                     item.isCodeword, false};
+    uint32_t next_pc = pc_ + item.nibbles;
+    uint32_t self_pc = pc_;
+    redirected_ = false;
+    bool halted = false;
+
+    if (item.isCodeword) {
+        // Expansion walks the engine's pre-decoded entry cache: the
+        // entry's words went through isa::decode once at engine
+        // construction, so the hot loop is a walk over the cache's
+        // contiguous arena.
+        DecodedEntry entry = engine_.decodedEntry(item.rank);
+        event.rank = item.rank;
+        for (unsigned slot = 0; slot < entry.size(); ++slot) {
+            // The budget is per expanded architectural instruction, not
+            // per fetch slot: a multi-instruction dictionary entry must
+            // not overshoot a limit that falls mid-expansion.
+            if (inst_count_ >= step_limit_)
+                stepLimitExceeded();
+            const isa::Inst &inst = entry[slot];
+            ++inst_count_;
+            ++event.retired;
+            // The loader's validator rejects such dictionaries on disk;
+            // in-memory corruption still must trap, not misexecute.
+            if (inst.isRelativeBranch())
+                relativeBranchInEntry(self_pc, item.rank);
+            if (inst.isBranch()) {
+                execBranch(inst, next_pc, self_pc);
+                on_retire(inst, self_pc, slot);
+                if (redirected_)
+                    break;
+            } else {
+                machine_.execute(inst);
+                on_retire(inst, self_pc, slot);
+                if (machine_.halted()) {
+                    halted = true;
+                    break;
+                }
+            }
+        }
+    } else {
+        if (inst_count_ >= step_limit_)
+            stepLimitExceeded();
+        isa::Inst inst = isa::decode(item.word);
+        ++inst_count_;
+        ++event.retired;
+        if (inst.isBranch()) {
+            execBranch(inst, next_pc, self_pc);
+        } else {
+            machine_.execute(inst);
+            halted = machine_.halted();
+        }
+        on_retire(inst, self_pc, 0u);
+    }
+    event.taken = redirected_;
+    stats_.record(event);
+    on_fetch(event);
+    if (halted)
+        return false;
+    if (!redirected_)
+        pc_ = next_pc;
+    return true;
+}
 
 /** Convenience: run a compressed image to completion. */
 ExecResult runCompressed(const compress::CompressedImage &image,

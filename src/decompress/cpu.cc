@@ -63,38 +63,26 @@ Cpu::Cpu(const Program &program) : program_(program)
     // jump to LR = 0; the entry code always exits via syscall instead.
 }
 
-bool
-Cpu::step()
+void
+Cpu::fetchFault() const
 {
-    if (machine_.halted())
-        return false;
-
-    // Fetch-stage machine checks: a corrupt code pointer (jump table,
-    // LR, CTR) must trap precisely, never index .text out of bounds.
     uint32_t text_end = Program::textBase + program_.textBytes();
     if (pc_ < Program::textBase || pc_ >= text_end)
         throw MachineCheckError(MachineFault::FetchOutOfText, pc_,
                                 "PC outside .text");
-    if (pc_ % isa::instBytes != 0)
-        throw MachineCheckError(MachineFault::MisalignedPc, pc_,
-                                "PC not instruction aligned");
-    uint32_t index = (pc_ - Program::textBase) / isa::instBytes;
-    isa::Inst inst = isa::decode(program_.text[index]);
-    ++inst_count_;
+    throw MachineCheckError(MachineFault::MisalignedPc, pc_,
+                            "PC not instruction aligned");
+}
 
-    // The fetch event fires after the instruction's effects land so the
-    // taken flag is final (fetch.hh); the halting Sc still counts.
-    FetchEvent event{pc_, isa::instBytes, 1, false, false};
+void
+Cpu::stepLimitExceeded(uint64_t max_steps)
+{
+    CC_FATAL("program exceeded ", max_steps, " steps");
+}
 
-    if (!inst.isBranch()) {
-        machine_.execute(inst);
-        stats_.record(event);
-        if (fetch_hook_)
-            fetch_hook_(event);
-        pc_ += isa::instBytes;
-        return !machine_.halted();
-    }
-
+bool
+Cpu::execBranch(const isa::Inst &inst)
+{
     uint32_t next_pc = pc_ + isa::instBytes;
     bool taken;
     uint32_t target = 0;
@@ -138,22 +126,20 @@ Cpu::step()
     if (inst.lk)
         machine_.setLr(next_pc);
     pc_ = taken ? target : next_pc;
-    event.taken = taken;
-    stats_.record(event);
-    if (fetch_hook_)
-        fetch_hook_(event);
-    return true;
+    return taken;
+}
+
+bool
+Cpu::step()
+{
+    auto hook = hookObserver(fetch_hook_);
+    return stepWith(hook);
 }
 
 ExecResult
 Cpu::run(uint64_t max_steps)
 {
-    while (!machine_.halted()) {
-        if (inst_count_ >= max_steps)
-            CC_FATAL("program exceeded ", max_steps, " steps");
-        step();
-    }
-    return {machine_.output(), machine_.exitCode(), inst_count_};
+    return run(hookObserver(fetch_hook_), max_steps);
 }
 
 ExecResult

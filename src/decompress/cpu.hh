@@ -6,6 +6,7 @@
 #ifndef CODECOMP_DECOMPRESS_CPU_HH
 #define CODECOMP_DECOMPRESS_CPU_HH
 
+#include <concepts>
 #include <functional>
 #include <memory>
 
@@ -27,10 +28,23 @@ class Cpu
     /** Load .text and .data images and point the PC at the entry. */
     explicit Cpu(const Program &program);
 
-    /** Run until exit; fatal if @p max_steps elapse first. */
+    /**
+     * Run until exit, handing every fetch event (fetch.hh) to
+     * @p on_fetch; fatal if @p max_steps elapse first. The observer is
+     * a template parameter, so it compiles into the step loop; the
+     * fetch hook does not fire. Every event has bytes == 4 and
+     * retired == 1 here.
+     */
+    template <typename OnFetch>
+        requires std::invocable<OnFetch &, const FetchEvent &>
+    ExecResult run(OnFetch &&on_fetch, uint64_t max_steps = defaultMaxSteps);
+
+    /** Run until exit, feeding the fetch hook; fatal if @p max_steps
+     *  elapse first. */
     ExecResult run(uint64_t max_steps = defaultMaxSteps);
 
-    /** Execute a single instruction; returns false once halted. */
+    /** Execute a single instruction, feeding the fetch hook; returns
+     *  false once halted. */
     bool step();
 
     const Machine &machine() const { return machine_; }
@@ -40,14 +54,30 @@ class Cpu
     uint64_t instCount() const { return inst_count_; }
     const FetchStats &fetchStats() const { return stats_; }
 
-    /** Observe the fetch stream (fetch.hh); drives cache and timing
-     *  models. Every event has bytes == 4 and retired == 1 here. */
+    /** Observe the fetch stream through step() and run(max_steps);
+     *  drives cache and timing models in stepping harnesses and tools.
+     *  Every event has bytes == 4 and retired == 1 here. */
     void setFetchHook(FetchHook hook) { fetch_hook_ = std::move(hook); }
 
   private:
+    /** The one step body behind run() and step(). */
+    template <typename OnFetch>
+    bool stepWith(OnFetch &on_fetch);
+
+    /** Machine-check the PC that failed the fetch-stage range or
+     *  alignment check (range first, then alignment). */
+    [[noreturn]] void fetchFault() const;
+
+    /** Resolve the branch @p inst at the PC: set LR for a link branch,
+     *  move the PC, and return whether the branch was taken. */
+    bool execBranch(const isa::Inst &inst);
+
     /** Machine-check a taken indirect branch target (@p reg names the
      *  source register for the fault message). */
     void checkIndirectTarget(uint32_t target, const char *reg) const;
+
+    /** Catchable fatal: the run's step budget is spent. */
+    [[noreturn]] static void stepLimitExceeded(uint64_t max_steps);
 
     const Program &program_;
     Machine machine_;
@@ -56,6 +86,51 @@ class Cpu
     FetchStats stats_;
     FetchHook fetch_hook_;
 };
+
+template <typename OnFetch>
+    requires std::invocable<OnFetch &, const FetchEvent &>
+ExecResult
+Cpu::run(OnFetch &&on_fetch, uint64_t max_steps)
+{
+    while (!machine_.halted()) {
+        if (inst_count_ >= max_steps)
+            stepLimitExceeded(max_steps);
+        stepWith(on_fetch);
+    }
+    return {machine_.output(), machine_.exitCode(), inst_count_};
+}
+
+template <typename OnFetch>
+bool
+Cpu::stepWith(OnFetch &on_fetch)
+{
+    if (machine_.halted())
+        return false;
+
+    // Fetch-stage machine checks: a corrupt code pointer (jump table,
+    // LR, CTR) must trap precisely, never index .text out of bounds.
+    uint32_t offset = pc_ - Program::textBase;
+    if (pc_ < Program::textBase || offset >= program_.textBytes() ||
+        offset % isa::instBytes != 0)
+        fetchFault();
+    isa::Inst inst = isa::decode(program_.text[offset / isa::instBytes]);
+    ++inst_count_;
+
+    // The fetch event fires after the instruction's effects land so the
+    // taken flag is final (fetch.hh); the halting Sc still counts.
+    FetchEvent event{pc_, isa::instBytes, 1, false, false};
+    if (inst.isBranch()) {
+        event.taken = execBranch(inst);
+        stats_.record(event);
+        on_fetch(event);
+        return true;
+    }
+    machine_.execute(inst);
+    stats_.record(event);
+    on_fetch(event);
+    pc_ += isa::instBytes;
+    return !machine_.halted();
+}
 
 /** Convenience wrapper: construct, run, return the result. */
 ExecResult runProgram(const Program &program,

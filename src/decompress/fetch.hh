@@ -9,6 +9,13 @@
  * fetch-unit item carrying its memory footprint and what it retired.
  * Both processors now emit FetchEvent; FetchStats is just the default
  * accumulator over that stream.
+ *
+ * Consumers observe the stream in one of two ways. A run loop
+ * templated on the observer (`cpu.run(observer, max_steps)`) inlines
+ * it into the step loop; this is the hot path of the timing model,
+ * the traffic profiler and the autotuner. A FetchHook
+ * (`setFetchHook`) is a std::function the loop calls per event; it
+ * serves stepping harnesses and tools that install one consumer.
  */
 
 #ifndef CODECOMP_DECOMPRESS_FETCH_HH
@@ -41,6 +48,18 @@ struct FetchEvent
 /** Observe every fetch-unit item; fires after the item's effects land
  *  (so @p retired and @p taken are final), including the halting Sc. */
 using FetchHook = std::function<void(const FetchEvent &event)>;
+
+/** A fetch observer for the processors' templated run loops that
+ *  forwards to @p hook when one is set: the adapter behind
+ *  setFetchHook. */
+inline auto
+hookObserver(const FetchHook &hook)
+{
+    return [&hook](const FetchEvent &event) {
+        if (hook)
+            hook(event);
+    };
+}
 
 /** Fetch-path statistics (decode-efficiency discussion, paper 2.1),
  *  accumulated from the event stream. */

@@ -1,15 +1,22 @@
 /**
  * @file
- * Tests for the I-cache model and the fetch-hook plumbing of both
- * processors.
+ * Tests for the I-cache model (including its shift/mask indexing
+ * against the division-based reference of icache_oracle.hh) and the
+ * fetch-hook plumbing of both processors.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/icache.hh"
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "icache_oracle.hh"
+#include "support/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace codecomp;
@@ -150,6 +157,71 @@ TEST(ICache, RejectsBadGeometry)
     EXPECT_NE(cacheConfigError({100, 32, 1}).find("whole number"),
               std::string::npos);
     EXPECT_EQ(cacheConfigError({1024, 32, 2}), "");
+}
+
+/**
+ * Every valid geometry of at most 64 KB: every line size and every set
+ * count, with 1..8 ways and every power-of-two way count above that.
+ * The index math never reads the way count (it only scales a set's row
+ * offset) and the LRU scan is linear in it, so the other way counts
+ * would add run time, not coverage.
+ */
+std::vector<CacheConfig>
+geometriesUpTo64K()
+{
+    constexpr uint32_t limit = 64 * 1024;
+    std::vector<CacheConfig> geometries;
+    for (uint32_t line = 4; line <= limit; line *= 2)
+        for (uint32_t ways = 1; line * ways <= limit;
+             ways = ways < 8 ? ways + 1 : ways * 2)
+            for (uint32_t sets = 1; line * ways * sets <= limit; sets *= 2)
+                geometries.push_back({line * ways * sets, line, ways});
+    return geometries;
+}
+
+TEST(ICacheOracle, ShiftIndexingMatchesDivisionOnEveryGeometry)
+{
+    Rng rng(15);
+    std::vector<CacheConfig> geometries = geometriesUpTo64K();
+    EXPECT_EQ(geometries.size(), 1005u);
+    for (const CacheConfig &config : geometries) {
+        std::string what = std::to_string(config.capacityBytes) + ":" +
+                           std::to_string(config.lineBytes) + ":" +
+                           std::to_string(config.ways);
+        ASSERT_EQ(cacheConfigError(config), "") << what;
+        ICache model(config);
+        test::DivisionICache oracle(config);
+
+        uint32_t line = config.lineBytes;
+        uint32_t top = 0u - line; // first byte of the top line below 2^32
+        std::vector<std::pair<uint32_t, uint32_t>> accesses = {
+            {0, 1},           {0, line},       {top, line},
+            {UINT32_MAX, 1},  {line - 2, 4},   {top - 2, 4},
+            {0, 2 * line},    {top, 1},
+        };
+        // Seeded addresses: half anywhere in 32 bits (distinct tags),
+        // half in a window of four capacities (hits, conflicts and
+        // evictions); up to two lines long, so many straddle.
+        for (int i = 0; i < 192; ++i) {
+            uint32_t addr =
+                rng.chance(1, 2)
+                    ? static_cast<uint32_t>(rng.next())
+                    : static_cast<uint32_t>(
+                          rng.below(4ull * config.capacityBytes));
+            accesses.push_back(
+                {addr, 1 + static_cast<uint32_t>(rng.below(2 * line))});
+        }
+        for (auto [addr, bytes] : accesses)
+            ASSERT_EQ(model.access(addr, bytes), oracle.access(addr, bytes))
+                << what << " access " << addr << "+" << bytes;
+        for (int i = 0; i < 64; ++i) {
+            uint32_t addr = static_cast<uint32_t>(
+                rng.below(4ull * config.capacityBytes));
+            ASSERT_EQ(model.touch(addr), oracle.touch(addr))
+                << what << " touch " << addr;
+        }
+        ASSERT_EQ(model.stats(), oracle.stats()) << what;
+    }
 }
 
 TEST(FetchHooks, NativeFetchCountMatchesInstCount)

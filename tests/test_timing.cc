@@ -4,8 +4,10 @@
  * validation, exact stall arithmetic over synthetic fetch streams,
  * bit-identical determinism across repeated runs and across
  * differently-parallelized builds of the same image, golden cycle
- * counts on two workloads, and the directed density property (a denser
- * image never misses more in the capacity-limited geometry).
+ * counts on two workloads, the directed density property (a denser
+ * image never misses more in the capacity-limited geometry), and the
+ * equivalence of the processors' templated run(observer) loop with
+ * the fetch-hook adapter.
  *
  * Every test name carries the Timing prefix: the `timing` ctest label
  * (tests/CMakeLists.txt) and test preset select on it.
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/codec.hh"
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
@@ -344,5 +347,122 @@ TEST(TimingL2Hierarchy, AddingL2NeverIncreasesCycles)
         EXPECT_EQ(two.stallRedirect, flat.stallRedirect) << name;
     }
 }
+
+// ---------------- templated run loop vs the fetch hook ----------------
+
+/** FNV-1a64 over every field of every event of a fetch stream. */
+struct EventDigest
+{
+    uint64_t hash = 14695981039346656037ull;
+
+    void
+    mix(uint32_t value)
+    {
+        for (int shift = 0; shift < 32; shift += 8) {
+            hash ^= (value >> shift) & 0xffu;
+            hash *= 1099511628211ull;
+        }
+    }
+
+    void
+    operator()(const FetchEvent &event)
+    {
+        mix(event.addr);
+        mix(event.bytes);
+        mix(event.retired);
+        mix(event.isCodeword);
+        mix(event.taken);
+        mix(event.rank);
+    }
+};
+
+/** What one run shows a fetch-stream consumer. */
+struct ObservedRun
+{
+    ExecResult result;
+    FetchStats stats;
+    uint64_t digest = 0;
+    TimingReport timing;
+};
+
+/** The autotuner's model shape: a 1024:32:1 L1 behind an 8192:32:2
+ *  L2. */
+TimingConfig
+twoLevelModel()
+{
+    TimingConfig config = testModel();
+    config.icache = {1024, 32, 1};
+    config.l2 = {8192, 32, 2};
+    return config;
+}
+
+/** Run @p code with its consumers behind setFetchHook + run(), or
+ *  (@p viaObserver) as the observer of the templated run(observer). */
+template <typename AnyCpu, typename Code>
+ObservedRun
+observe(const Code &code, bool viaObserver)
+{
+    AnyCpu cpu(code);
+    EventDigest digest;
+    FetchTimer timer(twoLevelModel());
+    auto consume = [&digest, &timer](const FetchEvent &event) {
+        digest(event);
+        timer.onFetch(event);
+    };
+    ObservedRun run;
+    if (viaObserver) {
+        run.result = cpu.run(consume);
+    } else {
+        cpu.setFetchHook(consume);
+        run.result = cpu.run();
+    }
+    run.stats = cpu.fetchStats();
+    run.digest = digest.hash;
+    run.timing = timer.report();
+    return run;
+}
+
+void
+expectSameRun(const ObservedRun &hooked, const ObservedRun &observed,
+              const std::string &what)
+{
+    EXPECT_EQ(hooked.result, observed.result) << what;
+    EXPECT_EQ(hooked.stats, observed.stats) << what;
+    EXPECT_EQ(hooked.digest, observed.digest) << what;
+    EXPECT_EQ(hooked.timing, observed.timing) << what;
+    EXPECT_GT(hooked.stats.itemFetches, 0u) << what;
+}
+
+class TimingObserverEquivalence
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(TimingObserverEquivalence, RunObserverMatchesFetchHook)
+{
+    // The templated run loop and the std::function hook adapter are
+    // the same step body: identical results, fetch statistics, event
+    // streams and timing, natively and on both nibble-stream codecs.
+    Program program = workloads::buildBenchmark(GetParam());
+    expectSameRun(observe<Cpu>(program, false),
+                  observe<Cpu>(program, true), "native");
+    for (compress::Scheme scheme :
+         {compress::Scheme::Nibble, compress::Scheme::OperandFactored}) {
+        compress::CompressorConfig config;
+        config.scheme = scheme;
+        compress::CompressedImage image =
+            compress::compressProgram(program, config);
+        std::string what = compress::schemeCliName(scheme);
+        expectSameRun(observe<CompressedCpu>(image, false),
+                      observe<CompressedCpu>(image, true), what);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TimingObserverEquivalence,
+    ::testing::ValuesIn(workloads::benchmarkNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
