@@ -1,6 +1,5 @@
 #include "codegen/codegen.hh"
 
-#include <unordered_map>
 #include <utility>
 
 #include "codegen/parser.hh"
@@ -23,11 +22,11 @@ constexpr uint8_t calleeBase = 14;  //!< first callee-saved register
 constexpr unsigned calleeCount = 18;
 constexpr unsigned maxArgs = 8;
 
-/** Where a named local lives. */
+/** Where a named variable lives. */
 struct Location
 {
-    enum class Kind { CalleeReg, StackSlot, StackArray, GlobalScalar,
-                      GlobalArray } kind;
+    enum class Kind { Unbound, CalleeReg, StackSlot, StackArray,
+                      GlobalScalar, GlobalArray } kind = Kind::Unbound;
     uint8_t reg = 0;      //!< CalleeReg
     int32_t offset = 0;   //!< frame offset or .data offset
     int32_t size = 0;     //!< array element count
@@ -37,7 +36,9 @@ class Emitter
 {
   public:
     Emitter(const TranslationUnit &unit, const CompileOptions &options)
-        : unit_(unit), options_(options)
+        : unit_(unit), options_(options), globals_(unit.symbols.size()),
+          locals_(unit.symbols.size()),
+          functionDefined_(unit.symbols.size(), false)
     {}
 
     link::ObjectModule
@@ -56,7 +57,7 @@ class Emitter
         module.data = std::move(data_);
         module.functions = std::move(program_.functions);
         for (const auto &[index, callee] : callFixups_)
-            module.calls.push_back({index, callee});
+            module.calls.push_back({index, spelling(callee)});
         for (const auto &[index, offset] : dataHaFixups_)
             module.dataRefs.push_back(
                 {index, offset, link::DataReloc::Half::Ha});
@@ -150,9 +151,9 @@ class Emitter
     layoutGlobals()
     {
         for (const GlobalDecl &global : unit_.globals) {
-            if (globals_.count(global.name))
+            Location &loc = globals_[global.symbol];
+            if (loc.kind != Location::Kind::Unbound)
                 CC_FATAL("duplicate global '", global.name, "'");
-            Location loc;
             loc.kind = global.arraySize > 0 ? Location::Kind::GlobalArray
                                             : Location::Kind::GlobalScalar;
             loc.offset = static_cast<int32_t>(data_.size());
@@ -171,44 +172,50 @@ class Emitter
                 data_.push_back(static_cast<uint8_t>(u >> 8));
                 data_.push_back(static_cast<uint8_t>(u));
             }
-            globals_.emplace(global.name, loc);
         }
     }
 
     // ---------------- function frame ----------------
 
+    /** Give local @p name a home: an array goes to the stack, a scalar
+     *  to the next free callee-saved register, else to the stack. */
+    void
+    declareLocal(Symbol name, int32_t array_size)
+    {
+        Location &loc = locals_[name];
+        if (loc.kind != Location::Kind::Unbound)
+            CC_FATAL("duplicate local '", spelling(name), "' in function ",
+                     currentFunction_->name);
+        if (array_size > 0) {
+            loc.kind = Location::Kind::StackArray;
+            loc.size = array_size;
+            loc.offset = nextStackOffset_;
+            nextStackOffset_ += array_size * 4;
+        } else if (numCalleeUsed_ < calleeCount) {
+            loc.kind = Location::Kind::CalleeReg;
+            loc.reg = static_cast<uint8_t>(calleeBase + numCalleeUsed_);
+            ++numCalleeUsed_;
+        } else {
+            loc.kind = Location::Kind::StackSlot;
+            loc.offset = nextStackOffset_;
+            nextStackOffset_ += 4;
+        }
+        localsInScope_.push_back(name);
+    }
+
     /** Walk statements, assigning every local a home. */
     void
-    collectLocals(const std::vector<StmtPtr> &stmts)
+    collectLocals(std::span<const Stmt *const> stmts)
     {
-        for (const StmtPtr &stmt : stmts)
+        for (const Stmt *stmt : stmts)
             collectLocals(*stmt);
     }
 
     void
     collectLocals(const Stmt &stmt)
     {
-        if (stmt.kind == StmtKind::LocalDecl) {
-            if (locals_.count(stmt.name))
-                CC_FATAL("duplicate local '", stmt.name, "' in function ",
-                         currentFunction_);
-            Location loc;
-            if (stmt.arraySize > 0) {
-                loc.kind = Location::Kind::StackArray;
-                loc.size = stmt.arraySize;
-                loc.offset = nextStackOffset_;
-                nextStackOffset_ += stmt.arraySize * 4;
-            } else if (numCalleeUsed_ < calleeCount) {
-                loc.kind = Location::Kind::CalleeReg;
-                loc.reg = static_cast<uint8_t>(calleeBase + numCalleeUsed_);
-                ++numCalleeUsed_;
-            } else {
-                loc.kind = Location::Kind::StackSlot;
-                loc.offset = nextStackOffset_;
-                nextStackOffset_ += 4;
-            }
-            locals_.emplace(stmt.name, loc);
-        }
+        if (stmt.kind == StmtKind::LocalDecl)
+            declareLocal(stmt.name, stmt.arraySize);
         if (stmt.initStmt)
             collectLocals(*stmt.initStmt);
         if (stmt.stepStmt)
@@ -226,26 +233,24 @@ class Emitter
     void
     emitFunction(const Function &fn)
     {
-        if (functionEntry_.count(fn.name))
+        if (functionDefined_[fn.symbol])
             CC_FATAL("duplicate function '", fn.name, "'");
         if (fn.params.size() > maxArgs)
             CC_FATAL("too many parameters in ", fn.name);
-        functionEntry_.emplace(fn.name, here());
-        currentFunction_ = fn.name;
+        functionDefined_[fn.symbol] = true;
+        currentFunction_ = &fn;
 
-        locals_.clear();
+        for (Symbol name : localsInScope_)
+            locals_[name] = {};
+        localsInScope_.clear();
         numCalleeUsed_ = 0;
         nextStackOffset_ = 8; // slots 0..7 reserved (back chain area)
         evalDepth_ = 0;
         savedBelow_ = 0;
 
         // Parameters get homes first, in order.
-        for (const std::string &param : fn.params) {
-            Stmt decl;
-            decl.kind = StmtKind::LocalDecl;
-            decl.name = param;
-            collectLocals(decl);
-        }
+        for (Symbol param : fn.params)
+            declareLocal(param, 0);
         collectLocals(fn.body);
 
         // Frame: [low] locals/arrays | spill(8 words) | callee saves |
@@ -290,7 +295,7 @@ class Emitter
 
         // Move incoming arguments to their homes.
         for (size_t i = 0; i < fn.params.size(); ++i) {
-            const Location &loc = locals_.at(fn.params[i]);
+            const Location &loc = locals_[fn.params[i]];
             uint8_t arg_reg = static_cast<uint8_t>(regArg0 + i);
             if (loc.kind == Location::Kind::CalleeReg)
                 emit(isa::mr(loc.reg, arg_reg));
@@ -299,7 +304,7 @@ class Emitter
         }
 
         epilogueLabel_ = newLabel();
-        for (const StmtPtr &stmt : fn.body)
+        for (const Stmt *stmt : fn.body)
             emitStmt(*stmt);
 
         // Implicit `return 0` when control reaches the end of the body.
@@ -338,8 +343,8 @@ class Emitter
     evalExpr(const Expr &expr)
     {
         if (evalDepth_ >= scratchCount)
-            CC_FATAL("expression too deep in function ", currentFunction_,
-                     " at line ", expr.line);
+            CC_FATAL("expression too deep in function ",
+                     currentFunction_->name, " at line ", expr.line);
         uint8_t dst = scratchReg(evalDepth_);
         ++evalDepth_;
         switch (expr.kind) {
@@ -450,16 +455,22 @@ class Emitter
         }
     }
 
-    const Location &
-    lookup(const std::string &name, int line)
+    const std::string &
+    spelling(Symbol name) const
     {
-        auto local = locals_.find(name);
-        if (local != locals_.end())
-            return local->second;
-        auto global = globals_.find(name);
-        if (global != globals_.end())
-            return global->second;
-        CC_FATAL("undefined variable '", name, "' at line ", line);
+        return unit_.symbols[name];
+    }
+
+    /** The local @p name if the current function has one, else the
+     *  global. */
+    const Location &
+    lookup(Symbol name, int line) const
+    {
+        if (locals_[name].kind != Location::Kind::Unbound)
+            return locals_[name];
+        if (globals_[name].kind != Location::Kind::Unbound)
+            return globals_[name];
+        CC_FATAL("undefined variable '", spelling(name), "' at line ", line);
     }
 
     /** lis rT, g@ha then record both fixups; returns the lis index. */
@@ -490,7 +501,7 @@ class Emitter
             return;
           }
           default:
-            CC_FATAL("array '", expr.name,
+            CC_FATAL("array '", spelling(expr.name),
                      "' used without subscript at line ", expr.line);
         }
     }
@@ -517,8 +528,8 @@ class Emitter
         const Location &loc = lookup(expr.name, expr.line);
         if (loc.kind != Location::Kind::GlobalArray &&
             loc.kind != Location::Kind::StackArray)
-            CC_FATAL("subscript on non-array '", expr.name, "' at line ",
-                     expr.line);
+            CC_FATAL("subscript on non-array '", spelling(expr.name),
+                     "' at line ", expr.line);
         // The slot reserved for dst is reused for the index when it
         // needs materializing.
         --evalDepth_;
@@ -767,16 +778,16 @@ class Emitter
     {
         // Builtins expand inline to syscall templates; they preserve the
         // expression stack, so no spills are needed.
-        if (expr.name == "putc" || expr.name == "puti" ||
-            expr.name == "exit") {
+        if (expr.name == symPutc || expr.name == symPuti ||
+            expr.name == symExit) {
             if (expr.args.size() != 1)
-                CC_FATAL("builtin ", expr.name,
+                CC_FATAL("builtin ", spelling(expr.name),
                          " takes 1 argument, line ", expr.line);
             --evalDepth_;
             uint8_t val = evalExpr(*expr.args[0]);
-            isa::Syscall code = expr.name == "putc"
+            isa::Syscall code = expr.name == symPutc
                                     ? isa::Syscall::PutChar
-                                    : expr.name == "puti"
+                                    : expr.name == symPuti
                                           ? isa::Syscall::PutInt
                                           : isa::Syscall::Exit;
             emit(isa::mr(regArg0, val));
@@ -816,7 +827,7 @@ class Emitter
             int32_t imm = 0;
         };
         std::vector<ArgSource> sources;
-        for (const ExprPtr &arg : expr.args) {
+        for (const Expr *arg : expr.args) {
             if (arg->kind == ExprKind::IntLit) {
                 sources.push_back(
                     {ArgSource::Kind::Imm, 0, arg->value});
@@ -892,8 +903,7 @@ class Emitter
     // ---------------- statements ----------------
 
     void
-    emitStore(const std::string &name, const Expr *index, uint8_t value,
-              int line)
+    emitStore(Symbol name, const Expr *index, uint8_t value, int line)
     {
         const Location &loc = lookup(name, line);
         if (!index) {
@@ -912,13 +922,14 @@ class Emitter
                 return;
               }
               default:
-                CC_FATAL("assignment to array '", name,
+                CC_FATAL("assignment to array '", spelling(name),
                          "' without subscript at line ", line);
             }
         }
         if (loc.kind != Location::Kind::GlobalArray &&
             loc.kind != Location::Kind::StackArray)
-            CC_FATAL("subscript on non-array '", name, "' at line ", line);
+            CC_FATAL("subscript on non-array '", spelling(name),
+                     "' at line ", line);
         bool idx_pushed;
         uint8_t idx = evalOperand(*index, idx_pushed);
         emitArrayBase(loc);
@@ -1061,7 +1072,7 @@ class Emitter
     {
         switch (stmt.kind) {
           case StmtKind::Block:
-            for (const StmtPtr &inner : stmt.body)
+            for (const Stmt *inner : stmt.body)
                 emitStmt(*inner);
             return;
           case StmtKind::LocalDecl:
@@ -1090,7 +1101,7 @@ class Emitter
             }
             bool pushed;
             uint8_t value = evalOperand(*stmt.cond, pushed);
-            emitStore(stmt.name, stmt.index.get(), value, stmt.line);
+            emitStore(stmt.name, stmt.index, value, stmt.line);
             if (pushed)
                 pop();
             return;
@@ -1264,11 +1275,11 @@ class Emitter
         loops_.push_back({end, UINT32_MAX});
         for (size_t i = 0; i < stmt.cases.size(); ++i) {
             bind(case_labels[i]);
-            for (const StmtPtr &inner : stmt.cases[i].body)
+            for (const Stmt *inner : stmt.cases[i].body)
                 emitStmt(*inner);
         }
         bind(default_label);
-        for (const StmtPtr &inner : stmt.defaultBody)
+        for (const Stmt *inner : stmt.defaultBody)
             emitStmt(*inner);
         loops_.pop_back();
         bind(end);
@@ -1287,19 +1298,22 @@ class Emitter
     Program program_;
     std::vector<uint8_t> data_;
 
-    std::unordered_map<std::string, Location> globals_;
-    std::unordered_map<std::string, Location> locals_;
-    std::unordered_map<std::string, uint32_t> functionEntry_;
+    // Indexed by Symbol.
+    std::vector<Location> globals_;
+    std::vector<Location> locals_; //!< the current function's
+    std::vector<bool> functionDefined_;
+
+    std::vector<Symbol> localsInScope_; //!< bound entries of locals_
 
     std::vector<uint32_t> labels_;
     std::vector<std::pair<uint32_t, Label>> labelFixups_;
-    std::vector<std::pair<uint32_t, std::string>> callFixups_;
+    std::vector<std::pair<uint32_t, Symbol>> callFixups_;
     std::vector<std::pair<uint32_t, uint32_t>> dataHaFixups_;
     std::vector<std::pair<uint32_t, uint32_t>> dataLoFixups_;
     std::vector<std::pair<uint32_t, Label>> tableFixups_;
 
     std::vector<LoopLabels> loops_;
-    std::string currentFunction_;
+    const Function *currentFunction_ = nullptr;
     unsigned numCalleeUsed_ = 0;
     unsigned numCalleeSaved_ = 0;
     int32_t nextStackOffset_ = 8;

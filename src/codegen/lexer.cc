@@ -1,22 +1,93 @@
 #include "codegen/lexer.hh"
 
-#include <cctype>
-#include <unordered_map>
+#include <array>
 
 #include "support/logging.hh"
+#include "support/serialize.hh"
 
 namespace codecomp::codegen {
 
 namespace {
 
-const std::unordered_map<std::string, Tok> keywords = {
-    {"int", Tok::KwInt},         {"if", Tok::KwIf},
-    {"else", Tok::KwElse},       {"while", Tok::KwWhile},
-    {"for", Tok::KwFor},         {"do", Tok::KwDo},
-    {"return", Tok::KwReturn},   {"break", Tok::KwBreak},
-    {"continue", Tok::KwContinue}, {"switch", Tok::KwSwitch},
-    {"case", Tok::KwCase},       {"default", Tok::KwDefault},
+enum CharClass : uint8_t {
+    Space = 1,      //!< what std::isspace accepts in the C locale
+    IdentStart = 2, //!< letter or '_'
+    IdentBody = 4,  //!< letter, digit or '_'
+    Digit = 8,
+    HexDigit = 16,
 };
+
+constexpr std::array<uint8_t, 256> charClasses = [] {
+    std::array<uint8_t, 256> table{};
+    for (int c = 0; c < 256; ++c) {
+        bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+        bool digit = c >= '0' && c <= '9';
+        uint8_t bits = 0;
+        if (c == ' ' || (c >= '\t' && c <= '\r'))
+            bits |= Space;
+        if (letter || c == '_')
+            bits |= IdentStart | IdentBody;
+        if (digit)
+            bits |= IdentBody | Digit | HexDigit;
+        if ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F'))
+            bits |= HexDigit;
+        table[static_cast<size_t>(c)] = bits;
+    }
+    return table;
+}();
+
+bool
+isClass(char c, uint8_t cls)
+{
+    return (charClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+/** Keyword kind of @p word, or Tok::Ident: length, then spelling. */
+Tok
+keyword(std::string_view word)
+{
+    switch (word.size()) {
+      case 2:
+        if (word == "if")
+            return Tok::KwIf;
+        if (word == "do")
+            return Tok::KwDo;
+        break;
+      case 3:
+        if (word == "int")
+            return Tok::KwInt;
+        if (word == "for")
+            return Tok::KwFor;
+        break;
+      case 4:
+        if (word == "else")
+            return Tok::KwElse;
+        if (word == "case")
+            return Tok::KwCase;
+        break;
+      case 5:
+        if (word == "while")
+            return Tok::KwWhile;
+        if (word == "break")
+            return Tok::KwBreak;
+        break;
+      case 6:
+        if (word == "return")
+            return Tok::KwReturn;
+        if (word == "switch")
+            return Tok::KwSwitch;
+        break;
+      case 7:
+        if (word == "default")
+            return Tok::KwDefault;
+        break;
+      case 8:
+        if (word == "continue")
+            return Tok::KwContinue;
+        break;
+    }
+    return Tok::Ident;
+}
 
 int32_t
 charEscape(char c, int line)
@@ -39,16 +110,87 @@ charEscape(char c, int line)
 
 } // namespace
 
-std::vector<Token>
-lex(const std::string &src)
+Interner::Interner(std::vector<std::string> &spellings)
+    : spellings_(spellings)
 {
-    std::vector<Token> toks;
-    size_t i = 0;
-    int line = 1;
-    size_t n = src.size();
+    for (const std::string &spelling : spellings_)
+        hashes_.push_back(hash(spelling));
+    rehash(64);
+}
 
-    auto push = [&toks, &line](Tok kind) {
-        toks.push_back({kind, "", 0, line});
+int32_t
+Interner::intern(std::string_view word)
+{
+    uint64_t h = hash(word);
+    size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+        uint32_t slot = slots_[i];
+        if (slot == 0)
+            break;
+        if (hashes_[slot - 1] == h && spellings_[slot - 1] == word)
+            return static_cast<int32_t>(slot - 1);
+    }
+    spellings_.emplace_back(word);
+    hashes_.push_back(h);
+    if (2 * spellings_.size() > slots_.size())
+        rehash(2 * slots_.size());
+    else
+        insert(spellings_.size() - 1);
+    return static_cast<int32_t>(spellings_.size() - 1);
+}
+
+uint64_t
+Interner::hash(std::string_view word)
+{
+    return fnv1a64(reinterpret_cast<const uint8_t *>(word.data()),
+                   word.size());
+}
+
+void
+Interner::insert(size_t id)
+{
+    size_t mask = slots_.size() - 1;
+    size_t i = hashes_[id] & mask;
+    while (slots_[i] != 0)
+        i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(id + 1);
+}
+
+void
+Interner::rehash(size_t slots)
+{
+    while (slots < 2 * spellings_.size())
+        slots *= 2;
+    slots_.assign(slots, 0);
+    for (size_t id = 0; id < spellings_.size(); ++id)
+        insert(id);
+}
+
+Lexer::Lexer(std::string_view source, std::vector<std::string> &symbols)
+    : src_(source), interner_(symbols)
+{
+    if (source.size() >= UINT32_MAX)
+        CC_FATAL("source too large: ", source.size(), " bytes");
+}
+
+void
+Lexer::drain()
+{
+    while (next().kind != Tok::End) {
+    }
+}
+
+Token
+Lexer::next()
+{
+    const std::string_view src = src_;
+    const size_t n = src.size();
+    size_t &i = pos_;  // the scan advances the lexer's own position
+    int &line = line_; // and line
+
+    auto make = [&](Tok kind, size_t start, int32_t value = 0) {
+        return Token{kind, static_cast<uint32_t>(start),
+                     static_cast<uint32_t>(i - start), value, line};
     };
 
     while (i < n) {
@@ -58,7 +200,7 @@ lex(const std::string &src)
             ++i;
             continue;
         }
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (isClass(c, Space)) {
             ++i;
             continue;
         }
@@ -79,40 +221,45 @@ lex(const std::string &src)
             i += 2;
             continue;
         }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            size_t start = i;
-            while (i < n && (std::isalnum(static_cast<unsigned char>(src[i]))
-                             || src[i] == '_'))
+        size_t start = i;
+        if (isClass(c, IdentStart)) {
+            while (i < n && isClass(src[i], IdentBody))
                 ++i;
-            std::string word = src.substr(start, i - start);
-            auto it = keywords.find(word);
-            if (it != keywords.end())
-                push(it->second);
-            else
-                toks.push_back({Tok::Ident, word, 0, line});
-            continue;
+            std::string_view word = src.substr(start, i - start);
+            Tok kind = keyword(word);
+            return make(kind, start,
+                        kind == Tok::Ident ? interner_.intern(word) : 0);
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            size_t start = i;
-            int base = 10;
+        if (isClass(c, Digit)) {
+            // Every hex digit belongs to the literal; its value is the
+            // longest prefix of digits valid in its base.
+            uint64_t base = 10;
             if (c == '0' && i + 1 < n &&
                 (src[i + 1] == 'x' || src[i + 1] == 'X')) {
                 base = 16;
                 i += 2;
-                start = i;
             }
-            while (i < n &&
-                   std::isxdigit(static_cast<unsigned char>(src[i])))
-                ++i;
-            if (i == start)
+            size_t digits = i;
+            uint64_t value = 0;
+            bool in_prefix = true;
+            bool too_large = false;
+            while (i < n && isClass(src[i], HexDigit)) {
+                char d = src[i++];
+                uint64_t digit = isClass(d, Digit)
+                                     ? static_cast<uint64_t>(d - '0')
+                                     : static_cast<uint64_t>((d | 0x20) -
+                                                             'a' + 10);
+                in_prefix = in_prefix && digit < base;
+                if (in_prefix && !too_large) {
+                    value = value * base + digit;
+                    too_large = value > 0xffffffffull;
+                }
+            }
+            if (i == digits)
                 CC_FATAL("malformed numeric literal at line ", line);
-            int64_t value =
-                std::stoll(src.substr(start, i - start), nullptr, base);
-            if (value > 0xffffffffll)
+            if (too_large)
                 CC_FATAL("literal too large, line ", line);
-            toks.push_back({Tok::Number, "",
-                            static_cast<int32_t>(value), line});
-            continue;
+            return make(Tok::Number, start, static_cast<int32_t>(value));
         }
         if (c == '\'') {
             if (i + 2 >= n)
@@ -129,121 +276,71 @@ lex(const std::string &src)
                     CC_FATAL("bad char literal, line ", line);
                 i += 3;
             }
-            toks.push_back({Tok::Number, "", value, line});
-            continue;
+            return make(Tok::Number, start, value);
         }
 
-        auto two = [&](char next) {
-            return i + 1 < n && src[i + 1] == next;
+        // Punctuation: op() takes one character; is2() takes a second
+        // one when it is @p second.
+        auto op = [&](Tok kind) {
+            ++i;
+            return make(kind, start);
+        };
+        auto is2 = [&](char second) {
+            if (i + 1 < n && src[i + 1] == second) {
+                ++i;
+                return true;
+            }
+            return false;
         };
         switch (c) {
           case '(':
-            push(Tok::LParen);
-            break;
+            return op(Tok::LParen);
           case ')':
-            push(Tok::RParen);
-            break;
+            return op(Tok::RParen);
           case '{':
-            push(Tok::LBrace);
-            break;
+            return op(Tok::LBrace);
           case '}':
-            push(Tok::RBrace);
-            break;
+            return op(Tok::RBrace);
           case '[':
-            push(Tok::LBracket);
-            break;
+            return op(Tok::LBracket);
           case ']':
-            push(Tok::RBracket);
-            break;
+            return op(Tok::RBracket);
           case ';':
-            push(Tok::Semi);
-            break;
+            return op(Tok::Semi);
           case ',':
-            push(Tok::Comma);
-            break;
+            return op(Tok::Comma);
           case ':':
-            push(Tok::Colon);
-            break;
+            return op(Tok::Colon);
           case '+':
-            push(Tok::Plus);
-            break;
+            return op(Tok::Plus);
           case '-':
-            push(Tok::Minus);
-            break;
+            return op(Tok::Minus);
           case '*':
-            push(Tok::Star);
-            break;
+            return op(Tok::Star);
           case '/':
-            push(Tok::Slash);
-            break;
+            return op(Tok::Slash);
           case '%':
-            push(Tok::Percent);
-            break;
+            return op(Tok::Percent);
           case '^':
-            push(Tok::Caret);
-            break;
+            return op(Tok::Caret);
           case '=':
-            if (two('=')) {
-                push(Tok::EqEq);
-                ++i;
-            } else {
-                push(Tok::Assign);
-            }
-            break;
+            return op(is2('=') ? Tok::EqEq : Tok::Assign);
           case '!':
-            if (two('=')) {
-                push(Tok::NotEq);
-                ++i;
-            } else {
-                push(Tok::Bang);
-            }
-            break;
+            return op(is2('=') ? Tok::NotEq : Tok::Bang);
           case '<':
-            if (two('=')) {
-                push(Tok::Le);
-                ++i;
-            } else if (two('<')) {
-                push(Tok::Shl);
-                ++i;
-            } else {
-                push(Tok::Lt);
-            }
-            break;
+            return op(is2('=') ? Tok::Le : is2('<') ? Tok::Shl : Tok::Lt);
           case '>':
-            if (two('=')) {
-                push(Tok::Ge);
-                ++i;
-            } else if (two('>')) {
-                push(Tok::Shr);
-                ++i;
-            } else {
-                push(Tok::Gt);
-            }
-            break;
+            return op(is2('=') ? Tok::Ge : is2('>') ? Tok::Shr : Tok::Gt);
           case '&':
-            if (two('&')) {
-                push(Tok::AmpAmp);
-                ++i;
-            } else {
-                push(Tok::Amp);
-            }
-            break;
+            return op(is2('&') ? Tok::AmpAmp : Tok::Amp);
           case '|':
-            if (two('|')) {
-                push(Tok::PipePipe);
-                ++i;
-            } else {
-                push(Tok::Pipe);
-            }
-            break;
+            return op(is2('|') ? Tok::PipePipe : Tok::Pipe);
           default:
             CC_FATAL("unexpected character '", std::string(1, c),
                      "' at line ", line);
         }
-        ++i;
     }
-    toks.push_back({Tok::End, "", 0, line});
-    return toks;
+    return Token{Tok::End, static_cast<uint32_t>(n), 0, 0, line};
 }
 
 const char *

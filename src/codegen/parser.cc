@@ -1,5 +1,8 @@
 #include "codegen/parser.hh"
 
+#include <iterator>
+#include <utility>
+
 #include "codegen/lexer.hh"
 #include "support/logging.hh"
 
@@ -10,40 +13,54 @@ namespace {
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
+    Parser(std::string_view source, TranslationUnit &unit)
+        : unit_(unit), lexer_(source, unit.symbols), tok_(lexer_.next())
+    {}
 
-    TranslationUnit
+    void
     parseUnit()
     {
-        TranslationUnit unit;
         while (!at(Tok::End)) {
             expect(Tok::KwInt);
             Token name = expect(Tok::Ident);
             if (at(Tok::LParen))
-                unit.functions.push_back(parseFunction(name.text));
+                unit_.functions.push_back(parseFunction(name));
             else
-                unit.globals.push_back(parseGlobalTail(name.text));
+                unit_.globals.push_back(parseGlobalTail(name));
         }
-        return unit;
     }
 
   private:
-    const Token &peek() const { return toks_[pos_]; }
-    bool at(Tok kind) const { return peek().kind == kind; }
+    const Token &peek() const { return tok_; }
+    bool at(Tok kind) const { return tok_.kind == kind; }
 
     Token
     advance()
     {
-        CC_ASSERT(pos_ < toks_.size(), "token stream overrun");
-        return toks_[pos_++];
+        Token tok = tok_;
+        tok_ = lexer_.next();
+        return tok;
+    }
+
+    /**
+     * Report a syntax error. The rest of the source is lexed first, so
+     * a malformed token anywhere wins over a syntax error, exactly as
+     * if the whole source had been tokenized before parsing.
+     */
+    template <typename... Args>
+    [[noreturn]] void
+    fail(Args &&...args)
+    {
+        lexer_.drain();
+        CC_FATAL(std::forward<Args>(args)...);
     }
 
     Token
     expect(Tok kind)
     {
         if (!at(kind))
-            CC_FATAL("expected ", tokName(kind), " but found ",
-                     tokName(peek().kind), " at line ", peek().line);
+            fail("expected ", tokName(kind), " but found ",
+                 tokName(peek().kind), " at line ", peek().line);
         return advance();
     }
 
@@ -60,19 +77,28 @@ class Parser
     parseSignedNumber()
     {
         bool negative = accept(Tok::Minus);
-        Token num = expect(Tok::Number);
-        return negative ? -num.value : num.value;
+        int32_t value = expect(Tok::Number).value;
+        return negative ? -value : value;
+    }
+
+    /** The spelling of identifier @p ident; declarations carry their
+     *  names as strings. */
+    const std::string &
+    spelling(const Token &ident) const
+    {
+        return unit_.symbols[static_cast<Symbol>(ident.value)];
     }
 
     GlobalDecl
-    parseGlobalTail(std::string name)
+    parseGlobalTail(const Token &name)
     {
         GlobalDecl global;
-        global.name = std::move(name);
+        global.name = spelling(name);
+        global.symbol = static_cast<Symbol>(name.value);
         if (accept(Tok::LBracket)) {
             Token size = expect(Tok::Number);
             if (size.value <= 0)
-                CC_FATAL("array size must be positive, line ", size.line);
+                fail("array size must be positive, line ", size.line);
             global.arraySize = size.value;
             expect(Tok::RBracket);
             if (accept(Tok::Assign)) {
@@ -85,7 +111,7 @@ class Parser
                 expect(Tok::RBrace);
                 if (static_cast<int32_t>(global.init.size()) >
                     global.arraySize)
-                    CC_FATAL("too many initializers for ", global.name);
+                    fail("too many initializers for ", global.name);
             }
         } else if (accept(Tok::Assign)) {
             global.init.push_back(parseSignedNumber());
@@ -95,30 +121,76 @@ class Parser
     }
 
     Function
-    parseFunction(std::string name)
+    parseFunction(const Token &name)
     {
         Function fn;
-        fn.name = std::move(name);
+        fn.name = spelling(name);
+        fn.symbol = static_cast<Symbol>(name.value);
         fn.line = peek().line;
         expect(Tok::LParen);
+        size_t mark = params_.size();
         if (!at(Tok::RParen)) {
             do {
                 expect(Tok::KwInt);
-                fn.params.push_back(expect(Tok::Ident).text);
+                params_.push_back(
+                    static_cast<Symbol>(expect(Tok::Ident).value));
             } while (accept(Tok::Comma));
         }
+        fn.params = seal(params_, mark);
         expect(Tok::RParen);
-        expect(Tok::LBrace);
-        while (!at(Tok::RBrace))
-            fn.body.push_back(parseStmt());
-        expect(Tok::RBrace);
+        fn.body = parseBracedStmts();
         return fn;
     }
 
-    StmtPtr
+    /**
+     * Move the items pushed on @p stack since @p mark into the arena.
+     * Child lists are built on these parser-owned stacks, which nested
+     * lists share, so building a list allocates nothing per node.
+     */
+    template <typename T>
+    std::span<const T>
+    seal(std::vector<T> &stack, size_t mark)
+    {
+        std::span<const T> items = unit_.arena.copy(
+            std::span<const T>(stack).subspan(mark));
+        stack.resize(mark);
+        return items;
+    }
+
+    /** `{ stmt* }`. */
+    std::span<const Stmt *const>
+    parseBracedStmts()
+    {
+        expect(Tok::LBrace);
+        size_t mark = stmts_.size();
+        while (!at(Tok::RBrace))
+            stmts_.push_back(parseStmt());
+        expect(Tok::RBrace);
+        return seal(stmts_, mark);
+    }
+
+    /** Statements up to the next case label, default or '}'. */
+    std::span<const Stmt *const>
+    parseArmBody()
+    {
+        size_t mark = stmts_.size();
+        while (!at(Tok::KwCase) && !at(Tok::KwDefault) && !at(Tok::RBrace))
+            stmts_.push_back(parseStmt());
+        return seal(stmts_, mark);
+    }
+
+    /** A one-statement loop body. */
+    std::span<const Stmt *const>
+    parseLoopBody()
+    {
+        const Stmt *body = parseStmt();
+        return unit_.arena.copy(std::span<const Stmt *const>(&body, 1));
+    }
+
+    Stmt *
     makeStmt(StmtKind kind)
     {
-        auto stmt = std::make_unique<Stmt>();
+        Stmt *stmt = unit_.arena.make<Stmt>();
         stmt->kind = kind;
         stmt->line = peek().line;
         return stmt;
@@ -126,57 +198,56 @@ class Parser
 
     /** Assignment or expression, without the trailing semicolon;
      *  used by plain statements and by for-init/for-step. */
-    StmtPtr
+    Stmt *
     parseSimple()
     {
         if (at(Tok::Ident)) {
             // Lookahead to distinguish assignment from expression.
-            size_t save = pos_;
-            Token name = advance();
+            Lexer::Mark save = lexer_.mark();
+            Token first = tok_;
+            Symbol name = static_cast<Symbol>(advance().value);
             if (accept(Tok::Assign)) {
-                auto stmt = makeStmt(StmtKind::Assign);
-                stmt->name = name.text;
+                Stmt *stmt = makeStmt(StmtKind::Assign);
+                stmt->name = name;
                 stmt->cond = parseExpr();
                 return stmt;
             }
             if (at(Tok::LBracket)) {
                 advance();
-                ExprPtr index = parseExpr();
+                const Expr *index = parseExpr();
                 expect(Tok::RBracket);
                 if (accept(Tok::Assign)) {
-                    auto stmt = makeStmt(StmtKind::Assign);
-                    stmt->name = name.text;
-                    stmt->index = std::move(index);
+                    Stmt *stmt = makeStmt(StmtKind::Assign);
+                    stmt->name = name;
+                    stmt->index = index;
                     stmt->cond = parseExpr();
                     return stmt;
                 }
             }
-            pos_ = save; // not an assignment; reparse as expression
+            // Not an assignment: rewind and reparse as an expression.
+            lexer_.rewind(save);
+            tok_ = first;
         }
-        auto stmt = makeStmt(StmtKind::ExprStmt);
+        Stmt *stmt = makeStmt(StmtKind::ExprStmt);
         stmt->cond = parseExpr();
         return stmt;
     }
 
-    StmtPtr
+    Stmt *
     parseStmt()
     {
         if (at(Tok::LBrace)) {
-            auto stmt = makeStmt(StmtKind::Block);
-            advance();
-            while (!at(Tok::RBrace))
-                stmt->body.push_back(parseStmt());
-            expect(Tok::RBrace);
+            Stmt *stmt = makeStmt(StmtKind::Block);
+            stmt->body = parseBracedStmts();
             return stmt;
         }
         if (accept(Tok::KwInt)) {
-            auto stmt = makeStmt(StmtKind::LocalDecl);
-            stmt->name = expect(Tok::Ident).text;
+            Stmt *stmt = makeStmt(StmtKind::LocalDecl);
+            stmt->name = static_cast<Symbol>(expect(Tok::Ident).value);
             if (accept(Tok::LBracket)) {
                 Token size = expect(Tok::Number);
                 if (size.value <= 0)
-                    CC_FATAL("array size must be positive, line ",
-                             size.line);
+                    fail("array size must be positive, line ", size.line);
                 stmt->arraySize = size.value;
                 expect(Tok::RBracket);
             } else if (accept(Tok::Assign)) {
@@ -186,7 +257,7 @@ class Parser
             return stmt;
         }
         if (accept(Tok::KwIf)) {
-            auto stmt = makeStmt(StmtKind::If);
+            Stmt *stmt = makeStmt(StmtKind::If);
             expect(Tok::LParen);
             stmt->cond = parseExpr();
             expect(Tok::RParen);
@@ -196,16 +267,16 @@ class Parser
             return stmt;
         }
         if (accept(Tok::KwWhile)) {
-            auto stmt = makeStmt(StmtKind::While);
+            Stmt *stmt = makeStmt(StmtKind::While);
             expect(Tok::LParen);
             stmt->cond = parseExpr();
             expect(Tok::RParen);
-            stmt->body.push_back(parseStmt());
+            stmt->body = parseLoopBody();
             return stmt;
         }
         if (accept(Tok::KwDo)) {
-            auto stmt = makeStmt(StmtKind::DoWhile);
-            stmt->body.push_back(parseStmt());
+            Stmt *stmt = makeStmt(StmtKind::DoWhile);
+            stmt->body = parseLoopBody();
             expect(Tok::KwWhile);
             expect(Tok::LParen);
             stmt->cond = parseExpr();
@@ -214,7 +285,7 @@ class Parser
             return stmt;
         }
         if (accept(Tok::KwFor)) {
-            auto stmt = makeStmt(StmtKind::For);
+            Stmt *stmt = makeStmt(StmtKind::For);
             expect(Tok::LParen);
             if (!at(Tok::Semi))
                 stmt->initStmt = parseSimple();
@@ -225,11 +296,11 @@ class Parser
             if (!at(Tok::RParen))
                 stmt->stepStmt = parseSimple();
             expect(Tok::RParen);
-            stmt->body.push_back(parseStmt());
+            stmt->body = parseLoopBody();
             return stmt;
         }
         if (accept(Tok::KwReturn)) {
-            auto stmt = makeStmt(StmtKind::Return);
+            Stmt *stmt = makeStmt(StmtKind::Return);
             if (!at(Tok::Semi))
                 stmt->cond = parseExpr();
             expect(Tok::Semi);
@@ -244,206 +315,120 @@ class Parser
             return makeStmt(StmtKind::Continue);
         }
         if (accept(Tok::KwSwitch)) {
-            auto stmt = makeStmt(StmtKind::Switch);
+            Stmt *stmt = makeStmt(StmtKind::Switch);
             expect(Tok::LParen);
             stmt->cond = parseExpr();
             expect(Tok::RParen);
             expect(Tok::LBrace);
+            size_t mark = cases_.size();
             while (!at(Tok::RBrace)) {
                 if (accept(Tok::KwCase)) {
                     SwitchCase arm;
                     arm.value = parseSignedNumber();
                     expect(Tok::Colon);
-                    while (!at(Tok::KwCase) && !at(Tok::KwDefault) &&
-                           !at(Tok::RBrace))
-                        arm.body.push_back(parseStmt());
-                    stmt->cases.push_back(std::move(arm));
+                    arm.body = parseArmBody();
+                    cases_.push_back(arm);
                 } else {
                     expect(Tok::KwDefault);
                     expect(Tok::Colon);
                     if (stmt->hasDefault)
-                        CC_FATAL("duplicate default, line ", peek().line);
+                        fail("duplicate default, line ", peek().line);
                     stmt->hasDefault = true;
-                    while (!at(Tok::KwCase) && !at(Tok::KwDefault) &&
-                           !at(Tok::RBrace))
-                        stmt->defaultBody.push_back(parseStmt());
+                    stmt->defaultBody = parseArmBody();
                 }
             }
+            stmt->cases = seal(cases_, mark);
             expect(Tok::RBrace);
             return stmt;
         }
 
-        StmtPtr stmt = parseSimple();
+        Stmt *stmt = parseSimple();
         expect(Tok::Semi);
         return stmt;
     }
 
-    ExprPtr
+    Expr *
     makeExpr(ExprKind kind)
     {
-        auto expr = std::make_unique<Expr>();
+        Expr *expr = unit_.arena.make<Expr>();
         expr->kind = kind;
         expr->line = peek().line;
         return expr;
     }
 
-    ExprPtr
-    makeBinary(BinOp op, ExprPtr lhs, ExprPtr rhs)
+    Expr *
+    makeBinary(BinOp op, const Expr *lhs, const Expr *rhs)
     {
-        auto expr = std::make_unique<Expr>();
+        Expr *expr = unit_.arena.make<Expr>();
         expr->kind = ExprKind::Binary;
         expr->binop = op;
-        expr->lhs = std::move(lhs);
-        expr->rhs = std::move(rhs);
+        expr->lhs = lhs;
+        expr->rhs = rhs;
         return expr;
     }
 
-    ExprPtr parseExpr() { return parseLogOr(); }
-
-    ExprPtr
-    parseLogOr()
+    /** Binary operator @p kind and its precedence; 0 for a token that
+     *  is not one. Every level is left-associative, as in C. */
+    static std::pair<BinOp, int>
+    binaryOp(Tok kind)
     {
-        ExprPtr lhs = parseLogAnd();
-        while (accept(Tok::PipePipe))
-            lhs = makeBinary(BinOp::LogOr, std::move(lhs), parseLogAnd());
-        return lhs;
-    }
-
-    ExprPtr
-    parseLogAnd()
-    {
-        ExprPtr lhs = parseBitOr();
-        while (accept(Tok::AmpAmp))
-            lhs = makeBinary(BinOp::LogAnd, std::move(lhs), parseBitOr());
-        return lhs;
-    }
-
-    ExprPtr
-    parseBitOr()
-    {
-        ExprPtr lhs = parseBitXor();
-        while (accept(Tok::Pipe))
-            lhs = makeBinary(BinOp::Or, std::move(lhs), parseBitXor());
-        return lhs;
-    }
-
-    ExprPtr
-    parseBitXor()
-    {
-        ExprPtr lhs = parseBitAnd();
-        while (accept(Tok::Caret))
-            lhs = makeBinary(BinOp::Xor, std::move(lhs), parseBitAnd());
-        return lhs;
-    }
-
-    ExprPtr
-    parseBitAnd()
-    {
-        ExprPtr lhs = parseEquality();
-        while (accept(Tok::Amp))
-            lhs = makeBinary(BinOp::And, std::move(lhs), parseEquality());
-        return lhs;
-    }
-
-    ExprPtr
-    parseEquality()
-    {
-        ExprPtr lhs = parseRelational();
-        for (;;) {
-            if (accept(Tok::EqEq))
-                lhs = makeBinary(BinOp::Eq, std::move(lhs),
-                                 parseRelational());
-            else if (accept(Tok::NotEq))
-                lhs = makeBinary(BinOp::Ne, std::move(lhs),
-                                 parseRelational());
-            else
-                return lhs;
+        switch (kind) {
+          case Tok::PipePipe: return {BinOp::LogOr, 1};
+          case Tok::AmpAmp: return {BinOp::LogAnd, 2};
+          case Tok::Pipe: return {BinOp::Or, 3};
+          case Tok::Caret: return {BinOp::Xor, 4};
+          case Tok::Amp: return {BinOp::And, 5};
+          case Tok::EqEq: return {BinOp::Eq, 6};
+          case Tok::NotEq: return {BinOp::Ne, 6};
+          case Tok::Lt: return {BinOp::Lt, 7};
+          case Tok::Le: return {BinOp::Le, 7};
+          case Tok::Gt: return {BinOp::Gt, 7};
+          case Tok::Ge: return {BinOp::Ge, 7};
+          case Tok::Shl: return {BinOp::Shl, 8};
+          case Tok::Shr: return {BinOp::Shr, 8};
+          case Tok::Plus: return {BinOp::Add, 9};
+          case Tok::Minus: return {BinOp::Sub, 9};
+          case Tok::Star: return {BinOp::Mul, 10};
+          case Tok::Slash: return {BinOp::Div, 10};
+          case Tok::Percent: return {BinOp::Mod, 10};
+          default: return {BinOp::Add, 0};
         }
     }
 
-    ExprPtr
-    parseRelational()
+    Expr *parseExpr() { return parseBinary(1); }
+
+    /** Precedence climbing: operands joined by operators of precedence
+     *  @p min_prec or higher. */
+    Expr *
+    parseBinary(int min_prec)
     {
-        ExprPtr lhs = parseShift();
+        Expr *lhs = parseUnary();
         for (;;) {
-            if (accept(Tok::Lt))
-                lhs = makeBinary(BinOp::Lt, std::move(lhs), parseShift());
-            else if (accept(Tok::Le))
-                lhs = makeBinary(BinOp::Le, std::move(lhs), parseShift());
-            else if (accept(Tok::Gt))
-                lhs = makeBinary(BinOp::Gt, std::move(lhs), parseShift());
-            else if (accept(Tok::Ge))
-                lhs = makeBinary(BinOp::Ge, std::move(lhs), parseShift());
-            else
+            auto [op, prec] = binaryOp(peek().kind);
+            if (prec < min_prec)
                 return lhs;
+            advance();
+            lhs = makeBinary(op, lhs, parseBinary(prec + 1));
         }
     }
 
-    ExprPtr
-    parseShift()
-    {
-        ExprPtr lhs = parseAdditive();
-        for (;;) {
-            if (accept(Tok::Shl))
-                lhs = makeBinary(BinOp::Shl, std::move(lhs),
-                                 parseAdditive());
-            else if (accept(Tok::Shr))
-                lhs = makeBinary(BinOp::Shr, std::move(lhs),
-                                 parseAdditive());
-            else
-                return lhs;
-        }
-    }
-
-    ExprPtr
-    parseAdditive()
-    {
-        ExprPtr lhs = parseMultiplicative();
-        for (;;) {
-            if (accept(Tok::Plus))
-                lhs = makeBinary(BinOp::Add, std::move(lhs),
-                                 parseMultiplicative());
-            else if (accept(Tok::Minus))
-                lhs = makeBinary(BinOp::Sub, std::move(lhs),
-                                 parseMultiplicative());
-            else
-                return lhs;
-        }
-    }
-
-    ExprPtr
-    parseMultiplicative()
-    {
-        ExprPtr lhs = parseUnary();
-        for (;;) {
-            if (accept(Tok::Star))
-                lhs = makeBinary(BinOp::Mul, std::move(lhs), parseUnary());
-            else if (accept(Tok::Slash))
-                lhs = makeBinary(BinOp::Div, std::move(lhs), parseUnary());
-            else if (accept(Tok::Percent))
-                lhs = makeBinary(BinOp::Mod, std::move(lhs), parseUnary());
-            else
-                return lhs;
-        }
-    }
-
-    ExprPtr
+    Expr *
     parseUnary()
     {
         if (accept(Tok::Minus)) {
             // Fold -N literals immediately.
-            ExprPtr operand = parseUnary();
+            Expr *operand = parseUnary();
             if (operand->kind == ExprKind::IntLit) {
                 operand->value = -operand->value;
                 return operand;
             }
-            auto expr = makeExpr(ExprKind::Unary);
+            Expr *expr = makeExpr(ExprKind::Unary);
             expr->unop = UnOp::Neg;
-            expr->lhs = std::move(operand);
+            expr->lhs = operand;
             return expr;
         }
         if (accept(Tok::Bang)) {
-            auto expr = makeExpr(ExprKind::Unary);
+            Expr *expr = makeExpr(ExprKind::Unary);
             expr->unop = UnOp::Not;
             expr->lhs = parseUnary();
             return expr;
@@ -451,45 +436,53 @@ class Parser
         return parsePrimary();
     }
 
-    ExprPtr
+    Expr *
     parsePrimary()
     {
         if (at(Tok::Number)) {
-            auto expr = makeExpr(ExprKind::IntLit);
+            Expr *expr = makeExpr(ExprKind::IntLit);
             expr->value = advance().value;
             return expr;
         }
         if (accept(Tok::LParen)) {
-            ExprPtr expr = parseExpr();
+            Expr *expr = parseExpr();
             expect(Tok::RParen);
             return expr;
         }
-        Token name = expect(Tok::Ident);
+        Symbol name = static_cast<Symbol>(expect(Tok::Ident).value);
         if (accept(Tok::LParen)) {
-            auto expr = makeExpr(ExprKind::Call);
-            expr->name = name.text;
+            Expr *expr = makeExpr(ExprKind::Call);
+            expr->name = name;
+            size_t mark = args_.size();
             if (!at(Tok::RParen)) {
                 do {
-                    expr->args.push_back(parseExpr());
+                    args_.push_back(parseExpr());
                 } while (accept(Tok::Comma));
             }
+            expr->args = seal(args_, mark);
             expect(Tok::RParen);
             return expr;
         }
         if (accept(Tok::LBracket)) {
-            auto expr = makeExpr(ExprKind::Index);
-            expr->name = name.text;
+            Expr *expr = makeExpr(ExprKind::Index);
+            expr->name = name;
             expr->lhs = parseExpr();
             expect(Tok::RBracket);
             return expr;
         }
-        auto expr = makeExpr(ExprKind::Var);
-        expr->name = name.text;
+        Expr *expr = makeExpr(ExprKind::Var);
+        expr->name = name;
         return expr;
     }
 
-    std::vector<Token> toks_;
-    size_t pos_ = 0;
+    TranslationUnit &unit_;
+    Lexer lexer_;
+    Token tok_; //!< the current token; lexer_ is just past it
+    // Child lists under construction (see seal()).
+    std::vector<const Stmt *> stmts_;
+    std::vector<const Expr *> args_;
+    std::vector<SwitchCase> cases_;
+    std::vector<Symbol> params_;
 };
 
 } // namespace
@@ -497,7 +490,11 @@ class Parser
 TranslationUnit
 parse(const std::string &source)
 {
-    return Parser(lex(source)).parseUnit();
+    TranslationUnit unit;
+    unit.symbols.assign(std::begin(builtinSpellings),
+                        std::end(builtinSpellings));
+    Parser(source, unit).parseUnit();
+    return unit;
 }
 
 } // namespace codecomp::codegen

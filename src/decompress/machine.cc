@@ -1,12 +1,18 @@
 #include "decompress/machine.hh"
 
+#include <algorithm>
+#include <new>
+
 #include "decompress/fault.hh"
 #include "support/logging.hh"
 
 namespace codecomp {
 
-Machine::Machine() : mem_(memBytes, 0)
+Machine::Machine()
+    : mem_(static_cast<uint8_t *>(std::calloc(memBytes, 1)))
 {
+    if (!mem_)
+        throw std::bad_alloc();
     gpr_[1] = stackTop;
 }
 
@@ -87,7 +93,7 @@ Machine::loadImage(uint32_t base, const std::vector<uint8_t> &bytes)
                                 "image of " +
                                     std::to_string(bytes.size()) +
                                     " bytes does not fit memory");
-    std::copy(bytes.begin(), bytes.end(), mem_.begin() + base);
+    std::copy(bytes.begin(), bytes.end(), mem_.get() + base);
 }
 
 void
@@ -356,7 +362,7 @@ Machine::stateHash() const
         h = fnvMix(h, static_cast<uint8_t>(cr_ >> (8 * i)));
     // Note: LR/CTR are deliberately excluded -- they hold code pointers,
     // which legitimately differ between address spaces.
-    for (uint8_t byte : mem_)
+    for (uint8_t byte : memory())
         h = fnvMix(h, byte);
     return h;
 }

@@ -13,7 +13,10 @@
 #define CODECOMP_DECOMPRESS_MACHINE_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,7 +95,7 @@ class Machine
     void setStoreHook(StoreHook hook) { store_hook_ = std::move(hook); }
 
     /** Read-only view of the flat memory (differential state walks). */
-    const std::vector<uint8_t> &memory() const { return mem_; }
+    std::span<const uint8_t> memory() const { return {mem_.get(), memBytes}; }
 
     /** FNV-1a hash of registers + memory; used by equivalence tests. */
     uint64_t stateHash() const;
@@ -106,7 +109,13 @@ class Machine
 
     void doSyscall();
 
-    std::vector<uint8_t> mem_;
+    struct FreeBytes
+    {
+        void operator()(uint8_t *bytes) const { std::free(bytes); }
+    };
+    /** memBytes zeroed bytes from calloc: the allocator maps zero pages
+     *  lazily, so a run pays only for the pages it touches. */
+    std::unique_ptr<uint8_t[], FreeBytes> mem_;
     uint32_t gpr_[isa::numGprs] = {};
     uint32_t lr_ = 0;
     uint32_t ctr_ = 0;

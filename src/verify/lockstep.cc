@@ -423,8 +423,8 @@ Verifier::fullStateCheck(const char *when)
     ++result_.fullStateChecks;
     const Machine &nm = native_.machine();
     const Machine &cm = compressed_.machine();
-    const std::vector<uint8_t> &nmem = nm.memory();
-    const std::vector<uint8_t> &cmem = cm.memory();
+    std::span<const uint8_t> nmem = nm.memory();
+    std::span<const uint8_t> cmem = cm.memory();
 
     uint32_t text_end = Program::textBase + program_.textBytes();
     const std::pair<uint32_t, uint32_t> regions[2] = {

@@ -113,7 +113,7 @@ TEST_P(StreamProperty, RandomChunksRoundTrip)
     for (int i = 0; i < 500; ++i) {
         unsigned n = 1 + static_cast<unsigned>(rng.below(8));
         uint32_t value =
-            static_cast<uint32_t>(rng.next()) & ((1u << (4 * n)) - 1);
+            static_cast<uint32_t>(rng.next()) & (0xffffffffu >> (32 - 4 * n));
         chunks.emplace_back(value, n);
         nibbles.putNibbles(value, n);
         bits.putBits(value, 4 * n);
