@@ -6,8 +6,8 @@
 
 #include "compress/codec.hh"
 #include "compress/objfile.hh"
-#include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "decompress/replay.hh"
 #include "farm/farm.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -227,25 +227,29 @@ autotune(const std::vector<std::string> &workloadNames,
     result.pruned = space.pruned();
     result.prunedGeometries = space.prunedGeometries();
 
-    // One native run per program, before the farm: its fetch stream
-    // prices the native baseline under every kept geometry and counts
-    // the traffic profile that the program's hot/cold jobs lay out by.
+    // The only execution of the search: one native run per program,
+    // before the farm. Its fetch stream prices the native baseline
+    // under every kept geometry, and its trace gives the traffic
+    // profile that the program's hot/cold jobs lay out by and the
+    // control flow that prices every compressed image of the program.
+    Clock::time_point native_start = Clock::now();
     const std::vector<cache::CacheConfig> &geometries = space.geometries();
-    std::vector<std::vector<uint64_t>> profiles(workloadNames.size());
+    std::vector<Program> programs(workloadNames.size());
+    std::vector<NativeTrace> traces(workloadNames.size());
     result.workloads = parallelMap<WorkloadResult>(
         workloadNames.size(), [&](size_t w) {
             WorkloadResult wr;
             wr.workload = workloadNames[w];
-            Program program = workloads::buildBenchmark(workloadNames[w]);
+            Program &program = programs[w];
+            program = workloads::buildBenchmark(workloadNames[w]);
             std::vector<timing::FetchTimer> timers =
                 makeTimers(spec, geometries);
-            std::vector<uint64_t> &profile = profiles[w];
-            profile.assign(program.text.size(), 0);
+            NativeTrace &trace = traces[w];
             auto price = fanOut(timers);
             Cpu(program).run(
                 [&](const FetchEvent &event) {
                     price(event);
-                    ++profile[program.indexOfAddr(event.addr)];
+                    trace.record(event);
                 },
                 spec.maxSteps);
             for (size_t g = 0; g < geometries.size(); ++g) {
@@ -267,16 +271,20 @@ autotune(const std::vector<std::string> &workloadNames,
     // scheme-independent) and --isolate fault tolerance comes free.
     // Isolated workers do not receive the profile (job specs carry no
     // profile) and profile the program themselves.
+    Clock::time_point farm_start = Clock::now();
     std::vector<farm::FarmJob> jobs;
     jobs.reserve(workloadNames.size() * space.points().size());
     for (size_t w = 0; w < workloadNames.size(); ++w) {
+        std::vector<uint64_t> profile;
+        if (spec.tryHotCold)
+            profile = traces[w].executionCounts(programs[w].text.size());
         for (const SearchPoint &point : space.points()) {
             farm::FarmJob job;
             job.id = workloadNames[w] + "/" + point.label;
             job.workload = workloadNames[w];
             job.config = point.config;
             if (job.config.layout == compress::LayoutMode::HotCold)
-                job.config.trafficProfile = profiles[w];
+                job.config.trafficProfile = profile;
             jobs.push_back(std::move(job));
         }
     }
@@ -292,8 +300,10 @@ autotune(const std::vector<std::string> &workloadNames,
         if (!job.ok())
             ++result.failedJobs;
 
-    // Time every surviving image under every kept geometry; one
-    // execution per image feeds all timers.
+    // Time every surviving image under every kept geometry by replaying
+    // its program's native trace through the image's fetch table; one
+    // replay per image feeds all timers.
+    Clock::time_point price_start = Clock::now();
     size_t points_per_workload = space.points().size();
     globalPool().parallelFor(workloadNames.size(), [&](size_t w) {
         WorkloadResult &wr = result.workloads[w];
@@ -306,7 +316,8 @@ autotune(const std::vector<std::string> &workloadNames,
             compress::CompressedImage image = loadImage(job.imageBytes);
             std::vector<timing::FetchTimer> timers =
                 makeTimers(spec, geometries);
-            CompressedCpu(image).run(fanOut(timers), spec.maxSteps);
+            TraceReplayer(image, programs[w])
+                .replay(traces[w], fanOut(timers), spec.maxSteps);
             for (size_t g = 0; g < geometries.size(); ++g) {
                 CandidatePoint point;
                 point.id = searched.label + "@" + geometryId(geometries[g]);
@@ -329,9 +340,14 @@ autotune(const std::vector<std::string> &workloadNames,
         computeWinners(wr, result.budgets);
     });
 
-    result.wallMillis = std::chrono::duration<double, std::milli>(
-                            Clock::now() - start)
-                            .count();
+    Clock::time_point end = Clock::now();
+    auto millis = [](Clock::time_point from, Clock::time_point to) {
+        return std::chrono::duration<double, std::milli>(to - from).count();
+    };
+    result.nativeMillis = millis(native_start, farm_start);
+    result.farmMillis = millis(farm_start, price_start);
+    result.priceMillis = millis(price_start, end);
+    result.wallMillis = millis(start, end);
     return result;
 }
 

@@ -11,9 +11,11 @@
  * once) and the farm's --isolate fault tolerance -- times every image
  * under every kept geometry with timing::FetchTimer, and reports the
  * Pareto frontier over (on-chip bytes, cycles) plus the winner at each
- * requested budget. Each program runs natively once, before the farm:
- * that run prices the native baseline and supplies the traffic profile
- * of the program's hot/cold candidates (DESIGN.md section 14.6).
+ * requested budget. Each program runs natively once, before the farm,
+ * and nothing else executes: that run prices the native baseline,
+ * supplies the traffic profile of the program's hot/cold candidates
+ * (DESIGN.md section 14.6), and records the trace that prices every
+ * compressed image of the program by replay (section 14.7).
  *
  * Pruning keeps the sweep tractable (DESIGN.md section 14):
  *
@@ -188,6 +190,9 @@ struct AutotuneResult
      *  --jobs and cache settings. */
     compress::PipelineCache::Stats cacheStats;
     double wallMillis = 0.0;
+    double nativeMillis = 0.0; //!< native runs: baselines and traces
+    double farmMillis = 0.0;   //!< compressing every candidate
+    double priceMillis = 0.0;  //!< replaying the traces through images
 
     /** The deterministic artifact: spec echo, every point, frontier
      *  ids, and the budget -> winner table. */

@@ -54,6 +54,7 @@ ICache::reset()
     std::fill(ways_.begin(), ways_.end(), Way{});
     stats_.reset();
     tick_ = 0;
+    lastLine_ = UINT32_MAX;
 }
 
 unsigned

@@ -117,11 +117,23 @@ class ICache
     std::vector<Way> ways_; //!< numSets * ways, row-major by set
     CacheStats stats_;
     uint64_t tick_ = 0;
+    /** The line touched last; no line number reaches this sentinel,
+     *  since addresses are 32 bits and lines at least 4 bytes. */
+    uint32_t lastLine_ = UINT32_MAX;
 };
 
 inline bool
 ICache::touchLine(uint32_t line)
 {
+    // A fetch stream touches the same line many times in a row. The
+    // line touched last is already the most recently used of its set,
+    // so a repeat is a hit that leaves the LRU order as it is: count
+    // the access and skip the probe.
+    if (line == lastLine_) {
+        ++stats_.accesses;
+        return true;
+    }
+    lastLine_ = line;
     Way *base = &ways_[static_cast<size_t>(line & setMask_) * config_.ways];
     uint64_t tag = line >> setShift_;
     ++stats_.accesses;

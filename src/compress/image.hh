@@ -37,6 +37,23 @@ struct Composition
     }
 };
 
+/** Scratch register of the far-branch stubs (lis/ori/mtctr/bctr); the
+ *  code generator never allocates it. */
+inline constexpr uint8_t farBranchReg = 2;
+
+/**
+ * The far-branch stub that stands in for relative branch @p branch
+ * when its displacement cannot reach the target's item, at absolute
+ * nibble address @p pointer: it loads the pointer into farBranchReg and
+ * jumps through CTR. A conditional branch becomes `bc cond, +2; b +5;
+ * lis; ori; mtctr; bctr` (the bc reaches the trampoline, the b skips
+ * it; displacements in instructions), an unconditional one `lis; ori;
+ * mtctr; bctr`, with bctrl for bl. Empty for the branches no stub can
+ * replace: bcl and bdnz.
+ */
+std::vector<isa::Word> farBranchStub(const isa::Inst &branch,
+                                     uint32_t pointer, Scheme scheme);
+
 struct CompressedImage
 {
     /** Absolute nibble address of compressed-text offset 0. */

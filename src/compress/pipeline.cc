@@ -11,31 +11,11 @@ namespace codecomp::compress {
 
 namespace {
 
-constexpr uint8_t regFar = 2; //!< reserved for far-branch stubs
-
 /** Field width of a relative branch's displacement. */
 unsigned
 dispBits(const isa::Inst &inst)
 {
     return inst.op == isa::Op::B ? 24 : 14;
-}
-
-/** True when execution can continue past @p word into the next
- *  sequential instruction. Conservative: anything that is not an
- *  unconditional non-linking branch is assumed to fall through. */
-bool
-canFallThrough(isa::Word word)
-{
-    isa::Inst inst = isa::decode(word);
-    if (inst.lk)
-        return true; // calls resume at the next sequential address
-    if (inst.op == isa::Op::B)
-        return false;
-    if ((inst.op == isa::Op::Bc || inst.op == isa::Op::Bclr ||
-         inst.op == isa::Op::Bcctr) &&
-        inst.bo == static_cast<uint8_t>(isa::Bo::Always))
-        return false;
-    return true;
 }
 
 /** True when the far-branch expander (LayoutWork::expand) can rewrite
@@ -51,15 +31,40 @@ farExpandable(const isa::Inst &inst)
 
 } // namespace
 
+std::vector<isa::Word>
+farBranchStub(const isa::Inst &branch, uint32_t pointer, Scheme scheme)
+{
+    if (!farExpandable(branch))
+        return {};
+    std::vector<isa::Word> words;
+    if (branch.op == isa::Op::Bc) {
+        // bc cond -> the trampoline two instructions ahead; b -> past
+        // the stub, five instructions ahead.
+        SchemeParams params = schemeParams(scheme);
+        int32_t insn_units =
+            static_cast<int32_t>(params.insnNibbles / params.unitNibbles);
+        words.push_back(isa::encode(isa::bc(static_cast<isa::Bo>(branch.bo),
+                                            branch.bi, 2 * insn_units)));
+        words.push_back(isa::encode(isa::b(5 * insn_units)));
+    }
+    words.push_back(isa::encode(isa::lis(
+        farBranchReg,
+        static_cast<int32_t>(static_cast<int16_t>(pointer >> 16)))));
+    words.push_back(isa::encode(
+        isa::ori(farBranchReg, farBranchReg,
+                 static_cast<int32_t>(pointer & 0xffff))));
+    words.push_back(isa::encode(isa::mtctr(farBranchReg)));
+    words.push_back(isa::encode(branch.lk ? isa::bctrl() : isa::bctr()));
+    return words;
+}
+
 /** One slot of the compressed layout. */
 struct LayoutItem
 {
     enum class Kind : uint8_t {
         Insn,     //!< original instruction (branches patched at emission)
         Codeword, //!< dictionary reference
-        SynFixed, //!< synthetic instruction emitted verbatim
-        SynLis,   //!< lis r2, hi16(pointer to targetIndex)
-        SynOri,   //!< ori r2, r2, lo16(pointer to targetIndex)
+        Stub,     //!< far branch (word) emitted as its farBranchStub
     };
 
     Kind kind;
@@ -67,7 +72,7 @@ struct LayoutItem
     uint32_t entryId = 0;
     uint32_t origIndex = UINT32_MAX;   //!< set on items that begin at an
                                        //!< original instruction
-    uint32_t targetIndex = UINT32_MAX; //!< branch/pointer target
+    uint32_t targetIndex = UINT32_MAX; //!< branch target
 };
 
 /**
@@ -186,7 +191,7 @@ struct LayoutWork
                 item.kind == LayoutItem::Kind::Codeword
                     ? selection.dict.entries[item.entryId].back()
                     : item.word;
-            bool falls = canFallThrough(last_word);
+            bool falls = isa::decode(last_word).canFallThrough();
             if (!falls || i + 1 == items_.size()) {
                 current.fallsThrough = falls;
                 chains.push_back(current);
@@ -305,6 +310,11 @@ struct LayoutWork
     {
         if (item.kind == LayoutItem::Kind::Codeword)
             return codec_.codewordNibbles(rankOfEntry_[item.entryId]);
+        if (item.kind == LayoutItem::Kind::Stub)
+            return static_cast<unsigned>(
+                       farBranchStub(isa::decode(item.word), 0, codec_.id())
+                           .size()) *
+                   params_.insnNibbles;
         return params_.insnNibbles;
     }
 
@@ -327,59 +337,12 @@ struct LayoutWork
     void
     expand(const std::vector<size_t> &far)
     {
-        std::vector<LayoutItem> next;
-        next.reserve(items_.size() + far.size() * 6);
-        size_t far_pos = 0;
-        for (size_t i = 0; i < items_.size(); ++i) {
-            if (far_pos >= far.size() || far[far_pos] != i) {
-                next.push_back(items_[i]);
-                continue;
-            }
-            ++far_pos;
-            const LayoutItem &item = items_[i];
-            isa::Inst inst = isa::decode(item.word);
-            CC_ASSERT(!inst.isCall() || inst.op == isa::Op::B,
-                      "cannot far-expand a linking conditional branch");
-
-            auto syn = [](isa::Word word) {
-                LayoutItem s;
-                s.kind = LayoutItem::Kind::SynFixed;
-                s.word = word;
-                return s;
-            };
-            auto ptr_pair = [&item](LayoutItem::Kind kind) {
-                LayoutItem s;
-                s.kind = kind;
-                s.targetIndex = item.targetIndex;
-                return s;
-            };
-
-            size_t first = next.size();
-            if (inst.op == isa::Op::Bc) {
-                CC_ASSERT(inst.bo !=
-                              static_cast<uint8_t>(isa::Bo::DecNz),
-                          "cannot far-expand a CTR-decrementing branch");
-                CC_ASSERT(!inst.lk, "cannot far-expand bcl");
-                // bc cond -> trampoline (two instructions ahead);
-                // b -> past the stub (five instructions ahead).
-                int32_t two = static_cast<int32_t>(
-                    2 * params_.insnNibbles / params_.unitNibbles);
-                int32_t five = static_cast<int32_t>(
-                    5 * params_.insnNibbles / params_.unitNibbles);
-                next.push_back(syn(isa::encode(isa::bc(
-                    static_cast<isa::Bo>(inst.bo), inst.bi, two))));
-                next.push_back(syn(isa::encode(isa::b(five))));
-            }
-            next.push_back(ptr_pair(LayoutItem::Kind::SynLis));
-            next.push_back(ptr_pair(LayoutItem::Kind::SynOri));
-            next.push_back(syn(isa::encode(isa::mtctr(regFar))));
-            next.push_back(syn(isa::encode(
-                inst.lk ? isa::bctrl() : isa::bctr())));
-            // The stub inherits the original instruction's identity so
-            // branches targeting it still resolve.
-            next[first].origIndex = item.origIndex;
+        for (size_t i : far) {
+            LayoutItem &item = items_[i];
+            CC_ASSERT(farExpandable(isa::decode(item.word)),
+                      "cannot far-expand bcl or a CTR-decrementing branch");
+            item.kind = LayoutItem::Kind::Stub;
         }
-        items_ = std::move(next);
     }
 
     const Program &program_;
@@ -639,23 +602,14 @@ passEmit(PipelineContext &ctx)
             accountInstruction();
             break;
           }
-          case LayoutItem::Kind::SynFixed:
-            codec.emitInstruction(writer, item.word);
-            accountInstruction();
-            break;
-          case LayoutItem::Kind::SynLis:
-          case LayoutItem::Kind::SynOri: {
+          case LayoutItem::Kind::Stub: {
             uint32_t pointer = CompressedImage::nibbleBase +
                                layout.addrMap().at(item.targetIndex);
-            isa::Inst inst =
-                item.kind == LayoutItem::Kind::SynLis
-                    ? isa::lis(regFar,
-                               static_cast<int32_t>(static_cast<int16_t>(
-                                   pointer >> 16)))
-                    : isa::ori(regFar, regFar,
-                               static_cast<int32_t>(pointer & 0xffff));
-            codec.emitInstruction(writer, isa::encode(inst));
-            accountInstruction();
+            for (isa::Word word : farBranchStub(isa::decode(item.word),
+                                                pointer, ctx.config.scheme)) {
+                codec.emitInstruction(writer, word);
+                accountInstruction();
+            }
             break;
           }
           case LayoutItem::Kind::Codeword: {

@@ -99,6 +99,20 @@ struct Inst
 
     /** True if this instruction writes the link register when taken. */
     bool isCall() const { return isBranch() && lk; }
+
+    /** True when execution can continue past this instruction into the
+     *  next sequential one: everything but an unconditional,
+     *  non-linking branch (a call resumes at the next address).
+     *  Conservative for branches whose condition never holds. */
+    bool
+    canFallThrough() const
+    {
+        if (lk)
+            return true;
+        if (op == Op::B)
+            return false;
+        return !(isBranch() && bo == static_cast<uint8_t>(Bo::Always));
+    }
 };
 
 /** Decode a 32-bit instruction word. Unknown encodings yield Op::Illegal

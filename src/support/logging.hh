@@ -6,7 +6,6 @@
  * fatal()  -- the caller handed us something unusable (a user error);
  *             exits with status 1.
  * warn()   -- something works well enough but deserves attention.
- * inform() -- plain status output.
  */
 
 #ifndef CODECOMP_SUPPORT_LOGGING_HH
@@ -67,7 +66,6 @@ formatMessage(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -83,10 +81,6 @@ void informImpl(const std::string &msg);
 
 #define CC_WARN(...)                                                         \
     ::codecomp::detail::warnImpl(__FILE__, __LINE__,                         \
-        ::codecomp::detail::formatMessage(__VA_ARGS__))
-
-#define CC_INFORM(...)                                                       \
-    ::codecomp::detail::informImpl(                                          \
         ::codecomp::detail::formatMessage(__VA_ARGS__))
 
 /** Assert an internal invariant; active in all build types. */

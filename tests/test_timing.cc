@@ -7,20 +7,34 @@
  * counts on two workloads, the directed density property (a denser
  * image never misses more in the capacity-limited geometry), and the
  * equivalence of the processors' templated run(observer) loop with
- * the fetch-hook adapter.
+ * the fetch-hook adapter, the FetchTimer against a reference timer on
+ * the division-indexed oracle cache, and trace replay
+ * (decompress/replay.hh) against execution: the same fetch stream,
+ * and the same rejections.
  *
- * Every test name carries the Timing prefix: the `timing` ctest label
- * (tests/CMakeLists.txt) and test preset select on it.
+ * Every test name carries the Timing or TraceReplay prefix: the
+ * `timing` ctest label (tests/CMakeLists.txt) and test preset select
+ * on them.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
+#include "codegen/codegen.hh"
 #include "compress/codec.hh"
 #include "compress/compressor.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "decompress/engine.hh"
+#include "decompress/replay.hh"
+#include "icache_oracle.hh"
+#include "isa/builder.hh"
+#include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "timing/timing.hh"
+#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 using namespace codecomp;
@@ -98,6 +112,127 @@ TEST(TimingFetchTimer, ChargesExactCycles)
     timer.reset();
     timer.onFetch({0, 4, 1, false, false});
     EXPECT_EQ(timer.report().stallIcacheMiss, 18u);
+}
+
+/** FetchTimer's accounting written over test::DivisionICache, which
+ *  probes every access: the reference for the timer's repeat-line fast
+ *  path. */
+class ReferenceTimer
+{
+  public:
+    explicit ReferenceTimer(const TimingConfig &config)
+        : config_(config), l1_(config.icache)
+    {
+        if (config.hasL2())
+            l2_.emplace(config.l2);
+    }
+
+    void
+    onFetch(const FetchEvent &event)
+    {
+        ++report_.items;
+        report_.instructions += event.retired;
+        report_.fetchedBytes += event.bytes;
+        uint32_t line_bytes = config_.icache.lineBytes;
+        uint32_t first = event.addr / line_bytes;
+        uint32_t last =
+            (event.addr + (event.bytes ? event.bytes - 1 : 0)) / line_bytes;
+        for (uint32_t line = first; line <= last; ++line) {
+            if (l1_.touch(line * line_bytes))
+                continue;
+            if (!l2_)
+                report_.stallIcacheMiss += config_.lineFillCycles();
+            else if (l2_->touch(line * line_bytes))
+                report_.stallIcacheMiss += config_.l2FillCycles();
+            else
+                report_.stallL2Miss += config_.lineFillCycles();
+        }
+        if (event.isCodeword && event.retired > 1) {
+            if (event.rank < config_.decodedCacheRanks)
+                ++report_.expansionCacheHits;
+            else
+                report_.stallExpansion +=
+                    uint64_t{config_.expansionCyclesPerWord} *
+                    (event.retired - 1);
+        }
+        if (event.taken)
+            report_.stallRedirect += config_.redirectPenaltyCycles;
+    }
+
+    TimingReport
+    report() const
+    {
+        TimingReport report = report_;
+        report.baseCycles =
+            (report.instructions + config_.frontendWidth - 1) /
+            config_.frontendWidth;
+        report.icache = l1_.stats();
+        if (l2_)
+            report.l2 = l2_->stats();
+        return report;
+    }
+
+  private:
+    TimingConfig config_;
+    test::DivisionICache l1_;
+    std::optional<test::DivisionICache> l2_;
+    TimingReport report_;
+};
+
+/** A seeded fetch stream that mostly walks forward a few bytes at a
+ *  time (runs of same-line accesses), sometimes jumps, and sometimes
+ *  straddles line boundaries. It ends on the line it began on, so a
+ *  timer that kept its last line across reset() would skip the first
+ *  fill of a second pass. */
+std::vector<FetchEvent>
+seededStream(uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<FetchEvent> stream;
+    uint32_t addr = 0x10000;
+    for (int i = 0; i < 20000; ++i) {
+        if (rng.chance(1, 16))
+            addr = 0x10000 + static_cast<uint32_t>(rng.below(16384));
+        uint32_t bytes = static_cast<uint32_t>(
+            rng.chance(1, 8) ? rng.range(5, 40) : rng.range(1, 4));
+        stream.push_back({addr, bytes,
+                          static_cast<uint32_t>(rng.range(1, 4)),
+                          rng.chance(1, 3), rng.chance(1, 8),
+                          static_cast<uint32_t>(rng.below(64))});
+        addr += static_cast<uint32_t>(rng.range(0, 3));
+    }
+    stream.push_back({stream.front().addr, 1, 1, false, false, 0});
+    return stream;
+}
+
+TEST(TimingFetchTimer, RepeatLineFastPathMatchesDivisionOracle)
+{
+    TimingConfig flat = testModel();
+    flat.icache = {1024, 16, 2};
+    flat.decodedCacheRanks = 16;
+    TimingConfig two_level = flat;
+    two_level.l2 = {4096, 32, 4};
+    for (const TimingConfig &config : {flat, two_level}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            std::vector<FetchEvent> stream = seededStream(seed);
+            FetchTimer timer(config);
+            ReferenceTimer reference(config);
+            for (const FetchEvent &event : stream) {
+                timer.onFetch(event);
+                reference.onFetch(event);
+            }
+            EXPECT_EQ(timer.report(), reference.report())
+                << "seed " << seed << " l2 " << config.hasL2();
+
+            // After reset() the timer prices the stream afresh.
+            timer.reset();
+            for (const FetchEvent &event : stream)
+                timer.onFetch(event);
+            EXPECT_EQ(timer.report(), reference.report())
+                << "seed " << seed << " l2 " << config.hasL2()
+                << " after reset";
+        }
+    }
 }
 
 TEST(TimingReport, JsonCarriesEveryField)
@@ -464,5 +599,358 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+// ---------------- trace replay vs execution ----------------
+
+/** What a consumer of one compressed fetch stream sees. */
+struct StreamView
+{
+    FetchStats stats;
+    uint64_t digest = 0;
+    uint64_t retired = 0;
+    TimingReport timing;
+};
+
+/** The stream of running @p image on the CompressedCpu. */
+StreamView
+executed(const compress::CompressedImage &image,
+         uint64_t max_steps = CompressedCpu::defaultMaxSteps)
+{
+    CompressedCpu cpu(image);
+    EventDigest digest;
+    FetchTimer timer(twoLevelModel());
+    StreamView view;
+    view.retired = cpu.run(
+                           [&](const FetchEvent &event) {
+                               digest(event);
+                               timer.onFetch(event);
+                           },
+                           max_steps)
+                       .instCount;
+    view.stats = cpu.fetchStats();
+    view.digest = digest.hash;
+    view.timing = timer.report();
+    return view;
+}
+
+/** The stream of replaying @p trace through @p image's fetch table. */
+StreamView
+replayed(const compress::CompressedImage &image, const Program &program,
+         const NativeTrace &trace,
+         uint64_t max_steps = CompressedCpu::defaultMaxSteps)
+{
+    EventDigest digest;
+    FetchTimer timer(twoLevelModel());
+    StreamView view;
+    view.retired = TraceReplayer(image, program)
+                       .replay(
+                           trace,
+                           [&](const FetchEvent &event) {
+                               view.stats.record(event);
+                               digest(event);
+                               timer.onFetch(event);
+                           },
+                           max_steps);
+    view.digest = digest.hash;
+    view.timing = timer.report();
+    return view;
+}
+
+NativeTrace
+traceOf(const Program &program, uint64_t max_steps = Cpu::defaultMaxSteps)
+{
+    NativeTrace trace;
+    Cpu(program).run(
+        [&trace](const FetchEvent &event) { trace.record(event); },
+        max_steps);
+    return trace;
+}
+
+void
+expectSameStream(const StreamView &run, const StreamView &replay,
+                 const std::string &what)
+{
+    EXPECT_EQ(run.digest, replay.digest) << what;
+    EXPECT_EQ(run.stats, replay.stats) << what;
+    EXPECT_EQ(run.retired, replay.retired) << what;
+    EXPECT_EQ(run.timing, replay.timing) << what;
+    EXPECT_GT(run.stats.itemFetches, 0u) << what;
+}
+
+class TraceReplayEquivalence : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(TraceReplayEquivalence, ReplayMatchesExecution)
+{
+    // Every scheme, linear and hot/cold: the replayed stream is the
+    // executed one, event for event.
+    Program program = workloads::buildBenchmark(GetParam());
+    NativeTrace trace = traceOf(program);
+    std::vector<uint64_t> profile =
+        trace.executionCounts(program.text.size());
+    EXPECT_EQ(profile, profileExecutionCounts(program));
+    for (compress::Scheme scheme : compress::allSchemes()) {
+        for (compress::LayoutMode layout :
+             {compress::LayoutMode::Linear, compress::LayoutMode::HotCold}) {
+            compress::CompressorConfig config;
+            config.scheme = scheme;
+            config.layout = layout;
+            if (layout == compress::LayoutMode::HotCold)
+                config.trafficProfile = profile;
+            compress::CompressedImage image =
+                compress::compressProgram(program, config);
+            expectSameStream(executed(image),
+                             replayed(image, program, trace),
+                             std::string(compress::schemeCliName(scheme)) +
+                                 "/" + compress::layoutModeName(layout));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TraceReplayEquivalence,
+    ::testing::ValuesIn(workloads::benchmarkNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+/** A loop body over 4 KiB, so its exit test needs a far-branch stub at
+ *  nibble granularity (as in Engine.FarBranchStubExecutesCorrectly): a
+ *  conditional stub, not taken twice and taken once. */
+Program
+stubProgram()
+{
+    return codegen::compile(workloads::bigLoopFunction("huge", 3000, 7) +
+                            "int main() { puti(huge(5)); return 0; }\n");
+}
+
+compress::CompressedImage
+stubImage(const Program &program)
+{
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Nibble;
+    config.maxEntries = 4680;
+    return compress::compressProgram(program, config);
+}
+
+TEST(TraceReplayStubs, ConditionalStubOutcomesMatchExecution)
+{
+    Program program = stubProgram();
+    compress::CompressedImage image = stubImage(program);
+    ASSERT_GE(image.farBranchExpansions, 1u);
+
+    // The fetch addresses of the conditional stubs' heads: bc, then
+    // b, then lis r2.
+    DecompressionEngine engine(image);
+    const std::vector<DecodedItem> &items = engine.items();
+    auto plain_op = [&items](size_t k) {
+        return items[k].isCodeword ? isa::Op::Illegal
+                                   : isa::decode(items[k].word).op;
+    };
+    std::set<uint32_t> heads;
+    for (size_t k = 2; k < items.size(); ++k)
+        if (plain_op(k) == isa::Op::Addis &&
+            isa::decode(items[k].word).rt == compress::farBranchReg &&
+            plain_op(k - 1) == isa::Op::B && plain_op(k - 2) == isa::Op::Bc)
+            heads.insert((compress::CompressedImage::nibbleBase +
+                          items[k - 2].nibbleAddr) /
+                         2);
+    uint64_t taken = 0, not_taken = 0;
+    CompressedCpu(image).run([&](const FetchEvent &event) {
+        if (heads.count(event.addr))
+            ++(event.taken ? taken : not_taken);
+    });
+    EXPECT_GT(taken, 0u);
+    EXPECT_GT(not_taken, 0u);
+
+    StreamView run = executed(image);
+    expectSameStream(run, replayed(image, program, traceOf(program)),
+                     "conditional stubs");
+    // The stubs retire instructions the native program does not.
+    EXPECT_GT(run.retired, runProgram(program).instCount);
+}
+
+TEST(TraceReplayStubs, HotColdWorkloadStubsMatchExecution)
+{
+    // A 16-entry dictionary under the hot/cold layout strands two of
+    // compress's branches out of reach: real stubs in a real search.
+    Program program = workloads::buildBenchmark("compress");
+    NativeTrace trace = traceOf(program);
+    for (compress::Scheme scheme :
+         {compress::Scheme::Nibble, compress::Scheme::OperandFactored}) {
+        compress::CompressorConfig config;
+        config.scheme = scheme;
+        config.maxEntries = 16;
+        config.layout = compress::LayoutMode::HotCold;
+        config.trafficProfile = trace.executionCounts(program.text.size());
+        compress::CompressedImage image =
+            compress::compressProgram(program, config);
+        std::string what = compress::schemeCliName(scheme);
+        ASSERT_GE(image.farBranchExpansions, 1u) << what;
+        StreamView run = executed(image);
+        expectSameStream(run, replayed(image, program, trace), what);
+        EXPECT_GT(run.retired, runProgram(program).instCount) << what;
+    }
+}
+
+TEST(TraceReplayStubs, UnconditionalStubsMatchExecution)
+{
+    // A 24-bit b/bl displacement reaches across any program the suite
+    // can build, so the unconditional stubs are spelled out by hand: a
+    // call and a jump, each through CTR.
+    using namespace isa;
+    Program program;
+    program.text = {
+        encode(li(3, 5)),       // 0
+        encode(bl(5)),          // 1: call 6
+        encode(b(2)),           // 2: jump to 4
+        encode(li(3, 99)),      // 3: skipped
+        encode(li(0, 0)),       // 4: exit(r3)
+        encode(sc()),           // 5
+        encode(addi(3, 3, 1)),  // 6: the callee
+        encode(blr()),          // 7
+    };
+    program.finalize();
+
+    // Every item is a plain instruction, so item k sits at k * the
+    // instruction's nibbles: 0, the call's stub (1-4), the jump's stub
+    // (5-8), then instructions 3..7 as items 9..13.
+    compress::Scheme scheme = compress::Scheme::Nibble;
+    unsigned insn = compress::schemeParams(scheme).insnNibbles;
+    auto stub = [&](uint32_t target_item, bool link) {
+        uint32_t pointer =
+            compress::CompressedImage::nibbleBase + target_item * insn;
+        uint8_t r2 = compress::farBranchReg;
+        return std::vector<Word>{
+            encode(lis(r2, static_cast<int16_t>(pointer >> 16))),
+            encode(ori(r2, r2, static_cast<int32_t>(pointer & 0xffff))),
+            encode(mtctr(r2)), encode(link ? bctrl() : bctr())};
+    };
+    std::vector<Word> stream = {program.text[0]};
+    for (Word word : stub(12, true))
+        stream.push_back(word);
+    for (Word word : stub(10, false))
+        stream.push_back(word);
+    stream.insert(stream.end(), program.text.begin() + 3,
+                  program.text.end());
+
+    compress::CompressedImage image;
+    image.scheme = scheme;
+    NibbleWriter writer;
+    for (Word word : stream)
+        compress::emitInstruction(writer, scheme, word);
+    image.text = writer.bytes();
+    image.textNibbles = writer.nibbleCount();
+    image.dataBase = program.dataBase;
+    image.originalTextBytes = program.textBytes();
+    image.farBranchExpansions = 2;
+
+    ExecResult native = runProgram(program);
+    EXPECT_EQ(native.exitCode, 6);
+    EXPECT_EQ(runCompressed(image).exitCode, native.exitCode);
+    expectSameStream(executed(image),
+                     replayed(image, program, traceOf(program)),
+                     "unconditional stubs");
+}
+
+// Replay rejects what execution rejects, with the same exception.
+
+TEST(TraceReplayRejects, PatchedDictionaryEntry)
+{
+    Program program = workloads::buildBenchmark("compress");
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Nibble;
+    compress::CompressedImage image =
+        compress::compressProgram(program, config);
+    NativeTrace trace = traceOf(program);
+
+    // Patch an entry the run expands to an undecodable word.
+    std::optional<uint32_t> rank;
+    CompressedCpu(image).run([&rank](const FetchEvent &event) {
+        if (event.isCodeword && !rank)
+            rank = event.rank;
+    });
+    ASSERT_TRUE(rank.has_value());
+    isa::Word illegal = 0;
+    ASSERT_EQ(isa::decode(illegal).op, isa::Op::Illegal);
+    image.entriesByRank[*rank][0] = illegal;
+
+    EXPECT_THROW(CompressedCpu(image).run(), MachineCheckError);
+    EXPECT_THROW(replayed(image, program, trace), MachineCheckError);
+}
+
+TEST(TraceReplayRejects, RunStartingInsideCodeword)
+{
+    Program program = workloads::buildBenchmark("compress");
+    compress::CompressorConfig config;
+    config.scheme = compress::Scheme::Baseline;
+    compress::CompressedImage image =
+        compress::compressProgram(program, config);
+    NativeTrace trace = traceOf(program);
+
+    // An executed codeword that covers several instructions.
+    std::vector<uint64_t> counts =
+        trace.executionCounts(program.text.size());
+    DecompressionEngine engine(image);
+    std::optional<uint32_t> start;
+    for (const auto &[index, nibble] : image.addrMap) {
+        const DecodedItem &item = engine.itemAt(nibble);
+        if (item.isCodeword && counts[index] > 0 &&
+            image.entriesByRank[item.rank].size() >= 2 &&
+            (!start || index < *start))
+            start = index;
+    }
+    ASSERT_TRUE(start.has_value());
+
+    // Execution entering the codeword one nibble in...
+    compress::CompressedImage entered = image;
+    entered.entryPointNibble = image.addrMap.at(*start) + 1;
+    try {
+        CompressedCpu(entered).run();
+        ADD_FAILURE() << "execution entered a codeword";
+    } catch (const MachineCheckError &e) {
+        EXPECT_EQ(e.fault(), MachineFault::MisalignedPc);
+    }
+
+    // ...and a trace whose run starts at its second instruction.
+    NativeTrace bad = trace;
+    bad.runs[bad.runs.size() / 2] = {*start + 1, 1};
+    try {
+        replayed(image, program, bad);
+        ADD_FAILURE() << "replay entered a codeword";
+    } catch (const MachineCheckError &e) {
+        EXPECT_EQ(e.fault(), MachineFault::MisalignedPc);
+    }
+}
+
+TEST(TraceReplayRejects, StubImageOverStepBudget)
+{
+    // A budget the native run fits and the stub image does not: both
+    // execution and replay hit the catchable step-limit fatal.
+    Program program = stubProgram();
+    compress::CompressedImage image = stubImage(program);
+    uint64_t native = runProgram(program).instCount;
+    uint64_t compressed = executed(image).retired;
+    ASSERT_LT(native, compressed);
+    uint64_t budget = native;
+    NativeTrace trace = traceOf(program, budget);
+
+    auto fatal_message = [](auto &&run) -> std::string {
+        try {
+            run();
+        } catch (const MachineCheckError &e) {
+            return std::string("machine check: ") + e.what();
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    std::string ran = fatal_message([&] { executed(image, budget); });
+    std::string replay =
+        fatal_message([&] { replayed(image, program, trace, budget); });
+    EXPECT_NE(ran.find("exceeded"), std::string::npos) << ran;
+    EXPECT_NE(replay.find("exceeded"), std::string::npos) << replay;
+}
 
 } // namespace

@@ -285,6 +285,8 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(
                     result.cacheStats.selectHits),
                 result.wallMillis);
+    std::printf("phases: native %.0f ms, farm %.0f ms, price %.0f ms\n",
+                result.nativeMillis, result.farmMillis, result.priceMillis);
 
     if (!jsonPath.empty()) {
         std::string doc = result.toJson() + "\n";
