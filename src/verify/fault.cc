@@ -71,8 +71,9 @@ classifyItems(const DecompressionEngine &engine,
 {
     const std::vector<DecodedItem> &items = engine.items();
     orig_of.assign(items.size(), noIndex);
-    for (const auto &[orig, nibble] : image.addrMap)
-        orig_of[engine.itemIndexAt(nibble)] = orig;
+    for (uint32_t orig = 0; orig < image.addrMap.size(); ++orig)
+        if (image.addrMap[orig] != compress::CompressedImage::noItem)
+            orig_of[engine.itemIndexAt(image.addrMap[orig])] = orig;
     is_stub.assign(items.size(), false);
     uint32_t head = noIndex;
     for (uint32_t i = 0; i < items.size(); ++i) {

@@ -36,7 +36,9 @@ TEST(Engine, StreamScanAgreesWithAddressMap)
             codewords += item.isCodeword;
         EXPECT_EQ(codewords, image.selection.placements.size());
 
-        for (const auto &[orig, nib] : image.addrMap) {
+        for (uint32_t nib : image.addrMap) {
+            if (nib == CompressedImage::noItem)
+                continue;
             const DecodedItem &item = engine.itemAt(nib);
             EXPECT_EQ(item.nibbleAddr, nib);
         }
@@ -181,7 +183,7 @@ TEST(Engine, EntryPointMapsToFirstInstruction)
     Program p = workloads::buildBenchmark("compress");
     CompressorConfig config;
     CompressedImage image = compressProgram(p, config);
-    EXPECT_EQ(image.entryPointNibble, image.addrMap.at(p.entryIndex));
+    EXPECT_EQ(image.entryPointNibble, image.addrMap[p.entryIndex]);
     // _start is instruction 0, so the entry sits at stream offset 0.
     EXPECT_EQ(image.entryPointNibble, 0u);
 }

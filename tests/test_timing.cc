@@ -894,8 +894,10 @@ TEST(TraceReplayRejects, RunStartingInsideCodeword)
         trace.executionCounts(program.text.size());
     DecompressionEngine engine(image);
     std::optional<uint32_t> start;
-    for (const auto &[index, nibble] : image.addrMap) {
-        const DecodedItem &item = engine.itemAt(nibble);
+    for (uint32_t index = 0; index < image.addrMap.size(); ++index) {
+        if (image.addrMap[index] == compress::CompressedImage::noItem)
+            continue;
+        const DecodedItem &item = engine.itemAt(image.addrMap[index]);
         if (item.isCodeword && counts[index] > 0 &&
             image.entriesByRank[item.rank].size() >= 2 &&
             (!start || index < *start))
@@ -905,7 +907,7 @@ TEST(TraceReplayRejects, RunStartingInsideCodeword)
 
     // Execution entering the codeword one nibble in...
     compress::CompressedImage entered = image;
-    entered.entryPointNibble = image.addrMap.at(*start) + 1;
+    entered.entryPointNibble = image.addrMap[*start] + 1;
     try {
         CompressedCpu(entered).run();
         ADD_FAILURE() << "execution entered a codeword";
