@@ -38,7 +38,7 @@ matchStub(const std::vector<DecodedItem> &items, size_t k,
           const isa::Inst &branch, compress::Scheme scheme,
           uint32_t &pointer)
 {
-    size_t length = compress::farBranchStub(branch, 0, scheme).size();
+    size_t length = compress::farBranchStubWords(branch);
     if (length == 0 || k + length > items.size())
         return 0;
     // The pointer halves sit in the lis/ori pair ahead of mtctr, bctr.
