@@ -38,10 +38,11 @@ cache::CacheStats
 runThroughCache(const cache::CacheConfig &config, auto &&cpu)
 {
     cache::ICache cache(config);
-    cpu.setFetchHook([&cache](const FetchEvent &event) {
-        cache.access(event.addr, event.bytes);
-    });
-    cpu.run(1ull << 27);
+    cpu.run(
+        [&cache](const FetchEvent &event) {
+            cache.access(event.addr, event.bytes);
+        },
+        1ull << 27);
     return cache.stats();
 }
 
@@ -67,10 +68,9 @@ main()
         std::array<cache::CacheStats, numSizes> native, compressed;
         for (size_t i = 0; i < numSizes; ++i) {
             cache::CacheConfig cache_config{sizes[i], 32, 1};
-            Cpu cpu(program);
-            native[i] = runThroughCache(cache_config, cpu);
-            CompressedCpu ccpu(image);
-            compressed[i] = runThroughCache(cache_config, ccpu);
+            native[i] = runThroughCache(cache_config, Cpu(program));
+            compressed[i] =
+                runThroughCache(cache_config, CompressedCpu(image));
         }
         names.push_back(name);
         native_stats.push_back(native);

@@ -37,9 +37,9 @@ namespace {
 uint64_t
 fetchedBytes(const CompressedImage &image)
 {
-    CompressedCpu cpu(image);
-    cpu.run(1ull << 27);
-    return cpu.fetchStats().fetchedBytes;
+    FetchStats stats;
+    CompressedCpu(image).run(stats, 1ull << 27);
+    return stats.fetchedBytes;
 }
 
 } // namespace

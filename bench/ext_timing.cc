@@ -86,12 +86,12 @@ timeCompressed(const compress::CompressedImage &image,
     std::vector<FetchTimer> timers;
     for (const cache::CacheConfig &cache : cacheConfigs)
         timers.emplace_back(modelFor(cache));
-    CompressedCpu cpu(image);
-    cpu.setFetchHook([&timers](const FetchEvent &event) {
-        for (FetchTimer &timer : timers)
-            timer.onFetch(event);
-    });
-    cpu.run(maxSteps);
+    CompressedCpu(image).run(
+        [&timers](const FetchEvent &event) {
+            for (FetchTimer &timer : timers)
+                timer.onFetch(event);
+        },
+        maxSteps);
     for (size_t i = 0; i < numCaches; ++i)
         out[i] = timers[i].report();
 }
@@ -109,15 +109,13 @@ sweepWorkload(const std::string &name, const Program &program)
     for (const cache::CacheConfig &cache : cacheConfigs)
         timers.emplace_back(modelFor(cache));
     std::vector<uint64_t> profile(program.text.size(), 0);
-    {
-        Cpu cpu(program);
-        cpu.setFetchHook([&](const FetchEvent &event) {
+    Cpu(program).run(
+        [&](const FetchEvent &event) {
             for (FetchTimer &timer : timers)
                 timer.onFetch(event);
             ++profile[program.indexOfAddr(event.addr)];
-        });
-        cpu.run(maxSteps);
-    }
+        },
+        maxSteps);
     for (size_t i = 0; i < numCaches; ++i)
         result.native[i] = timers[i].report();
 

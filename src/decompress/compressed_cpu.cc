@@ -98,36 +98,6 @@ CompressedCpu::stepLimitExceeded() const
     CC_FATAL("compressed program exceeded ", step_limit_, " steps");
 }
 
-namespace {
-
-/** The retire-hook counterpart of hookObserver (fetch.hh). */
-auto
-retireHookObserver(const CompressedCpu::RetireHook &hook)
-{
-    return [&hook](const isa::Inst &inst, uint32_t item_pc, unsigned slot) {
-        if (hook)
-            hook(inst, item_pc, slot);
-    };
-}
-
-} // namespace
-
-bool
-CompressedCpu::step()
-{
-    auto on_fetch = hookObserver(fetch_hook_);
-    auto on_retire = retireHookObserver(retire_hook_);
-    return stepWith(on_fetch, on_retire);
-}
-
-ExecResult
-CompressedCpu::run(uint64_t max_steps)
-{
-    auto on_fetch = hookObserver(fetch_hook_);
-    auto on_retire = retireHookObserver(retire_hook_);
-    return runWith(on_fetch, on_retire, max_steps);
-}
-
 ExecResult
 runCompressed(const compress::CompressedImage &image, uint64_t max_steps)
 {

@@ -10,13 +10,17 @@
 #define CODECOMP_DECOMPRESS_COMPRESSED_CPU_HH
 
 #include <concepts>
-#include <functional>
 
 #include "decompress/engine.hh"
 #include "decompress/fetch.hh"
 #include "decompress/machine.hh"
 
 namespace codecomp {
+
+/** The retire observer that observes nothing: what step() and every
+ *  run() pass. */
+inline constexpr auto noRetire = [](const isa::Inst &, uint32_t,
+                                    unsigned) {};
 
 class CompressedCpu
 {
@@ -29,57 +33,51 @@ class CompressedCpu
      * Run until exit, handing every fetch event (fetch.hh) to
      * @p on_fetch; fatal if more than @p max_steps architectural
      * instructions would retire. The observer is a template parameter,
-     * so it compiles into the step loop; neither hook fires.
+     * so it compiles into the step loop.
      */
     template <typename OnFetch>
         requires std::invocable<OnFetch &, const FetchEvent &>
+    ExecResult run(OnFetch &&on_fetch, uint64_t max_steps = defaultMaxSteps);
+
+    /** Run until exit, observing nothing. */
     ExecResult
-    run(OnFetch &&on_fetch, uint64_t max_steps = defaultMaxSteps)
+    run(uint64_t max_steps = defaultMaxSteps)
     {
-        auto no_retire = [](const isa::Inst &, uint32_t, unsigned) {};
-        return runWith(on_fetch, no_retire, max_steps);
+        return run(noFetch, max_steps);
     }
 
-    /** Run until exit, feeding the fetch and retire hooks. */
-    ExecResult run(uint64_t max_steps = defaultMaxSteps);
+    /**
+     * Execute one fetch slot (a whole codeword expansion counts as one
+     * slot); returns false once halted. The slot's fetch event goes to
+     * @p on_fetch, and every architectural instruction it retires to
+     * @p on_retire as (decoded instruction, absolute nibble PC of the
+     * item, slot within the item: 0 for an uncompressed instruction,
+     * 0..n-1 through a dictionary-entry expansion), after the
+     * instruction's effects land, including the halting Sc.
+     */
+    template <typename OnFetch, typename OnRetire>
+        requires std::invocable<OnFetch &, const FetchEvent &> &&
+                 std::invocable<OnRetire &, const isa::Inst &, uint32_t,
+                                unsigned>
+    bool
+    step(OnFetch &&on_fetch, OnRetire &&on_retire)
+    {
+        return stepWith(on_fetch, on_retire);
+    }
 
-    /** Execute one fetch slot (a whole codeword expansion counts as
-     *  one slot), feeding both hooks; returns false once halted. */
-    bool step();
+    /** Execute one fetch slot, observing nothing. */
+    bool step() { return step(noFetch, noRetire); }
 
     const Machine &machine() const { return machine_; }
     /** Mutable access for harnesses that install Machine hooks. */
     Machine &machine() { return machine_; }
-    const FetchStats &fetchStats() const { return stats_; }
     uint32_t pc() const { return pc_; }
-
-    /** Observe the fetch stream (fetch.hh): one event per item, as a
-     *  byte-granular access into the compressed image (nibble addresses
-     *  round outward to bytes), with the retired-instruction count and
-     *  redirect flag of the whole item. */
-    void setFetchHook(FetchHook hook) { fetch_hook_ = std::move(hook); }
-
-    /**
-     * Observe every retired architectural instruction: the decoded
-     * instruction, the absolute nibble PC of the item it came from, and
-     * its slot within that item (0 for uncompressed instructions,
-     * 0..n-1 through a dictionary-entry expansion). Fires after the
-     * instruction's effects land, including the halting Sc.
-     */
-    using RetireHook = std::function<void(const isa::Inst &inst,
-                                          uint32_t item_pc, unsigned slot)>;
-    void setRetireHook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
     const DecompressionEngine &engine() const { return engine_; }
     uint64_t instCount() const { return inst_count_; }
 
   private:
-    /** The run loop behind both run() overloads. */
-    template <typename OnFetch, typename OnRetire>
-    ExecResult runWith(OnFetch &on_fetch, OnRetire &on_retire,
-                       uint64_t max_steps);
-
-    /** The one step body behind run() and step(). */
+    /** The one step body behind every run() and step(). */
     template <typename OnFetch, typename OnRetire>
     bool stepWith(OnFetch &on_fetch, OnRetire &on_retire);
 
@@ -110,15 +108,12 @@ class CompressedCpu
     bool redirected_ = false;
     uint64_t inst_count_ = 0;
     uint64_t step_limit_ = UINT64_MAX; //!< budget per expanded inst
-    FetchStats stats_;
-    FetchHook fetch_hook_;
-    RetireHook retire_hook_;
 };
 
-template <typename OnFetch, typename OnRetire>
+template <typename OnFetch>
+    requires std::invocable<OnFetch &, const FetchEvent &>
 ExecResult
-CompressedCpu::runWith(OnFetch &on_fetch, OnRetire &on_retire,
-                       uint64_t max_steps)
+CompressedCpu::run(OnFetch &&on_fetch, uint64_t max_steps)
 {
     // The limit is enforced inside stepWith() before every expanded
     // instruction; checking between items here would let a
@@ -133,7 +128,7 @@ CompressedCpu::runWith(OnFetch &on_fetch, OnRetire &on_retire,
     } guard{step_limit_};
     step_limit_ = max_steps;
     while (!machine_.halted())
-        stepWith(on_fetch, on_retire);
+        stepWith(on_fetch, noRetire);
     return {machine_.output(), machine_.exitCode(), inst_count_};
 }
 
@@ -209,7 +204,6 @@ CompressedCpu::stepWith(OnFetch &on_fetch, OnRetire &on_retire)
         on_retire(inst, self_pc, 0u);
     }
     event.taken = redirected_;
-    stats_.record(event);
     on_fetch(event);
     if (halted)
         return false;

@@ -129,19 +129,6 @@ Cpu::execBranch(const isa::Inst &inst)
     return taken;
 }
 
-bool
-Cpu::step()
-{
-    auto hook = hookObserver(fetch_hook_);
-    return stepWith(hook);
-}
-
-ExecResult
-Cpu::run(uint64_t max_steps)
-{
-    return run(hookObserver(fetch_hook_), max_steps);
-}
-
 ExecResult
 runProgram(const Program &program, uint64_t max_steps)
 {

@@ -7,7 +7,6 @@
 #define CODECOMP_DECOMPRESS_CPU_HH
 
 #include <concepts>
-#include <functional>
 #include <memory>
 
 #include "decompress/fetch.hh"
@@ -31,36 +30,42 @@ class Cpu
     /**
      * Run until exit, handing every fetch event (fetch.hh) to
      * @p on_fetch; fatal if @p max_steps elapse first. The observer is
-     * a template parameter, so it compiles into the step loop; the
-     * fetch hook does not fire. Every event has bytes == 4 and
-     * retired == 1 here.
+     * a template parameter, so it compiles into the step loop. Every
+     * event has bytes == 4 and retired == 1 here.
      */
     template <typename OnFetch>
         requires std::invocable<OnFetch &, const FetchEvent &>
     ExecResult run(OnFetch &&on_fetch, uint64_t max_steps = defaultMaxSteps);
 
-    /** Run until exit, feeding the fetch hook; fatal if @p max_steps
+    /** Run until exit, observing nothing; fatal if @p max_steps
      *  elapse first. */
-    ExecResult run(uint64_t max_steps = defaultMaxSteps);
+    ExecResult
+    run(uint64_t max_steps = defaultMaxSteps)
+    {
+        return run(noFetch, max_steps);
+    }
 
-    /** Execute a single instruction, feeding the fetch hook; returns
-     *  false once halted. */
-    bool step();
+    /** Execute a single instruction, handing its fetch event to
+     *  @p on_fetch; returns false once halted. */
+    template <typename OnFetch>
+        requires std::invocable<OnFetch &, const FetchEvent &>
+    bool
+    step(OnFetch &&on_fetch)
+    {
+        return stepWith(on_fetch);
+    }
+
+    /** Execute a single instruction, observing nothing. */
+    bool step() { return step(noFetch); }
 
     const Machine &machine() const { return machine_; }
     /** Mutable access for harnesses that install Machine hooks. */
     Machine &machine() { return machine_; }
     uint32_t pc() const { return pc_; }
     uint64_t instCount() const { return inst_count_; }
-    const FetchStats &fetchStats() const { return stats_; }
-
-    /** Observe the fetch stream through step() and run(max_steps);
-     *  drives cache and timing models in stepping harnesses and tools.
-     *  Every event has bytes == 4 and retired == 1 here. */
-    void setFetchHook(FetchHook hook) { fetch_hook_ = std::move(hook); }
 
   private:
-    /** The one step body behind run() and step(). */
+    /** The one step body behind every run() and step(). */
     template <typename OnFetch>
     bool stepWith(OnFetch &on_fetch);
 
@@ -83,8 +88,6 @@ class Cpu
     Machine machine_;
     uint32_t pc_;
     uint64_t inst_count_ = 0;
-    FetchStats stats_;
-    FetchHook fetch_hook_;
 };
 
 template <typename OnFetch>
@@ -121,12 +124,10 @@ Cpu::stepWith(OnFetch &on_fetch)
     FetchEvent event{pc_, isa::instBytes, 1, false, false};
     if (inst.isBranch()) {
         event.taken = execBranch(inst);
-        stats_.record(event);
         on_fetch(event);
         return true;
     }
     machine_.execute(inst);
-    stats_.record(event);
     on_fetch(event);
     pc_ += isa::instBytes;
     return !machine_.halted();

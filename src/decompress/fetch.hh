@@ -2,27 +2,21 @@
  * @file
  * The uniform fetch stream of both processors.
  *
- * Cpu and CompressedCpu used to expose different ad-hoc surfaces (a
- * bare (addr, bytes) hook on one side, FetchStats counters on the
- * other). Every consumer -- cache models, the timing subsystem, the
- * traffic profiler -- actually wants the same thing: one event per
- * fetch-unit item carrying its memory footprint and what it retired.
- * Both processors now emit FetchEvent; FetchStats is just the default
- * accumulator over that stream.
+ * Every consumer -- cache models, the timing subsystem, the traffic
+ * profiler, the fetch statistics -- wants the same thing: one event
+ * per fetch-unit item carrying its memory footprint and what it
+ * retired. Both processors emit FetchEvent.
  *
- * Consumers observe the stream in one of two ways. A run loop
- * templated on the observer (`cpu.run(observer, max_steps)`) inlines
- * it into the step loop; this is the hot path of the timing model,
- * the traffic profiler and the autotuner. A FetchHook
- * (`setFetchHook`) is a std::function the loop calls per event; it
- * serves stepping harnesses and tools that install one consumer.
+ * An observer is the only way to see the stream: `cpu.run(observer,
+ * max_steps)` and `cpu.step(observer)` take it as a template
+ * parameter, so it compiles into the step body. FetchStats is one such
+ * observer; a run that passes none (noFetch) pays for no accounting.
  */
 
 #ifndef CODECOMP_DECOMPRESS_FETCH_HH
 #define CODECOMP_DECOMPRESS_FETCH_HH
 
 #include <cstdint>
-#include <functional>
 
 namespace codecomp {
 
@@ -45,24 +39,12 @@ struct FetchEvent
     uint32_t rank = 0;
 };
 
-/** Observe every fetch-unit item; fires after the item's effects land
- *  (so @p retired and @p taken are final), including the halting Sc. */
-using FetchHook = std::function<void(const FetchEvent &event)>;
+/** The fetch observer that observes nothing: what step() and
+ *  run(max_steps) pass. */
+inline constexpr auto noFetch = [](const FetchEvent &) {};
 
-/** A fetch observer for the processors' templated run loops that
- *  forwards to @p hook when one is set: the adapter behind
- *  setFetchHook. */
-inline auto
-hookObserver(const FetchHook &hook)
-{
-    return [&hook](const FetchEvent &event) {
-        if (hook)
-            hook(event);
-    };
-}
-
-/** Fetch-path statistics (decode-efficiency discussion, paper 2.1),
- *  accumulated from the event stream. */
+/** Fetch-path statistics (decode-efficiency discussion, paper 2.1):
+ *  a fetch observer, `cpu.run(stats)`, that accumulates the stream. */
 struct FetchStats
 {
     uint64_t itemFetches = 0;     //!< slots fetched from the stream
@@ -72,7 +54,7 @@ struct FetchStats
     uint64_t takenBranches = 0;   //!< front-end redirects
 
     void
-    record(const FetchEvent &event)
+    operator()(const FetchEvent &event)
     {
         ++itemFetches;
         fetchedBytes += event.bytes;
@@ -82,8 +64,6 @@ struct FetchStats
             expandedInsts += event.retired;
         }
     }
-
-    void reset() { *this = FetchStats{}; }
 
     bool operator==(const FetchStats &) const = default;
 };

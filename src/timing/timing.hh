@@ -166,12 +166,11 @@ struct TimingReport
 
 /**
  * Consumes a processor's fetch stream (fetch.hh) and charges cycles.
- * Run the program with the timer as its fetch observer,
- * `cpu.run([&timer](const FetchEvent &e) { timer.onFetch(e); })` (or
- * through `cpu.setFetchHook(timer.hook())`), then read report(). Native
- * 4-byte fetches and variable-size codeword items go through the same
- * accounting, so compressed code's density advantage (fewer line
- * fills) and its expansion cost are both priced.
+ * Run the program with the timer behind its fetch observer,
+ * `cpu.run([&timer](const FetchEvent &e) { timer.onFetch(e); })`, then
+ * read report(). Native 4-byte fetches and variable-size codeword
+ * items go through the same accounting, so compressed code's density
+ * advantage (fewer line fills) and its expansion cost are both priced.
  */
 class FetchTimer
 {
@@ -183,14 +182,6 @@ class FetchTimer
      *  that fans one event out to several timers compiles into the
      *  processor's step loop. */
     void onFetch(const FetchEvent &event);
-
-    /** A hook bound to this timer, for Cpu/CompressedCpu::setFetchHook.
-     *  The timer must outlive the processor's use of the hook. */
-    FetchHook
-    hook()
-    {
-        return [this](const FetchEvent &event) { onFetch(event); };
-    }
 
     /** Forget everything, including cache contents. */
     void reset();

@@ -11,6 +11,7 @@
 #include "isa/disasm.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "verify/items.hh"
 
 namespace codecomp::verify {
 
@@ -59,32 +60,6 @@ profileRun(const compress::CompressedImage &image, uint64_t max_steps)
     profile.executed.assign(executed.begin(), executed.end());
     profile.redirected.assign(redirected.begin(), redirected.end());
     return profile;
-}
-
-/** Per-item original-index map and stub membership, as in the lockstep
- *  verifier: unmapped items are far-branch stub continuations and the
- *  mapped item before such a run is the (synthetic) stub head. */
-void
-classifyItems(const DecompressionEngine &engine,
-              const compress::CompressedImage &image,
-              std::vector<uint32_t> &orig_of, std::vector<bool> &is_stub)
-{
-    const std::vector<DecodedItem> &items = engine.items();
-    orig_of.assign(items.size(), noIndex);
-    for (uint32_t orig = 0; orig < image.addrMap.size(); ++orig)
-        if (image.addrMap[orig] != compress::CompressedImage::noItem)
-            orig_of[engine.itemIndexAt(image.addrMap[orig])] = orig;
-    is_stub.assign(items.size(), false);
-    uint32_t head = noIndex;
-    for (uint32_t i = 0; i < items.size(); ++i) {
-        if (orig_of[i] != noIndex) {
-            head = i;
-        } else {
-            is_stub[i] = true;
-            if (head != noIndex)
-                is_stub[head] = true;
-        }
-    }
 }
 
 /** Re-emit the whole item sequence, with per-item overrides applied by
@@ -234,9 +209,7 @@ injectBranchDisp(const compress::CompressedImage &image,
                  const DecompressionEngine &engine, const Profile &profile,
                  Rng &rng)
 {
-    std::vector<uint32_t> orig_of;
-    std::vector<bool> is_stub;
-    classifyItems(engine, image, orig_of, is_stub);
+    ItemMap map = mapItems(engine, image);
     const std::vector<DecodedItem> &items = engine.items();
 
     // Taken relative branches outside stub groups: retargeting one is
@@ -244,7 +217,7 @@ injectBranchDisp(const compress::CompressedImage &image,
     std::vector<uint32_t> candidates;
     for (uint32_t addr : profile.redirected) {
         uint32_t index = engine.itemIndexAt(addr);
-        if (is_stub[index] || items[index].isCodeword)
+        if (map.isStub[index] || items[index].isCodeword)
             continue;
         if (isa::decode(items[index].word).isRelativeBranch())
             candidates.push_back(index);
@@ -267,7 +240,7 @@ injectBranchDisp(const compress::CompressedImage &image,
     uint32_t best_index = noIndex;
     int64_t best_distance = 0;
     for (uint32_t i = 0; i < items.size(); ++i) {
-        if (orig_of[i] == noIndex || is_stub[i])
+        if (map.origOf[i] == ItemMap::noIndex || map.isStub[i])
             continue;
         int64_t target = items[i].nibbleAddr;
         if (target == old_target)

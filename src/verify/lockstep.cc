@@ -7,6 +7,7 @@
 
 #include "isa/disasm.hh"
 #include "support/logging.hh"
+#include "verify/items.hh"
 
 namespace codecomp::verify {
 
@@ -35,9 +36,9 @@ class Verifier
              const compress::CompressedImage &image,
              const LockstepConfig &config)
         : program_(program), image_(image), config_(config),
-          native_(program), compressed_(image)
+          native_(program), compressed_(image),
+          items_(mapItems(compressed_.engine(), image))
     {
-        buildItemMaps();
         // r2 is the far-branch scratch register: stubs clobber it with
         // target-address halves that exist only in the compressed
         // space, so it is incomparable whenever stubs were emitted.
@@ -47,10 +48,9 @@ class Verifier
     LockstepResult run();
 
   private:
-    static constexpr uint32_t noIndex = UINT32_MAX;
+    static constexpr uint32_t noIndex = ItemMap::noIndex;
     static constexpr uint32_t base_ = compress::CompressedImage::nibbleBase;
 
-    void buildItemMaps();
     bool equalOrMapped(uint32_t native_val, uint32_t compressed_val) const;
 
     void onRetire(const isa::Inst &inst, uint32_t item_pc, unsigned slot);
@@ -69,6 +69,7 @@ class Verifier
     void capture(const char *kind, const std::string &detail);
     [[noreturn]] void captureStop(const char *kind,
                                   const std::string &detail);
+    void addDivergence(const char *kind, const std::string &detail);
     std::vector<std::string> formatWindow(
         const std::deque<RetiredInst> &window, bool compressed) const;
 
@@ -78,11 +79,7 @@ class Verifier
     Cpu native_;
     CompressedCpu compressed_;
 
-    /** Per decoded item: the original instruction index that begins
-     *  there, or noIndex for far-branch stub continuations. */
-    std::vector<uint32_t> origOf_;
-    std::vector<bool> isStub_;      //!< item is part of a stub group
-    std::vector<uint32_t> stubEnd_; //!< head item -> one-past-end nibble
+    ItemMap items_;
 
     bool excludeR2_ = false;
     bool ctrPoisoned_ = false; //!< stub mtctr ran; CTR incomparable
@@ -105,34 +102,6 @@ class Verifier
     LockstepResult result_;
     bool stopped_ = false;
 };
-
-void
-Verifier::buildItemMaps()
-{
-    const DecompressionEngine &engine = compressed_.engine();
-    const std::vector<DecodedItem> &items = engine.items();
-
-    origOf_.assign(items.size(), noIndex);
-    for (uint32_t orig = 0; orig < image_.addrMap.size(); ++orig)
-        if (image_.addrMap[orig] != compress::CompressedImage::noItem)
-            origOf_[engine.itemIndexAt(image_.addrMap[orig])] = orig;
-
-    isStub_.assign(items.size(), false);
-    stubEnd_.assign(items.size(), 0);
-    uint32_t head = noIndex;
-    for (uint32_t i = 0; i < items.size(); ++i) {
-        if (origOf_[i] != noIndex) {
-            head = i;
-            continue;
-        }
-        // An unmapped item is a stub continuation; the preceding mapped
-        // item is the stub head that inherited the branch's identity.
-        isStub_[i] = true;
-        CC_ASSERT(head != noIndex, "compressed stream begins mid-stub");
-        isStub_[head] = true;
-        stubEnd_[head] = items[i].nibbleAddr + items[i].nibbles;
-    }
-}
 
 /**
  * Value equality modulo the code-pointer mapping: a native byte address
@@ -194,16 +163,19 @@ Verifier::formatWindow(const std::deque<RetiredInst> &window,
     return lines;
 }
 
+/** Append a divergence with both history windows to the result. */
+void
+Verifier::addDivergence(const char *kind, const std::string &detail)
+{
+    result_.divergences.push_back({kind, detail, result_.verifiedInsts,
+                                   formatWindow(nativeWindow_, false),
+                                   formatWindow(compressedWindow_, true)});
+}
+
 void
 Verifier::capture(const char *kind, const std::string &detail)
 {
-    Divergence d;
-    d.kind = kind;
-    d.detail = detail;
-    d.atInst = result_.verifiedInsts;
-    d.nativeWindow = formatWindow(nativeWindow_, false);
-    d.compressedWindow = formatWindow(compressedWindow_, true);
-    result_.divergences.push_back(std::move(d));
+    addDivergence(kind, detail);
     if (result_.divergences.size() >= config_.maxDivergences) {
         stopped_ = true;
         throw StopRun{};
@@ -213,18 +185,13 @@ Verifier::capture(const char *kind, const std::string &detail)
 void
 Verifier::captureStop(const char *kind, const std::string &detail)
 {
-    Divergence d;
-    d.kind = kind;
-    d.detail = detail;
-    d.atInst = result_.verifiedInsts;
-    d.nativeWindow = formatWindow(nativeWindow_, false);
-    d.compressedWindow = formatWindow(compressedWindow_, true);
-    result_.divergences.push_back(std::move(d));
+    addDivergence(kind, detail);
     stopped_ = true;
     throw StopRun{};
 }
 
-/** Retire hook body: every compressed instruction comes through here. */
+/** Retire observer body: every compressed instruction comes through
+ *  here. */
 void
 Verifier::onRetire(const isa::Inst &inst, uint32_t item_pc, unsigned slot)
 {
@@ -237,7 +204,7 @@ Verifier::onRetire(const isa::Inst &inst, uint32_t item_pc, unsigned slot)
     uint32_t item_index = compressed_.engine().itemIndexAt(item_pc - base_);
     const DecodedItem &item = compressed_.engine().items()[item_index];
 
-    if (isStub_[item_index]) {
+    if (items_.isStub[item_index]) {
         ++result_.syntheticInsts;
         recordCompressed(inst, item_pc, slot, true, item.isCodeword,
                          item.rank);
@@ -247,8 +214,8 @@ Verifier::onRetire(const isa::Inst &inst, uint32_t item_pc, unsigned slot)
         }
         return;
     }
-    pairedRetire(inst, item_pc, slot, origOf_[item_index], item.isCodeword,
-                 item.rank);
+    pairedRetire(inst, item_pc, slot, items_.origOf[item_index],
+                 item.isCodeword, item.rank);
 }
 
 void
@@ -468,10 +435,8 @@ Verifier::run()
         [this](uint32_t addr, unsigned bytes, uint32_t value) {
             compressedStores_.push_back({addr, bytes, value});
         });
-    compressed_.setRetireHook(
-        [this](const isa::Inst &inst, uint32_t item_pc, unsigned slot) {
-            onRetire(inst, item_pc, slot);
-        });
+    auto on_retire = [this](const isa::Inst &inst, uint32_t item_pc,
+                            unsigned slot) { onRetire(inst, item_pc, slot); };
 
     try {
         fullStateCheck("entry");
@@ -509,22 +474,22 @@ Verifier::run()
                 continue;
             }
 
-            if (!inStub_ && isStub_[item_index]) {
-                if (origOf_[item_index] == noIndex)
+            if (!inStub_ && items_.isStub[item_index]) {
+                if (items_.origOf[item_index] == noIndex)
                     captureStop("pc-map",
                                 "compressed control entered a far-branch "
                                 "stub body at nibble " +
                                     hex32(compressed_.pc()));
                 inStub_ = true;
-                stubOrig_ = origOf_[item_index];
+                stubOrig_ = items_.origOf[item_index];
                 stubStart_ = pc_nibble;
-                stubEndNibble_ = stubEnd_[item_index];
+                stubEndNibble_ = items_.stubEnd[item_index];
                 CC_ASSERT(stubEndNibble_ > stubStart_,
                           "stub head without continuation");
             }
 
             try {
-                compressed_.step();
+                compressed_.step(noFetch, on_retire);
             } catch (const MachineCheckError &e) {
                 captureStop("compressed-fault", e.what());
             } catch (const PanicError &e) {

@@ -224,25 +224,25 @@ TEST(ICacheOracle, ShiftIndexingMatchesDivisionOnEveryGeometry)
     }
 }
 
-TEST(FetchHooks, NativeFetchCountMatchesInstCount)
+TEST(FetchStream, NativeFetchCountMatchesInstCount)
 {
     Program p = workloads::buildBenchmark("compress");
     uint64_t fetches = 0;
-    Cpu cpu(p);
-    cpu.setFetchHook([&fetches](const FetchEvent &event) {
+    FetchStats stats;
+    ExecResult r = Cpu(p).run([&](const FetchEvent &event) {
         EXPECT_EQ(event.bytes, 4u);
         EXPECT_EQ(event.retired, 1u);
         EXPECT_FALSE(event.isCodeword);
         ++fetches;
+        stats(event);
     });
-    ExecResult r = cpu.run();
     EXPECT_EQ(fetches, r.instCount);
-    // The built-in accumulator agrees with the hook's view.
-    EXPECT_EQ(cpu.fetchStats().itemFetches, r.instCount);
-    EXPECT_EQ(cpu.fetchStats().fetchedBytes, r.instCount * 4);
+    // The statistics observer agrees with the raw stream.
+    EXPECT_EQ(stats.itemFetches, r.instCount);
+    EXPECT_EQ(stats.fetchedBytes, r.instCount * 4);
 }
 
-TEST(FetchHooks, CompressedFetchesAreSmallerAndFewerBytes)
+TEST(FetchStream, CompressedFetchesAreSmallerAndFewerBytes)
 {
     Program p = workloads::buildBenchmark("compress");
     compress::CompressorConfig config;
@@ -251,25 +251,21 @@ TEST(FetchHooks, CompressedFetchesAreSmallerAndFewerBytes)
     compress::CompressedImage image = compress::compressProgram(p, config);
 
     uint64_t native_bytes = 0;
-    Cpu cpu(p);
-    cpu.setFetchHook([&native_bytes](const FetchEvent &event) {
+    Cpu(p).run([&native_bytes](const FetchEvent &event) {
         native_bytes += event.bytes;
     });
-    cpu.run();
 
     uint64_t compressed_bytes = 0;
-    CompressedCpu ccpu(image);
-    ccpu.setFetchHook([&compressed_bytes](const FetchEvent &event) {
+    CompressedCpu(image).run([&compressed_bytes](const FetchEvent &event) {
         compressed_bytes += event.bytes;
     });
-    ccpu.run();
 
     // The compressed fetch stream moves strictly fewer bytes for the
     // same execution (the bandwidth argument of the paper's intro).
     EXPECT_LT(compressed_bytes, native_bytes);
 }
 
-TEST(FetchHooks, StraddlingCompressedFetchTouchesExactlyTwoLines)
+TEST(FetchStream, StraddlingCompressedFetchTouchesExactlyTwoLines)
 {
     // Variable-size compressed items land at arbitrary byte offsets, so
     // some fetches straddle a cache-line boundary. Each such fetch must
@@ -284,8 +280,7 @@ TEST(FetchHooks, StraddlingCompressedFetchTouchesExactlyTwoLines)
     ICache cache({2048, line, 2});
     uint64_t expected_touches = 0;
     uint64_t straddles = 0;
-    CompressedCpu cpu(image);
-    cpu.setFetchHook([&](const FetchEvent &event) {
+    CompressedCpu(image).run([&](const FetchEvent &event) {
         ASSERT_GE(event.bytes, 1u);
         ASSERT_LE(event.bytes, line); // an item never covers three lines
         uint32_t lines = (event.addr + event.bytes - 1) / line -
@@ -295,12 +290,11 @@ TEST(FetchHooks, StraddlingCompressedFetchTouchesExactlyTwoLines)
         expected_touches += lines;
         cache.access(event.addr, event.bytes);
     });
-    cpu.run();
     EXPECT_GT(straddles, 0u);
     EXPECT_EQ(cache.stats().accesses, expected_touches);
 }
 
-TEST(FetchHooks, CompressedCodeMissesLessInSmallCache)
+TEST(FetchStream, CompressedCodeMissesLessInSmallCache)
 {
     Program p = workloads::buildBenchmark("go");
     compress::CompressorConfig config;
@@ -310,18 +304,14 @@ TEST(FetchHooks, CompressedCodeMissesLessInSmallCache)
 
     CacheConfig geometry{2048, 32, 1};
     ICache native(geometry);
-    Cpu cpu(p);
-    cpu.setFetchHook([&native](const FetchEvent &event) {
+    Cpu(p).run([&native](const FetchEvent &event) {
         native.access(event.addr, event.bytes);
     });
-    cpu.run();
 
     ICache compressed(geometry);
-    CompressedCpu ccpu(image);
-    ccpu.setFetchHook([&compressed](const FetchEvent &event) {
+    CompressedCpu(image).run([&compressed](const FetchEvent &event) {
         compressed.access(event.addr, event.bytes);
     });
-    ccpu.run();
 
     EXPECT_LT(compressed.stats().missRate(), native.stats().missRate());
 }

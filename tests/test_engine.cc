@@ -95,9 +95,8 @@ TEST(Engine, FetchStatisticsAreConsistent)
     CompressorConfig config;
     CompressedImage image = compressProgram(p, config);
 
-    CompressedCpu cpu(image);
-    ExecResult r = cpu.run();
-    const FetchStats &stats = cpu.fetchStats();
+    FetchStats stats;
+    ExecResult r = CompressedCpu(image).run(stats);
     EXPECT_GT(stats.itemFetches, 0u);
     EXPECT_GT(stats.codewordFetches, 0u);
     EXPECT_LT(stats.codewordFetches, stats.itemFetches);

@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "codegen/codegen.hh"
 #include "compress/codec.hh"
@@ -255,9 +256,8 @@ TimingReport
 timeImage(const compress::CompressedImage &image)
 {
     FetchTimer timer(testModel());
-    CompressedCpu cpu(image);
-    cpu.setFetchHook(timer.hook());
-    cpu.run();
+    CompressedCpu(image).run(
+        [&timer](const FetchEvent &event) { timer.onFetch(event); });
     return timer.report();
 }
 
@@ -265,9 +265,8 @@ TimingReport
 timeNative(const Program &program)
 {
     FetchTimer timer(testModel());
-    Cpu cpu(program);
-    cpu.setFetchHook(timer.hook());
-    cpu.run();
+    Cpu(program).run(
+        [&timer](const FetchEvent &event) { timer.onFetch(event); });
     return timer.report();
 }
 
@@ -442,11 +441,10 @@ timeBothModels(AnyCpu &cpu)
 {
     FetchTimer flat(testModel());
     FetchTimer two(testModelL2());
-    cpu.setFetchHook([&](const FetchEvent &event) {
+    cpu.run([&](const FetchEvent &event) {
         flat.onFetch(event);
         two.onFetch(event);
     });
-    cpu.run();
     return {flat.report(), two.report()};
 }
 
@@ -483,7 +481,7 @@ TEST(TimingL2Hierarchy, AddingL2NeverIncreasesCycles)
     }
 }
 
-// ---------------- templated run loop vs the fetch hook ----------------
+// ---------------- templated run loop vs a loop over step ----------------
 
 /** FNV-1a64 over every field of every event of a fetch stream. */
 struct EventDigest
@@ -531,41 +529,49 @@ twoLevelModel()
     return config;
 }
 
-/** Run @p code with its consumers behind setFetchHook + run(), or
- *  (@p viaObserver) as the observer of the templated run(observer). */
+/** Run @p code with its consumers as the observer of run(observer),
+ *  or (@p stepwise) of step(observer) called until the processor
+ *  halts. */
 template <typename AnyCpu, typename Code>
 ObservedRun
-observe(const Code &code, bool viaObserver)
+observe(const Code &code, bool stepwise)
 {
     AnyCpu cpu(code);
+    ObservedRun run;
     EventDigest digest;
     FetchTimer timer(twoLevelModel());
-    auto consume = [&digest, &timer](const FetchEvent &event) {
+    auto consume = [&](const FetchEvent &event) {
+        run.stats(event);
         digest(event);
         timer.onFetch(event);
     };
-    ObservedRun run;
-    if (viaObserver) {
+    if (!stepwise) {
         run.result = cpu.run(consume);
     } else {
-        cpu.setFetchHook(consume);
-        run.result = cpu.run();
+        bool running = true;
+        while (running) {
+            if constexpr (std::is_same_v<AnyCpu, CompressedCpu>)
+                running = cpu.step(consume, noRetire);
+            else
+                running = cpu.step(consume);
+        }
+        run.result = {cpu.machine().output(), cpu.machine().exitCode(),
+                      cpu.instCount()};
     }
-    run.stats = cpu.fetchStats();
     run.digest = digest.hash;
     run.timing = timer.report();
     return run;
 }
 
 void
-expectSameRun(const ObservedRun &hooked, const ObservedRun &observed,
+expectSameRun(const ObservedRun &run, const ObservedRun &stepped,
               const std::string &what)
 {
-    EXPECT_EQ(hooked.result, observed.result) << what;
-    EXPECT_EQ(hooked.stats, observed.stats) << what;
-    EXPECT_EQ(hooked.digest, observed.digest) << what;
-    EXPECT_EQ(hooked.timing, observed.timing) << what;
-    EXPECT_GT(hooked.stats.itemFetches, 0u) << what;
+    EXPECT_EQ(run.result, stepped.result) << what;
+    EXPECT_EQ(run.stats, stepped.stats) << what;
+    EXPECT_EQ(run.digest, stepped.digest) << what;
+    EXPECT_EQ(run.timing, stepped.timing) << what;
+    EXPECT_GT(run.stats.itemFetches, 0u) << what;
 }
 
 class TimingObserverEquivalence
@@ -573,11 +579,11 @@ class TimingObserverEquivalence
 {
 };
 
-TEST_P(TimingObserverEquivalence, RunObserverMatchesFetchHook)
+TEST_P(TimingObserverEquivalence, RunObserverMatchesStepLoop)
 {
-    // The templated run loop and the std::function hook adapter are
-    // the same step body: identical results, fetch statistics, event
-    // streams and timing, natively and on both nibble-stream codecs.
+    // run(observer) and a loop over step(observer) share one step
+    // body: identical results, fetch statistics, event streams and
+    // timing, natively and on both nibble-stream codecs.
     Program program = workloads::buildBenchmark(GetParam());
     expectSameRun(observe<Cpu>(program, false),
                   observe<Cpu>(program, true), "native");
@@ -622,12 +628,12 @@ executed(const compress::CompressedImage &image,
     StreamView view;
     view.retired = cpu.run(
                            [&](const FetchEvent &event) {
+                               view.stats(event);
                                digest(event);
                                timer.onFetch(event);
                            },
                            max_steps)
                        .instCount;
-    view.stats = cpu.fetchStats();
     view.digest = digest.hash;
     view.timing = timer.report();
     return view;
@@ -646,7 +652,7 @@ replayed(const compress::CompressedImage &image, const Program &program,
                        .replay(
                            trace,
                            [&](const FetchEvent &event) {
-                               view.stats.record(event);
+                               view.stats(event);
                                digest(event);
                                timer.onFetch(event);
                            },

@@ -92,25 +92,27 @@ run(int argc, char **argv)
     if (hasMagic(bytes, "CCPR")) {
         Program program = loadProgram(bytes);
         Cpu cpu(program);
-        ExecResult result = cpu.run(max_steps);
+        FetchStats fetch;
+        ExecResult result =
+            stats ? cpu.run(fetch, max_steps) : cpu.run(max_steps);
         std::fputs(result.output.c_str(), stdout);
         if (stats) {
             std::fprintf(stderr, "ccrun: %llu instructions, exit %d\n",
                          static_cast<unsigned long long>(result.instCount),
                          result.exitCode);
             std::fprintf(stderr, "CCRUN_JSON: %s\n",
-                         statsJson("ccp", result, cpu.fetchStats())
-                             .c_str());
+                         statsJson("ccp", result, fetch).c_str());
         }
         return result.exitCode & 0xff;
     }
     if (hasMagic(bytes, "CCIM")) {
         compress::CompressedImage image = loadImage(bytes);
         CompressedCpu cpu(image);
-        ExecResult result = cpu.run(max_steps);
+        FetchStats fetch;
+        ExecResult result =
+            stats ? cpu.run(fetch, max_steps) : cpu.run(max_steps);
         std::fputs(result.output.c_str(), stdout);
         if (stats) {
-            const FetchStats &fetch = cpu.fetchStats();
             std::fprintf(
                 stderr,
                 "ccrun: %llu instructions (%llu fetches, %llu "

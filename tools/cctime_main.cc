@@ -167,14 +167,16 @@ run(int argc, char **argv)
     compress::CompressedImage image = loadImage(readFile(imagePath));
 
     timing::FetchTimer nativeTimer(config);
-    Cpu cpu(program);
-    cpu.setFetchHook(nativeTimer.hook());
-    ExecResult nativeResult = cpu.run(max_steps);
+    ExecResult nativeResult = Cpu(program).run(
+        [&nativeTimer](const FetchEvent &e) { nativeTimer.onFetch(e); },
+        max_steps);
 
     timing::FetchTimer compressedTimer(config);
-    CompressedCpu ccpu(image);
-    ccpu.setFetchHook(compressedTimer.hook());
-    ExecResult compressedResult = ccpu.run(max_steps);
+    ExecResult compressedResult = CompressedCpu(image).run(
+        [&compressedTimer](const FetchEvent &e) {
+            compressedTimer.onFetch(e);
+        },
+        max_steps);
 
     if (nativeResult.output != compressedResult.output ||
         nativeResult.exitCode != compressedResult.exitCode) {
