@@ -44,7 +44,7 @@ constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
 constexpr uint16_t kStoreVersion = 2;
 
 uint64_t
-approxSelectionBytes(const CachedSelection &cached)
+approxSelectionBytes(const SelectProduct &cached)
 {
     uint64_t bytes = 16;
     for (const auto &entry : cached.selection.dict.entries)
@@ -114,11 +114,11 @@ parseCandidates(ByteSource &source)
     return set;
 }
 
-CachedSelection
+SelectProduct
 parseSelection(ByteSource &source)
 {
     source.setContext("cached selection");
-    CachedSelection cached;
+    SelectProduct cached;
     cached.selection.dict.entries.resize(source.get32());
     for (auto &entry : cached.selection.dict.entries) {
         entry.resize(source.get32());
@@ -163,7 +163,7 @@ serializeCandidates(const CandidateSet &candidates)
 }
 
 std::vector<uint8_t>
-serializeSelection(const CachedSelection &cached)
+serializeSelection(const SelectProduct &cached)
 {
     ByteSink sink;
     sink.put32(
@@ -184,6 +184,27 @@ serializeSelection(const CachedSelection &cached)
         sink.put32(count);
     sink.put32(cached.rounds);
     return sink.take();
+}
+
+const std::array<PipelineCache::Stats::Field, 9>
+    PipelineCache::Stats::fields = {{
+        {"enum_hits", &Stats::enumHits},
+        {"enum_misses", &Stats::enumMisses},
+        {"select_hits", &Stats::selectHits},
+        {"select_misses", &Stats::selectMisses},
+        {"evictions", &Stats::evictions},
+        {"persist_hits", &Stats::persistHits},
+        {"persist_misses", &Stats::persistMisses},
+        {"persist_stores", &Stats::persistStores},
+        {"persist_corrupt", &Stats::persistCorrupt},
+    }};
+
+PipelineCache::Stats &
+PipelineCache::Stats::operator+=(const Stats &other)
+{
+    for (const Field &field : fields)
+        this->*field.member += other.*field.member;
+    return *this;
 }
 
 uint64_t
@@ -217,72 +238,66 @@ PipelineCache::selectKey(uint64_t programHash,
                        config.refitMaxRounds});
 }
 
+PipelineCache::Entry
+PipelineCache::find(Kind kind, uint64_t key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    bool enumerate = kind == Kind::Enumerate;
+    EntryKey entryKey{static_cast<uint8_t>(kind), key};
+    auto it = entries_.find(entryKey);
+    if (it != entries_.end()) {
+        ++(enumerate ? stats_.enumHits : stats_.selectHits);
+        touchLocked(it->second, entryKey);
+        return it->second;
+    }
+    Entry loaded;
+    if (loadFromDiskLocked(kind, key, loaded)) {
+        ++(enumerate ? stats_.enumHits : stats_.selectHits);
+        insertLocked(kind, key, loaded);
+        return loaded;
+    }
+    ++(enumerate ? stats_.enumMisses : stats_.selectMisses);
+    return {};
+}
+
 std::shared_ptr<const CandidateSet>
 PipelineCache::findCandidates(uint64_t key)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EntryKey entryKey{static_cast<uint8_t>(Kind::Enumerate), key};
-    auto it = entries_.find(entryKey);
-    if (it != entries_.end()) {
-        ++stats_.enumHits;
-        touchLocked(it->second, entryKey);
-        return it->second.candidates;
-    }
-    Entry loaded;
-    if (loadFromDiskLocked(Kind::Enumerate, key, loaded)) {
-        ++stats_.enumHits;
-        std::shared_ptr<const CandidateSet> product = loaded.candidates;
-        insertLocked(Kind::Enumerate, key, std::move(loaded));
-        return product;
-    }
-    ++stats_.enumMisses;
-    return nullptr;
+    return find(Kind::Enumerate, key).candidates;
 }
 
-std::shared_ptr<const CachedSelection>
+std::shared_ptr<const SelectProduct>
 PipelineCache::findSelection(uint64_t key)
 {
+    return find(Kind::Select, key).selection;
+}
+
+void
+PipelineCache::store(Kind kind, uint64_t key, Entry entry)
+{
     std::lock_guard<std::mutex> lock(mutex_);
-    EntryKey entryKey{static_cast<uint8_t>(Kind::Select), key};
-    auto it = entries_.find(entryKey);
-    if (it != entries_.end()) {
-        ++stats_.selectHits;
-        touchLocked(it->second, entryKey);
-        return it->second.selection;
-    }
-    Entry loaded;
-    if (loadFromDiskLocked(Kind::Select, key, loaded)) {
-        ++stats_.selectHits;
-        std::shared_ptr<const CachedSelection> product = loaded.selection;
-        insertLocked(Kind::Select, key, std::move(loaded));
-        return product;
-    }
-    ++stats_.selectMisses;
-    return nullptr;
+    persistLocked(kind, key, entry);
+    insertLocked(kind, key, std::move(entry));
 }
 
 void
 PipelineCache::storeCandidates(
     uint64_t key, std::shared_ptr<const CandidateSet> candidates)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Entry entry;
     entry.bytes = candidates->bytes();
     entry.candidates = std::move(candidates);
-    persistLocked(Kind::Enumerate, key, entry);
-    insertLocked(Kind::Enumerate, key, std::move(entry));
+    store(Kind::Enumerate, key, std::move(entry));
 }
 
 void
-PipelineCache::storeSelection(
-    uint64_t key, std::shared_ptr<const CachedSelection> selection)
+PipelineCache::storeSelection(uint64_t key,
+                              std::shared_ptr<const SelectProduct> selection)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Entry entry;
     entry.bytes = approxSelectionBytes(*selection);
     entry.selection = std::move(selection);
-    persistLocked(Kind::Select, key, entry);
-    insertLocked(Kind::Select, key, std::move(entry));
+    store(Kind::Select, key, std::move(entry));
 }
 
 void
@@ -450,7 +465,7 @@ PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
                 parseCandidates(body));
             out.bytes = out.candidates->bytes();
         } else {
-            out.selection = std::make_shared<const CachedSelection>(
+            out.selection = std::make_shared<const SelectProduct>(
                 parseSelection(body));
             out.bytes = approxSelectionBytes(*out.selection);
         }

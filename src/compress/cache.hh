@@ -37,13 +37,14 @@
  *    damage can degrade throughput but can never alter a result.
  *
  * A PipelineCache is attached to a compression through
- * PipelineContext::cache (pipeline.hh); a null cache leaves the
- * pipeline exactly as before.
+ * compressProgram (compressor.hh); a null cache leaves the
+ * compression exactly as before.
  */
 
 #ifndef CODECOMP_COMPRESS_CACHE_HH
 #define CODECOMP_COMPRESS_CACHE_HH
 
+#include <array>
 #include <list>
 #include <map>
 #include <memory>
@@ -57,14 +58,6 @@
 #include "compress/selection.hh"
 
 namespace codecomp::compress {
-
-/** A cached Select product: the selection plus the strategy's round
- *  count (so cached stats report the rounds the original run took). */
-struct CachedSelection
-{
-    SelectionResult selection;
-    uint32_t rounds = 1;
-};
 
 class PipelineCache
 {
@@ -81,6 +74,20 @@ class PipelineCache
         uint64_t persistMisses = 0;  //!< misses disk could not serve
         uint64_t persistStores = 0;  //!< entry files written
         uint64_t persistCorrupt = 0; //!< damaged files quarantined
+
+        /** One counter: its report key and its member. */
+        struct Field
+        {
+            const char *name;
+            uint64_t Stats::*member;
+        };
+
+        /** The counters in their one fixed order, which is the farm
+         *  worker result's byte layout and the order of the farm
+         *  report's cache_stats keys. */
+        static const std::array<Field, 9> fields;
+
+        Stats &operator+=(const Stats &other);
     };
 
     /** FNV-1a64 over the program's serialized bytes -- the
@@ -101,14 +108,14 @@ class PipelineCache
     std::shared_ptr<const CandidateSet> findCandidates(uint64_t key);
 
     /** Cached selection for @p key, or null on a miss (counted). */
-    std::shared_ptr<const CachedSelection> findSelection(uint64_t key);
+    std::shared_ptr<const SelectProduct> findSelection(uint64_t key);
 
     /** Store a product; the first store for a key wins and later ones
      *  are dropped (concurrent fills compute identical values). */
     void storeCandidates(uint64_t key,
                          std::shared_ptr<const CandidateSet> candidates);
     void storeSelection(uint64_t key,
-                        std::shared_ptr<const CachedSelection> selection);
+                        std::shared_ptr<const SelectProduct> selection);
 
     /**
      * Bound the in-memory footprint: at most @p maxEntries products
@@ -144,10 +151,15 @@ class PipelineCache
     struct Entry
     {
         std::shared_ptr<const CandidateSet> candidates;
-        std::shared_ptr<const CachedSelection> selection;
+        std::shared_ptr<const SelectProduct> selection;
         uint64_t bytes = 0;
         std::list<EntryKey>::iterator lruIt;
     };
+
+    /** The shared bodies of findCandidates/findSelection and
+     *  storeCandidates/storeSelection. */
+    Entry find(Kind kind, uint64_t key);
+    void store(Kind kind, uint64_t key, Entry entry);
 
     /** Insert (or refresh) under the lock, applying the caps. */
     void insertLocked(Kind kind, uint64_t key, Entry entry);
@@ -174,7 +186,7 @@ class PipelineCache
  *  persistent store's entry files (format in cache.cc). Exposed for
  *  the corruption tests, which build damaged payloads on purpose. */
 std::vector<uint8_t> serializeCandidates(const CandidateSet &candidates);
-std::vector<uint8_t> serializeSelection(const CachedSelection &selection);
+std::vector<uint8_t> serializeSelection(const SelectProduct &selection);
 /** @} */
 
 } // namespace codecomp::compress

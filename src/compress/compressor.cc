@@ -1,5 +1,8 @@
 #include "compress/compressor.hh"
 
+#include <chrono>
+#include <iterator>
+
 #include "compress/pipeline.hh"
 
 namespace codecomp::compress {
@@ -24,18 +27,57 @@ parseLayoutModeName(std::string_view name)
     return std::nullopt;
 }
 
-CompressedImage
-compressProgram(const Program &program, const CompressorConfig &config)
+namespace {
+
+/** The passes in order; compressWithSelection starts at RankAssign. */
+constexpr struct
 {
-    return compressProgram(program, config, nullptr);
+    const char *name;
+    void (*run)(PipelineContext &);
+} kPasses[] = {
+    {"Enumerate", passEnumerate},
+    {"Select", passSelect},
+    {"RankAssign", passRankAssign},
+    {"Layout", passLayout},
+    {"BranchPatch", passBranchPatch},
+    {"Emit", passEmit},
+};
+constexpr size_t kFirstPassAfterSelect = 2;
+
+/** Run kPasses from @p first on, timing each into the returned stats. */
+PipelineStats
+runPasses(PipelineContext &ctx, size_t first)
+{
+    PipelineStats stats;
+    stats.strategy = strategyName(ctx.config.strategy);
+    stats.scheme = schemeName(ctx.config.scheme);
+    stats.passes.reserve(std::size(kPasses) - first);
+    for (size_t i = first; i < std::size(kPasses); ++i) {
+        PassStats &record = stats.passes.emplace_back();
+        record.name = kPasses[i].name;
+        ctx.activePass = &record;
+        auto start = std::chrono::steady_clock::now();
+        kPasses[i].run(ctx);
+        auto end = std::chrono::steady_clock::now();
+        ctx.activePass = nullptr;
+        record.millis =
+            std::chrono::duration<double, std::milli>(end - start).count();
+    }
+    stats.selectionRounds = ctx.selection.rounds;
+    return stats;
 }
+
+} // namespace
 
 CompressedImage
 compressProgram(const Program &program, const CompressorConfig &config,
-                PipelineStats *stats)
+                PipelineStats *stats, PipelineCache *cache,
+                uint64_t programHash)
 {
     PipelineContext ctx(program, config);
-    PipelineStats run = Pipeline::standard().run(ctx);
+    ctx.cache = cache;
+    ctx.programHash = programHash;
+    PipelineStats run = runPasses(ctx, 0);
     if (stats)
         *stats = std::move(run);
     return std::move(ctx.image);
@@ -46,8 +88,8 @@ compressWithSelection(const Program &program, const CompressorConfig &config,
                       SelectionResult selection)
 {
     PipelineContext ctx(program, config);
-    ctx.selection = std::move(selection);
-    Pipeline::fromSelection().run(ctx);
+    ctx.selection.selection = std::move(selection);
+    runPasses(ctx, kFirstPassAfterSelect);
     return std::move(ctx.image);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * The compressor entry points: thin wrappers over the pass pipeline
- * (pipeline.hh) that runs selection + codeword assignment + layout with
- * branch patching (paper section 3).
+ * The compressor entry points: selection + codeword assignment +
+ * layout with branch patching (paper section 3), run as the fixed pass
+ * sequence of pipeline.hh.
  *
  * Branch handling follows section 3.2: relative branches are never
  * compressed; after layout their offset fields are reinterpreted at
@@ -27,6 +27,7 @@
 
 namespace codecomp::compress {
 
+class PipelineCache;
 struct PipelineStats;
 
 /**
@@ -86,18 +87,22 @@ struct CompressorConfig
     std::vector<uint64_t> trafficProfile;
 };
 
-/** Compress @p program; the result is executable on CompressedCpu. */
-CompressedImage compressProgram(const Program &program,
-                                const CompressorConfig &config);
-
-/** compressProgram, also reporting per-pass timing and counters into
- *  @p stats when non-null. */
+/**
+ * Compress @p program; the result is executable on CompressedCpu.
+ * Reports per-pass timing and counters into @p stats when non-null.
+ * With a @p cache, Enumerate and Select products are looked up in and
+ * stored into it under @p programHash, which must hold
+ * PipelineCache::programHash(program); the image is the same either
+ * way.
+ */
 CompressedImage compressProgram(const Program &program,
                                 const CompressorConfig &config,
-                                PipelineStats *stats);
+                                PipelineStats *stats = nullptr,
+                                PipelineCache *cache = nullptr,
+                                uint64_t programHash = 0);
 
 /** Compress with a pre-computed selection (used by ablation benches);
- *  runs the pipeline from the RankAssign pass on. */
+ *  runs the passes from RankAssign on. */
 CompressedImage compressWithSelection(const Program &program,
                                       const CompressorConfig &config,
                                       SelectionResult selection);

@@ -1,9 +1,9 @@
 #include "compress/pipeline.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "isa/builder.hh"
+#include "program/cfg.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -450,8 +450,6 @@ PipelineContext::PipelineContext(const Program &prog,
     std::string error = greedyConfigError(greedy);
     if (!error.empty())
         CC_FATAL("invalid compressor config: ", error);
-    strategy = makeStrategy(config.strategy,
-                            RefitOptions{config.refitMaxRounds});
 }
 
 PipelineContext::~PipelineContext() = default;
@@ -471,64 +469,52 @@ passEnumerate(PipelineContext &ctx)
     if (ctx.cache) {
         // A cached Select product supersedes enumeration: nothing
         // downstream of Select reads the candidates.
-        ctx.cachedSelection = ctx.cache->findSelection(
-            PipelineCache::selectKey(ctx.programHash, ctx.config));
-        if (ctx.cachedSelection) {
+        std::shared_ptr<const SelectProduct> selected =
+            ctx.cache->findSelection(
+                PipelineCache::selectKey(ctx.programHash, ctx.config));
+        if (selected) {
+            ctx.selection = *selected;
             ctx.counter("select_cache_hit", 1);
             return;
         }
-        uint64_t key =
-            PipelineCache::enumerateKey(ctx.programHash, ctx.config);
-        ctx.sharedCandidates = ctx.cache->findCandidates(key);
-        if (ctx.sharedCandidates) {
+        ctx.candidates = ctx.cache->findCandidates(
+            PipelineCache::enumerateKey(ctx.programHash, ctx.config));
+        if (ctx.candidates) {
             ctx.counter("enumerate_cache_hit", 1);
-            ctx.counter("candidates", ctx.sharedCandidates->size());
+            ctx.counter("candidates", ctx.candidates->size());
             return;
         }
     }
-    ctx.cfg = Cfg::build(ctx.program);
-    ctx.candidates =
-        enumerateCandidates(ctx.program, *ctx.cfg, ctx.greedy.minEntryLen,
-                            ctx.greedy.maxEntryLen);
-    ctx.counter("blocks", ctx.cfg->blocks().size());
-    ctx.counter("candidates", ctx.candidates.size());
-    ctx.counter("candidate_bytes", ctx.candidates.bytes());
-    if (ctx.cache) {
-        auto computed =
-            std::make_shared<CandidateSet>(std::move(ctx.candidates));
-        ctx.candidates = {};
-        ctx.sharedCandidates = computed;
+    Cfg cfg = Cfg::build(ctx.program);
+    auto computed = std::make_shared<const CandidateSet>(
+        enumerateCandidates(ctx.program, cfg, ctx.greedy.minEntryLen,
+                            ctx.greedy.maxEntryLen));
+    ctx.counter("blocks", cfg.blocks().size());
+    ctx.counter("candidates", computed->size());
+    ctx.counter("candidate_bytes", computed->bytes());
+    if (ctx.cache)
         ctx.cache->storeCandidates(
             PipelineCache::enumerateKey(ctx.programHash, ctx.config),
-            std::move(computed));
-    }
+            computed);
+    ctx.candidates = std::move(computed);
 }
 
 void
 passSelect(PipelineContext &ctx)
 {
-    if (ctx.cachedSelection) {
-        ctx.selection = ctx.cachedSelection->selection;
-        ctx.selectionRoundsOverride = ctx.cachedSelection->rounds;
-    } else {
-        ctx.selection = ctx.strategy->select(ctx.program.text.size(),
-                                             ctx.candidateList(),
-                                             ctx.greedy,
-                                             ctx.config.scheme);
-        if (ctx.cache) {
-            auto computed = std::make_shared<CachedSelection>();
-            computed->selection = ctx.selection;
-            computed->rounds = ctx.strategy->rounds();
+    if (ctx.candidates) {
+        ctx.selection = selectDictionary(
+            ctx.config.strategy, ctx.config.refitMaxRounds, *ctx.candidates,
+            ctx.greedy, ctx.config.scheme);
+        if (ctx.cache)
             ctx.cache->storeSelection(
                 PipelineCache::selectKey(ctx.programHash, ctx.config),
-                std::move(computed));
-        }
+                std::make_shared<const SelectProduct>(ctx.selection));
     }
-    ctx.counter("entries", ctx.selection.dict.entries.size());
-    ctx.counter("placements", ctx.selection.placements.size());
-    ctx.counter("rounds", ctx.selectionRoundsOverride
-                              ? ctx.selectionRoundsOverride
-                              : ctx.strategy->rounds());
+    const SelectionResult &selection = ctx.selection.selection;
+    ctx.counter("entries", selection.dict.entries.size());
+    ctx.counter("placements", selection.placements.size());
+    ctx.counter("rounds", ctx.selection.rounds);
 }
 
 void
@@ -539,11 +525,12 @@ passRankAssign(PipelineContext &ctx)
     image.scheme = ctx.config.scheme;
     image.originalTextBytes = ctx.program.textBytes();
     image.dataBase = ctx.program.dataBase;
-    image.rankOfEntry = rankByUseCount(ctx.selection);
-    image.entriesByRank.resize(ctx.selection.dict.entries.size());
-    for (uint32_t id = 0; id < ctx.selection.dict.entries.size(); ++id)
+    const SelectionResult &selection = ctx.selection.selection;
+    image.rankOfEntry = rankByUseCount(selection);
+    image.entriesByRank.resize(selection.dict.entries.size());
+    for (uint32_t id = 0; id < selection.dict.entries.size(); ++id)
         image.entriesByRank[image.rankOfEntry[id]] =
-            ctx.selection.dict.entries[id];
+            selection.dict.entries[id];
     ctx.counter("entries", image.entriesByRank.size());
 }
 
@@ -552,7 +539,7 @@ passLayout(PipelineContext &ctx)
 {
     ctx.layout = std::make_unique<LayoutWork>(ctx.program, ctx.params,
                                               ctx.config.scheme,
-                                              ctx.selection,
+                                              ctx.selection.selection,
                                               ctx.image.rankOfEntry);
     if (ctx.config.layout == LayoutMode::HotCold) {
         if (ctx.config.trafficProfile.size() != ctx.program.text.size())
@@ -564,7 +551,7 @@ passLayout(PipelineContext &ctx)
                      "timing::profileExecutionCounts first");
         bool reverted = false;
         uint32_t moved = ctx.layout->reorderHotCold(
-            ctx.selection, ctx.config.trafficProfile, &reverted);
+            ctx.selection.selection, ctx.config.trafficProfile, &reverted);
         ctx.counter("layout_chains_moved", moved);
         if (reverted)
             ctx.counter("layout_reverted", 1);
@@ -592,7 +579,7 @@ passEmit(PipelineContext &ctx)
     CompressedImage &image = ctx.image;
     LayoutWork &layout = *ctx.layout;
     const SchemeCodec &codec = schemeCodec(ctx.config.scheme);
-    image.selection = std::move(ctx.selection);
+    image.selection = std::move(ctx.selection.selection);
 
     auto account = [&image](const EmitAccounting &accounting) {
         image.composition.insnNibbles += accounting.insnNibbles;
@@ -665,65 +652,6 @@ passEmit(PipelineContext &ctx)
     }
     ctx.counter("text_nibbles", image.textNibbles);
     ctx.counter("code_relocs", ctx.program.codeRelocs.size());
-}
-
-// ---- pipeline ----
-
-Pipeline &
-Pipeline::addPass(std::string name, PassFn fn)
-{
-    passes_.push_back({std::move(name), std::move(fn)});
-    return *this;
-}
-
-PipelineStats
-Pipeline::run(PipelineContext &ctx) const
-{
-    PipelineStats stats;
-    stats.scheme = schemeName(ctx.config.scheme);
-    stats.passes.reserve(passes_.size());
-    for (const Pass &pass : passes_) {
-        PassStats &record = stats.passes.emplace_back();
-        record.name = pass.name;
-        ctx.activePass = &record;
-        auto start = std::chrono::steady_clock::now();
-        pass.fn(ctx);
-        auto end = std::chrono::steady_clock::now();
-        ctx.activePass = nullptr;
-        record.millis =
-            std::chrono::duration<double, std::milli>(end - start).count();
-    }
-    if (ctx.strategy) {
-        stats.strategy = ctx.strategy->name();
-        stats.selectionRounds = ctx.selectionRoundsOverride
-                                    ? ctx.selectionRoundsOverride
-                                    : ctx.strategy->rounds();
-    }
-    return stats;
-}
-
-Pipeline
-Pipeline::standard()
-{
-    Pipeline pipeline;
-    pipeline.addPass("Enumerate", passEnumerate)
-        .addPass("Select", passSelect)
-        .addPass("RankAssign", passRankAssign)
-        .addPass("Layout", passLayout)
-        .addPass("BranchPatch", passBranchPatch)
-        .addPass("Emit", passEmit);
-    return pipeline;
-}
-
-Pipeline
-Pipeline::fromSelection()
-{
-    Pipeline pipeline;
-    pipeline.addPass("RankAssign", passRankAssign)
-        .addPass("Layout", passLayout)
-        .addPass("BranchPatch", passBranchPatch)
-        .addPass("Emit", passEmit);
-    return pipeline;
 }
 
 } // namespace codecomp::compress

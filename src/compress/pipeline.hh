@@ -1,30 +1,28 @@
 /**
  * @file
- * The compression pipeline: an explicit sequence of named passes over a
- * shared PipelineContext, with per-pass wall time and counters.
+ * The compression passes: six named steps over a shared
+ * PipelineContext, each timed with its counters into PassStats.
  *
- * The passes, in order (Pipeline::standard()):
+ * The passes, in order:
  *
  *   Enumerate   - CFG construction + candidate enumeration
- *   Select      - dictionary selection through the configured
- *                 SelectionStrategy (strategy.hh)
+ *   Select      - dictionary selection under the configured
+ *                 StrategyKind (selectDictionary, strategy.hh)
  *   RankAssign  - frequency ranking, rank-ordered dictionary
  *   Layout      - compressed-stream item list + initial addresses
  *   BranchPatch - far-branch stub expansion to fixpoint
  *   Emit        - nibble-stream emission + jump-table re-patching
  *
- * compressProgram()/compressWithSelection() (compressor.hh) are thin
- * wrappers over Pipeline::standard()/Pipeline::fromSelection(); callers
- * that want the per-pass breakdown run the pipeline directly or use the
- * stats-returning compressProgram overload.
+ * compressProgram() (compressor.hh) runs all six from one fixed table
+ * of names and pass functions; compressWithSelection() runs the last
+ * four over a caller's selection. The pass functions are exposed for
+ * tests that step through them by hand.
  */
 
 #ifndef CODECOMP_COMPRESS_PIPELINE_HH
 #define CODECOMP_COMPRESS_PIPELINE_HH
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "compress/candidates.hh"
 #include "compress/compressor.hh"
 #include "compress/strategy.hh"
-#include "program/cfg.hh"
 
 namespace codecomp::compress {
 
@@ -56,7 +53,7 @@ struct PassStats
 /** Run record of one pipeline execution. */
 struct PipelineStats
 {
-    std::string strategy; //!< SelectionStrategy name, "" if preselected
+    std::string strategy; //!< strategyName(config.strategy)
     std::string scheme;
     uint32_t selectionRounds = 1;
     std::vector<PassStats> passes;
@@ -73,7 +70,7 @@ struct PipelineStats
 /**
  * Everything the passes share. Constructing a context validates the
  * derived selection config (fatal on nonsense like minEntryLen >
- * maxEntryLen) and instantiates the configured strategy.
+ * maxEntryLen).
  */
 struct PipelineContext
 {
@@ -87,78 +84,35 @@ struct PipelineContext
     SchemeParams params;
     GreedyConfig greedy; //!< derived: clipped maxEntries, scheme costs
 
-    std::unique_ptr<SelectionStrategy> strategy;
-
     /**
      * Optional Enumerate/Select result cache (cache.hh), shared across
      * compressions (the farm attaches one per corpus run). When set,
      * @p programHash must hold PipelineCache::programHash(program);
-     * products land in sharedCandidates / cachedSelection instead of
-     * being recomputed. Null leaves the pipeline byte-for-byte as
-     * before -- and cached runs produce bit-identical images anyway,
-     * because both cached stages are deterministic in the key.
+     * cached products are used instead of being recomputed. Null
+     * leaves the passes byte-for-byte as before -- and cached runs
+     * produce bit-identical images anyway, because both cached stages
+     * are deterministic in the key.
      */
     PipelineCache *cache = nullptr;
     uint64_t programHash = 0;
 
     // ---- pass products ----
-    std::optional<Cfg> cfg;            //!< Enumerate
-    CandidateSet candidates;           //!< Enumerate
-    /** Enumerate product when served by (or stored into) the cache. */
-    std::shared_ptr<const CandidateSet> sharedCandidates;
-    /** Select product when the cache already held it (set during
-     *  Enumerate, consumed by Select). */
-    std::shared_ptr<const CachedSelection> cachedSelection;
-    /** Rounds to report when Select was served from cache (0 = ask the
-     *  strategy, as before). */
-    uint32_t selectionRoundsOverride = 0;
-    SelectionResult selection;         //!< Select (or seeded by caller)
+    /** Enumerate: the candidates, computed or shared with the cache.
+     *  Stays null when the cache already held the Select product:
+     *  Enumerate then fills @p selection and Select keeps it. */
+    std::shared_ptr<const CandidateSet> candidates;
+    SelectProduct selection;            //!< Select (or seeded by caller)
     std::unique_ptr<LayoutWork> layout; //!< Layout..Emit
-    CompressedImage image;             //!< RankAssign..Emit
-
-    /** The enumerated candidates, wherever they live. */
-    const CandidateSet &
-    candidateList() const
-    {
-        return sharedCandidates ? *sharedCandidates : candidates;
-    }
+    CompressedImage image;              //!< RankAssign..Emit
 
     /** Record a counter on the pass currently running (no-op when the
-     *  pass functions are called outside Pipeline::run). */
+     *  pass functions are called one by one). */
     void counter(std::string name, uint64_t value);
 
     PassStats *activePass = nullptr;
 };
 
-/** An ordered list of named passes. */
-class Pipeline
-{
-  public:
-    using PassFn = std::function<void(PipelineContext &)>;
-
-    Pipeline &addPass(std::string name, PassFn fn);
-
-    /** Run every pass in order, timing each; ctx.image holds the
-     *  compressed program afterwards. */
-    PipelineStats run(PipelineContext &ctx) const;
-
-    /** The full six-pass compression pipeline. */
-    static Pipeline standard();
-
-    /** RankAssign..Emit only, for a caller-seeded ctx.selection. */
-    static Pipeline fromSelection();
-
-  private:
-    struct Pass
-    {
-        std::string name;
-        PassFn fn;
-    };
-
-    std::vector<Pass> passes_;
-};
-
-// The standard passes, exposed individually for tests.
+// The six passes, exposed individually for tests.
 void passEnumerate(PipelineContext &ctx);
 void passSelect(PipelineContext &ctx);
 void passRankAssign(PipelineContext &ctx);

@@ -11,18 +11,62 @@ namespace codecomp::compress {
 
 namespace {
 
-class GreedyStrategy : public SelectionStrategy
+/** Every uniform codeword width the scheme's encoding can produce,
+ *  except the width greedy already assumed in round 0. */
+std::vector<unsigned>
+alternativeWidths(const GreedyConfig &config, Scheme scheme)
 {
-  public:
-    const char *name() const override { return "greedy"; }
-
-    SelectionResult
-    select(size_t textSize, const CandidateSet &candidates,
-           const GreedyConfig &config, Scheme) override
-    {
-        return selectGreedyFromCandidates(textSize, candidates, config);
+    std::vector<unsigned> widths;
+    unsigned max = schemeParams(scheme).maxCodewords;
+    for (uint32_t rank = 0; rank < max; ++rank) {
+        unsigned width = codewordNibbles(scheme, rank);
+        if (width != config.codewordNibbles &&
+            (widths.empty() || widths.back() != width))
+            widths.push_back(width);
     }
-};
+    return widths;
+}
+
+/** True per-candidate codeword costs under @p previous's frequency
+ *  ranking: actual rank width for previously selected sequences
+ *  (entry e is candidate previousIds[e]), predicted rank width (by
+ *  standalone occurrence count) for the rest. */
+std::vector<uint32_t>
+rankDerivedCosts(const CandidateSet &candidates,
+                 const SelectionResult &previous,
+                 const std::vector<uint32_t> &previousIds, Scheme scheme)
+{
+    std::vector<uint32_t> rank_of_entry = rankByUseCount(previous);
+    constexpr uint32_t kUnselected = UINT32_MAX;
+    std::vector<uint32_t> rank_of_cand(candidates.size(), kUnselected);
+    for (uint32_t e = 0; e < previousIds.size(); ++e)
+        rank_of_cand[previousIds[e]] = rank_of_entry[e];
+
+    // useCount sorted descending IS the rank order; an unselected
+    // candidate with occ occurrences would slot in after every
+    // entry used more than occ times.
+    std::vector<uint32_t> by_rank = previous.useCount;
+    std::sort(by_rank.begin(), by_rank.end(), std::greater<>());
+
+    std::vector<uint32_t> costs(candidates.size());
+    for (uint32_t id = 0; id < candidates.size(); ++id) {
+        const Candidate &cand = candidates[id];
+        uint32_t rank = rank_of_cand[id];
+        if (rank == kUnselected) {
+            uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
+                                               cand.len, {});
+            rank = static_cast<uint32_t>(
+                std::upper_bound(by_rank.begin(), by_rank.end(), occ,
+                                 std::greater<>()) -
+                by_rank.begin());
+            // A full dictionary predicts one-past-the-last rank;
+            // price it like the widest real codeword.
+            rank = std::min(rank, schemeParams(scheme).maxCodewords - 1);
+        }
+        costs[id] = codewordNibbles(scheme, rank);
+    }
+    return costs;
+}
 
 /**
  * Rank-aware cost refit. Greedy selection prices every codeword at one
@@ -54,130 +98,57 @@ class GreedyStrategy : public SelectionStrategy
  *    count would earn in that ranking. The loop stops when a round
  *    fails to improve the estimate or the round budget is exhausted.
  */
-class IterativeRefitStrategy : public SelectionStrategy
+SelectProduct
+selectRefit(uint32_t maxRounds, const CandidateSet &candidates,
+            const GreedyConfig &config, Scheme scheme)
 {
-  public:
-    explicit IterativeRefitStrategy(const RefitOptions &options)
-        : options_(options)
-    {}
+    size_t textSize = candidates.text.size();
+    SelectProduct best;
+    // best_ids[e]: the candidate behind entry e of best.
+    std::vector<uint32_t> best_ids;
+    best.selection = selectGreedyFromCandidates(textSize, candidates,
+                                                config, {}, &best_ids);
+    uint64_t best_estimate =
+        estimateSelectionNibbles(best.selection, config, scheme, textSize);
+    uint32_t budget = maxRounds;
 
-    const char *name() const override { return "refit"; }
-
-    uint32_t rounds() const override { return rounds_; }
-
-    SelectionResult
-    select(size_t textSize, const CandidateSet &candidates,
-           const GreedyConfig &config, Scheme scheme) override
-    {
-        // best_ids[e]: the candidate behind entry e of best.
-        std::vector<uint32_t> best_ids;
-        SelectionResult best = selectGreedyFromCandidates(
-            textSize, candidates, config, {}, &best_ids);
-        uint64_t best_estimate =
-            estimateSelectionNibbles(best, config, scheme, textSize);
-        rounds_ = 1;
-        uint32_t budget = options_.maxRounds;
-
-        for (unsigned width : alternativeWidths(config, scheme)) {
-            if (budget == 0)
-                break;
-            GreedyConfig biased = config;
-            biased.codewordNibbles = width;
-            std::vector<uint32_t> ids;
-            SelectionResult result = selectGreedyFromCandidates(
-                textSize, candidates, biased, {}, &ids);
-            uint64_t estimate =
-                estimateSelectionNibbles(result, config, scheme, textSize);
-            ++rounds_;
-            --budget;
-            if (estimate < best_estimate) {
-                best = std::move(result);
-                best_ids = std::move(ids);
-                best_estimate = estimate;
-            }
-        }
-
-        while (budget > 0) {
-            std::vector<uint32_t> costs =
-                rankDerivedCosts(candidates, best, best_ids, scheme);
-            std::vector<uint32_t> ids;
-            SelectionResult result = selectGreedyFromCandidates(
-                textSize, candidates, config, costs, &ids);
-            uint64_t estimate =
-                estimateSelectionNibbles(result, config, scheme, textSize);
-            ++rounds_;
-            --budget;
-            if (estimate >= best_estimate)
-                break;
-            best = std::move(result);
+    for (unsigned width : alternativeWidths(config, scheme)) {
+        if (budget == 0)
+            break;
+        GreedyConfig biased = config;
+        biased.codewordNibbles = width;
+        std::vector<uint32_t> ids;
+        SelectionResult result = selectGreedyFromCandidates(
+            textSize, candidates, biased, {}, &ids);
+        uint64_t estimate =
+            estimateSelectionNibbles(result, config, scheme, textSize);
+        ++best.rounds;
+        --budget;
+        if (estimate < best_estimate) {
+            best.selection = std::move(result);
             best_ids = std::move(ids);
             best_estimate = estimate;
         }
-        return best;
     }
 
-  private:
-    /** Every uniform codeword width the scheme's encoding can produce,
-     *  except the width greedy already assumed in round 0. */
-    static std::vector<unsigned>
-    alternativeWidths(const GreedyConfig &config, Scheme scheme)
-    {
-        std::vector<unsigned> widths;
-        unsigned max = schemeParams(scheme).maxCodewords;
-        for (uint32_t rank = 0; rank < max; ++rank) {
-            unsigned width = codewordNibbles(scheme, rank);
-            if (width != config.codewordNibbles &&
-                (widths.empty() || widths.back() != width))
-                widths.push_back(width);
-        }
-        return widths;
+    while (budget > 0) {
+        std::vector<uint32_t> costs =
+            rankDerivedCosts(candidates, best.selection, best_ids, scheme);
+        std::vector<uint32_t> ids;
+        SelectionResult result = selectGreedyFromCandidates(
+            textSize, candidates, config, costs, &ids);
+        uint64_t estimate =
+            estimateSelectionNibbles(result, config, scheme, textSize);
+        ++best.rounds;
+        --budget;
+        if (estimate >= best_estimate)
+            break;
+        best.selection = std::move(result);
+        best_ids = std::move(ids);
+        best_estimate = estimate;
     }
-
-    /** True per-candidate codeword costs under @p previous's frequency
-     *  ranking: actual rank width for previously selected sequences
-     *  (entry e is candidate previousIds[e]), predicted rank width (by
-     *  standalone occurrence count) for the rest. */
-    static std::vector<uint32_t>
-    rankDerivedCosts(const CandidateSet &candidates,
-                     const SelectionResult &previous,
-                     const std::vector<uint32_t> &previousIds,
-                     Scheme scheme)
-    {
-        std::vector<uint32_t> rank_of_entry = rankByUseCount(previous);
-        constexpr uint32_t kUnselected = UINT32_MAX;
-        std::vector<uint32_t> rank_of_cand(candidates.size(), kUnselected);
-        for (uint32_t e = 0; e < previousIds.size(); ++e)
-            rank_of_cand[previousIds[e]] = rank_of_entry[e];
-
-        // useCount sorted descending IS the rank order; an unselected
-        // candidate with occ occurrences would slot in after every
-        // entry used more than occ times.
-        std::vector<uint32_t> by_rank = previous.useCount;
-        std::sort(by_rank.begin(), by_rank.end(), std::greater<>());
-
-        std::vector<uint32_t> costs(candidates.size());
-        for (uint32_t id = 0; id < candidates.size(); ++id) {
-            const Candidate &cand = candidates[id];
-            uint32_t rank = rank_of_cand[id];
-            if (rank == kUnselected) {
-                uint32_t occ = countNonOverlapping(
-                    candidates.positionsOf(cand), cand.len, {});
-                rank = static_cast<uint32_t>(
-                    std::upper_bound(by_rank.begin(), by_rank.end(), occ,
-                                     std::greater<>()) -
-                    by_rank.begin());
-                // A full dictionary predicts one-past-the-last rank;
-                // price it like the widest real codeword.
-                rank = std::min(rank, schemeParams(scheme).maxCodewords - 1);
-            }
-            costs[id] = codewordNibbles(scheme, rank);
-        }
-        return costs;
-    }
-
-    RefitOptions options_;
-    uint32_t rounds_ = 1;
-};
+    return best;
+}
 
 } // namespace
 
@@ -247,14 +218,18 @@ parseStrategyNameOrFatal(std::string_view name)
     return *kind;
 }
 
-std::unique_ptr<SelectionStrategy>
-makeStrategy(StrategyKind kind, const RefitOptions &refit)
+SelectProduct
+selectDictionary(StrategyKind kind, uint32_t refitMaxRounds,
+                 const CandidateSet &candidates, const GreedyConfig &config,
+                 Scheme scheme)
 {
     switch (kind) {
       case StrategyKind::Greedy:
-        return std::make_unique<GreedyStrategy>();
+        return {selectGreedyFromCandidates(candidates.text.size(),
+                                           candidates, config),
+                1};
       case StrategyKind::IterativeRefit:
-        return std::make_unique<IterativeRefitStrategy>(refit);
+        return selectRefit(refitMaxRounds, candidates, config, scheme);
     }
     CC_PANIC("bad strategy kind");
 }

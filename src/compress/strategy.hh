@@ -1,12 +1,12 @@
 /**
  * @file
- * Pluggable dictionary-selection strategies for the compression
- * pipeline's Select pass.
+ * Dictionary-selection policies for the compression pipeline's Select
+ * pass.
  *
  * The paper's compressor selects greedily with a *fixed assumed*
  * codeword cost, even though the nibble scheme's true cost is 4/8/12/16
  * bits depending on the entry's final frequency rank (DESIGN.md section
- * 5.3). A strategy object turns that choice into a policy:
+ * 5.3). StrategyKind turns that choice into a policy:
  *
  *  - Greedy:         the production lazy-heap greedy at the scheme's
  *                    assumed cost (exact greedy, fast).
@@ -20,15 +20,13 @@
  *                    Round 0 equals Greedy, so refit never estimates
  *                    worse than greedy.
  *
- * Strategies are stateless between select() calls except for
- * per-invocation statistics (rounds), so one instance per compression
- * is the intended lifetime (PipelineContext owns it).
+ * selectDictionary() runs either policy and reports the rounds it took
+ * next to the selection.
  */
 
 #ifndef CODECOMP_COMPRESS_STRATEGY_HH
 #define CODECOMP_COMPRESS_STRATEGY_HH
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -67,35 +65,24 @@ const char *strategySummary(StrategyKind kind);
  *  and the job-spec reader. */
 StrategyKind parseStrategyNameOrFatal(std::string_view name);
 
-class SelectionStrategy
+/** The Select product: the dictionary selection plus the selection
+ *  rounds that produced it. The Select cache stores it whole, so a
+ *  cache hit reports the rounds of the run that computed it. */
+struct SelectProduct
 {
-  public:
-    virtual ~SelectionStrategy() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Select a dictionary over pre-enumerated @p candidates.
-     *  @p textSize is program.text.size(); @p scheme feeds rank-aware
-     *  cost models (ignored by the fixed-cost strategies). */
-    virtual SelectionResult select(size_t textSize,
-                                   const CandidateSet &candidates,
-                                   const GreedyConfig &config,
-                                   Scheme scheme) = 0;
-
-    /** Selection rounds the last select() ran (1 for single-pass). */
-    virtual uint32_t rounds() const { return 1; }
+    SelectionResult selection;
+    uint32_t rounds = 1;
 };
 
-struct RefitOptions
-{
-    /** Refit iterations after the initial greedy round (uniform-width
-     *  bias rounds plus rank-derived rounds); the rank-derived loop
-     *  also stops as soon as the estimated size stops improving. */
-    uint32_t maxRounds = 6;
-};
-
-std::unique_ptr<SelectionStrategy> makeStrategy(StrategyKind kind,
-                                                const RefitOptions &refit = {});
+/** Select a dictionary over @p candidates with policy @p kind.
+ *  @p refitMaxRounds bounds the IterativeRefit iterations after the
+ *  initial greedy round (uniform-width bias rounds plus rank-derived
+ *  rounds; the rank-derived loop also stops as soon as the estimated
+ *  size stops improving). @p scheme feeds the refit loop's rank-aware
+ *  cost model; Greedy reads neither. */
+SelectProduct selectDictionary(StrategyKind kind, uint32_t refitMaxRounds,
+                               const CandidateSet &candidates,
+                               const GreedyConfig &config, Scheme scheme);
 
 /**
  * Traffic-weighted greedy selection: maximize *dynamic* fetch nibbles

@@ -232,17 +232,7 @@ runIsolatedJob(const FarmJob &job, size_t index,
             result.error.clear();
             {
                 std::lock_guard<std::mutex> lock(cacheTotalsMutex);
-                const compress::PipelineCache::Stats &cs =
-                    worker.cacheStats;
-                cacheTotals.enumHits += cs.enumHits;
-                cacheTotals.enumMisses += cs.enumMisses;
-                cacheTotals.selectHits += cs.selectHits;
-                cacheTotals.selectMisses += cs.selectMisses;
-                cacheTotals.evictions += cs.evictions;
-                cacheTotals.persistHits += cs.persistHits;
-                cacheTotals.persistMisses += cs.persistMisses;
-                cacheTotals.persistStores += cs.persistStores;
-                cacheTotals.persistCorrupt += cs.persistCorrupt;
+                cacheTotals += worker.cacheStats;
             }
             break;
         }
@@ -415,15 +405,8 @@ FarmReport::toJson() const
                     : 0.0);
     json.key("cache_stats");
     json.beginObject();
-    json.member("enum_hits", cacheStats.enumHits);
-    json.member("enum_misses", cacheStats.enumMisses);
-    json.member("select_hits", cacheStats.selectHits);
-    json.member("select_misses", cacheStats.selectMisses);
-    json.member("evictions", cacheStats.evictions);
-    json.member("persist_hits", cacheStats.persistHits);
-    json.member("persist_misses", cacheStats.persistMisses);
-    json.member("persist_stores", cacheStats.persistStores);
-    json.member("persist_corrupt", cacheStats.persistCorrupt);
+    for (const auto &field : compress::PipelineCache::Stats::fields)
+        json.member(field.name, cacheStats.*field.member);
     json.endObject();
     json.key("pass_millis");
     json.beginObject();
@@ -483,13 +466,8 @@ runFarmJob(const FarmJob &job, const Program &program,
         if (config.layout == compress::LayoutMode::HotCold &&
             config.trafficProfile.empty())
             config.trafficProfile = timing::profileExecutionCounts(program);
-        compress::PipelineContext ctx(program, config);
-        if (cache) {
-            ctx.cache = cache;
-            ctx.programHash = programHash;
-        }
-        result.stats = compress::Pipeline::standard().run(ctx);
-        const compress::CompressedImage &image = ctx.image;
+        compress::CompressedImage image = compress::compressProgram(
+            program, config, &result.stats, cache, programHash);
         result.totalBytes = image.totalBytes();
         result.textBytes = image.compressedTextBytes();
         result.dictBytes = image.dictionaryBytes();

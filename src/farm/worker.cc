@@ -103,12 +103,8 @@ serializeWorkerResult(const WorkerResult &worker)
     payload.putBlob(r.imageBytes);
     putStats(payload, r.stats);
     payload.put64(doubleBits(r.millis));
-    const compress::PipelineCache::Stats &cs = worker.cacheStats;
-    for (uint64_t field :
-         {cs.enumHits, cs.enumMisses, cs.selectHits, cs.selectMisses,
-          cs.evictions, cs.persistHits, cs.persistMisses,
-          cs.persistStores, cs.persistCorrupt})
-        payload.put64(field);
+    for (const auto &field : compress::PipelineCache::Stats::fields)
+        payload.put64(worker.cacheStats.*field.member);
 
     ByteSink sink;
     sink.put32(kWorkerMagic);
@@ -168,16 +164,8 @@ parseWorkerResult(const std::vector<uint8_t> &bytes)
         r.imageBytes = body.getBlob();
         r.stats = getStats(body);
         r.millis = bitsDouble(body.get64());
-        for (uint64_t *field :
-             {&worker.cacheStats.enumHits, &worker.cacheStats.enumMisses,
-              &worker.cacheStats.selectHits,
-              &worker.cacheStats.selectMisses,
-              &worker.cacheStats.evictions,
-              &worker.cacheStats.persistHits,
-              &worker.cacheStats.persistMisses,
-              &worker.cacheStats.persistStores,
-              &worker.cacheStats.persistCorrupt})
-            *field = body.get64();
+        for (const auto &field : compress::PipelineCache::Stats::fields)
+            worker.cacheStats.*field.member = body.get64();
         if (!body.atEnd())
             return LoadError{LoadStatus::TrailingBytes, body.pos(),
                              "worker result payload", "trailing bytes"};

@@ -10,9 +10,9 @@ namespace codecomp {
 
 namespace {
 
-/** True while this thread is executing a pool task. Parallel stages
- *  nest (a multi-workload fan-out whose per-program compress shards
- *  candidate enumeration); the inner stage then runs inline on the
+/** True while this thread is executing a pool task. A task that
+ *  starts a parallel stage of its own (parallelFor or parallelMap
+ *  inside a fan-out) runs that inner stage inline on the
  *  already-parallel thread instead of re-entering the pool. */
 thread_local bool insidePoolTask = false;
 

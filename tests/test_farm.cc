@@ -169,6 +169,47 @@ TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
     EXPECT_EQ(report.results[3].imageBytes, report.results[4].imageBytes);
 }
 
+TEST(Farm, CachedSelectReportsColdRounds)
+{
+    // A Select cache hit carries the round count of the run that
+    // computed the selection, so the duplicate of a refit job reports
+    // the cold job's rounds rather than the default of one.
+    std::vector<farm::FarmJob> jobs = {
+        makeJob("compress", compress::Scheme::Nibble,
+                compress::StrategyKind::IterativeRefit),
+        makeJob("compress", compress::Scheme::Nibble,
+                compress::StrategyKind::IterativeRefit),
+    };
+    jobs[1].id += "#dup";
+
+    setGlobalJobs(1);
+    farm::FarmReport report = farm::runFarm(jobs);
+    setGlobalJobs(0);
+
+    ASSERT_EQ(report.failures(), 0u);
+    const compress::PipelineStats &cold = report.results[0].stats;
+    const compress::PipelineStats &dup = report.results[1].stats;
+    ASSERT_GT(cold.selectionRounds, 1u);
+    EXPECT_EQ(dup.selectionRounds, cold.selectionRounds);
+    EXPECT_EQ(dup.strategy, cold.strategy);
+
+    const compress::PassStats *coldSelect = cold.pass("Select");
+    const compress::PassStats *dupSelect = dup.pass("Select");
+    ASSERT_NE(coldSelect, nullptr);
+    ASSERT_NE(dupSelect, nullptr);
+    EXPECT_EQ(coldSelect->counter("rounds"), cold.selectionRounds);
+    EXPECT_EQ(dupSelect->counter("rounds"), coldSelect->counter("rounds"));
+
+    const compress::PassStats *coldEnumerate = cold.pass("Enumerate");
+    const compress::PassStats *dupEnumerate = dup.pass("Enumerate");
+    ASSERT_NE(coldEnumerate, nullptr);
+    ASSERT_NE(dupEnumerate, nullptr);
+    EXPECT_EQ(coldEnumerate->counter("select_cache_hit"), 0u);
+    EXPECT_EQ(dupEnumerate->counter("select_cache_hit"), 1u);
+    EXPECT_EQ(report.cacheStats.selectHits, 1u);
+    EXPECT_EQ(report.results[0].imageFnv64, report.results[1].imageFnv64);
+}
+
 TEST(Farm, CacheOffRecordsNoActivity)
 {
     farm::FarmOptions options;

@@ -642,11 +642,9 @@ TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
 
     compress::PipelineCache cache;
     ASSERT_TRUE(cache.setDiskStore(dir.str()));
-    compress::PipelineContext ctx(program, config);
-    ctx.cache = &cache;
-    ctx.programHash = programHash;
-    compress::Pipeline::standard().run(ctx);
-    EXPECT_EQ(saveImage(ctx.image), cold);
+    compress::CompressedImage recomputed = compress::compressProgram(
+        program, config, nullptr, &cache, programHash);
+    EXPECT_EQ(saveImage(recomputed), cold);
     compress::PipelineCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.persistCorrupt, 1u);
     EXPECT_EQ(stats.enumMisses, 1u);

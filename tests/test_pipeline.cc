@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the pass pipeline and the pluggable selection strategies:
+ * Tests for the compression passes and the selection strategies:
  * pass ordering and stats, config validation, greedy/reference
  * equivalence over every workload, cross-strategy determinism across
  * job counts, and the IterativeRefit size guarantee.
@@ -230,12 +230,15 @@ TEST(Strategy, GreedyMatchesReferenceOnEveryWorkload)
         ctx.greedy.maxEntries = 32;
         passEnumerate(ctx);
 
-        auto fast = makeStrategy(StrategyKind::Greedy);
-        SelectionResult a = fast->select(program.text.size(),
-                                         ctx.candidates, ctx.greedy,
-                                         config.scheme);
+        ASSERT_TRUE(ctx.candidates) << name;
+
+        SelectProduct fast = selectDictionary(
+            StrategyKind::Greedy, config.refitMaxRounds, *ctx.candidates,
+            ctx.greedy, config.scheme);
+        EXPECT_EQ(fast.rounds, 1u) << name;
+        const SelectionResult &a = fast.selection;
         SelectionResult b = test::selectGreedyReferenceFromCandidates(
-            program.text.size(), ctx.candidates, ctx.greedy);
+            program.text.size(), *ctx.candidates, ctx.greedy);
         EXPECT_EQ(a.dict.entries, b.dict.entries) << name;
         EXPECT_EQ(a.placements, b.placements) << name;
         EXPECT_EQ(a.useCount, b.useCount) << name;
@@ -279,9 +282,10 @@ TEST(Strategy, RefitRoundsAreBoundedAndReported)
 
 TEST(Strategy, ImagesBitIdenticalAcrossJobCounts)
 {
-    // Determinism contract for every strategy: candidate enumeration
-    // is the only parallel stage, so --jobs must never change the
-    // output image, whichever selection policy runs on top.
+    // Determinism contract for every strategy: --jobs must never
+    // change the output image, whichever selection policy runs. The
+    // compressor itself runs on one thread; the job count only sizes
+    // the pool the callers fan out on.
     Program program = workloads::buildBenchmark("compress");
     for (StrategyKind strategy : allStrategyKinds()) {
         CompressorConfig config;
@@ -310,8 +314,9 @@ TEST(Strategy, EstimateMatchesCompositionWithoutStubs)
     PipelineContext ctx(program, config);
     passEnumerate(ctx);
     passSelect(ctx);
-    uint64_t estimate = estimateSelectionNibbles(
-        ctx.selection, ctx.greedy, config.scheme, program.text.size());
+    uint64_t estimate =
+        estimateSelectionNibbles(ctx.selection.selection, ctx.greedy,
+                                 config.scheme, program.text.size());
     passRankAssign(ctx);
     passLayout(ctx);
     passBranchPatch(ctx);
