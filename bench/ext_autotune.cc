@@ -14,10 +14,10 @@
  * some tuned point strictly dominates the best fixed one (fewer cycles
  * at no more on-chip bytes).
  *
- * Emits one PERF_JSON line per (workload, budget) winner and writes
- * the full AutotuneResult -- every point, frontier, winner table -- as
- * BENCH_10.json (--out to relocate). The artifact is byte-identical
- * for any --jobs value.
+ * Emits one PERF_JSON line per (workload, budget) winner; with --out
+ * FILE it also writes the full AutotuneResult -- every point, frontier,
+ * winner table -- there as JSON. The artifact is byte-identical for any
+ * --jobs value.
  */
 
 #include <cstring>
@@ -78,7 +78,7 @@ int
 main(int argc, char **argv)
 {
     initJobs(argc, argv);
-    std::string outPath = "BENCH_10.json";
+    std::string outPath; // --out: the artifact is written only on request
     for (int i = 1; i + 1 < argc; ++i)
         if (std::string(argv[i]) == "--out")
             outPath = argv[i + 1];
@@ -171,9 +171,11 @@ main(int argc, char **argv)
             std::printf("PERF_JSON: %s\n",
                         winnerJson(wr, winner).c_str());
 
-    std::string artifact = result.toJson() + "\n";
-    writeFile(outPath,
-              std::vector<uint8_t>(artifact.begin(), artifact.end()));
-    std::printf("trajectory artifact: %s\n", outPath.c_str());
+    if (!outPath.empty()) {
+        std::string artifact = result.toJson() + "\n";
+        writeFile(outPath,
+                  std::vector<uint8_t>(artifact.begin(), artifact.end()));
+        std::printf("trajectory artifact: %s\n", outPath.c_str());
+    }
     return 0;
 }

@@ -17,9 +17,9 @@
  * (compress::selectByTraffic over a profiling run) is the
  * speed-greediest point: worse static size, fewest fetched bytes.
  *
- * Emits one PERF_JSON line per (workload, variant) and writes the whole
- * sweep as a BENCH_5.json trajectory artifact (--out to relocate) so
- * future PRs can track speed as well as size.
+ * Emits one PERF_JSON line per (workload, variant); with --out FILE it
+ * also writes the whole sweep there as a JSON trajectory artifact, so
+ * speed can be tracked as well as size.
  */
 
 #include <iterator>
@@ -179,7 +179,7 @@ cacheName(const cache::CacheConfig &config)
            std::to_string(config.ways);
 }
 
-/** One PERF_JSON / BENCH_5.json record. */
+/** One PERF_JSON / --out artifact record. */
 std::string
 recordJson(const WorkloadResult &work, const Variant &variant)
 {
@@ -221,7 +221,7 @@ int
 main(int argc, char **argv)
 {
     initJobs(argc, argv);
-    std::string outPath = "BENCH_5.json";
+    std::string outPath; // --out: the artifact is written only on request
     for (int i = 1; i + 1 < argc; ++i)
         if (std::string(argv[i]) == "--out")
             outPath = argv[i + 1];
@@ -284,8 +284,10 @@ main(int argc, char **argv)
         }
     }
     artifact += "]\n";
-    writeFile(outPath,
-              std::vector<uint8_t>(artifact.begin(), artifact.end()));
-    std::printf("trajectory artifact: %s\n", outPath.c_str());
+    if (!outPath.empty()) {
+        writeFile(outPath,
+                  std::vector<uint8_t>(artifact.begin(), artifact.end()));
+        std::printf("trajectory artifact: %s\n", outPath.c_str());
+    }
     return 0;
 }

@@ -58,8 +58,8 @@ Machine::storeWord(uint32_t addr, uint32_t value)
     mem_[addr + 1] = static_cast<uint8_t>(value >> 16);
     mem_[addr + 2] = static_cast<uint8_t>(value >> 8);
     mem_[addr + 3] = static_cast<uint8_t>(value);
-    if (store_hook_)
-        store_hook_(addr, 4, value);
+    if (store_log_)
+        store_log_->push_back({addr, 4, value});
 }
 
 void
@@ -70,8 +70,8 @@ Machine::storeHalf(uint32_t addr, uint16_t value)
                                 "store half outside the address space");
     mem_[addr] = static_cast<uint8_t>(value >> 8);
     mem_[addr + 1] = static_cast<uint8_t>(value);
-    if (store_hook_)
-        store_hook_(addr, 2, value);
+    if (store_log_)
+        store_log_->push_back({addr, 2, value});
 }
 
 void
@@ -81,8 +81,8 @@ Machine::storeByte(uint32_t addr, uint8_t value)
         throw MachineCheckError(MachineFault::MemoryOutOfRange, addr,
                                 "store byte outside the address space");
     mem_[addr] = value;
-    if (store_hook_)
-        store_hook_(addr, 1, value);
+    if (store_log_)
+        store_log_->push_back({addr, 1, value});
 }
 
 void
@@ -336,45 +336,6 @@ Machine::execute(const isa::Inst &inst)
                                 "instruction word does not decode to an "
                                 "executable op");
     }
-}
-
-namespace {
-
-constexpr uint64_t fnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t fnvPrime = 0x100000001b3ull;
-
-uint64_t
-fnvMix(uint64_t h, uint8_t byte)
-{
-    return (h ^ byte) * fnvPrime;
-}
-
-} // namespace
-
-uint64_t
-Machine::stateHash() const
-{
-    uint64_t h = fnvOffset;
-    for (uint32_t r : gpr_)
-        for (int i = 0; i < 4; ++i)
-            h = fnvMix(h, static_cast<uint8_t>(r >> (8 * i)));
-    for (int i = 0; i < 4; ++i)
-        h = fnvMix(h, static_cast<uint8_t>(cr_ >> (8 * i)));
-    // Note: LR/CTR are deliberately excluded -- they hold code pointers,
-    // which legitimately differ between address spaces.
-    for (uint8_t byte : memory())
-        h = fnvMix(h, byte);
-    return h;
-}
-
-uint64_t
-Machine::memHash(uint32_t begin, uint32_t end) const
-{
-    CC_ASSERT(begin <= end && end <= memBytes, "bad memHash range");
-    uint64_t h = fnvOffset;
-    for (uint32_t addr = begin; addr < end; ++addr)
-        h = fnvMix(h, mem_[addr]);
-    return h;
 }
 
 } // namespace codecomp

@@ -30,6 +30,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Longest exponential backoff between attempts, before jitter. */
+constexpr uint64_t backoffCapMs = 2000;
+
 double
 millisSince(Clock::time_point start)
 {
@@ -168,8 +171,7 @@ runIsolatedJob(const FarmJob &job, size_t index,
         if (attempt > 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 backoffMillis(attempt, options.backoffBaseMs,
-                              options.backoffCapMs, options.seed,
-                              index)));
+                              backoffCapMs, options.seed, index)));
         result.attempts = attempt + 1;
 
         std::string stem =
@@ -316,10 +318,10 @@ backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
               uint64_t seed, size_t jobIndex)
 {
     CC_ASSERT(attempt >= 1, "backoff is a between-attempts delay");
-    uint64_t exp = attempt - 1 >= 20 ? 20 : attempt - 1; // clamp shift
-    uint64_t delay = baseMs << exp;
-    if (capMs && delay > capMs)
-        delay = capMs;
+    uint64_t exp = std::min<uint64_t>(attempt - 1, 20);
+    // Saturate at the cap before shifting: baseMs << exp would wrap for
+    // a base of 2^44 ms or more.
+    uint64_t delay = baseMs > (capMs >> exp) ? capMs : baseMs << exp;
     // Jitter in [50%, 150%], seeded so two workers retrying the same
     // moment don't stampede in sync -- but reproducibly.
     Rng rng(mix64(mix64(seed, static_cast<uint64_t>(jobIndex)), attempt));

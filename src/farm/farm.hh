@@ -115,7 +115,8 @@ bool shouldInject(const FaultPlan &plan, size_t jobIndex,
                   uint32_t attempt);
 
 /** Retry delay before @p attempt (>= 1): exponential in the attempt
- *  with seeded jitter in [50%, 150%], capped. Deterministic in
+ *  with seeded jitter in [50%, 150%], capped at @p capMs before the
+ *  jitter (any base saturates, none overflows). Deterministic in
  *  (seed, jobIndex, attempt) so reports are reproducible. */
 uint64_t backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
                        uint64_t seed, size_t jobIndex);
@@ -158,9 +159,8 @@ struct FarmOptions
      *  overrides. Isolated jobs only. */
     uint32_t retries = 0;
 
-    /** Exponential-backoff base and cap between attempts. */
+    /** Exponential-backoff base between attempts (capped at 2 s). */
     uint64_t backoffBaseMs = 50;
-    uint64_t backoffCapMs = 2000;
 
     /** Seed for backoff jitter and fault injection. */
     uint64_t seed = 1;

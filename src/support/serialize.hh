@@ -112,7 +112,7 @@ class Result
 };
 
 /** FNV-1a over @p size bytes; the whole-payload checksum of the v2
- *  file formats (and the hash family Machine::stateHash uses). */
+ *  file formats. */
 uint64_t fnv1a64(const uint8_t *data, size_t size);
 
 inline uint64_t

@@ -1,5 +1,6 @@
 #include "verify/lockstep.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -50,6 +51,8 @@ class Verifier
   private:
     static constexpr uint32_t noIndex = ItemMap::noIndex;
     static constexpr uint32_t base_ = compress::CompressedImage::nibbleBase;
+    /** Bytes fullStateCheck compares with one memcmp. */
+    static constexpr uint32_t walkBlockBytes = 4096;
 
     bool equalOrMapped(uint32_t native_val, uint32_t compressed_val) const;
 
@@ -87,13 +90,7 @@ class Verifier
     uint32_t stubOrig_ = noIndex; //!< orig index of the stub's branch
     uint32_t stubStart_ = 0, stubEndNibble_ = 0;
 
-    struct Store
-    {
-        uint32_t addr;
-        unsigned bytes;
-        uint32_t value;
-    };
-    std::vector<Store> nativeStores_, compressedStores_;
+    std::vector<Machine::Store> nativeStores_, compressedStores_;
     size_t outputCursor_ = 0;
 
     std::deque<RetiredInst> nativeWindow_, compressedWindow_;
@@ -341,8 +338,8 @@ Verifier::compareStores()
         return;
     }
     for (size_t i = 0; i < nativeStores_.size(); ++i) {
-        const Store &ns = nativeStores_[i];
-        const Store &cs = compressedStores_[i];
+        const Machine::Store &ns = nativeStores_[i];
+        const Machine::Store &cs = compressedStores_[i];
         bool value_ok = ns.bytes == 4 ? equalOrMapped(ns.value, cs.value)
                                       : ns.value == cs.value;
         if (ns.addr != cs.addr || ns.bytes != cs.bytes || !value_ok)
@@ -378,9 +375,12 @@ Verifier::compareOutput()
 
 /**
  * Joint walk of both memories, skipping the native .text window (the
- * compressed machine keeps no bytes there). Mismatching aligned words
- * are accepted iff they are pointer-equivalent: patched jump-table
- * slots and stack-saved LR values legitimately differ between spaces.
+ * compressed machine keeps no bytes there). Equal blocks are skipped
+ * with one memcmp each; inside a differing block the aligned words are
+ * compared one by one, and a mismatching word is accepted iff it is
+ * pointer-equivalent: patched jump-table slots and stack-saved LR
+ * values legitimately differ between spaces. Divergent words are
+ * reported in ascending address order.
  */
 void
 Verifier::fullStateCheck(const char *when)
@@ -388,34 +388,28 @@ Verifier::fullStateCheck(const char *when)
     ++result_.fullStateChecks;
     const Machine &nm = native_.machine();
     const Machine &cm = compressed_.machine();
-    std::span<const uint8_t> nmem = nm.memory();
-    std::span<const uint8_t> cmem = cm.memory();
+    const uint8_t *nmem = nm.memory().data();
+    const uint8_t *cmem = cm.memory().data();
 
+    // Both regions are word aligned: .text starts and ends on a word.
     uint32_t text_end = Program::textBase + program_.textBytes();
     const std::pair<uint32_t, uint32_t> regions[2] = {
         {0, Program::textBase}, {text_end, Machine::memBytes}};
 
     for (const auto &[begin, end] : regions) {
-        if (nm.memHash(begin, end) == cm.memHash(begin, end))
-            continue;
-        uint32_t addr = begin;
-        while (addr < end) {
-            if (nmem[addr] == cmem[addr]) {
-                ++addr;
+        for (uint32_t block = begin; block < end; block += walkBlockBytes) {
+            uint32_t bytes = std::min(end - block, walkBlockBytes);
+            if (std::memcmp(nmem + block, cmem + block, bytes) == 0)
                 continue;
+            for (uint32_t w = block; w < block + bytes; w += 4) {
+                uint32_t nv = nm.loadWord(w);
+                uint32_t cv = cm.loadWord(w);
+                if (!equalOrMapped(nv, cv))
+                    capture("memory",
+                            std::string("memory word at ") + hex32(w) +
+                                " native " + hex32(nv) + " vs compressed " +
+                                hex32(cv) + " (" + when + " check)");
             }
-            uint32_t w = addr & ~3u;
-            uint32_t nv = nm.loadWord(w);
-            uint32_t cv = cm.loadWord(w);
-            if (equalOrMapped(nv, cv)) {
-                addr = w + 4;
-                continue;
-            }
-            capture("memory",
-                    std::string("memory word at ") + hex32(w) +
-                        " native " + hex32(nv) + " vs compressed " +
-                        hex32(cv) + " (" + when + " check)");
-            addr = w + 4;
         }
     }
 }
@@ -427,14 +421,8 @@ Verifier::run()
     // become reportable divergences instead of aborting the process.
     PanicTrap trap;
 
-    native_.machine().setStoreHook(
-        [this](uint32_t addr, unsigned bytes, uint32_t value) {
-            nativeStores_.push_back({addr, bytes, value});
-        });
-    compressed_.machine().setStoreHook(
-        [this](uint32_t addr, unsigned bytes, uint32_t value) {
-            compressedStores_.push_back({addr, bytes, value});
-        });
+    native_.machine().setStoreLog(&nativeStores_);
+    compressed_.machine().setStoreLog(&compressedStores_);
     auto on_retire = [this](const isa::Inst &inst, uint32_t item_pc,
                             unsigned slot) { onRetire(inst, item_pc, slot); };
 

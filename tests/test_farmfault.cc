@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -249,6 +250,21 @@ TEST(FarmFaultUnit, BackoffGrowsIsCappedAndJittersDeterministically)
     for (size_t job = 0; job < 16; ++job)
         delays.insert(farm::backoffMillis(3, 50, 2000, 1, job));
     EXPECT_GT(delays.size(), 1u);
+}
+
+TEST(FarmFaultUnit, BackoffSaturatesAtTheCapForHugeBases)
+{
+    // ccfarm accepts any --backoff base up to LONG_MAX, and base << 20
+    // overflows 64 bits from a base of 2^44 ms. Every late attempt
+    // must still wait the jittered cap, never a wrapped-around delay.
+    for (uint64_t base : {uint64_t{1} << 44, uint64_t{1} << 50,
+                          uint64_t{LONG_MAX}}) {
+        for (uint32_t attempt : {2u, 21u, 101u}) {
+            uint64_t delay = farm::backoffMillis(attempt, base, 2000, 1, 0);
+            EXPECT_GE(delay, 1000u) << base << " attempt " << attempt;
+            EXPECT_LE(delay, 3000u) << base << " attempt " << attempt;
+        }
+    }
 }
 
 TEST(FarmFaultUnit, JobErrorsAreClassifiedByType)

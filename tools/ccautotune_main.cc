@@ -71,35 +71,6 @@ badArg(const std::string &message)
     return tools::exitUserError;
 }
 
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> items;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            items.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return items;
-}
-
-/** Parse "CAP:LINE:WAYS" (e.g. 2048:32:2); false on malformed input. */
-bool
-parseCacheSpec(const std::string &spec, cache::CacheConfig &config)
-{
-    unsigned cap = 0, line = 0, ways = 0;
-    char tail = 0;
-    if (std::sscanf(spec.c_str(), "%u:%u:%u%c", &cap, &line, &ways,
-                    &tail) != 3)
-        return false;
-    config = {cap, line, ways};
-    return true;
-}
-
 void
 printWorkload(const autotune::WorkloadResult &wr, bool frontier)
 {
@@ -143,7 +114,7 @@ run(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--workload" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i])) {
+            for (const std::string &name : tools::splitList(argv[++i])) {
                 if (name == "all") {
                     workloadNames = workloads::benchmarkNames();
                     break;
@@ -156,7 +127,7 @@ run(int argc, char **argv)
                 return badArg("--budget must be at least 1");
             spec.budgets.push_back(static_cast<uint64_t>(budget));
         } else if (arg == "--schemes" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i])) {
+            for (const std::string &name : tools::splitList(argv[++i])) {
                 auto scheme = compress::parseSchemeName(name);
                 if (!scheme)
                     return badArg("unknown scheme \"" + name +
@@ -165,20 +136,20 @@ run(int argc, char **argv)
                 spec.schemes.push_back(*scheme);
             }
         } else if (arg == "--strategies" && i + 1 < argc) {
-            for (const std::string &name : splitList(argv[++i]))
+            for (const std::string &name : tools::splitList(argv[++i]))
                 spec.strategies.push_back(
                     compress::parseStrategyNameOrFatal(name));
         } else if (arg == "--dict-caps" && i + 1 < argc) {
-            for (const std::string &item : splitList(argv[++i])) {
+            for (const std::string &item : tools::splitList(argv[++i])) {
                 long cap = std::atol(item.c_str());
                 if (cap < 1)
                     return badArg("--dict-caps entries must be >= 1");
                 spec.dictCaps.push_back(static_cast<uint32_t>(cap));
             }
         } else if (arg == "--cache-geoms" && i + 1 < argc) {
-            for (const std::string &item : splitList(argv[++i])) {
+            for (const std::string &item : tools::splitList(argv[++i])) {
                 cache::CacheConfig geometry;
-                if (!parseCacheSpec(item, geometry))
+                if (!tools::parseCacheSpec(item, geometry))
                     return badArg("--cache-geoms wants CAP:LINE:WAYS "
                                   "entries (e.g. 2048:32:2)");
                 spec.cacheGeometries.push_back(geometry);
@@ -201,7 +172,7 @@ run(int argc, char **argv)
             spec.model.redirectPenaltyCycles =
                 static_cast<uint32_t>(std::atol(argv[++i]));
         } else if (arg == "--l2" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], spec.model.l2))
+            if (!tools::parseCacheSpec(argv[++i], spec.model.l2))
                 return badArg("--l2 wants CAP:LINE:WAYS "
                               "(e.g. 8192:32:2)");
         } else if (arg == "--l2-hit" && i + 1 < argc) {

@@ -81,22 +81,6 @@ badArg(const std::string &message)
     return tools::exitUserError;
 }
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> items;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            items.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return items;
-}
-
 /** "gcc/nibble/refit" -> "gcc-nibble-refit.cci". */
 std::string
 imageFileName(const std::string &id)
@@ -193,11 +177,11 @@ run(int argc, char **argv)
         if (arg == "--spec" && i + 1 < argc) {
             specPath = argv[++i];
         } else if (arg == "--workloads" && i + 1 < argc) {
-            workloadFilter = splitList(argv[++i]);
+            workloadFilter = tools::splitList(argv[++i]);
         } else if (arg == "--schemes" && i + 1 < argc) {
-            schemeFilter = splitList(argv[++i]);
+            schemeFilter = tools::splitList(argv[++i]);
         } else if (arg == "--strategies" && i + 1 < argc) {
-            strategyFilter = splitList(argv[++i]);
+            strategyFilter = tools::splitList(argv[++i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
             int jobs = std::atoi(argv[++i]);
             if (jobs < 1)

@@ -47,19 +47,6 @@ usage()
     return tools::exitUserError;
 }
 
-/** Parse "CAP:LINE:WAYS" (e.g. 2048:32:2); false on malformed input. */
-bool
-parseCacheSpec(const std::string &spec, cache::CacheConfig &config)
-{
-    unsigned cap = 0, line = 0, ways = 0;
-    char tail = 0;
-    if (std::sscanf(spec.c_str(), "%u:%u:%u%c", &cap, &line, &ways,
-                    &tail) != 3)
-        return false;
-    config = {cap, line, ways};
-    return true;
-}
-
 void
 printReport(const char *label, const timing::TimingReport &report)
 {
@@ -104,14 +91,14 @@ run(int argc, char **argv)
             config.frontendWidth =
                 static_cast<uint32_t>(std::atol(argv[++i]));
         } else if (arg == "--icache" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], config.icache)) {
+            if (!tools::parseCacheSpec(argv[++i], config.icache)) {
                 std::fprintf(stderr,
                              "cctime: --icache wants CAP:LINE:WAYS "
                              "(e.g. 2048:32:2)\n");
                 return tools::exitUserError;
             }
         } else if (arg == "--l2" && i + 1 < argc) {
-            if (!parseCacheSpec(argv[++i], config.l2)) {
+            if (!tools::parseCacheSpec(argv[++i], config.l2)) {
                 std::fprintf(stderr,
                              "cctime: --l2 wants CAP:LINE:WAYS "
                              "(e.g. 8192:32:2)\n");

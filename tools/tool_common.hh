@@ -15,6 +15,8 @@
  * ccrun is the documented exception: on a clean run it passes the
  * simulated program's own exit code through, so only its error paths
  * follow the table above.
+ *
+ * Also here: the argument parsers more than one tool shares.
  */
 
 #ifndef CODECOMP_TOOLS_TOOL_COMMON_HH
@@ -22,7 +24,10 @@
 
 #include <cstdio>
 #include <exception>
+#include <string>
+#include <vector>
 
+#include "cache/icache.hh"
 #include "decompress/fault.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -59,6 +64,36 @@ runTool(const char *name, Body &&body)
         std::fprintf(stderr, "%s: %s\n", name, error.what());
         return exitUserError;
     }
+}
+
+/** Split "a,b,c" at commas, dropping empty items. */
+inline std::vector<std::string>
+splitList(const std::string &text)
+{
+    std::vector<std::string> items;
+    size_t start = 0;
+    while (start <= text.size()) {
+        size_t comma = text.find(',', start);
+        if (comma == std::string::npos)
+            comma = text.size();
+        if (comma > start)
+            items.push_back(text.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return items;
+}
+
+/** Parse "CAP:LINE:WAYS" (e.g. 2048:32:2); false on malformed input. */
+inline bool
+parseCacheSpec(const std::string &spec, cache::CacheConfig &config)
+{
+    unsigned cap = 0, line = 0, ways = 0;
+    char tail = 0;
+    if (std::sscanf(spec.c_str(), "%u:%u:%u%c", &cap, &line, &ways,
+                    &tail) != 3)
+        return false;
+    config = {cap, line, ways};
+    return true;
 }
 
 } // namespace codecomp::tools
