@@ -21,13 +21,16 @@
 
 namespace codecomp::test {
 
-/** Naive greedy over pre-enumerated @p candidates at the config's
- *  assumed codeword cost. Ties go to the lower candidate ID, the lazy
- *  heap's rule. */
+/** Naive greedy over pre-enumerated @p candidates. @p codewordCosts,
+ *  when non-empty, is the codeword cost in nibbles of each candidate
+ *  (selectGreedyFromCandidates' override); empty means the config's
+ *  assumed cost. Ties go to the lower candidate ID, the lazy heap's
+ *  rule. */
 inline compress::SelectionResult
-selectGreedyReferenceFromCandidates(size_t textSize,
-                                    const compress::CandidateSet &candidates,
-                                    const compress::GreedyConfig &config)
+selectGreedyReferenceFromCandidates(
+    size_t textSize, const compress::CandidateSet &candidates,
+    const compress::GreedyConfig &config,
+    const std::vector<uint32_t> &codewordCosts = {})
 {
     compress::SelectionResult result;
     std::vector<bool> consumed(textSize, false);
@@ -38,7 +41,10 @@ selectGreedyReferenceFromCandidates(size_t textSize,
             const compress::Candidate &cand = candidates[id];
             uint32_t occ = compress::countNonOverlapping(
                 candidates.positionsOf(cand), cand.len, consumed);
-            int64_t savings = compress::savingsNibbles(config, cand.len, occ);
+            uint32_t cost = codewordCosts.empty() ? config.codewordNibbles
+                                                  : codewordCosts[id];
+            int64_t savings =
+                compress::savingsNibbles(config, cand.len, occ, cost);
             if (savings > best_savings) {
                 best_savings = savings;
                 best_id = id;

@@ -168,9 +168,11 @@ TEST(AutotuneEndToEnd, FrontierAndWinnersAreConsistent)
         const CandidatePoint &best =
             wr.points[static_cast<size_t>(winner.point)];
         EXPECT_LE(best.onChipBytes, winner.budget);
-        for (const CandidatePoint &other : wr.points)
-            if (other.onChipBytes <= winner.budget)
+        for (const CandidatePoint &other : wr.points) {
+            if (other.onChipBytes <= winner.budget) {
                 EXPECT_LE(best.cycles(), other.cycles()) << other.id;
+            }
+        }
     }
     // The roomy budget admits every point, so its winner is the global
     // cycle minimum; the tight budget's winner can only be slower.

@@ -10,6 +10,10 @@
  * Covered: all eight workloads at --scale 1 under every scheme, laid
  * out linearly and hot/cold (profiled by a native run), plus gcc at
  * --scale 16 under the nibble scheme, the suite's far-branch expansion.
+ * CompressorGoldenRefit pins the same workloads and schemes under the
+ * IterativeRefit strategy (linear layout): its later rounds select with
+ * other uniform and per-candidate codeword costs, so they reach
+ * selections the greedy digests never do.
  */
 
 #include <gtest/gtest.h>
@@ -190,6 +194,98 @@ TEST_P(CompressorGolden, ImageDigests)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, CompressorGolden,
+                         ::testing::ValuesIn(workloads::benchmarkNames()),
+                         [](const auto &info) { return info.param; });
+
+/** IterativeRefit, linear layout; key: scheme. */
+const std::map<std::string, WorkloadDigests> pinnedRefit = {
+    {"compress",
+     {
+        {"baseline", {0xb71a58e009c1482full, 0x1c40d3deba7e6b18ull}},
+        {"onebyte", {0x59c0563dc2c3ffbfull, 0xafac088ee3301ff9ull}},
+        {"nibble", {0x97b60d2f169cbbbeull, 0x139490df5d64ff93ull}},
+        {"opfac", {0xf7db4be75c1275deull, 0x41a2a4fa7cc9d069ull}},
+     }},
+    {"gcc",
+     {
+        {"baseline", {0xf6049d53ee8d1dd1ull, 0xd9c260adda5c3ac3ull}},
+        {"onebyte", {0x013d76b11a02ee55ull, 0x92775cd0cf11f405ull}},
+        {"nibble", {0x4dd04a25cedee071ull, 0xf90771f892a76545ull}},
+        {"opfac", {0x1d00640a11b99673ull, 0x051357e39aba4e7cull}},
+     }},
+    {"go",
+     {
+        {"baseline", {0x0d3a7f39299691dcull, 0x43f53224b48635ffull}},
+        {"onebyte", {0x1291d791f8a2fcdbull, 0x4c7b295fce58efd8ull}},
+        {"nibble", {0x1dbd96b9e1187693ull, 0xfc70515b856d9c94ull}},
+        {"opfac", {0x7ad6dccf49d43e15ull, 0xbb3b900f1e0ab113ull}},
+     }},
+    {"ijpeg",
+     {
+        {"baseline", {0x3828cb4b05ee4e35ull, 0x39ecdacaaa27de04ull}},
+        {"onebyte", {0x5b4f346c8ee7831aull, 0x8dfd6a2855690aa9ull}},
+        {"nibble", {0x8ed8283360b5b816ull, 0xf3ce1b414dd87011ull}},
+        {"opfac", {0x83b1b9bf2ced6766ull, 0x056afba83e3f78b6ull}},
+     }},
+    {"li",
+     {
+        {"baseline", {0x501e42cd6d023564ull, 0x114aef03698b9834ull}},
+        {"onebyte", {0xfe5cdba96eda9fbdull, 0x87a8dec2d7332121ull}},
+        {"nibble", {0x199fe2c295daad15ull, 0x2585f29130468a0bull}},
+        {"opfac", {0xbcc4dbc0874827a4ull, 0xdfda3b6d1d1519e5ull}},
+     }},
+    {"m88ksim",
+     {
+        {"baseline", {0xe9cc5c370388e99cull, 0xfe35ab9fdd216271ull}},
+        {"onebyte", {0xed0e93c0a3158405ull, 0x97d3d3fa0612f1bcull}},
+        {"nibble", {0xcc9b6d69729b061aull, 0x80e66dbd3f85cedaull}},
+        {"opfac", {0x9256fc2fd678be4full, 0xa9deec41196b7f81ull}},
+     }},
+    {"perl",
+     {
+        {"baseline", {0xc0709562b402098cull, 0x2863d999d54d5cadull}},
+        {"onebyte", {0xc254314714e4426bull, 0x3c620aacc1d9b379ull}},
+        {"nibble", {0x60aefc5a15632abfull, 0x03ea60b02f7168d4ull}},
+        {"opfac", {0xde4edb3a4cc1b789ull, 0x89aadd07dbb01a21ull}},
+     }},
+    {"vortex",
+     {
+        {"baseline", {0x07d1430f6cce2a65ull, 0x0e23584e353a8366ull}},
+        {"onebyte", {0xc0323dad30379b8dull, 0x0de2116f3cb236adull}},
+        {"nibble", {0x19342466c288e974ull, 0x3179e256b5d66062ull}},
+        {"opfac", {0x0b4e69b75022fc81ull, 0xae8cee089797009cull}},
+     }},
+};
+
+class CompressorGoldenRefit : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(CompressorGoldenRefit, ImageDigests)
+{
+    const std::string &name = GetParam();
+    auto expected = pinnedRefit.find(name);
+    ASSERT_NE(expected, pinnedRefit.end())
+        << "no pinned digests for " << name;
+
+    Program program = workloads::buildBenchmark(name, 1);
+    for (Scheme scheme : allSchemes()) {
+        CompressorConfig config;
+        config.scheme = scheme;
+        config.strategy = StrategyKind::IterativeRefit;
+        std::string key = schemeCliName(scheme);
+        ImageDigest got = digestOf(program, config);
+        auto want = expected->second.find(key);
+        ASSERT_NE(want, expected->second.end()) << name << " " << key;
+        EXPECT_EQ(got.image, want->second.image)
+            << name << " " << key << " image digest 0x" << std::hex
+            << got.image;
+        EXPECT_EQ(got.addrMap, want->second.addrMap)
+            << name << " " << key << " address-map digest 0x" << std::hex
+            << got.addrMap;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, CompressorGoldenRefit,
                          ::testing::ValuesIn(workloads::benchmarkNames()),
                          [](const auto &info) { return info.param; });
 
