@@ -44,9 +44,7 @@ selectByStaticRank(const Program &program, const GreedyConfig &config)
     std::vector<std::pair<int64_t, uint32_t>> ranked;
     for (uint32_t id = 0; id < candidates.size(); ++id) {
         const Candidate &cand = candidates[id];
-        uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
-                                           cand.len, {});
-        int64_t savings = savingsNibbles(config, cand.len, occ);
+        int64_t savings = savingsNibbles(config, cand.len, cand.count);
         if (savings > 0)
             ranked.emplace_back(-savings, id);
     }

@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the decode-efficiency discussion
  * (paper section 2.1): dictionary decompression is a table lookup while
  * entropy coding pays per-bit work. Measures compressor throughput,
- * stream decode (item scan), and compressed vs native execution rates.
+ * candidate enumeration and dictionary selection, stream decode (item
+ * scan), and compressed vs native execution rates.
  *
  * After the registered benchmarks, main() times one end-to-end
  * compression of the whole eight-workload suite serially and with the
@@ -273,6 +274,34 @@ BM_Enumerate(benchmark::State &state)
                             program.textBytes());
 }
 BENCHMARK(BM_Enumerate)->Unit(benchmark::kMillisecond);
+
+void
+BM_Select(benchmark::State &state)
+{
+    // Dictionary selection over one pre-built candidate set: gcc at
+    // paper scale under the nibble scheme, greedy (Arg 0) or refit
+    // (Arg 1), as ccompress --stats-json reports in its Select pass.
+    static const Program program = workloads::buildBenchmark("gcc", 16);
+    CompressorConfig config;
+    config.scheme = Scheme::Nibble;
+    config.strategy = state.range(0) ? StrategyKind::IterativeRefit
+                                     : StrategyKind::Greedy;
+    PipelineContext ctx(program, config);
+    static const CandidateSet candidates = enumerateCandidates(
+        program, Cfg::build(program), ctx.greedy.minEntryLen,
+        ctx.greedy.maxEntryLen);
+    uint32_t rounds = 0;
+    for (auto _ : state) {
+        SelectProduct product =
+            selectDictionary(config.strategy, config.refitMaxRounds,
+                             candidates, ctx.greedy, config.scheme);
+        rounds = product.rounds;
+        benchmark::DoNotOptimize(product.selection.placements.data());
+    }
+    state.counters["rounds"] = rounds;
+    state.SetLabel(strategyName(config.strategy));
+}
+BENCHMARK(BM_Select)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /** Wall time in ms to compress every suite program at @p jobs. */
 double

@@ -105,6 +105,8 @@ parseCandidates(ByteSource &source)
                 throw LoadFailure({LoadStatus::BadValue, source.pos(),
                                    "cached candidate set",
                                    "occurrence outside .text"});
+        // Derived, not stored, so the payload is unchanged.
+        cand.count = standaloneCount(set.positionsOf(cand), cand.len);
         begin = cand.posEnd;
     }
     if (begin != set.positions.size())

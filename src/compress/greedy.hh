@@ -7,8 +7,11 @@
  * a lazy max-heap: replacing a sequence can only *destroy* occurrences of
  * other candidates (codeword tokens can never re-create an instruction
  * pattern), so a candidate's savings only ever decreases and lazy
- * revalidation at pop time is exact, not a heuristic. The tests check
- * it against a naive from-scratch oracle (tests/greedy_oracle.hh).
+ * revalidation at pop time is exact, not a heuristic. Candidates that
+ * occur once wait in a sorted list beside the heap, since their
+ * savings cannot change while they live (DESIGN.md section 5.2). The
+ * tests check it against a naive from-scratch oracle
+ * (tests/greedy_oracle.hh).
  *
  * Selection runs over a pre-enumerated candidate list (the pipeline's
  * Enumerate pass) and accepts an optional per-candidate codeword-cost

@@ -50,13 +50,11 @@ rankDerivedCosts(const CandidateSet &candidates,
 
     std::vector<uint32_t> costs(candidates.size());
     for (uint32_t id = 0; id < candidates.size(); ++id) {
-        const Candidate &cand = candidates[id];
         uint32_t rank = rank_of_cand[id];
         if (rank == kUnselected) {
-            uint32_t occ = countNonOverlapping(candidates.positionsOf(cand),
-                                               cand.len, {});
             rank = static_cast<uint32_t>(
-                std::upper_bound(by_rank.begin(), by_rank.end(), occ,
+                std::upper_bound(by_rank.begin(), by_rank.end(),
+                                 candidates[id].count,
                                  std::greater<>()) -
                 by_rank.begin());
             // A full dictionary predicts one-past-the-last rank;

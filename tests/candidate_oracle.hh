@@ -1,9 +1,10 @@
 /**
  * @file
  * Reference candidate enumerator for the tests: the straightforward
- * serial scan that keys every window by its words in a hash map. It is
- * slow and allocation-heavy, and obviously right, so the production
- * prefix-ID refinement (compress/candidates.hh) is checked against it.
+ * serial scan that keys every window by its words in a hash map, with
+ * eligibility decided by decoding every word. It is slow and
+ * allocation-heavy, and obviously right, so the production prefix-ID
+ * refinement (compress/candidates.hh) is checked against it.
  */
 
 #ifndef CODECOMP_TESTS_CANDIDATE_ORACLE_HH
@@ -16,6 +17,17 @@
 #include "compress/candidates.hh"
 
 namespace codecomp::test {
+
+/** Per-instruction compressibility mask: false for relative branches,
+ *  decided by decoding every word. */
+inline std::vector<bool>
+eligibilityMask(const Program &program)
+{
+    std::vector<bool> eligible(program.text.size());
+    for (size_t i = 0; i < program.text.size(); ++i)
+        eligible[i] = !isa::decode(program.text[i]).isRelativeBranch();
+    return eligible;
+}
 
 /** One unique sequence with its sorted occurrence start indices. */
 struct OracleCandidate
@@ -33,7 +45,7 @@ inline std::vector<OracleCandidate>
 oracleEnumerate(const Program &program, const Cfg &cfg, uint32_t minLen,
                 uint32_t maxLen)
 {
-    std::vector<bool> eligible = compress::eligibilityMask(program);
+    std::vector<bool> eligible = eligibilityMask(program);
     std::unordered_map<std::u32string, uint32_t> index;
     std::vector<OracleCandidate> candidates;
     for (const InstRange &block : cfg.blocks()) {

@@ -92,6 +92,23 @@ TEST(CandidateOracle, MatchesAcrossLengthWindows)
     }
 }
 
+TEST(CandidateOracle, CountsAreAllLiveWalks)
+{
+    // Each stored standalone count is the live-occurrence walk of
+    // selection over a mask with nothing consumed.
+    for (const std::string &name : workloads::benchmarkNames()) {
+        Program program = workloads::buildBenchmark(name);
+        Cfg cfg = Cfg::build(program);
+        CandidateSet set = enumerateCandidates(program, cfg, 1, 8);
+        std::vector<bool> live(program.text.size(), false);
+        for (size_t i = 0; i < set.size(); ++i)
+            ASSERT_EQ(set[i].count,
+                      countNonOverlapping(set.positionsOf(set[i]),
+                                          set[i].len, live))
+                << name << " candidate " << i;
+    }
+}
+
 TEST(CandidateOracle, MatchesOnLongRepeatedChains)
 {
     Program program = repeatedChainsProgram();
