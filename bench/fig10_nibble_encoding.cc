@@ -7,6 +7,7 @@
  */
 
 #include "compress/compressor.hh"
+#include "compress/scan.hh"
 #include "common.hh"
 
 using namespace codecomp;
@@ -31,11 +32,16 @@ main()
         NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
         while (!reader.atEnd())
             std::printf(" %x", reader.getNibble());
-        // Round-trip through the decoder.
-        NibbleReader check(writer.bytes().data(), writer.nibbleCount());
-        auto decoded =
-            compress::decodeCodeword(check, compress::Scheme::Nibble);
-        std::printf("  (decodes to rank %u)\n", *decoded);
+        // Round-trip through the stream scan the processor decodes with.
+        uint32_t decoded = 0;
+        compress::scanStream(
+            compress::decodeTables(compress::Scheme::Nibble), writer.bytes(),
+            writer.nibbleCount(), 4680,
+            [&decoded](const compress::DecodedItem &item) {
+                decoded = item.rank;
+                return false;
+            });
+        std::printf("  (decodes to rank %u)\n", decoded);
     }
 
     Program program = workloads::buildBenchmark("ijpeg");

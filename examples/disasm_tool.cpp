@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "isa/disasm.hh"
 #include "program/cfg.hh"
@@ -44,6 +45,9 @@ main(int argc, char **argv)
         if (fn.name != what)
             continue;
         Cfg cfg = Cfg::build(program);
+        std::vector<bool> leader(program.text.size(), false);
+        for (const InstRange &block : cfg.blocks())
+            leader[block.first] = true;
         std::printf("%s (%u instructions):\n", fn.name.c_str(),
                     fn.body.count);
         for (uint32_t i = fn.body.first;
@@ -56,7 +60,7 @@ main(int argc, char **argv)
                 if (i >= ep.first && i < ep.first + ep.count)
                     tag = " ; epilogue";
             std::printf("  0x%08x%s  %s%s\n", program.addrOfIndex(i),
-                        cfg.isLeader(i) ? ":" : " ",
+                        leader[i] ? ":" : " ",
                         isa::disassembleWord(program.text[i],
                                              program.addrOfIndex(i))
                             .c_str(),

@@ -8,35 +8,6 @@
 
 namespace codecomp::compress {
 
-// ---- generic table-driven decode ----
-
-std::optional<uint32_t>
-SchemeCodec::decodeCodeword(NibbleReader &reader) const
-{
-    const DecodeTables &t = tables();
-    const ItemClass &cls = t.classes[reader.getNibbles(t.prefixNibbles)];
-    if (!cls.isCodeword) {
-        reader.seek(reader.pos() - cls.rewindNibbles);
-        return std::nullopt;
-    }
-    uint32_t index =
-        cls.indexNibbles ? reader.getNibbles(cls.indexNibbles) : 0;
-    return cls.rankBase + index;
-}
-
-std::optional<unsigned>
-SchemeCodec::peekItemNibbles(NibbleReader reader) const
-{
-    const DecodeTables &t = tables();
-    size_t remaining = reader.size() - reader.pos();
-    if (remaining < t.prefixNibbles)
-        return std::nullopt;
-    const ItemClass &cls = t.classes[reader.getNibbles(t.prefixNibbles)];
-    if (cls.nibbles > remaining)
-        return std::nullopt;
-    return cls.nibbles;
-}
-
 // ---- default accounting ----
 
 EmitAccounting
@@ -176,18 +147,6 @@ const DecodeTables &
 decodeTables(Scheme scheme)
 {
     return schemeCodec(scheme).tables();
-}
-
-std::optional<uint32_t>
-decodeCodeword(NibbleReader &reader, Scheme scheme)
-{
-    return schemeCodec(scheme).decodeCodeword(reader);
-}
-
-std::optional<unsigned>
-peekItemNibbles(NibbleReader reader, Scheme scheme)
-{
-    return schemeCodec(scheme).peekItemNibbles(reader);
 }
 
 const char *

@@ -78,7 +78,6 @@ struct ItemClass
     uint8_t nibbles;       //!< total item length, escape included
     uint8_t isCodeword;    //!< 1 = codeword, 0 = uncompressed inst
     uint8_t indexNibbles;  //!< rank-index nibbles after the prefix
-    uint8_t rewindNibbles; //!< nibbles to push back for non-codewords
     uint32_t rankBase;     //!< rank = rankBase + index
 };
 
@@ -130,9 +129,9 @@ class SchemeCodec
 
     virtual SchemeParams params() const = 0;
 
-    /** The precomputed (constexpr) decode tables; the engine's scan
-     *  and the generic decodeCodeword/peekItemNibbles below index
-     *  these directly. */
+    /** The precomputed (constexpr) decode tables the stream scan
+     *  (compress/scan.hh) indexes; a codec writes no decoder of its
+     *  own. */
     virtual const DecodeTables &tables() const = 0;
 
     /** Size in nibbles of the codeword for dictionary rank @p rank. */
@@ -144,21 +143,6 @@ class SchemeCodec
     /** Append one uncompressed instruction (escape included). */
     virtual void emitInstruction(NibbleWriter &writer,
                                  isa::Word word) const = 0;
-
-    /**
-     * Decode the item at the reader's cursor: a codeword rank, or
-     * std::nullopt for an uncompressed instruction (whose 32-bit word
-     * is then read with reader.getWord()). Table-driven off tables();
-     * shared by all codecs.
-     */
-    std::optional<uint32_t> decodeCodeword(NibbleReader &reader) const;
-
-    /**
-     * Nibble length of the item starting at @p reader's cursor (escape
-     * included), or std::nullopt if the remaining stream cannot hold
-     * the whole item. Pure lookahead (the reader is taken by value).
-     */
-    std::optional<unsigned> peekItemNibbles(NibbleReader reader) const;
 
     /** Composition split of one emitted uncompressed instruction. The
      *  default derives the escape overhead from params().insnNibbles
@@ -221,8 +205,6 @@ unsigned codewordNibbles(Scheme scheme, uint32_t rank);
 void emitCodeword(NibbleWriter &writer, Scheme scheme, uint32_t rank);
 void emitInstruction(NibbleWriter &writer, Scheme scheme, uint32_t word);
 const DecodeTables &decodeTables(Scheme scheme);
-std::optional<uint32_t> decodeCodeword(NibbleReader &reader, Scheme scheme);
-std::optional<unsigned> peekItemNibbles(NibbleReader reader, Scheme scheme);
 const char *schemeName(Scheme scheme);
 const char *schemeCliName(Scheme scheme);
 /** @} */

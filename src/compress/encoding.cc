@@ -33,19 +33,18 @@ static_assert(illegalPrimOpsDistinct(),
 
 /** Baseline / OneByte: the first byte classifies -- one of the 32
  *  escape bytes marks a codeword, any legal byte begins a plain
- *  instruction (which decodeCodeword pushes back whole, hence the
- *  2-nibble rewind). */
+ *  instruction, whose 8 nibbles include that byte. */
 constexpr DecodeTables
 buildByteEscapeTables(bool baseline)
 {
     DecodeTables tables{};
     tables.prefixNibbles = 2;
     for (ItemClass &cls : tables.classes)
-        cls = {8, 0, 0, 2, 0};
+        cls = {8, 0, 0, 0};
     for (uint32_t group = 0; group < 32; ++group)
         tables.classes[escapeByte(group)] =
-            baseline ? ItemClass{4, 1, 2, 0, group * 256}
-                     : ItemClass{2, 1, 0, 0, group};
+            baseline ? ItemClass{4, 1, 2, group * 256}
+                     : ItemClass{2, 1, 0, group};
     return tables;
 }
 

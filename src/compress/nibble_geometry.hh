@@ -40,18 +40,17 @@ buildTables(uint8_t insnNibbles)
     for (uint32_t n0 = 0; n0 < 16; ++n0) {
         ItemClass &cls = tables.classes[n0];
         if (n0 < 8) {
-            cls = {1, 1, 0, 0, n0};
+            cls = {1, 1, 0, n0};
         } else if (n0 < 12) {
-            cls = {2, 1, 1, 0, class4Count + (n0 - 8) * 16};
+            cls = {2, 1, 1, class4Count + (n0 - 8) * 16};
         } else if (n0 < 14) {
-            cls = {3, 1, 2, 0,
-                   class4Count + class8Count + (n0 - 12) * 256};
+            cls = {3, 1, 2, class4Count + class8Count + (n0 - 12) * 256};
         } else if (n0 == 14) {
-            cls = {4, 1, 3, 0, class4Count + class8Count + class12Count};
+            cls = {4, 1, 3, class4Count + class8Count + class12Count};
         } else {
-            // Escape: the nibble is consumed, an 8-nibble instruction
-            // follows (no rewind -- decodeCodeword eats the escape).
-            cls = {insnNibbles, 0, 0, 0, 0};
+            // Escape: an 8-nibble instruction follows the nibble; the
+            // item's last 8 nibbles are the word.
+            cls = {insnNibbles, 0, 0, 0};
         }
     }
     return tables;

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "compress/scan.hh"
 #include "isa/inst.hh"
 #include "support/serialize.hh"
 
@@ -345,10 +346,11 @@ validateImage(const compress::CompressedImage &image)
         }
     }
 
-    // Walk the stream exactly as the decompression engine's scan would,
-    // but with explicit lookahead so malformed streams produce typed
-    // errors instead of machine checks. Collect the item boundaries for
-    // the branch-target and entry-point checks below.
+    // Walk the stream with the decompression engine's own scan, turning
+    // its faults into typed errors instead of machine checks. Collect the
+    // item boundaries for the branch-target and entry-point checks below.
+    // The first bad item in stream order decides the verdict: an illegal
+    // word stops the scan before any later fault is seen.
     std::vector<bool> boundary(image.textNibbles, false);
     struct StreamBranch
     {
@@ -356,33 +358,37 @@ validateImage(const compress::CompressedImage &image)
         int32_t disp;
     };
     std::vector<StreamBranch> branches;
-    NibbleReader reader(image.text.data(), image.textNibbles);
-    while (!reader.atEnd()) {
-        uint32_t addr = static_cast<uint32_t>(reader.pos());
-        if (!codec->peekItemNibbles(reader))
-            return invalid("stream ends mid-item at nibble " +
-                           std::to_string(addr));
-        boundary[addr] = true;
-        auto rank = codec->decodeCodeword(reader);
-        if (rank) {
-            if (*rank >= image.entriesByRank.size())
-                return invalid("codeword at nibble " +
-                               std::to_string(addr) + " names rank " +
-                               std::to_string(*rank) +
-                               " beyond the dictionary of " +
-                               std::to_string(image.entriesByRank.size()) +
-                               " entries");
-            continue;
-        }
-        isa::Word word = reader.getWord();
-        isa::Inst inst = isa::decode(word);
-        if (inst.op == isa::Op::Illegal)
-            return invalid("stream instruction at nibble " +
-                           std::to_string(addr) +
-                           " does not decode to a legal instruction");
-        if (inst.isRelativeBranch())
-            branches.push_back({addr, inst.disp});
-    }
+    std::optional<LoadError> item_error;
+    std::optional<compress::StreamFault> fault = compress::scanStream(
+        codec->tables(), image.text, image.textNibbles,
+        image.entriesByRank.size(), [&](const compress::DecodedItem &item) {
+            boundary[item.nibbleAddr] = true;
+            if (item.isCodeword)
+                return true;
+            isa::Inst inst = isa::decode(item.word);
+            if (inst.op == isa::Op::Illegal) {
+                item_error = invalid(
+                    "stream instruction at nibble " +
+                    std::to_string(item.nibbleAddr) +
+                    " does not decode to a legal instruction");
+                return false;
+            }
+            if (inst.isRelativeBranch())
+                branches.push_back({item.nibbleAddr, inst.disp});
+            return true;
+        });
+    if (item_error)
+        return item_error;
+    if (fault && fault->kind == compress::StreamFault::Truncated)
+        return invalid("stream ends mid-item at nibble " +
+                       std::to_string(fault->nibbleAddr));
+    if (fault)
+        return invalid("codeword at nibble " +
+                       std::to_string(fault->nibbleAddr) + " names rank " +
+                       std::to_string(fault->rank) +
+                       " beyond the dictionary of " +
+                       std::to_string(image.entriesByRank.size()) +
+                       " entries");
 
     if (image.entryPointNibble >= image.textNibbles ||
         !boundary[image.entryPointNibble])

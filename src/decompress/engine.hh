@@ -8,16 +8,10 @@
  * instructions by the escape rule of the encoding (illegal primary
  * opcodes under Baseline/OneByte, the first-nibble class under Nibble)
  * and expands codewords through the rank-ordered dictionary. A one-time
- * sequential scan builds the random-access item table that the fetch
- * stage consults.
- *
- * The scan (DESIGN.md section 10) loads the stream a 64-bit window --
- * a 16-nibble slice of a fetch line -- at a time and classifies each
- * item with one indexed load from the scheme's precomputed decode
- * tables, extracting the rank index and instruction word by shift/mask
- * with no per-nibble branching. The golden-checksum suite checks its
- * item tables and expanded instruction streams against a test-only
- * nibble-at-a-time decoder (tests/decode_oracle.hh) on every image.
+ * sequential pass of the shared stream scan (compress/scan.hh, the same
+ * table-driven walk the loader validates with) builds the random-access
+ * item table that the fetch stage consults; a malformed stream raises
+ * the matching machine check.
  *
  * The engine also pre-decodes every dictionary entry into isa::Inst
  * form at construction, so the execution core expands hot codewords
@@ -34,6 +28,7 @@
 #include <vector>
 
 #include "compress/image.hh"
+#include "compress/scan.hh"
 #include "decompress/fault.hh"
 #include "isa/inst.hh"
 #include "support/logging.hh"
@@ -41,16 +36,7 @@
 namespace codecomp {
 
 /** One decoded slot of the compressed stream. */
-struct DecodedItem
-{
-    uint32_t nibbleAddr;  //!< offset within the compressed text
-    uint8_t nibbles;      //!< total size including any escape
-    bool isCodeword;
-    uint32_t rank = 0;    //!< dictionary rank (codewords)
-    isa::Word word = 0;   //!< instruction word (non-codewords)
-
-    bool operator==(const DecodedItem &) const = default;
-};
+using compress::DecodedItem;
 
 /** Contiguous view of one pre-decoded dictionary entry. The engine
  *  packs every entry's decoded instructions into a single arena, so an
@@ -144,7 +130,6 @@ class DecompressionEngine
     /** indexByAddr_ sentinel for nibbles inside (not starting) an item. */
     static constexpr uint32_t noItem = UINT32_MAX;
 
-    void scan();
     void predecodeEntries();
 
     const compress::CompressedImage &image_;

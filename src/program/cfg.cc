@@ -7,14 +7,13 @@ namespace codecomp {
 Cfg
 Cfg::build(const Program &program)
 {
-    Cfg cfg;
     size_t n = program.text.size();
     CC_ASSERT(n > 0, "empty program");
-    cfg.leader_.assign(n, false);
+    std::vector<bool> leader(n, false);
 
-    auto mark = [&cfg, n](uint32_t index) {
+    auto mark = [&leader, n](uint32_t index) {
         CC_ASSERT(index < n, "leader out of range");
-        cfg.leader_[index] = true;
+        leader[index] = true;
     };
 
     mark(program.entryIndex);
@@ -38,15 +37,13 @@ Cfg::build(const Program &program)
         if (i + 1 < n)
             mark(i + 1);
     }
-    cfg.leader_[0] = true;
+    leader[0] = true;
 
-    cfg.block_of_.assign(n, 0);
+    Cfg cfg;
     for (uint32_t i = 0; i < n; ++i) {
-        if (cfg.leader_[i])
+        if (leader[i])
             cfg.blocks_.push_back({i, 0});
-        InstRange &blk = cfg.blocks_.back();
-        ++blk.count;
-        cfg.block_of_[i] = static_cast<uint32_t>(cfg.blocks_.size() - 1);
+        ++cfg.blocks_.back().count;
     }
     return cfg;
 }

@@ -23,22 +23,15 @@ namespace codecomp {
 class Cfg
 {
   public:
-    /** Compute leaders and blocks for @p program. */
+    /** Compute the blocks of @p program from its leaders. */
     static Cfg build(const Program &program);
 
-    /** Block index ranges, in ascending order, covering all of .text. */
+    /** Block index ranges, in ascending order, covering all of .text;
+     *  each block's first instruction is a leader. */
     const std::vector<InstRange> &blocks() const { return blocks_; }
-
-    /** True if instruction @p index starts a basic block. */
-    bool isLeader(uint32_t index) const { return leader_.at(index); }
-
-    /** Index of the block containing instruction @p index. */
-    uint32_t blockOf(uint32_t index) const { return block_of_.at(index); }
 
   private:
     std::vector<InstRange> blocks_;
-    std::vector<bool> leader_;
-    std::vector<uint32_t> block_of_;
 };
 
 } // namespace codecomp

@@ -4,20 +4,22 @@
  * nibble-at-a-time decoders the table-driven scan replaced. It reads
  * the escape rule straight off the ISA and the codeword classes
  * straight off paper Figure 10, sharing no decode table with the
- * production code, so the engine (decompress/engine.hh) and the
- * generic SchemeCodec::decodeCodeword / peekItemNibbles are checked
- * against it item for item.
+ * production code, so the shared stream scan (compress/scan.hh) and
+ * the engine and loader built on it are checked against it item for
+ * item.
  */
 
 #ifndef CODECOMP_TESTS_DECODE_ORACLE_HH
 #define CODECOMP_TESTS_DECODE_ORACLE_HH
 
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "compress/image.hh"
+#include "compress/scan.hh"
 #include "decompress/engine.hh"
 #include "decompress/fault.hh"
 #include "isa/isa.hh"
@@ -111,6 +113,73 @@ oraclePeekItemNibbles(NibbleReader reader, compress::Scheme scheme)
     return need;
 }
 
+/** The items of a stream in order, and the fault that stopped the walk
+ *  early, if any: what the shared scan hands its visitor and returns,
+ *  in one comparable value. */
+struct StreamScan
+{
+    std::vector<DecodedItem> items;
+    std::optional<compress::StreamFault> fault;
+
+    bool operator==(const StreamScan &) const = default;
+};
+
+/** The reference walk of the first @p nibbles nibbles of @p bytes under
+ *  @p scheme, against a dictionary of @p dictSize entries: every item
+ *  up to the first that runs off the stream or names a rank at or past
+ *  @p dictSize, which becomes the fault. */
+inline StreamScan
+oracleStreamScan(compress::Scheme scheme, std::span<const uint8_t> bytes,
+                 size_t nibbles, size_t dictSize)
+{
+    StreamScan scan;
+    NibbleReader reader(bytes.data(), nibbles);
+    while (!reader.atEnd()) {
+        DecodedItem item;
+        item.nibbleAddr = static_cast<uint32_t>(reader.pos());
+        // Classify the item length before decoding: a truncated stream
+        // must surface as a fault, not a read past the end.
+        if (!oraclePeekItemNibbles(reader, scheme)) {
+            scan.fault = {compress::StreamFault::Truncated,
+                          item.nibbleAddr};
+            break;
+        }
+        std::optional<uint32_t> rank = oracleDecodeCodeword(reader, scheme);
+        if (rank) {
+            item.isCodeword = true;
+            item.rank = *rank;
+            if (item.rank >= dictSize) {
+                scan.fault = {compress::StreamFault::RankOutOfRange,
+                              item.nibbleAddr, item.rank};
+                break;
+            }
+        } else {
+            item.isCodeword = false;
+            item.word = reader.getWord();
+        }
+        item.nibbles =
+            static_cast<uint8_t>(reader.pos() - item.nibbleAddr);
+        scan.items.push_back(item);
+    }
+    return scan;
+}
+
+/** The shared scan (compress/scan.hh) over the same input, collected
+ *  into the same shape, for == against oracleStreamScan. */
+inline StreamScan
+sharedStreamScan(compress::Scheme scheme, std::span<const uint8_t> bytes,
+                 size_t nibbles, size_t dictSize)
+{
+    StreamScan scan;
+    scan.fault = compress::scanStream(
+        compress::decodeTables(scheme), bytes, nibbles, dictSize,
+        [&scan](const DecodedItem &item) {
+            scan.items.push_back(item);
+            return true;
+        });
+    return scan;
+}
+
 /**
  * The engine's item table rebuilt one item at a time with the decoders
  * above. A truncated stream or a rank beyond the dictionary raises the
@@ -120,38 +189,20 @@ oraclePeekItemNibbles(NibbleReader reader, compress::Scheme scheme)
 inline std::vector<DecodedItem>
 oracleScan(const compress::CompressedImage &image)
 {
-    std::vector<DecodedItem> items;
-    NibbleReader reader(image.text.data(), image.textNibbles);
-    while (!reader.atEnd()) {
-        DecodedItem item;
-        item.nibbleAddr = static_cast<uint32_t>(reader.pos());
-        // Classify the item length before decoding: a truncated stream
-        // must surface as a machine check, not a read past the end.
-        if (!oraclePeekItemNibbles(reader, image.scheme))
-            throw MachineCheckError(MachineFault::BadCodeword,
-                                    item.nibbleAddr,
-                                    "compressed stream ends mid-item");
-        std::optional<uint32_t> rank =
-            oracleDecodeCodeword(reader, image.scheme);
-        if (rank) {
-            item.isCodeword = true;
-            item.rank = *rank;
-            if (item.rank >= image.entriesByRank.size())
-                throw MachineCheckError(
-                    MachineFault::DictIndexOutOfRange, item.nibbleAddr,
-                    "codeword rank " + std::to_string(item.rank) +
-                        " beyond dictionary of " +
-                        std::to_string(image.entriesByRank.size()) +
-                        " entries");
-        } else {
-            item.isCodeword = false;
-            item.word = reader.getWord();
-        }
-        item.nibbles =
-            static_cast<uint8_t>(reader.pos() - item.nibbleAddr);
-        items.push_back(item);
-    }
-    return items;
+    StreamScan scan =
+        oracleStreamScan(image.scheme, image.text, image.textNibbles,
+                         image.entriesByRank.size());
+    if (scan.fault && scan.fault->kind == compress::StreamFault::Truncated)
+        throw MachineCheckError(MachineFault::BadCodeword,
+                                scan.fault->nibbleAddr,
+                                "compressed stream ends mid-item");
+    if (scan.fault)
+        throw MachineCheckError(
+            MachineFault::DictIndexOutOfRange, scan.fault->nibbleAddr,
+            "codeword rank " + std::to_string(scan.fault->rank) +
+                " beyond dictionary of " +
+                std::to_string(image.entriesByRank.size()) + " entries");
+    return scan.items;
 }
 
 /** FNV-1a64 of the expanded instruction stream of @p items (codewords

@@ -2,9 +2,10 @@
  * @file
  * Invariants of the scheme-codec registry (compress/codec.hh): every
  * registered codec round-trips emit -> decode over its full rank range
- * through both its table-driven decoder and the reference decoder of
- * tests/decode_oracle.hh, its CLI name parses back to itself, its
- * decode tables agree with the reference peek for every prefix value,
+ * through the shared stream scan driven by its decode tables and
+ * through the reference decoder of tests/decode_oracle.hh, its CLI name
+ * parses back to itself, its tables agree with the reference for every
+ * prefix value and truncation,
  * and its dictionary serialization inverts exactly. Plus the
  * operand-factored backend's own algebra: factor/fuse bijection,
  * canonical-form enforcement, and rejection of malformed factored
@@ -100,25 +101,20 @@ TEST_P(CodecInvariants, EveryRankRoundTripsOnBothDecodePaths)
             << "rank " << rank;
     }
 
-    NibbleReader table(writer.bytes().data(), writer.nibbleCount());
-    NibbleReader reference(writer.bytes().data(), writer.nibbleCount());
+    test::StreamScan table = test::sharedStreamScan(
+        c.id(), writer.bytes(), writer.nibbleCount(), params.maxCodewords);
+    ASSERT_EQ(table,
+              test::oracleStreamScan(c.id(), writer.bytes(),
+                                     writer.nibbleCount(),
+                                     params.maxCodewords));
+    EXPECT_FALSE(table.fault.has_value());
+    ASSERT_EQ(table.items.size(), params.maxCodewords);
     for (uint32_t rank = 0; rank < params.maxCodewords; ++rank) {
-        auto peek = c.peekItemNibbles(table);
-        auto refPeek = test::oraclePeekItemNibbles(reference, c.id());
-        ASSERT_TRUE(peek.has_value());
-        ASSERT_TRUE(refPeek.has_value());
-        EXPECT_EQ(*peek, *refPeek) << "rank " << rank;
-        EXPECT_EQ(*peek, c.codewordNibbles(rank)) << "rank " << rank;
-
-        auto decoded = c.decodeCodeword(table);
-        auto refDecoded = test::oracleDecodeCodeword(reference, c.id());
-        ASSERT_TRUE(decoded.has_value()) << "rank " << rank;
-        ASSERT_TRUE(refDecoded.has_value()) << "rank " << rank;
-        EXPECT_EQ(*decoded, rank);
-        EXPECT_EQ(*refDecoded, rank);
-        ASSERT_EQ(table.pos(), reference.pos());
+        const DecodedItem &item = table.items[rank];
+        ASSERT_TRUE(item.isCodeword) << "rank " << rank;
+        EXPECT_EQ(item.rank, rank);
+        EXPECT_EQ(item.nibbles, c.codewordNibbles(rank)) << "rank " << rank;
     }
-    EXPECT_TRUE(table.atEnd());
 }
 
 TEST_P(CodecInvariants, InstructionsSurviveBothDecodePaths)
@@ -133,27 +129,30 @@ TEST_P(CodecInvariants, InstructionsSurviveBothDecodePaths)
     for (isa::Word word : words)
         c.emitInstruction(writer, word);
 
-    NibbleReader table(writer.bytes().data(), writer.nibbleCount());
-    NibbleReader reference(writer.bytes().data(), writer.nibbleCount());
-    for (isa::Word word : words) {
-        EXPECT_FALSE(c.decodeCodeword(table).has_value());
-        EXPECT_FALSE(
-            test::oracleDecodeCodeword(reference, c.id()).has_value());
-        EXPECT_EQ(table.getWord(), word);
-        EXPECT_EQ(reference.getWord(), word);
-        ASSERT_EQ(table.pos(), reference.pos());
+    unsigned dict_size = c.params().maxCodewords;
+    test::StreamScan table = test::sharedStreamScan(
+        c.id(), writer.bytes(), writer.nibbleCount(), dict_size);
+    ASSERT_EQ(table, test::oracleStreamScan(c.id(), writer.bytes(),
+                                            writer.nibbleCount(),
+                                            dict_size));
+    EXPECT_FALSE(table.fault.has_value());
+    ASSERT_EQ(table.items.size(), std::size(words));
+    for (size_t k = 0; k < std::size(words); ++k) {
+        EXPECT_FALSE(table.items[k].isCodeword);
+        EXPECT_EQ(table.items[k].word, words[k]);
+        EXPECT_EQ(table.items[k].nibbles, c.params().insnNibbles);
     }
-    EXPECT_TRUE(table.atEnd());
 }
 
 TEST_P(CodecInvariants, TablesAgreeWithReferencePeekForEveryPrefix)
 {
-    // Feed both classifiers every possible value of the prefix nibbles
-    // followed by a fixed pattern: the table-driven peek must match the
-    // cascaded-branch reference exactly, for every prefix value and
-    // for truncated streams.
+    // Feed both decoders every possible value of the prefix nibbles
+    // followed by a fixed pattern: the table-driven scan must match the
+    // cascaded-branch reference exactly, item for item and fault for
+    // fault, for every prefix value and for truncated streams.
     const SchemeCodec &c = codec();
     const DecodeTables &tables = c.tables();
+    unsigned dict_size = c.params().maxCodewords;
     unsigned prefixValues = 1u << (4 * tables.prefixNibbles);
     for (unsigned value = 0; value < prefixValues; ++value) {
         NibbleWriter writer;
@@ -162,28 +161,25 @@ TEST_P(CodecInvariants, TablesAgreeWithReferencePeekForEveryPrefix)
         for (unsigned pad = 0; pad < 12; ++pad)
             writer.putNibble((pad * 5 + 3) & 0xf);
 
-        NibbleReader full(writer.bytes().data(), writer.nibbleCount());
-        auto peek = c.peekItemNibbles(full);
-        auto refPeek = test::oraclePeekItemNibbles(full, c.id());
-        ASSERT_EQ(peek.has_value(), refPeek.has_value())
+        test::StreamScan full = test::sharedStreamScan(
+            c.id(), writer.bytes(), writer.nibbleCount(), dict_size);
+        ASSERT_EQ(full, test::oracleStreamScan(c.id(), writer.bytes(),
+                                               writer.nibbleCount(),
+                                               dict_size))
             << "prefix " << value;
-        if (peek) {
-            EXPECT_EQ(*peek, *refPeek) << "prefix " << value;
-            EXPECT_EQ(*peek, tables.classes[value].nibbles)
-                << "prefix " << value;
-        }
+        // Every item fits in the prefix plus 12 nibbles.
+        ASSERT_FALSE(full.items.empty()) << "prefix " << value;
+        EXPECT_EQ(full.items[0].nibbles, tables.classes[value].nibbles)
+            << "prefix " << value;
 
-        // Every truncation point: the two classifiers must agree that
-        // the item does or does not fit.
+        // Every truncation point: the two decoders must agree on the
+        // items that fit and on where the stream stops fitting.
         for (unsigned len = 0; len < writer.nibbleCount(); ++len) {
-            NibbleReader cut(writer.bytes().data(), len);
-            auto a = c.peekItemNibbles(cut);
-            auto b = test::oraclePeekItemNibbles(cut, c.id());
-            ASSERT_EQ(a.has_value(), b.has_value())
+            ASSERT_EQ(test::sharedStreamScan(c.id(), writer.bytes(), len,
+                                             dict_size),
+                      test::oracleStreamScan(c.id(), writer.bytes(), len,
+                                             dict_size))
                 << "prefix " << value << " len " << len;
-            if (a) {
-                EXPECT_EQ(*a, *b) << "prefix " << value << " len " << len;
-            }
         }
     }
 }

@@ -16,6 +16,7 @@
 #include "compress/greedy.hh"
 #include "compress/objfile.hh"
 #include "compress/pipeline.hh"
+#include "compress/scan.hh"
 #include "isa/builder.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
@@ -90,13 +91,17 @@ TEST(Candidates, SequencesStayInsideBlocks)
 {
     Program program = smallProgram();
     Cfg cfg = Cfg::build(program);
+    // The block of every instruction, from the block list.
+    std::vector<uint32_t> block_of;
+    for (uint32_t b = 0; b < cfg.blocks().size(); ++b)
+        block_of.insert(block_of.end(), cfg.blocks()[b].count, b);
+    ASSERT_EQ(block_of.size(), program.text.size());
     auto candidates = enumerateCandidates(program, cfg, 1, 4);
     EXPECT_FALSE(candidates.empty());
     for (const Candidate &cand : candidates) {
         std::span<const isa::Word> seq = candidates.sequenceOf(cand);
         for (uint32_t pos : candidates.positionsOf(cand)) {
-            uint32_t block = cfg.blockOf(pos);
-            EXPECT_EQ(cfg.blockOf(pos + cand.len - 1), block);
+            EXPECT_EQ(block_of.at(pos + cand.len - 1), block_of.at(pos));
             // Occurrence content matches the candidate key.
             for (size_t k = 0; k < seq.size(); ++k)
                 EXPECT_EQ(program.text[pos + k], seq[k]);
@@ -367,17 +372,17 @@ TEST_P(EncodingRoundTrip, MixedStreamDecodes)
         }
     }
 
-    NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
-    for (const auto &want : expected) {
-        auto got = decodeCodeword(reader, scheme);
-        EXPECT_EQ(got.has_value(), want.has_value());
-        if (want && got) {
-            EXPECT_EQ(*got, *want);
-        } else if (!want) {
-            reader.getWord(); // consume the instruction
-        }
-    }
-    EXPECT_TRUE(reader.atEnd());
+    std::vector<std::optional<uint32_t>> got;
+    std::optional<StreamFault> fault = scanStream(
+        decodeTables(scheme), writer.bytes(), writer.nibbleCount(),
+        params.maxCodewords, [&got](const DecodedItem &item) {
+            got.push_back(item.isCodeword
+                              ? std::optional<uint32_t>(item.rank)
+                              : std::nullopt);
+            return true;
+        });
+    EXPECT_FALSE(fault.has_value());
+    EXPECT_EQ(got, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, EncodingRoundTrip,

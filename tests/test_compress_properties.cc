@@ -12,6 +12,7 @@
 #include <ostream>
 
 #include "compress/compressor.hh"
+#include "compress/scan.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
 #include "isa/isa.hh"
@@ -195,19 +196,22 @@ TEST(CompressorEdge, BaselineStreamBytesNeverAliasEscapes)
     CompressedImage image = compressProgram(program, config);
 
     NibbleReader reader(image.text.data(), image.textNibbles);
-    while (!reader.atEnd()) {
-        size_t start = reader.pos();
-        auto rank = decodeCodeword(reader, Scheme::Baseline);
-        if (rank) {
-            reader.seek(start);
+    size_t items = 0;
+    std::optional<StreamFault> fault = scanStream(
+        decodeTables(Scheme::Baseline), image.text, image.textNibbles,
+        image.entriesByRank.size(), [&](const DecodedItem &item) {
+            ++items;
+            reader.seek(item.nibbleAddr);
             uint8_t first = static_cast<uint8_t>(reader.getNibbles(2));
-            EXPECT_TRUE(isa::isIllegalPrimOp(first >> 2));
-            reader.seek(start + 4);
-        } else {
-            uint32_t word = reader.getWord();
-            EXPECT_FALSE(isa::isIllegalPrimOp(isa::primOpOf(word)));
-        }
-    }
+            EXPECT_EQ(isa::isIllegalPrimOp(first >> 2), item.isCodeword)
+                << "item at nibble " << item.nibbleAddr;
+            if (!item.isCodeword) {
+                EXPECT_FALSE(isa::isIllegalPrimOp(isa::primOpOf(item.word)));
+            }
+            return true;
+        });
+    EXPECT_FALSE(fault.has_value());
+    EXPECT_GT(items, 0u);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "compress/objfile.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
+#include "decode_oracle.hh"
 #include "support/rng.hh"
 #include "support/serialize.hh"
 #include "verify/fault.hh"
@@ -281,6 +282,77 @@ TEST(CorruptionStructural, MutantsRejectOrTrap)
         // get through to a machine check.
         EXPECT_GT(rejected, 0u) << schemeName(scheme);
         EXPECT_GT(trapped, 0u) << schemeName(scheme);
+    }
+}
+
+// ---------------- the loader against the reference decoder ----------------
+
+/** Check validateImage against the reference decoder on @p mutant:
+ *  whenever the reference scan faults, the loader must reject the
+ *  image as BadValue with the error for the item the reference
+ *  faulted at.
+ *  Returns whether the reference faulted. */
+bool
+expectLoaderRejectsOracleFault(const CompressedImage &mutant,
+                               const std::string &label)
+{
+    try {
+        test::oracleScan(mutant);
+        return false;
+    } catch (const MachineCheckError &fault) {
+        std::optional<LoadError> error = validateImage(mutant);
+        EXPECT_TRUE(error.has_value()) << label << " was accepted";
+        if (error) {
+            EXPECT_EQ(error->status, LoadStatus::BadValue) << label;
+            std::string at = "at nibble " + std::to_string(fault.addr());
+            std::string expected =
+                fault.fault() == MachineFault::BadCodeword
+                    ? "stream ends mid-item " + at
+                    : "codeword " + at + " names rank ";
+            EXPECT_EQ(error->detail.substr(0, expected.size()), expected)
+                << label;
+        }
+        return true;
+    }
+}
+
+TEST(CorruptionStream, LoaderRejectsEveryReferenceFault)
+{
+    // Cut the stream of a small image at every nibble count, and shrink
+    // its dictionary by one entry and to nothing. The loader walks the
+    // stream with the engine's table-driven scan; the reference walks
+    // it a nibble at a time with no shared table, so the two must agree
+    // on every truncated item and dangling rank.
+    Program program = smallProgram();
+    for (Scheme scheme : kSchemes) {
+        const CompressedImage image = makeImage(program, scheme);
+        ASSERT_FALSE(validateImage(image).has_value())
+            << schemeName(scheme);
+        ASSERT_FALSE(
+            expectLoaderRejectsOracleFault(image, schemeName(scheme)));
+
+        CompressedImage mutant = image;
+        size_t faults = 0;
+        for (size_t cut = 0; cut < image.textNibbles; ++cut) {
+            mutant.textNibbles = cut;
+            mutant.text.assign(image.text.begin(),
+                               image.text.begin() +
+                                   static_cast<long>((cut + 1) / 2));
+            if (cut % 2 != 0)
+                mutant.text.back() &= 0xf0; // zero the pad nibble
+            faults += expectLoaderRejectsOracleFault(
+                mutant, std::string(schemeName(scheme)) + " cut at " +
+                            std::to_string(cut));
+        }
+        EXPECT_GT(faults, 0u) << schemeName(scheme);
+
+        for (size_t entries : {image.entriesByRank.size() - 1, size_t{0}}) {
+            mutant = image;
+            mutant.entriesByRank.resize(entries);
+            EXPECT_TRUE(expectLoaderRejectsOracleFault(
+                mutant, std::string(schemeName(scheme)) + " with " +
+                            std::to_string(entries) + " entries"));
+        }
     }
 }
 

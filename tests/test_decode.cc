@@ -6,8 +6,8 @@
  * layers of proof:
  *
  *  - DecodeTable: every codeword rank and instruction word round-trips
- *    through decodeCodeword and the reference with identical results
- *    and cursor positions; peekItemNibbles agrees on every truncation.
+ *    through the shared stream scan and the reference with identical
+ *    items; the two agree on every truncation, fault included.
  *  - DecodeGolden: over every workload x scheme x strategy the engine's
  *    item table equals the reference scan and its expanded-instruction-
  *    stream FNV-1a64 digest equals the reference digest; for compress
@@ -69,19 +69,16 @@ TEST(DecodeTableCodewords, EveryRankMatchesReferenceDecoder)
             ASSERT_EQ(writer.nibbleCount(),
                       codewordNibbles(scheme, rank));
 
-            NibbleReader fast(writer.bytes().data(),
-                              writer.nibbleCount());
-            NibbleReader reference(writer.bytes().data(),
-                                   writer.nibbleCount());
-            auto fast_rank = decodeCodeword(fast, scheme);
-            auto reference_rank = oracleDecodeCodeword(reference, scheme);
-            ASSERT_TRUE(fast_rank.has_value())
+            StreamScan fast = sharedStreamScan(
+                scheme, writer.bytes(), writer.nibbleCount(), max);
+            ASSERT_EQ(fast, oracleStreamScan(scheme, writer.bytes(),
+                                             writer.nibbleCount(), max))
                 << schemeCliName(scheme) << " rank " << rank;
-            ASSERT_TRUE(reference_rank.has_value());
-            ASSERT_EQ(*fast_rank, rank);
-            ASSERT_EQ(*fast_rank, *reference_rank);
-            ASSERT_EQ(fast.pos(), reference.pos());
-            ASSERT_TRUE(fast.atEnd());
+            ASSERT_FALSE(fast.fault.has_value());
+            ASSERT_EQ(fast.items.size(), 1u);
+            ASSERT_TRUE(fast.items[0].isCodeword);
+            ASSERT_EQ(fast.items[0].rank, rank);
+            ASSERT_EQ(fast.items[0].nibbles, writer.nibbleCount());
         }
     }
 }
@@ -89,23 +86,21 @@ TEST(DecodeTableCodewords, EveryRankMatchesReferenceDecoder)
 TEST(DecodeTableInstructions, RawWordsMatchReferenceDecoder)
 {
     for (Scheme scheme : testedSchemes) {
+        unsigned max = schemeParams(scheme).maxCodewords;
         for (isa::Word word : sampleWords()) {
             NibbleWriter writer;
             emitInstruction(writer, scheme, word);
 
-            NibbleReader fast(writer.bytes().data(),
-                              writer.nibbleCount());
-            NibbleReader reference(writer.bytes().data(),
-                                   writer.nibbleCount());
-            auto fast_rank = decodeCodeword(fast, scheme);
-            auto reference_rank = oracleDecodeCodeword(reference, scheme);
-            ASSERT_FALSE(fast_rank.has_value())
+            StreamScan fast = sharedStreamScan(
+                scheme, writer.bytes(), writer.nibbleCount(), max);
+            ASSERT_EQ(fast, oracleStreamScan(scheme, writer.bytes(),
+                                             writer.nibbleCount(), max))
                 << schemeCliName(scheme) << " word " << std::hex << word;
-            ASSERT_FALSE(reference_rank.has_value());
-            // Both decoders leave the cursor at the start of the word
-            // (past any escape), so getWord() recovers it.
-            ASSERT_EQ(fast.pos(), reference.pos());
-            ASSERT_EQ(fast.getWord(), word);
+            ASSERT_FALSE(fast.fault.has_value());
+            ASSERT_EQ(fast.items.size(), 1u);
+            ASSERT_FALSE(fast.items[0].isCodeword);
+            ASSERT_EQ(fast.items[0].word, word);
+            ASSERT_EQ(fast.items[0].nibbles, schemeParams(scheme).insnNibbles);
         }
     }
 }
@@ -113,8 +108,10 @@ TEST(DecodeTableInstructions, RawWordsMatchReferenceDecoder)
 TEST(DecodeTablePeek, AgreesWithReferenceOnEveryTruncation)
 {
     // A stream holding one of everything, then every truncated prefix
-    // of it: peek must classify identically to the reference,
-    // including the "stream cannot hold the whole item" nullopt.
+    // of it, against the full dictionary and a one-entry one: the scan
+    // must yield the reference's items and stop at the reference's
+    // fault -- the item the stream cannot hold, or the first rank past
+    // the dictionary.
     for (Scheme scheme : testedSchemes) {
         NibbleWriter writer;
         unsigned max = schemeParams(scheme).maxCodewords;
@@ -123,14 +120,16 @@ TEST(DecodeTablePeek, AgreesWithReferenceOnEveryTruncation)
         for (isa::Word word : sampleWords())
             emitInstruction(writer, scheme, word);
 
-        for (size_t len = 0; len <= writer.nibbleCount(); ++len) {
-            NibbleReader fast(writer.bytes().data(), len);
-            NibbleReader reference(writer.bytes().data(), len);
-            auto fast_peek = peekItemNibbles(fast, scheme);
-            auto reference_peek = oraclePeekItemNibbles(reference, scheme);
-            ASSERT_EQ(fast_peek, reference_peek)
-                << schemeCliName(scheme) << " truncated to " << len
-                << " nibbles";
+        for (size_t dict_size : {size_t{max}, size_t{1}}) {
+            for (size_t len = 0; len <= writer.nibbleCount(); ++len) {
+                ASSERT_EQ(
+                    sharedStreamScan(scheme, writer.bytes(), len,
+                                     dict_size),
+                    oracleStreamScan(scheme, writer.bytes(), len,
+                                     dict_size))
+                    << schemeCliName(scheme) << " truncated to " << len
+                    << " nibbles, dictionary of " << dict_size;
+            }
         }
     }
 }
@@ -150,14 +149,12 @@ TEST(DecodeTableShape, TablesCoverEveryPrefixConsistently)
             EXPECT_LE(tables.prefixNibbles + cls.indexNibbles,
                       cls.nibbles);
             if (cls.isCodeword) {
-                EXPECT_EQ(cls.rewindNibbles, 0u);
                 // The class's rank range stays inside the scheme.
                 uint32_t top = cls.rankBase +
                                (1u << (4 * cls.indexNibbles)) - 1;
                 EXPECT_LT(top, schemeParams(scheme).maxCodewords);
             } else {
                 EXPECT_EQ(cls.indexNibbles, 0u);
-                EXPECT_LE(cls.rewindNibbles, tables.prefixNibbles);
             }
         }
     }

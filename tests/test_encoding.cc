@@ -1,23 +1,47 @@
 /**
  * @file
  * Exhaustive codeword-encoding tests: every rank of every scheme must
- * round-trip through emitCodeword/decodeCodeword, codeword sizes must
- * match codewordNibbles, and odd-nibble-count streams must end cleanly
- * at their declared nibble count -- the pad nibble of the final byte
- * is dead, not a phantom rank-0 codeword.
+ * round-trip through emitCodeword and the shared stream scan
+ * (compress/scan.hh), identically to the reference decoder of
+ * tests/decode_oracle.hh; codeword sizes must match codewordNibbles;
+ * and odd-nibble-count streams must end cleanly at their declared
+ * nibble count -- the pad nibble of the final byte is dead, not a
+ * phantom rank-0 codeword.
  */
 
 #include <gtest/gtest.h>
 
 #include "compress/encoding.hh"
+#include "decode_oracle.hh"
 #include "isa/builder.hh"
 #include "isa/isa.hh"
 #include "support/bitstream.hh"
 
 using namespace codecomp;
 using namespace codecomp::compress;
+using namespace codecomp::test;
 
 namespace {
+
+/** The shared scan of @p writer's stream against a full-size
+ *  dictionary, checked equal to the reference decoder's. */
+StreamScan
+scanChecked(Scheme scheme, const NibbleWriter &writer, size_t nibbles)
+{
+    size_t dict_size = schemeParams(scheme).maxCodewords;
+    StreamScan fast =
+        sharedStreamScan(scheme, writer.bytes(), nibbles, dict_size);
+    EXPECT_EQ(fast,
+              oracleStreamScan(scheme, writer.bytes(), nibbles, dict_size))
+        << schemeCliName(scheme) << " over " << nibbles << " nibbles";
+    return fast;
+}
+
+StreamScan
+scanChecked(Scheme scheme, const NibbleWriter &writer)
+{
+    return scanChecked(scheme, writer, writer.nibbleCount());
+}
 
 class ExhaustiveRoundTrip : public ::testing::TestWithParam<Scheme>
 {};
@@ -32,17 +56,19 @@ TEST_P(ExhaustiveRoundTrip, EveryRankRoundTripsAlone)
         ASSERT_EQ(writer.nibbleCount(), codewordNibbles(scheme, rank))
             << "rank " << rank;
 
-        NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
-        auto decoded = decodeCodeword(reader, scheme);
-        ASSERT_TRUE(decoded.has_value()) << "rank " << rank;
-        ASSERT_EQ(*decoded, rank);
-        ASSERT_TRUE(reader.atEnd()) << "rank " << rank;
+        StreamScan scan = scanChecked(scheme, writer);
+        ASSERT_FALSE(scan.fault.has_value()) << "rank " << rank;
+        ASSERT_EQ(scan.items.size(), 1u) << "rank " << rank;
+        ASSERT_TRUE(scan.items[0].isCodeword) << "rank " << rank;
+        ASSERT_EQ(scan.items[0].rank, rank);
+        ASSERT_EQ(scan.items[0].nibbles, writer.nibbleCount())
+            << "rank " << rank;
     }
 }
 
 TEST_P(ExhaustiveRoundTrip, EveryRankRoundTripsInOneStream)
 {
-    // All ranks concatenated: each decode must consume exactly its
+    // All ranks concatenated: each item must span exactly its
     // codeword, never bleeding into the next.
     Scheme scheme = GetParam();
     SchemeParams params = schemeParams(scheme);
@@ -50,13 +76,18 @@ TEST_P(ExhaustiveRoundTrip, EveryRankRoundTripsInOneStream)
     for (uint32_t rank = 0; rank < params.maxCodewords; ++rank)
         emitCodeword(writer, scheme, rank);
 
-    NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
+    StreamScan scan = scanChecked(scheme, writer);
+    EXPECT_FALSE(scan.fault.has_value());
+    ASSERT_EQ(scan.items.size(), params.maxCodewords);
+    uint32_t addr = 0;
     for (uint32_t rank = 0; rank < params.maxCodewords; ++rank) {
-        auto decoded = decodeCodeword(reader, scheme);
-        ASSERT_TRUE(decoded.has_value()) << "rank " << rank;
-        ASSERT_EQ(*decoded, rank);
+        const DecodedItem &item = scan.items[rank];
+        ASSERT_TRUE(item.isCodeword) << "rank " << rank;
+        ASSERT_EQ(item.rank, rank);
+        ASSERT_EQ(item.nibbleAddr, addr) << "rank " << rank;
+        addr += item.nibbles;
     }
-    EXPECT_TRUE(reader.atEnd());
+    EXPECT_EQ(addr, writer.nibbleCount());
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, ExhaustiveRoundTrip,
@@ -68,18 +99,17 @@ INSTANTIATE_TEST_SUITE_P(Schemes, ExhaustiveRoundTrip,
 TEST(OddNibblePadding, DeclaredCountEndsTheStream)
 {
     // A single 4-bit codeword occupies one nibble; the backing byte
-    // stream still has two. With the explicit count the reader is at
-    // end -- the pad nibble never reaches the decoder.
+    // stream still has two. With the explicit count the scan ends after
+    // one item -- the pad nibble never reaches the decoder.
     NibbleWriter writer;
     emitCodeword(writer, Scheme::Nibble, 3);
     ASSERT_EQ(writer.nibbleCount(), 1u);
     ASSERT_EQ(writer.sizeBytes(), 1u);
 
-    NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
-    auto decoded = decodeCodeword(reader, Scheme::Nibble);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, 3u);
-    EXPECT_TRUE(reader.atEnd());
+    StreamScan scan = scanChecked(Scheme::Nibble, writer);
+    EXPECT_FALSE(scan.fault.has_value());
+    ASSERT_EQ(scan.items.size(), 1u);
+    EXPECT_EQ(scan.items[0].rank, 3u);
 }
 
 TEST(OddNibblePadding, PhantomPadNibbleWouldDecodeAsRankZero)
@@ -89,20 +119,21 @@ TEST(OddNibblePadding, PhantomPadNibbleWouldDecodeAsRankZero)
     // nibble into a valid rank-0 codeword under Scheme::Nibble.
     NibbleWriter writer;
     emitCodeword(writer, Scheme::Nibble, 3);
-    NibbleReader rounded(writer.bytes().data(),
-                         writer.bytes().size() * 2);
-    EXPECT_EQ(*decodeCodeword(rounded, Scheme::Nibble), 3u);
-    EXPECT_FALSE(rounded.atEnd());
-    auto phantom = decodeCodeword(rounded, Scheme::Nibble);
-    ASSERT_TRUE(phantom.has_value());
-    EXPECT_EQ(*phantom, 0u); // exactly why rounding is unacceptable
+    StreamScan rounded =
+        scanChecked(Scheme::Nibble, writer, writer.bytes().size() * 2);
+    EXPECT_FALSE(rounded.fault.has_value());
+    ASSERT_EQ(rounded.items.size(), 2u);
+    EXPECT_EQ(rounded.items[0].rank, 3u);
+    // The pad nibble as a codeword: exactly why rounding is unacceptable.
+    ASSERT_TRUE(rounded.items[1].isCodeword);
+    EXPECT_EQ(rounded.items[1].rank, 0u);
 }
 
 TEST(OddNibblePadding, OddMixedStreamConsumesExactCount)
 {
     // Codeword sizes 1 and 3 keep the running count odd; an escaped
-    // instruction (9 nibbles) keeps it odd again. The decode loop must
-    // land exactly on the declared count.
+    // instruction (9 nibbles) keeps it odd again. The scan must land
+    // exactly on the declared count.
     NibbleWriter writer;
     std::vector<uint32_t> ranks = {5, 100, 7, 2000, 1};
     emitCodeword(writer, Scheme::Nibble, ranks[0]);
@@ -114,33 +145,39 @@ TEST(OddNibblePadding, OddMixedStreamConsumesExactCount)
     emitCodeword(writer, Scheme::Nibble, ranks[4]);
     ASSERT_EQ(writer.nibbleCount() % 2, 1u);
 
-    NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Nibble), ranks[0]);
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Nibble), ranks[1]);
-    EXPECT_FALSE(decodeCodeword(reader, Scheme::Nibble).has_value());
-    EXPECT_EQ(reader.getWord(), word);
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Nibble), ranks[2]);
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Nibble), ranks[3]);
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Nibble), ranks[4]);
-    EXPECT_TRUE(reader.atEnd());
+    StreamScan scan = scanChecked(Scheme::Nibble, writer);
+    EXPECT_FALSE(scan.fault.has_value());
+    ASSERT_EQ(scan.items.size(), 6u);
+    EXPECT_EQ(scan.items[0].rank, ranks[0]);
+    EXPECT_EQ(scan.items[1].rank, ranks[1]);
+    EXPECT_FALSE(scan.items[2].isCodeword);
+    EXPECT_EQ(scan.items[2].word, word);
+    EXPECT_EQ(scan.items[3].rank, ranks[2]);
+    EXPECT_EQ(scan.items[4].rank, ranks[3]);
+    EXPECT_EQ(scan.items[5].rank, ranks[4]);
+    EXPECT_EQ(scan.items[5].nibbleAddr + scan.items[5].nibbles,
+              writer.nibbleCount());
 }
 
 TEST(EscapeBytes, EveryByteClassifiedConsistently)
 {
-    // The 256-entry inverse table must agree with first principles:
-    // a byte is an escape iff its high six bits are an illegal primary
-    // opcode, and distinct escape bytes decode to distinct codewords.
+    // The 256-entry classification table must agree with first
+    // principles: a byte starts a codeword iff its high six bits are an
+    // illegal primary opcode; any other byte starts a raw word.
     for (unsigned value = 0; value < 256; ++value) {
         uint8_t byte = static_cast<uint8_t>(value);
         NibbleWriter writer;
         writer.putNibbles(byte, 2);
-        writer.putNibbles(0, 2); // index byte for the baseline decode
-        NibbleReader reader(writer.bytes().data(), 4);
-        auto decoded = decodeCodeword(reader, Scheme::Baseline);
-        EXPECT_EQ(decoded.has_value(), isa::isIllegalPrimOp(byte >> 2))
+        writer.putNibbles(0, 6); // index byte, then the rest of a word
+        StreamScan scan = scanChecked(Scheme::Baseline, writer);
+        ASSERT_FALSE(scan.items.empty()) << "byte " << value;
+        const DecodedItem &first = scan.items[0];
+        EXPECT_EQ(first.isCodeword, isa::isIllegalPrimOp(byte >> 2))
             << "byte " << value;
-        if (decoded) {
-            EXPECT_EQ(*decoded % 256, 0u); // index byte was zero
+        if (first.isCodeword) {
+            EXPECT_EQ(first.rank % 256, 0u); // index byte was zero
+        } else {
+            EXPECT_EQ(first.word, isa::Word{byte} << 24);
         }
     }
 
@@ -149,8 +186,9 @@ TEST(EscapeBytes, EveryByteClassifiedConsistently)
     // arithmetic at the boundaries.
     NibbleWriter writer;
     emitCodeword(writer, Scheme::Baseline, 8191);
-    NibbleReader reader(writer.bytes().data(), writer.nibbleCount());
-    EXPECT_EQ(*decodeCodeword(reader, Scheme::Baseline), 8191u);
+    StreamScan scan = scanChecked(Scheme::Baseline, writer);
+    ASSERT_EQ(scan.items.size(), 1u);
+    EXPECT_EQ(scan.items[0].rank, 8191u);
 }
 
 } // namespace

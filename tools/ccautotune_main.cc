@@ -113,6 +113,8 @@ run(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        if (tools::parseTimingFlag(argc, argv, i, spec.model))
+            continue;
         if (arg == "--workload" && i + 1 < argc) {
             for (const std::string &name : tools::splitList(argv[++i])) {
                 if (name == "all") {
@@ -122,10 +124,8 @@ run(int argc, char **argv)
                 workloadNames.push_back(name);
             }
         } else if (arg == "--budget" && i + 1 < argc) {
-            long budget = std::atol(argv[++i]);
-            if (budget < 1)
-                return badArg("--budget must be at least 1");
-            spec.budgets.push_back(static_cast<uint64_t>(budget));
+            spec.budgets.push_back(
+                tools::flagValue<uint64_t>("--budget", argv[++i], 1));
         } else if (arg == "--schemes" && i + 1 < argc) {
             for (const std::string &name : tools::splitList(argv[++i])) {
                 auto scheme = compress::parseSchemeName(name);
@@ -140,12 +140,9 @@ run(int argc, char **argv)
                 spec.strategies.push_back(
                     compress::parseStrategyNameOrFatal(name));
         } else if (arg == "--dict-caps" && i + 1 < argc) {
-            for (const std::string &item : tools::splitList(argv[++i])) {
-                long cap = std::atol(item.c_str());
-                if (cap < 1)
-                    return badArg("--dict-caps entries must be >= 1");
-                spec.dictCaps.push_back(static_cast<uint32_t>(cap));
-            }
+            for (const std::string &item : tools::splitList(argv[++i]))
+                spec.dictCaps.push_back(tools::flagValue<uint32_t>(
+                    "--dict-caps", item.c_str(), 1));
         } else if (arg == "--cache-geoms" && i + 1 < argc) {
             for (const std::string &item : tools::splitList(argv[++i])) {
                 cache::CacheConfig geometry;
@@ -156,43 +153,14 @@ run(int argc, char **argv)
             }
         } else if (arg == "--no-hotcold") {
             spec.tryHotCold = false;
-        } else if (arg == "--width" && i + 1 < argc) {
-            spec.model.frontendWidth =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--miss-penalty" && i + 1 < argc) {
-            spec.model.missPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--mem-cycles" && i + 1 < argc) {
-            spec.model.memoryCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--expand-cycles" && i + 1 < argc) {
-            spec.model.expansionCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--redirect-penalty" && i + 1 < argc) {
-            spec.model.redirectPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2" && i + 1 < argc) {
-            if (!tools::parseCacheSpec(argv[++i], spec.model.l2))
-                return badArg("--l2 wants CAP:LINE:WAYS "
-                              "(e.g. 8192:32:2)");
-        } else if (arg == "--l2-hit" && i + 1 < argc) {
-            spec.model.l2HitPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2-cycles" && i + 1 < argc) {
-            spec.model.l2CyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
         } else if (arg == "--max-steps" && i + 1 < argc) {
-            spec.maxSteps = static_cast<uint64_t>(std::atoll(argv[++i]));
+            spec.maxSteps =
+                tools::flagValue<uint64_t>("--max-steps", argv[++i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
+            setGlobalJobs(tools::flagValue<unsigned>("--jobs", argv[++i], 1));
         } else if (arg == "--isolate" && i + 1 < argc) {
-            int workers = std::atoi(argv[++i]);
-            if (workers < 1)
-                return badArg("--isolate must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(workers));
+            setGlobalJobs(
+                tools::flagValue<unsigned>("--isolate", argv[++i], 1));
             options.isolate = true;
         } else if (arg == "--worker-binary" && i + 1 < argc) {
             options.workerBinary = argv[++i];

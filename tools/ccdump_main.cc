@@ -127,7 +127,7 @@ run(int argc, char **argv)
         } else if (arg == "--dict") {
             dict = true;
         } else if (arg == "--stream" && i + 1 < argc) {
-            stream_items = static_cast<size_t>(std::atoll(argv[++i]));
+            stream_items = tools::flagValue<size_t>("--stream", argv[++i]);
         } else if (!arg.empty() && arg[0] != '-') {
             input = arg;
         } else {

@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -183,43 +182,29 @@ run(int argc, char **argv)
         } else if (arg == "--strategies" && i + 1 < argc) {
             strategyFilter = tools::splitList(argv[++i]);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
+            setGlobalJobs(tools::flagValue<unsigned>("--jobs", argv[++i], 1));
         } else if (arg == "--isolate" && i + 1 < argc) {
-            int workers = std::atoi(argv[++i]);
-            if (workers < 1)
-                return badArg("--isolate must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(workers));
+            setGlobalJobs(
+                tools::flagValue<unsigned>("--isolate", argv[++i], 1));
             options.isolate = true;
         } else if (arg == "--job-timeout" && i + 1 < argc) {
-            long ms = std::atol(argv[++i]);
-            if (ms < 0)
-                return badArg("--job-timeout must be >= 0");
-            options.jobTimeoutMs = static_cast<uint64_t>(ms);
+            options.jobTimeoutMs =
+                tools::flagValue<uint64_t>("--job-timeout", argv[++i]);
         } else if (arg == "--retries" && i + 1 < argc) {
-            int n = std::atoi(argv[++i]);
-            if (n < 0 || n > 100)
-                return badArg("--retries must be in [0, 100]");
-            options.retries = static_cast<uint32_t>(n);
+            options.retries =
+                tools::flagValue<uint32_t>("--retries", argv[++i], 0, 100);
         } else if (arg == "--backoff" && i + 1 < argc) {
-            long ms = std::atol(argv[++i]);
-            if (ms < 0)
-                return badArg("--backoff must be >= 0");
-            options.backoffBaseMs = static_cast<uint64_t>(ms);
+            options.backoffBaseMs =
+                tools::flagValue<uint64_t>("--backoff", argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = static_cast<uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
+            options.seed = tools::flagValue<uint64_t>("--seed", argv[++i]);
         } else if (arg == "--no-cache") {
             options.cache = false;
         } else if (arg == "--cache-dir" && i + 1 < argc) {
             options.cacheDir = argv[++i];
         } else if (arg == "--cache-cap" && i + 1 < argc) {
-            long cap = std::atol(argv[++i]);
-            if (cap < 1)
-                return badArg("--cache-cap must be at least 1");
-            options.cacheMaxEntries = static_cast<size_t>(cap);
+            options.cacheMaxEntries =
+                tools::flagValue<size_t>("--cache-cap", argv[++i], 1);
         } else if (arg == "--report" && i + 1 < argc) {
             reportPath = argv[++i];
         } else if (arg == "--results" && i + 1 < argc) {

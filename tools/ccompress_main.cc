@@ -186,7 +186,7 @@ run(int argc, char **argv)
     std::string output;
     std::string statsJsonPath;
     bool stats = false;
-    long maxEntriesArg = -1; // unset; validated against the scheme below
+    uint32_t maxEntriesArg = 0; // unset; validated against the scheme below
     compress::CompressorConfig config;
     config.scheme = compress::Scheme::Nibble;
     config.maxEntries = 4680;
@@ -213,17 +213,13 @@ run(int argc, char **argv)
             config.strategy =
                 compress::parseStrategyNameOrFatal(argv[++i]);
         } else if (arg == "--max-entries" && i + 1 < argc) {
-            maxEntriesArg = std::atol(argv[++i]);
+            maxEntriesArg =
+                tools::flagValue<uint32_t>("--max-entries", argv[++i], 1);
         } else if (arg == "--max-len" && i + 1 < argc) {
-            long len = std::atol(argv[++i]);
-            if (len < 1)
-                return badArg("--max-len must be at least 1");
-            config.maxEntryLen = static_cast<uint32_t>(len);
+            config.maxEntryLen =
+                tools::flagValue<uint32_t>("--max-len", argv[++i], 1);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return badArg("--jobs must be at least 1");
-            setGlobalJobs(static_cast<unsigned>(jobs));
+            setGlobalJobs(tools::flagValue<unsigned>("--jobs", argv[++i], 1));
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--stats-json" && i + 1 < argc) {
@@ -238,14 +234,14 @@ run(int argc, char **argv)
         return usage();
     // --max-entries is validated against the final scheme (the flags
     // may come in any order) rather than silently clipped.
-    if (maxEntriesArg != -1) {
-        long max = compress::schemeParams(config.scheme).maxCodewords;
-        if (maxEntriesArg < 1 || maxEntriesArg > max)
-            return badArg("--max-entries %ld out of range for scheme "
-                          "%s (1..%ld)",
+    if (maxEntriesArg != 0) {
+        unsigned max = compress::schemeParams(config.scheme).maxCodewords;
+        if (maxEntriesArg > max)
+            return badArg("--max-entries %u out of range for scheme "
+                          "%s (1..%u)",
                           maxEntriesArg,
                           compress::schemeName(config.scheme), max);
-        config.maxEntries = static_cast<uint32_t>(maxEntriesArg);
+        config.maxEntries = maxEntriesArg;
     }
     bool outdir = output.back() == '/';
     if (inputs.size() > 1 && !outdir) {

@@ -76,7 +76,7 @@ run(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--max-steps" && i + 1 < argc) {
-            max_steps = static_cast<uint64_t>(std::atoll(argv[++i]));
+            max_steps = tools::flagValue<uint64_t>("--max-steps", argv[++i]);
         } else if (arg == "--stats") {
             stats = true;
         } else if (!arg.empty() && arg[0] != '-') {

@@ -20,6 +20,7 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "compress/objfile.hh"
@@ -87,46 +88,17 @@ run(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--width" && i + 1 < argc) {
-            config.frontendWidth =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--icache" && i + 1 < argc) {
-            if (!tools::parseCacheSpec(argv[++i], config.icache)) {
-                std::fprintf(stderr,
-                             "cctime: --icache wants CAP:LINE:WAYS "
-                             "(e.g. 2048:32:2)\n");
-                return tools::exitUserError;
-            }
-        } else if (arg == "--l2" && i + 1 < argc) {
-            if (!tools::parseCacheSpec(argv[++i], config.l2)) {
-                std::fprintf(stderr,
-                             "cctime: --l2 wants CAP:LINE:WAYS "
-                             "(e.g. 8192:32:2)\n");
-                return tools::exitUserError;
-            }
-        } else if (arg == "--l2-hit" && i + 1 < argc) {
-            config.l2HitPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--l2-cycles" && i + 1 < argc) {
-            config.l2CyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--miss-penalty" && i + 1 < argc) {
-            config.missPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--mem-cycles" && i + 1 < argc) {
-            config.memoryCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--expand-cycles" && i + 1 < argc) {
-            config.expansionCyclesPerWord =
-                static_cast<uint32_t>(std::atol(argv[++i]));
-        } else if (arg == "--redirect-penalty" && i + 1 < argc) {
-            config.redirectPenaltyCycles =
-                static_cast<uint32_t>(std::atol(argv[++i]));
+        if (tools::parseTimingFlag(argc, argv, i, config))
+            continue;
+        if (arg == "--icache" && i + 1 < argc) {
+            if (!tools::parseCacheSpec(argv[++i], config.icache))
+                throw std::invalid_argument(
+                    "--icache wants CAP:LINE:WAYS (e.g. 2048:32:2)");
         } else if (arg == "--decoded-cache" && i + 1 < argc) {
             config.decodedCacheRanks =
-                static_cast<uint32_t>(std::atol(argv[++i]));
+                tools::flagValue<uint32_t>("--decoded-cache", argv[++i]);
         } else if (arg == "--max-steps" && i + 1 < argc) {
-            max_steps = static_cast<uint64_t>(std::atoll(argv[++i]));
+            max_steps = tools::flagValue<uint64_t>("--max-steps", argv[++i]);
         } else if (arg == "--json" && i + 1 < argc) {
             jsonPath = argv[++i];
         } else if (!arg.empty() && arg[0] != '-') {

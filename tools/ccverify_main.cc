@@ -169,21 +169,22 @@ run(int argc, char **argv)
             strategy = *kind;
         } else if (arg == "--max-steps" && i + 1 < argc) {
             config.maxSteps =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+                tools::flagValue<uint64_t>("--max-steps", argv[++i]);
         } else if (arg == "--window" && i + 1 < argc) {
-            config.window = static_cast<unsigned>(std::atoi(argv[++i]));
+            config.window =
+                tools::flagValue<unsigned>("--window", argv[++i], 1);
         } else if (arg == "--max-divergences" && i + 1 < argc) {
             config.maxDivergences =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+                tools::flagValue<unsigned>("--max-divergences", argv[++i], 1);
         } else if (arg == "--check-interval" && i + 1 < argc) {
             config.fullCheckInterval =
-                static_cast<uint64_t>(std::atoll(argv[++i]));
+                tools::flagValue<uint64_t>("--check-interval", argv[++i]);
         } else if (arg == "--inject" && i + 1 < argc) {
             inject_arg = argv[++i];
         } else if (arg == "--corrupt" && i + 1 < argc) {
-            corrupt_count = static_cast<uint64_t>(std::atoll(argv[++i]));
+            corrupt_count = tools::flagValue<uint64_t>("--corrupt", argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+            seed = tools::flagValue<uint64_t>("--seed", argv[++i]);
         } else if (!arg.empty() && arg[0] != '-') {
             input = arg;
         } else {
@@ -191,8 +192,6 @@ run(int argc, char **argv)
         }
     }
     if (input.empty() == benchmark.empty())
-        return usage();
-    if (config.maxDivergences == 0 || config.window == 0)
         return usage();
 
     std::vector<compress::Scheme> schemes;

@@ -7,6 +7,7 @@
  *   minicc --benchmark gcc -o gcc.ccp [--scale N]
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -52,7 +53,8 @@ run(int argc, char **argv)
         } else if (arg == "--benchmark" && i + 1 < argc) {
             benchmark = argv[++i];
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::atoi(argv[++i]);
+            scale = static_cast<int>(tools::flagValue<unsigned>(
+                "--scale", argv[++i], 1, INT_MAX));
         } else if (arg == "-c") {
             compile_only = true;
         } else if (arg == "--standard-frames") {
