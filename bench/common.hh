@@ -27,19 +27,25 @@
 #include "decompress/cpu.hh"
 #include "program/program.hh"
 #include "support/thread_pool.hh"
+#include "tools/tool_common.hh"
 #include "workloads/workloads.hh"
 
 namespace codecomp::bench {
 
-/** Handle the common bench flags: --jobs N caps the worker count. */
+/** Handle the common bench flags: --jobs N caps the worker count. A
+ *  malformed N exits 1 with the tools' flag message. */
 inline void
 initJobs(int argc, char **argv)
 {
     for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            int jobs = std::atoi(argv[i + 1]);
-            if (jobs >= 1)
-                setGlobalJobs(static_cast<unsigned>(jobs));
+        if (std::string(argv[i]) != "--jobs")
+            continue;
+        try {
+            setGlobalJobs(
+                tools::flagValue<unsigned>("--jobs", argv[i + 1], 1));
+        } catch (const std::invalid_argument &error) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+            std::exit(tools::exitUserError);
         }
     }
 }

@@ -17,8 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <unordered_map>
 
@@ -34,6 +32,7 @@
 #include "farm/farm.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
+#include "common.hh"
 
 using namespace codecomp;
 using namespace codecomp::compress;
@@ -627,13 +626,7 @@ reportFarmFaultTolerance()
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            int jobs = std::atoi(argv[i + 1]);
-            if (jobs >= 1)
-                setGlobalJobs(static_cast<unsigned>(jobs));
-        }
-    }
+    bench::initJobs(argc, argv);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

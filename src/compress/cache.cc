@@ -1,11 +1,11 @@
 #include "compress/cache.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
 
-#include <unistd.h>
-
+#include "compress/codec.hh"
 #include "compress/objfile.hh"
 #include "support/logging.hh"
 #include "support/serialize.hh"
@@ -26,33 +26,22 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
 }
 
 /**
- * Persistent entry file layout (big-endian, support/serialize.hh):
+ * A persistent entry file is the sealed container of
+ * support/serialize.hh (magic "CCCH", kStoreVersion) around this
+ * payload, big-endian:
  *
- *   u32  magic   "CCCH"
- *   u16  version (kStoreVersion; bumped when the payload shape changes
- *                 -- version 2 stores candidate sets as CSR arrays)
  *   u8   kind    (1 = Enumerate, 2 = Select)
  *   u64  key     (must match the file's own name)
- *   blob payload (serializeCandidates / serializeSelection)
- *   u64  checksum = fnv1a64(payload)
+ *   ...  product (putCandidates / putSelection)
  *
- * Anything that deviates -- magic, version, kind, key, checksum,
- * truncation, trailing bytes, or a payload that fails structural
- * parsing -- quarantines the file and reads as a miss.
+ * kStoreVersion is bumped when the payload shape changes: version 2
+ * stored candidate sets as CSR arrays, version 3 moved kind and key
+ * into the checksummed payload. Anything that deviates -- container
+ * damage, kind, key, or a product that fails structural parsing --
+ * quarantines the file and reads as a miss.
  */
 constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
-constexpr uint16_t kStoreVersion = 2;
-
-uint64_t
-approxSelectionBytes(const SelectProduct &cached)
-{
-    uint64_t bytes = 16;
-    for (const auto &entry : cached.selection.dict.entries)
-        bytes += 4 + 4 * entry.size();
-    bytes += 12 * cached.selection.placements.size();
-    bytes += 4 * cached.selection.useCount.size();
-    return bytes;
-}
+constexpr uint32_t kStoreVersion = 3;
 
 /** A u32 count followed by that many u32 values. */
 std::vector<uint32_t>
@@ -140,10 +129,8 @@ parseSelection(ByteSource &source)
     return cached;
 }
 
-} // namespace
-
-std::vector<uint8_t>
-serializeCandidates(const CandidateSet &candidates)
+void
+putCandidates(ByteSink &sink, const CandidateSet &candidates)
 {
     // The CSR arrays: .text, then per candidate its length and the end
     // of its occurrence list (each list starts where the previous one
@@ -156,18 +143,15 @@ serializeCandidates(const CandidateSet &candidates)
         lengths.push_back(cand.len);
         ends.push_back(cand.posEnd);
     }
-    ByteSink sink;
     putWords(sink, candidates.text);
     putWords(sink, lengths);
     putWords(sink, ends);
     putWords(sink, candidates.positions);
-    return sink.take();
 }
 
-std::vector<uint8_t>
-serializeSelection(const SelectProduct &cached)
+void
+putSelection(ByteSink &sink, const SelectProduct &cached)
 {
-    ByteSink sink;
     sink.put32(
         static_cast<uint32_t>(cached.selection.dict.entries.size()));
     for (const auto &entry : cached.selection.dict.entries) {
@@ -185,8 +169,9 @@ serializeSelection(const SelectProduct &cached)
     for (uint32_t count : cached.selection.useCount)
         sink.put32(count);
     sink.put32(cached.rounds);
-    return sink.take();
 }
+
+} // namespace
 
 const std::array<PipelineCache::Stats::Field, 9>
     PipelineCache::Stats::fields = {{
@@ -232,9 +217,14 @@ uint64_t
 PipelineCache::selectKey(uint64_t programHash,
                          const CompressorConfig &config)
 {
+    // Selection reads maxEntries clipped to the scheme's codeword
+    // budget (PipelineContext), and a farm worker's spec carries it
+    // clipped (writeJobSpec): key the clipped value so both hit.
+    uint32_t maxEntries = std::min(
+        config.maxEntries, schemeParams(config.scheme).maxCodewords);
     return hashFields(programHash,
-                      {static_cast<uint64_t>(config.scheme),
-                       config.maxEntries, config.maxEntryLen,
+                      {static_cast<uint64_t>(config.scheme), maxEntries,
+                       config.maxEntryLen,
                        config.assumedCodewordNibbles,
                        static_cast<uint64_t>(config.strategy),
                        config.refitMaxRounds});
@@ -287,7 +277,6 @@ PipelineCache::storeCandidates(
     uint64_t key, std::shared_ptr<const CandidateSet> candidates)
 {
     Entry entry;
-    entry.bytes = candidates->bytes();
     entry.candidates = std::move(candidates);
     store(Kind::Enumerate, key, std::move(entry));
 }
@@ -297,17 +286,15 @@ PipelineCache::storeSelection(uint64_t key,
                               std::shared_ptr<const SelectProduct> selection)
 {
     Entry entry;
-    entry.bytes = approxSelectionBytes(*selection);
     entry.selection = std::move(selection);
     store(Kind::Select, key, std::move(entry));
 }
 
 void
-PipelineCache::setCapacity(size_t maxEntries, uint64_t maxBytes)
+PipelineCache::setCapacity(size_t maxEntries)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     maxEntries_ = maxEntries;
-    maxBytes_ = maxBytes;
     evictLocked();
 }
 
@@ -351,7 +338,6 @@ PipelineCache::insertLocked(Kind kind, uint64_t key, Entry entry)
         return; // first store wins; concurrent fills are identical
     lru_.push_front(entryKey);
     it->second.lruIt = lru_.begin();
-    totalBytes_ += it->second.bytes;
     evictLocked();
 }
 
@@ -366,12 +352,9 @@ PipelineCache::touchLocked(Entry &entry, EntryKey entryKey)
 void
 PipelineCache::evictLocked()
 {
-    while (!lru_.empty() &&
-           ((maxEntries_ && entries_.size() > maxEntries_) ||
-            (maxBytes_ && totalBytes_ > maxBytes_))) {
+    while (maxEntries_ && entries_.size() > maxEntries_) {
         auto it = entries_.find(lru_.back());
         CC_ASSERT(it != entries_.end(), "LRU list out of sync");
-        totalBytes_ -= it->second.bytes;
         entries_.erase(it);
         lru_.pop_back();
         ++stats_.evictions;
@@ -398,31 +381,18 @@ PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
     if (std::filesystem::exists(path, ec))
         return; // an identical product is already on disk
 
-    ByteSink sink;
-    sink.put32(kStoreMagic);
-    sink.put16(kStoreVersion);
-    sink.put8(static_cast<uint8_t>(kind));
-    sink.put64(key);
-    std::vector<uint8_t> payload =
-        kind == Kind::Enumerate ? serializeCandidates(*entry.candidates)
-                                : serializeSelection(*entry.selection);
-    uint64_t checksum = fnv1a64(payload);
-    sink.putBlob(payload);
-    sink.put64(checksum);
-
-    // Temp-file + rename: a crash mid-write leaves a .tmp file (ignored
-    // by readers), never a half-written entry under the real name.
-    std::string temp = path + ".tmp" + std::to_string(::getpid());
-    if (tryWriteFile(temp, sink.bytes())) {
-        CC_WARN("cache store write failed for '", temp,
-                "'; entry not persisted");
-        return;
-    }
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        CC_WARN("cache store rename failed for '", path, "': ",
-                ec.message());
-        std::filesystem::remove(temp, ec);
+    ByteSink payload;
+    payload.put8(static_cast<uint8_t>(kind));
+    payload.put64(key);
+    if (kind == Kind::Enumerate)
+        putCandidates(payload, *entry.candidates);
+    else
+        putSelection(payload, *entry.selection);
+    if (std::optional<LoadError> error = writeFileAtomic(
+            path,
+            sealPayload(kStoreMagic, kStoreVersion, payload.bytes()))) {
+        CC_WARN("cache store write failed (", error->message(),
+                "); entry not persisted");
         return;
     }
     ++stats_.persistStores;
@@ -440,37 +410,23 @@ PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
         return false;
     }
     try {
-        ByteSource source(bytes.value());
-        source.setContext("cache entry header");
-        if (source.get32() != kStoreMagic)
-            throw LoadFailure({LoadStatus::BadMagic, 0,
-                               "cache entry header", path});
-        if (source.get16() != kStoreVersion)
-            throw LoadFailure({LoadStatus::BadVersion, 4,
-                               "cache entry header", path});
-        if (source.get8() != static_cast<uint8_t>(kind) ||
-            source.get64() != key)
-            throw LoadFailure({LoadStatus::BadValue, 6,
-                               "cache entry header",
+        Result<std::vector<uint8_t>> payload = openSealed(
+            bytes.value(), kStoreMagic, kStoreVersion, "cache entry");
+        if (!payload.ok())
+            throw LoadFailure(payload.error());
+        ByteSource body(payload.value());
+        body.setContext("cache entry payload");
+        if (body.get8() != static_cast<uint8_t>(kind) ||
+            body.get64() != key)
+            throw LoadFailure({LoadStatus::BadValue, 0,
+                               "cache entry payload",
                                "kind/key mismatch: " + path});
-        std::vector<uint8_t> payload = source.getBlob();
-        uint64_t checksum = source.get64();
-        if (!source.atEnd())
-            throw LoadFailure({LoadStatus::TrailingBytes, source.pos(),
-                               "cache entry", path});
-        if (fnv1a64(payload) != checksum)
-            throw LoadFailure({LoadStatus::BadChecksum, 0,
-                               "cache entry payload", path});
-        ByteSource body(payload);
-        if (kind == Kind::Enumerate) {
+        if (kind == Kind::Enumerate)
             out.candidates = std::make_shared<const CandidateSet>(
                 parseCandidates(body));
-            out.bytes = out.candidates->bytes();
-        } else {
+        else
             out.selection = std::make_shared<const SelectProduct>(
                 parseSelection(body));
-            out.bytes = approxSelectionBytes(*out.selection);
-        }
         if (!body.atEnd())
             throw LoadFailure({LoadStatus::TrailingBytes, body.pos(),
                                "cache entry payload", path});

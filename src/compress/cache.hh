@@ -23,15 +23,16 @@
  *
  * Two robustness layers sit on top of the in-memory map:
  *
- *  - a bounded footprint: setCapacity() caps the entry count and/or
- *    approximate byte size, with least-recently-used eviction (the
- *    Stats::evictions counter reports how often the cap bit);
+ *  - a bounded footprint: setCapacity() caps the entry count, with
+ *    least-recently-used eviction (the Stats::evictions counter
+ *    reports how often the cap bit);
  *  - a crash-safe persistent backing store: setDiskStore() points the
  *    cache at a directory where every product is also written as one
- *    file -- temp-file + atomic rename, a versioned header, and an
- *    FNV-1a64 payload checksum. In-memory misses fall back to disk,
- *    so a warm directory survives process restarts (and is how the
- *    farm's isolated workers share work). A corrupt, truncated, or
+ *    file -- writeFileAtomic around the sealed, versioned and
+ *    checksummed container of support/serialize.hh (sealPayload /
+ *    openSealed). In-memory misses fall back to disk, so a warm
+ *    directory survives process restarts (and is how the farm's
+ *    isolated workers share work). A corrupt, truncated, or
  *    version-skewed file is detected by the checksum/structure checks,
  *    quarantined (renamed *.quarantined), and silently recomputed:
  *    damage can degrade throughput but can never alter a result.
@@ -118,20 +119,19 @@ class PipelineCache
                         std::shared_ptr<const SelectProduct> selection);
 
     /**
-     * Bound the in-memory footprint: at most @p maxEntries products
-     * and/or @p maxBytes approximate payload bytes (0 = unlimited).
-     * When a store exceeds a cap the least-recently-used products are
-     * evicted (Stats::evictions). Disk copies are never evicted, so a
-     * capped cache backed by a store degrades to disk reads, not to
-     * recomputation.
+     * Bound the in-memory footprint to at most @p maxEntries products
+     * (0 = unlimited). When a store exceeds the cap the
+     * least-recently-used products are evicted (Stats::evictions).
+     * Disk copies are never evicted, so a capped cache backed by a
+     * store degrades to disk reads, not to recomputation.
      */
-    void setCapacity(size_t maxEntries, uint64_t maxBytes);
+    void setCapacity(size_t maxEntries);
 
     /**
      * Back the cache with directory @p dir (created if absent). Every
-     * store is also written as one checksummed file via temp-file +
-     * atomic rename; misses fall back to disk. If the directory cannot
-     * be created or written the store is disabled with a warning --
+     * store is also written as one sealed file via writeFileAtomic;
+     * misses fall back to disk. If the directory cannot be created or
+     * written the store is disabled with a warning --
      * persistence failures never fail a compression. Returns whether
      * the store is usable.
      */
@@ -152,7 +152,6 @@ class PipelineCache
     {
         std::shared_ptr<const CandidateSet> candidates;
         std::shared_ptr<const SelectProduct> selection;
-        uint64_t bytes = 0;
         std::list<EntryKey>::iterator lruIt;
     };
 
@@ -175,19 +174,10 @@ class PipelineCache
     mutable std::mutex mutex_;
     std::map<EntryKey, Entry> entries_;
     std::list<EntryKey> lru_; //!< front = most recently used
-    uint64_t totalBytes_ = 0;
     size_t maxEntries_ = 0;  //!< 0 = unlimited
-    uint64_t maxBytes_ = 0;  //!< 0 = unlimited
     std::string diskDir_;    //!< "" = no persistent store
     Stats stats_;
 };
-
-/** @{ Serialized form of the cached products -- the payload of the
- *  persistent store's entry files (format in cache.cc). Exposed for
- *  the corruption tests, which build damaged payloads on purpose. */
-std::vector<uint8_t> serializeCandidates(const CandidateSet &candidates);
-std::vector<uint8_t> serializeSelection(const SelectProduct &selection);
-/** @} */
 
 } // namespace codecomp::compress
 

@@ -1,8 +1,5 @@
 #include "compress/objfile.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "compress/scan.hh"
 #include "isa/inst.hh"
 #include "support/serialize.hh"
@@ -41,61 +38,6 @@ badValue(const ByteSource &source, std::string detail)
                      std::move(detail)};
 }
 
-std::string
-hex64(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
-}
-
-/**
- * Parse and verify the common v2 container: magic, version, checksum,
- * payload blob, no trailing bytes. On success the checksummed payload
- * is left in @p payload.
- */
-std::optional<LoadError>
-openContainer(const std::vector<uint8_t> &bytes, uint32_t magic,
-              const char *what, std::vector<uint8_t> &payload)
-{
-    ByteSource source(bytes);
-    source.setContext(std::string(what) + " header");
-    if (source.get32() != magic)
-        return LoadError{LoadStatus::BadMagic, 0, source.context(),
-                         std::string("not a ") + what + " file"};
-    uint32_t version = source.get32();
-    if (version != formatVersion)
-        return LoadError{LoadStatus::BadVersion, 4, source.context(),
-                         "unsupported " + std::string(what) + " version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(formatVersion) + ")"};
-    uint64_t stored = source.get64();
-    payload = source.getBlob();
-    if (!source.atEnd())
-        return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                         source.context(),
-                         std::to_string(source.remaining()) +
-                             " byte(s) after the payload"};
-    uint64_t computed = fnv1a64(payload);
-    if (computed != stored)
-        return LoadError{LoadStatus::BadChecksum, 8, source.context(),
-                         "stored " + hex64(stored) + " != computed " +
-                             hex64(computed)};
-    return std::nullopt;
-}
-
-/** Wrap a finished payload in the v2 container. */
-std::vector<uint8_t>
-sealContainer(uint32_t magic, std::vector<uint8_t> payload)
-{
-    ByteSink sink;
-    sink.put32(magic);
-    sink.put32(formatVersion);
-    sink.put64(fnv1a64(payload));
-    sink.putBlob(payload);
-    return sink.take();
-}
-
 } // namespace
 
 std::vector<uint8_t>
@@ -125,19 +67,18 @@ saveProgram(const Program &program)
     }
 
     sink.put32(program.entryIndex);
-    return sealContainer(programMagic, sink.take());
+    return sealPayload(programMagic, formatVersion, sink.bytes());
 }
 
 Result<Program>
 tryLoadProgram(const std::vector<uint8_t> &bytes)
 {
-    std::vector<uint8_t> payload;
+    Result<std::vector<uint8_t>> payload =
+        openSealed(bytes, programMagic, formatVersion, ".ccp program");
+    if (!payload.ok())
+        return payload.error();
     try {
-        if (std::optional<LoadError> error =
-                openContainer(bytes, programMagic, ".ccp program", payload))
-            return *error;
-
-        ByteSource source(payload);
+        ByteSource source(payload.value());
         source.setContext(".ccp payload");
 
         Program program;
@@ -226,19 +167,18 @@ saveImage(const compress::CompressedImage &image)
     sink.put32(image.entryPointNibble);
     sink.put32(image.originalTextBytes);
     sink.put32(image.farBranchExpansions);
-    return sealContainer(imageMagic, sink.take());
+    return sealPayload(imageMagic, formatVersion, sink.bytes());
 }
 
 Result<compress::CompressedImage>
 tryLoadImage(const std::vector<uint8_t> &bytes)
 {
-    std::vector<uint8_t> payload;
+    Result<std::vector<uint8_t>> payload =
+        openSealed(bytes, imageMagic, formatVersion, ".cci image");
+    if (!payload.ok())
+        return payload.error();
     try {
-        if (std::optional<LoadError> error =
-                openContainer(bytes, imageMagic, ".cci image", payload))
-            return *error;
-
-        ByteSource source(payload);
+        ByteSource source(payload.value());
         source.setContext(".cci payload");
 
         compress::CompressedImage image;

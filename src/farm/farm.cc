@@ -523,9 +523,7 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
             CC_FATAL("worker binary '", workerBin, "' does not exist");
 
         std::filesystem::path scratch =
-            options.scratchDir.empty()
-                ? std::filesystem::temp_directory_path()
-                : std::filesystem::path(options.scratchDir);
+            std::filesystem::temp_directory_path();
         scratch /= "ccfarm-" + std::to_string(::getpid()) + "-" +
                    hexDigest(mix64(options.seed,
                                    static_cast<uint64_t>(
@@ -577,8 +575,7 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     // Shard the queue: one pool task per job, results index-addressed
     // so the report order is the queue order at any pool width.
     compress::PipelineCache cache;
-    if (options.cacheMaxEntries || options.cacheMaxBytes)
-        cache.setCapacity(options.cacheMaxEntries, options.cacheMaxBytes);
+    cache.setCapacity(options.cacheMaxEntries);
     if (!options.cacheDir.empty() && options.cache)
         cache.setDiskStore(options.cacheDir);
     auto programFor = [&](const FarmJob &job) -> const BuiltProgram & {

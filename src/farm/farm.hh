@@ -134,10 +134,9 @@ struct FarmOptions
      *  workers share work through it across processes. */
     std::string cacheDir;
 
-    /** In-memory cache caps (0 = unlimited); see
+    /** In-memory cache entry cap (0 = unlimited); see
      *  PipelineCache::setCapacity. */
     size_t cacheMaxEntries = 0;
-    uint64_t cacheMaxBytes = 0;
 
     /** Run each job in a worker subprocess (process isolation). */
     bool isolate = false;
@@ -145,11 +144,6 @@ struct FarmOptions
     /** Worker executable (the ccfarm binary); "" resolves to the
      *  running executable via /proc/self/exe. */
     std::string workerBinary;
-
-    /** Directory for per-job spec/result scratch files; "" uses the
-     *  system temp directory. A per-run subdirectory is created and
-     *  removed. */
-    std::string scratchDir;
 
     /** Farm-default per-job deadline in ms (0 = none); per-job
      *  FarmJob::timeoutMs overrides. Isolated jobs only. */

@@ -15,15 +15,12 @@ namespace codecomp::farm {
 namespace {
 
 /**
- * Result-file layout (big-endian, support/serialize.hh):
- *
- *   u32  magic   "CCWR"
- *   u16  version (kWorkerVersion)
- *   blob payload (the serialized WorkerResult; doubles as raw bits)
- *   u64  checksum = fnv1a64(payload)
+ * A result file is the sealed container of support/serialize.hh
+ * (magic "CCWR", kWorkerVersion) around the serialized WorkerResult,
+ * doubles as raw bits.
  */
 constexpr uint32_t kWorkerMagic = 0x43435752; // "CCWR"
-constexpr uint16_t kWorkerVersion = 1;
+constexpr uint32_t kWorkerVersion = 2;
 
 uint64_t
 doubleBits(double value)
@@ -105,41 +102,18 @@ serializeWorkerResult(const WorkerResult &worker)
     payload.put64(doubleBits(r.millis));
     for (const auto &field : compress::PipelineCache::Stats::fields)
         payload.put64(worker.cacheStats.*field.member);
-
-    ByteSink sink;
-    sink.put32(kWorkerMagic);
-    sink.put16(kWorkerVersion);
-    uint64_t checksum = fnv1a64(payload.bytes());
-    sink.putBlob(payload.take());
-    sink.put64(checksum);
-    return sink.take();
+    return sealPayload(kWorkerMagic, kWorkerVersion, payload.bytes());
 }
 
 Result<WorkerResult>
 parseWorkerResult(const std::vector<uint8_t> &bytes)
 {
+    Result<std::vector<uint8_t>> payload =
+        openSealed(bytes, kWorkerMagic, kWorkerVersion, "worker result");
+    if (!payload.ok())
+        return payload.error();
     try {
-        ByteSource source(bytes);
-        source.setContext("worker result header");
-        if (source.get32() != kWorkerMagic)
-            return LoadError{LoadStatus::BadMagic, 0,
-                             "worker result header",
-                             "not a worker result file"};
-        if (source.get16() != kWorkerVersion)
-            return LoadError{LoadStatus::BadVersion, 4,
-                             "worker result header",
-                             "unsupported worker result version"};
-        std::vector<uint8_t> payload = source.getBlob();
-        uint64_t checksum = source.get64();
-        if (!source.atEnd())
-            return LoadError{LoadStatus::TrailingBytes, source.pos(),
-                             "worker result", "trailing bytes"};
-        if (fnv1a64(payload) != checksum)
-            return LoadError{LoadStatus::BadChecksum, 0,
-                             "worker result payload",
-                             "payload checksum mismatch"};
-
-        ByteSource body(payload);
+        ByteSource body(payload.value());
         body.setContext("worker result payload");
         WorkerResult worker;
         FarmJobResult &r = worker.result;

@@ -10,11 +10,13 @@
  * worker's cache counters -- with doubles transported as raw bits so
  * the deterministic report half is byte-identical to an inline run.
  *
- * The file is written temp + atomic rename by the worker; the parent
+ * The worker writes the file with writeFileAtomic, sealed in the
+ * shared container (sealPayload, support/serialize.hh); the parent
  * treats it as untrusted (a worker may have been killed mid-write):
- * magic, version, whole-payload FNV-1a64 checksum, and structural
- * parsing all gate acceptance, and any deviation is a classified
- * per-job LoadError failure, never a parent crash.
+ * openSealed's magic, version and whole-payload FNV-1a64 checksum
+ * checks and structural parsing all gate acceptance, and any
+ * deviation is a classified per-job LoadError failure, never a parent
+ * crash.
  */
 
 #ifndef CODECOMP_FARM_WORKER_HH

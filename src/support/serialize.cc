@@ -1,8 +1,12 @@
 #include "support/serialize.hh"
 
+#include <atomic>
 #include <cerrno>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+
+#include <unistd.h>
 
 namespace codecomp {
 
@@ -61,7 +65,63 @@ ioError(const std::string &path, const char *what)
                      std::string(what) + ": " + std::strerror(errno)};
 }
 
+std::string
+hex64(uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+    return buf;
+}
+
 } // namespace
+
+std::vector<uint8_t>
+sealPayload(uint32_t magic, uint32_t version,
+            const std::vector<uint8_t> &payload)
+{
+    ByteSink sink;
+    sink.put32(magic);
+    sink.put32(version);
+    sink.put64(fnv1a64(payload));
+    sink.putBlob(payload);
+    return sink.take();
+}
+
+Result<std::vector<uint8_t>>
+openSealed(const std::vector<uint8_t> &bytes, uint32_t magic,
+           uint32_t version, const char *what)
+{
+    ByteSource source(bytes);
+    source.setContext(std::string(what) + " header");
+    try {
+        if (source.get32() != magic)
+            return LoadError{LoadStatus::BadMagic, 0, source.context(),
+                             std::string("not a ") + what + " file"};
+        uint32_t stored_version = source.get32();
+        if (stored_version != version)
+            return LoadError{LoadStatus::BadVersion, 4, source.context(),
+                             "unsupported " + std::string(what) +
+                                 " version " +
+                                 std::to_string(stored_version) +
+                                 " (expected " + std::to_string(version) +
+                                 ")"};
+        uint64_t stored = source.get64();
+        std::vector<uint8_t> payload = source.getBlob();
+        if (!source.atEnd())
+            return LoadError{LoadStatus::TrailingBytes, source.pos(),
+                             source.context(),
+                             std::to_string(source.remaining()) +
+                                 " byte(s) after the payload"};
+        uint64_t computed = fnv1a64(payload);
+        if (computed != stored)
+            return LoadError{LoadStatus::BadChecksum, 8, source.context(),
+                             "stored " + hex64(stored) + " != computed " +
+                                 hex64(computed)};
+        return payload;
+    } catch (const LoadFailure &failure) {
+        return failure.error();
+    }
+}
 
 Result<std::vector<uint8_t>>
 tryReadFile(const std::string &path)
@@ -106,6 +166,20 @@ tryWriteFile(const std::string &path, const std::vector<uint8_t> &bytes)
                              " of " + std::to_string(bytes.size()) +
                              " bytes"};
     return std::nullopt;
+}
+
+std::optional<LoadError>
+writeFileAtomic(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    static std::atomic<uint64_t> calls{0};
+    std::string temp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                       std::to_string(calls.fetch_add(1));
+    std::optional<LoadError> error = tryWriteFile(temp, bytes);
+    if (!error && std::rename(temp.c_str(), path.c_str()) != 0)
+        error = ioError(path, "cannot rename into place");
+    if (error)
+        std::remove(temp.c_str());
+    return error;
 }
 
 std::vector<uint8_t>

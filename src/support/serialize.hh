@@ -265,12 +265,44 @@ class ByteSource
     std::string context_;
 };
 
+/**
+ * @{ The one sealed container of every byte file the repo writes and
+ * later trusts (.ccp programs, .cci images, pipeline-cache entries,
+ * farm worker results), big-endian:
+ *
+ *   u32  magic
+ *   u32  version
+ *   u64  checksum = fnv1a64(payload)
+ *   blob payload  (u32 length + bytes)
+ *
+ * openSealed checks, in order: magic (BadMagic), version (BadVersion),
+ * the declared length (Truncated), no bytes after the payload
+ * (TrailingBytes) and the checksum (BadChecksum), and returns the
+ * payload. @p what names the file kind in every error ("cache entry").
+ */
+std::vector<uint8_t> sealPayload(uint32_t magic, uint32_t version,
+                                 const std::vector<uint8_t> &payload);
+Result<std::vector<uint8_t>> openSealed(const std::vector<uint8_t> &bytes,
+                                        uint32_t magic, uint32_t version,
+                                        const char *what);
+/** @} */
+
 /** @{ Hardened whole-file I/O: LoadStatus::IoError results carry the
  *  path and the strerror(errno) text, never abort. */
 Result<std::vector<uint8_t>> tryReadFile(const std::string &path);
 std::optional<LoadError> tryWriteFile(const std::string &path,
                                       const std::vector<uint8_t> &bytes);
 /** @} */
+
+/**
+ * Write @p bytes to @p path crash-safely: into a temp file beside it,
+ * named uniquely per process and per call, then renamed over @p path.
+ * A crash mid-write leaves a stray temp file, never a half-written
+ * @p path. On failure the temp file is removed and the IoError
+ * returned; @p path is untouched.
+ */
+std::optional<LoadError> writeFileAtomic(const std::string &path,
+                                         const std::vector<uint8_t> &bytes);
 
 /** Read a whole file; throws LoadFailure on I/O errors. */
 std::vector<uint8_t> readFile(const std::string &path);

@@ -678,18 +678,6 @@ TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
     EXPECT_EQ(fresh.stats().persistCorrupt, 0u);
 }
 
-TEST(FarmFaultCache, ByteCapAlsoEvicts)
-{
-    std::vector<farm::FarmJob> jobs = tinyCorpus();
-    farm::FarmOptions options;
-    options.cacheMaxBytes = 1024; // far below one candidate list
-    setGlobalJobs(1);
-    farm::FarmReport report = farm::runFarm(jobs, options);
-    setGlobalJobs(0);
-    ASSERT_EQ(report.failures(), 0u);
-    EXPECT_GT(report.cacheStats.evictions, 0u);
-}
-
 // ---------------- empty queue ----------------
 
 TEST(FarmFaultUnit, EmptyQueueYieldsAValidEmptyReport)

@@ -2,22 +2,30 @@
  * @file
  * Tests for the support substrate: nibble/bit stream writers and
  * readers (the carrier of every compressed program), the worker pool
- * behind every parallel stage, the deterministic RNG, and the JSON
- * writer used for pipeline statistics and benchmark output.
+ * behind every parallel stage, the deterministic RNG, the JSON writer
+ * used for pipeline statistics and benchmark output, and the sealed
+ * container and crash-safe write behind every file the repo reads
+ * back.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "support/bitstream.hh"
 #include "support/json.hh"
 #include "support/rng.hh"
+#include "support/serialize.hh"
 #include "support/thread_pool.hh"
 
 using namespace codecomp;
@@ -437,6 +445,173 @@ TEST(JsonWriter, RawSplicesSerializedValues)
     json.member("b", 2);
     json.endObject();
     EXPECT_EQ(json.str(), "{\"a\":true,\"inner\":{\"x\":1},\"b\":2}");
+}
+
+
+// ---------------- sealed container ----------------
+
+constexpr uint32_t kTestMagic = 0x43435453; // "CCTS"
+constexpr uint32_t kTestVersion = 5;
+
+std::vector<uint8_t>
+samplePayload()
+{
+    std::vector<uint8_t> payload(37);
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<uint8_t>(i * 7 + 1);
+    return payload;
+}
+
+Result<std::vector<uint8_t>>
+openTest(const std::vector<uint8_t> &bytes)
+{
+    return openSealed(bytes, kTestMagic, kTestVersion, "test blob");
+}
+
+TEST(SealedContainer, RoundTrips)
+{
+    for (const std::vector<uint8_t> &payload :
+         {std::vector<uint8_t>{}, samplePayload()}) {
+        std::vector<uint8_t> sealed =
+            sealPayload(kTestMagic, kTestVersion, payload);
+        EXPECT_EQ(sealed.size(), 20 + payload.size());
+        Result<std::vector<uint8_t>> opened = openTest(sealed);
+        ASSERT_TRUE(opened.ok()) << opened.error().message();
+        EXPECT_EQ(opened.value(), payload);
+    }
+}
+
+TEST(SealedContainer, RejectsEverySingleBitFlip)
+{
+    std::vector<uint8_t> good =
+        sealPayload(kTestMagic, kTestVersion, samplePayload());
+    for (size_t pos = 0; pos < good.size(); ++pos) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::vector<uint8_t> bad = good;
+            bad[pos] ^= static_cast<uint8_t>(1u << bit);
+            Result<std::vector<uint8_t>> opened = openTest(bad);
+            ASSERT_FALSE(opened.ok()) << "byte " << pos << " bit " << bit;
+            LoadStatus status = opened.error().status;
+            if (pos < 4)
+                EXPECT_EQ(status, LoadStatus::BadMagic) << pos;
+            else if (pos < 8)
+                EXPECT_EQ(status, LoadStatus::BadVersion) << pos;
+            else if (pos < 16)
+                EXPECT_EQ(status, LoadStatus::BadChecksum) << pos;
+            else if (pos < 20) // the payload length: too long or short
+                EXPECT_TRUE(status == LoadStatus::Truncated ||
+                            status == LoadStatus::TrailingBytes)
+                    << pos << " " << loadStatusName(status);
+            else
+                EXPECT_EQ(status, LoadStatus::BadChecksum) << pos;
+        }
+    }
+}
+
+TEST(SealedContainer, RejectsEveryTruncationAndATrailingByte)
+{
+    std::vector<uint8_t> good =
+        sealPayload(kTestMagic, kTestVersion, samplePayload());
+    for (size_t len = 0; len < good.size(); ++len) {
+        std::vector<uint8_t> cut(good.begin(),
+                                 good.begin() + static_cast<long>(len));
+        Result<std::vector<uint8_t>> opened = openTest(cut);
+        ASSERT_FALSE(opened.ok()) << len;
+        EXPECT_EQ(opened.error().status, LoadStatus::Truncated) << len;
+    }
+    good.push_back(0);
+    Result<std::vector<uint8_t>> opened = openTest(good);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.error().status, LoadStatus::TrailingBytes);
+}
+
+TEST(SealedContainer, ErrorsNameTheFileKind)
+{
+    std::vector<uint8_t> sealed =
+        sealPayload(kTestMagic, kTestVersion + 1, samplePayload());
+    Result<std::vector<uint8_t>> skewed = openTest(sealed);
+    ASSERT_FALSE(skewed.ok());
+    EXPECT_EQ(skewed.error().message(),
+              "bad-version in test blob header at byte 4: unsupported "
+              "test blob version 6 (expected 5)");
+    Result<std::vector<uint8_t>> foreign =
+        openSealed(sealed, kTestMagic + 1, kTestVersion, "test blob");
+    ASSERT_FALSE(foreign.ok());
+    EXPECT_EQ(foreign.error().message(),
+              "bad-magic in test blob header at byte 0: not a test blob "
+              "file");
+}
+
+// ---------------- crash-safe write ----------------
+
+/** A fresh, empty directory under the system temp dir, removed at the
+ *  end of the test. */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string &tag)
+        : path_(std::filesystem::temp_directory_path() /
+                ("cc-support-" + tag + "-" + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(path_);
+        std::filesystem::create_directories(path_);
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+    const std::filesystem::path &path() const { return path_; }
+
+    /** The names of the directory's entries, sorted. */
+    std::vector<std::string>
+    names() const
+    {
+        std::vector<std::string> names;
+        for (const auto &entry : std::filesystem::directory_iterator(path_))
+            names.push_back(entry.path().filename().string());
+        std::sort(names.begin(), names.end());
+        return names;
+    }
+
+  private:
+    std::filesystem::path path_;
+};
+
+TEST(WriteFileAtomic, ReplacesTheFileAndLeavesNoTempBehind)
+{
+    TempDir dir("atomic");
+    std::string path = (dir.path() / "out.bin").string();
+    EXPECT_FALSE(writeFileAtomic(path, {1, 2, 3}));
+    EXPECT_FALSE(writeFileAtomic(path, {4, 5}));
+    EXPECT_EQ(readFile(path), (std::vector<uint8_t>{4, 5}));
+    EXPECT_EQ(dir.names(), std::vector<std::string>{"out.bin"});
+}
+
+TEST(WriteFileAtomic, MissingDirectoryIsAnIoErrorAndCreatesNothing)
+{
+    TempDir dir("atomic-missing");
+    std::string path = (dir.path() / "missing" / "out.bin").string();
+    std::optional<LoadError> error = writeFileAtomic(path, {1, 2, 3});
+    ASSERT_TRUE(error);
+    EXPECT_EQ(error->status, LoadStatus::IoError);
+    EXPECT_TRUE(dir.names().empty());
+}
+
+TEST(WriteFileAtomic, FailedRenameRemovesTheTempFile)
+{
+    // A directory already holds the name: the temp file is written,
+    // the rename over the directory fails, and the temp file goes.
+    TempDir dir("atomic-rename");
+    std::filesystem::create_directory(dir.path() / "taken");
+    writeFile((dir.path() / "taken" / "keep").string(), {7});
+    std::optional<LoadError> error =
+        writeFileAtomic((dir.path() / "taken").string(), {1, 2, 3});
+    ASSERT_TRUE(error);
+    EXPECT_EQ(error->status, LoadStatus::IoError);
+    EXPECT_EQ(dir.names(), std::vector<std::string>{"taken"});
+    EXPECT_EQ(readFile((dir.path() / "taken" / "keep").string()),
+              std::vector<uint8_t>{7});
 }
 
 } // namespace

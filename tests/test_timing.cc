@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <type_traits>
@@ -125,7 +126,7 @@ class ReferenceTimer
         : config_(config), l1_(config.icache)
     {
         if (config.hasL2())
-            l2_.emplace(config.l2);
+            l2_ = std::make_unique<test::DivisionICache>(config.l2);
     }
 
     void
@@ -176,7 +177,7 @@ class ReferenceTimer
   private:
     TimingConfig config_;
     test::DivisionICache l1_;
-    std::optional<test::DivisionICache> l2_;
+    std::unique_ptr<test::DivisionICache> l2_; //!< null: no L2
     TimingReport report_;
 };
 

@@ -99,7 +99,7 @@ writeText(const std::string &path, const std::string &text)
 
 /**
  * Hidden worker mode: execute exactly one job from a one-job spec
- * file and write the checksummed binary result (temp + atomic rename,
+ * file and write the checksummed binary result (writeFileAtomic,
  * so a kill mid-write leaves no half-written file the parent could
  * mistake for a result). In-band job failures still exit 0 -- the
  * result file carries their FailureKind; only worker-level plumbing
@@ -148,9 +148,9 @@ runWorker(int argc, char **argv)
 
     farm::WorkerResult result =
         farm::runWorkerJob(jobs[0], cacheDir, keepImages, inject);
-    std::string tmpPath = outPath + ".tmp";
-    writeFile(tmpPath, farm::serializeWorkerResult(result));
-    std::filesystem::rename(tmpPath, outPath);
+    if (std::optional<LoadError> error = writeFileAtomic(
+            outPath, farm::serializeWorkerResult(result)))
+        throw LoadFailure(*error);
     return tools::exitOk;
 }
 
