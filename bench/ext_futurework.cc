@@ -25,8 +25,9 @@ using namespace codecomp::bench;
 using namespace codecomp::compress;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Future work F1",
            "standardized prologues/epilogues (paper section 5)");
     std::printf("%-9s | %7s %7s | %7s %7s | %7s %7s | %8s %8s\n", "bench",

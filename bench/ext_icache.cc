@@ -49,8 +49,9 @@ runThroughCache(const cache::CacheConfig &config, auto &&cpu)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Extension: I-cache",
            "miss rates, native vs compressed fetch (32B lines, "
            "direct-mapped)");

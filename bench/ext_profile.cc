@@ -45,8 +45,9 @@ fetchedBytes(const CompressedImage &image)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Extension: profile-guided selection",
            "static-optimal vs traffic-optimal dictionaries (nibble, 64 "
            "entries, <= 4 insns)");

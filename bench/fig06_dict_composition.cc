@@ -16,8 +16,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Figure 6",
            "dictionary composition by entry length (ijpeg, <= 8 "
            "insns/entry)");

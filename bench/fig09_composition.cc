@@ -17,8 +17,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Figure 9",
            "composition of compressed program (baseline, 8192 codewords, "
            "4 insns/entry)");

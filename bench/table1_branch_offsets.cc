@@ -16,8 +16,9 @@ using namespace codecomp;
 using namespace codecomp::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    initJobs(argc, argv);
     banner("Table 1", "usage of bits in branch offset field");
     std::printf("%-9s %10s | %8s %7s | %8s %7s | %8s %7s\n", "bench",
                 "pc-rel br", "no-2B", "%", "no-1B", "%", "no-4bit", "%");

@@ -206,7 +206,7 @@ SearchSpace::SearchSpace(const BudgetSpec &spec)
 
 AutotuneResult
 autotune(const std::vector<std::string> &workloadNames,
-         const BudgetSpec &spec, const AutotuneOptions &options)
+         const BudgetSpec &spec, farm::FarmOptions farmOptions)
 {
     Clock::time_point start = Clock::now();
 
@@ -288,13 +288,8 @@ autotune(const std::vector<std::string> &workloadNames,
             jobs.push_back(std::move(job));
         }
     }
-    farm::FarmOptions farm_options;
-    farm_options.cache = options.cache;
-    farm_options.cacheDir = options.cacheDir;
-    farm_options.isolate = options.isolate;
-    farm_options.workerBinary = options.workerBinary;
-    farm_options.keepImages = true;
-    farm::FarmReport report = farm::runFarm(jobs, farm_options);
+    farmOptions.keepImages = true;
+    farm::FarmReport report = farm::runFarm(jobs, farmOptions);
     result.cacheStats = report.cacheStats;
     for (const farm::FarmJobResult &job : report.results)
         if (!job.ok())

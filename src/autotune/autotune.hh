@@ -44,6 +44,7 @@
 #include "compress/cache.hh"
 #include "compress/compressor.hh"
 #include "compress/strategy.hh"
+#include "farm/farm.hh"
 #include "timing/timing.hh"
 
 namespace codecomp::autotune {
@@ -166,15 +167,6 @@ struct WorkloadResult
     std::vector<BudgetWinner> winners; //!< one per requested budget
 };
 
-/** Farm plumbing for the evaluation jobs. */
-struct AutotuneOptions
-{
-    bool cache = true;        //!< share a PipelineCache across the sweep
-    std::string cacheDir;     //!< persistent cache directory ("" = none)
-    bool isolate = false;     //!< run jobs in worker subprocesses
-    std::string workerBinary; //!< worker executable when isolating
-};
-
 struct AutotuneResult
 {
     std::vector<uint64_t> budgets; //!< sorted, deduplicated
@@ -200,12 +192,14 @@ struct AutotuneResult
 };
 
 /**
- * Run the search over @p workloadNames. Catchable fatal on an invalid
- * spec or unknown workload name (validated before any work starts).
+ * Run the search over @p workloadNames, compressing the candidates
+ * with runFarm under @p farmOptions (keepImages is forced on: the
+ * images are priced). Catchable fatal on an invalid spec or unknown
+ * workload name (validated before any work starts).
  */
 AutotuneResult autotune(const std::vector<std::string> &workloadNames,
                         const BudgetSpec &spec,
-                        const AutotuneOptions &options = {});
+                        farm::FarmOptions farmOptions = {});
 
 } // namespace codecomp::autotune
 

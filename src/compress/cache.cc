@@ -61,7 +61,7 @@ putWords(ByteSink &sink, const std::vector<uint32_t> &words)
         sink.put32(word);
 }
 
-/** Parse the CSR arrays of serializeCandidates, checking that every
+/** Parse the CSR arrays of putCandidates, checking that every
  *  view stays inside them so a parsed set is safe to select over. */
 CandidateSet
 parseCandidates(ByteSource &source)
@@ -231,63 +231,93 @@ PipelineCache::selectKey(uint64_t programHash,
 }
 
 PipelineCache::Entry
-PipelineCache::find(Kind kind, uint64_t key)
+PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    CC_ASSERT(!claim, "a claim holds one key");
     bool enumerate = kind == Kind::Enumerate;
     EntryKey entryKey{static_cast<uint8_t>(kind), key};
-    auto it = entries_.find(entryKey);
-    if (it != entries_.end()) {
-        ++(enumerate ? stats_.enumHits : stats_.selectHits);
-        touchLocked(it->second, entryKey);
-        return it->second;
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        auto it = entries_.end();
+        stored_.wait(lock, [&] {
+            it = entries_.find(entryKey);
+            return it == entries_.end() || it->second.ready();
+        });
+        if (it != entries_.end()) {
+            ++(enumerate ? stats_.enumHits : stats_.selectHits);
+            lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+            return it->second;
+        }
+        entries_.emplace(entryKey, Entry{});
+        claim.cache_ = this;
+        claim.key_ = entryKey;
     }
+    // The caller owns the key now: read the disk without the lock while
+    // the key's other callers wait (a throw abandons the claim).
     Entry loaded;
-    if (loadFromDiskLocked(kind, key, loaded)) {
-        ++(enumerate ? stats_.enumHits : stats_.selectHits);
-        insertLocked(kind, key, loaded);
-        return loaded;
+    uint64_t Stats::*persisted = load(kind, key, loaded);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (persisted)
+        ++(stats_.*persisted);
+    if (!loaded.ready()) {
+        ++(enumerate ? stats_.enumMisses : stats_.selectMisses);
+        return {};
     }
-    ++(enumerate ? stats_.enumMisses : stats_.selectMisses);
-    return {};
+    ++(enumerate ? stats_.enumHits : stats_.selectHits);
+    publishLocked(claim, loaded);
+    return loaded;
 }
 
 std::shared_ptr<const CandidateSet>
-PipelineCache::findCandidates(uint64_t key)
+PipelineCache::findCandidates(uint64_t key, Claim &claim)
 {
-    return find(Kind::Enumerate, key).candidates;
+    return find(Kind::Enumerate, key, claim).candidates;
 }
 
 std::shared_ptr<const SelectProduct>
-PipelineCache::findSelection(uint64_t key)
+PipelineCache::findSelection(uint64_t key, Claim &claim)
 {
-    return find(Kind::Select, key).selection;
+    return find(Kind::Select, key, claim).selection;
 }
 
 void
-PipelineCache::store(Kind kind, uint64_t key, Entry entry)
+PipelineCache::store(Claim &claim, Entry entry)
 {
+    CC_ASSERT(claim.cache_ == this, "store without a claim on the key");
+    bool persisted = persist(static_cast<Kind>(claim.key_.first),
+                             claim.key_.second, entry);
     std::lock_guard<std::mutex> lock(mutex_);
-    persistLocked(kind, key, entry);
-    insertLocked(kind, key, std::move(entry));
+    if (persisted)
+        ++stats_.persistStores;
+    publishLocked(claim, std::move(entry));
 }
 
 void
 PipelineCache::storeCandidates(
-    uint64_t key, std::shared_ptr<const CandidateSet> candidates)
+    Claim &claim, std::shared_ptr<const CandidateSet> candidates)
 {
     Entry entry;
     entry.candidates = std::move(candidates);
-    store(Kind::Enumerate, key, std::move(entry));
+    store(claim, std::move(entry));
 }
 
 void
-PipelineCache::storeSelection(uint64_t key,
+PipelineCache::storeSelection(Claim &claim,
                               std::shared_ptr<const SelectProduct> selection)
 {
     Entry entry;
     entry.selection = std::move(selection);
-    store(Kind::Select, key, std::move(entry));
+    store(claim, std::move(entry));
+}
+
+PipelineCache::Claim::~Claim()
+{
+    if (!cache_)
+        return;
+    // Abandoned: drop the claimed entry, so one waiter claims the key.
+    std::lock_guard<std::mutex> lock(cache_->mutex_);
+    cache_->entries_.erase(key_);
+    cache_->stored_.notify_all();
 }
 
 void
@@ -301,7 +331,6 @@ PipelineCache::setCapacity(size_t maxEntries)
 bool
 PipelineCache::setDiskStore(const std::string &dir)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec || !std::filesystem::is_directory(dir)) {
@@ -315,13 +344,6 @@ PipelineCache::setDiskStore(const std::string &dir)
     return true;
 }
 
-size_t
-PipelineCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
 PipelineCache::Stats
 PipelineCache::stats() const
 {
@@ -330,29 +352,23 @@ PipelineCache::stats() const
 }
 
 void
-PipelineCache::insertLocked(Kind kind, uint64_t key, Entry entry)
+PipelineCache::publishLocked(Claim &claim, Entry entry)
 {
-    EntryKey entryKey{static_cast<uint8_t>(kind), key};
-    auto [it, inserted] = entries_.emplace(entryKey, std::move(entry));
-    if (!inserted)
-        return; // first store wins; concurrent fills are identical
-    lru_.push_front(entryKey);
+    auto it = entries_.find(claim.key_);
+    CC_ASSERT(it != entries_.end() && !it->second.ready(),
+              "second store for a cache key");
+    it->second = std::move(entry);
+    lru_.push_front(claim.key_);
     it->second.lruIt = lru_.begin();
+    claim.cache_ = nullptr;
+    stored_.notify_all();
     evictLocked();
-}
-
-void
-PipelineCache::touchLocked(Entry &entry, EntryKey entryKey)
-{
-    lru_.erase(entry.lruIt);
-    lru_.push_front(entryKey);
-    entry.lruIt = lru_.begin();
 }
 
 void
 PipelineCache::evictLocked()
 {
-    while (maxEntries_ && entries_.size() > maxEntries_) {
+    while (maxEntries_ && lru_.size() > maxEntries_) {
         auto it = entries_.find(lru_.back());
         CC_ASSERT(it != entries_.end(), "LRU list out of sync");
         entries_.erase(it);
@@ -371,16 +387,11 @@ PipelineCache::entryPath(Kind kind, uint64_t key) const
     return (std::filesystem::path(diskDir_) / name).string();
 }
 
-void
-PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
+bool
+PipelineCache::persist(Kind kind, uint64_t key, const Entry &entry) const
 {
     if (diskDir_.empty())
-        return;
-    std::string path = entryPath(kind, key);
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec))
-        return; // an identical product is already on disk
-
+        return false;
     ByteSink payload;
     payload.put8(static_cast<uint8_t>(kind));
     payload.put64(key);
@@ -389,26 +400,24 @@ PipelineCache::persistLocked(Kind kind, uint64_t key, const Entry &entry)
     else
         putSelection(payload, *entry.selection);
     if (std::optional<LoadError> error = writeFileAtomic(
-            path,
+            entryPath(kind, key),
             sealPayload(kStoreMagic, kStoreVersion, payload.bytes()))) {
         CC_WARN("cache store write failed (", error->message(),
                 "); entry not persisted");
-        return;
+        return false;
     }
-    ++stats_.persistStores;
+    return true;
 }
 
-bool
-PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
+uint64_t PipelineCache::Stats::*
+PipelineCache::load(Kind kind, uint64_t key, Entry &out) const
 {
     if (diskDir_.empty())
-        return false;
+        return nullptr;
     std::string path = entryPath(kind, key);
     Result<std::vector<uint8_t>> bytes = tryReadFile(path);
-    if (!bytes.ok()) {
-        ++stats_.persistMisses;
-        return false;
-    }
+    if (!bytes.ok())
+        return &Stats::persistMisses;
     try {
         Result<std::vector<uint8_t>> payload = openSealed(
             bytes.value(), kStoreMagic, kStoreVersion, "cache entry");
@@ -434,21 +443,14 @@ PipelineCache::loadFromDiskLocked(Kind kind, uint64_t key, Entry &out)
         // Damaged entry (LoadFailure, or bad_alloc from an absurd
         // declared count): quarantine it so the slot recomputes
         // cleanly (and the file stays inspectable), count it, miss.
-        quarantineLocked(path);
-        ++stats_.persistCorrupt;
-        return false;
+        out = {};
+        std::error_code ec;
+        std::filesystem::rename(path, path + ".quarantined", ec);
+        if (ec)
+            std::filesystem::remove(path, ec);
+        return &Stats::persistCorrupt;
     }
-    ++stats_.persistHits;
-    return true;
-}
-
-void
-PipelineCache::quarantineLocked(const std::string &path)
-{
-    std::error_code ec;
-    std::filesystem::rename(path, path + ".quarantined", ec);
-    if (ec)
-        std::filesystem::remove(path, ec);
+    return &Stats::persistHits;
 }
 
 } // namespace codecomp::compress

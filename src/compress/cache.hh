@@ -17,15 +17,20 @@
  * scheme-independent, so one enumeration serves all schemes and
  * strategies of a program -- the common sweep shape. Values are
  * shared_ptr-to-const: readers on any thread hold the product alive
- * without copying it; lookups and stores take one mutex (the products
- * are large and computed rarely, so contention is negligible next to
- * the work saved).
+ * without copying it.
+ *
+ * Each key has one computer: a lookup that misses in memory and on
+ * disk hands its caller a Claim, and other lookups of the key block
+ * until the product is stored through it (a hit) or the claim is
+ * dropped unstored, when one waiter takes the key over (a miss). So
+ * without a cap the counts depend on the lookups, not on scheduling.
+ * The mutex guards the map and the counters; disk I/O runs outside it.
  *
  * Two robustness layers sit on top of the in-memory map:
  *
  *  - a bounded footprint: setCapacity() caps the entry count, with
- *    least-recently-used eviction (the Stats::evictions counter
- *    reports how often the cap bit);
+ *    least-recently-used eviction of stored entries (Stats::evictions)
+ *    in completion order, so under a cap counts vary with scheduling;
  *  - a crash-safe persistent backing store: setDiskStore() points the
  *    cache at a directory where every product is also written as one
  *    file -- writeFileAtomic around the sealed, versioned and
@@ -46,6 +51,7 @@
 #define CODECOMP_COMPRESS_CACHE_HH
 
 #include <array>
+#include <condition_variable>
 #include <list>
 #include <map>
 #include <memory>
@@ -105,17 +111,37 @@ class PipelineCache
     static uint64_t selectKey(uint64_t programHash,
                               const CompressorConfig &config);
 
-    /** Cached candidates for @p key, or null on a miss (counted). */
-    std::shared_ptr<const CandidateSet> findCandidates(uint64_t key);
+    /** The duty to compute one key's product; destroying it unstored
+     *  passes the key to one of its waiters. */
+    class Claim
+    {
+      public:
+        Claim() = default;
+        Claim(const Claim &) = delete;
+        Claim &operator=(const Claim &) = delete;
+        ~Claim();
 
-    /** Cached selection for @p key, or null on a miss (counted). */
-    std::shared_ptr<const SelectProduct> findSelection(uint64_t key);
+        explicit operator bool() const { return cache_ != nullptr; }
 
-    /** Store a product; the first store for a key wins and later ones
-     *  are dropped (concurrent fills compute identical values). */
-    void storeCandidates(uint64_t key,
+      private:
+        friend class PipelineCache;
+        PipelineCache *cache_ = nullptr;
+        std::pair<uint8_t, uint64_t> key_; //!< (Kind, key)
+    };
+
+    /** The product stored for @p key, or null on a miss (counted),
+     *  which hands the empty @p claim the key: store through it or
+     *  destroy it. Blocks while another caller holds the key. */
+    std::shared_ptr<const CandidateSet> findCandidates(uint64_t key,
+                                                       Claim &claim);
+    std::shared_ptr<const SelectProduct> findSelection(uint64_t key,
+                                                       Claim &claim);
+
+    /** Store the product of @p claim's key, release the claim and
+     *  wake the key's waiters. */
+    void storeCandidates(Claim &claim,
                          std::shared_ptr<const CandidateSet> candidates);
-    void storeSelection(uint64_t key,
+    void storeSelection(Claim &claim,
                         std::shared_ptr<const SelectProduct> selection);
 
     /**
@@ -133,14 +159,9 @@ class PipelineCache
      * misses fall back to disk. If the directory cannot be created or
      * written the store is disabled with a warning --
      * persistence failures never fail a compression. Returns whether
-     * the store is usable.
+     * the store is usable. Call it before the first lookup.
      */
     bool setDiskStore(const std::string &dir);
-
-    const std::string &diskDir() const { return diskDir_; }
-
-    /** In-memory product count (after eviction), for tests. */
-    size_t entryCount() const;
 
     Stats stats() const;
 
@@ -148,32 +169,35 @@ class PipelineCache
     enum class Kind : uint8_t { Enumerate = 1, Select = 2 };
     using EntryKey = std::pair<uint8_t, uint64_t>; //!< (Kind, key)
 
+    /** A product, or an entry whose claim is still out (both null). */
     struct Entry
     {
         std::shared_ptr<const CandidateSet> candidates;
         std::shared_ptr<const SelectProduct> selection;
-        std::list<EntryKey>::iterator lruIt;
+        std::list<EntryKey>::iterator lruIt; //!< once ready
+
+        bool ready() const { return candidates || selection; }
     };
 
     /** The shared bodies of findCandidates/findSelection and
      *  storeCandidates/storeSelection. */
-    Entry find(Kind kind, uint64_t key);
-    void store(Kind kind, uint64_t key, Entry entry);
+    Entry find(Kind kind, uint64_t key, Claim &claim);
+    void store(Claim &claim, Entry entry);
 
-    /** Insert (or refresh) under the lock, applying the caps. */
-    void insertLocked(Kind kind, uint64_t key, Entry entry);
-    void touchLocked(Entry &entry, EntryKey entryKey);
+    /** Fill @p claim's entry, release it and wake its waiters. */
+    void publishLocked(Claim &claim, Entry entry);
     void evictLocked();
 
-    /** Disk-store paths and I/O; all called under the lock. */
+    /** Disk-store I/O, without the lock; load returns the persist
+     *  counter to bump (null: no store). */
     std::string entryPath(Kind kind, uint64_t key) const;
-    void persistLocked(Kind kind, uint64_t key, const Entry &entry);
-    bool loadFromDiskLocked(Kind kind, uint64_t key, Entry &out);
-    void quarantineLocked(const std::string &path);
+    bool persist(Kind kind, uint64_t key, const Entry &entry) const;
+    uint64_t Stats::*load(Kind kind, uint64_t key, Entry &out) const;
 
     mutable std::mutex mutex_;
+    std::condition_variable stored_; //!< an entry filled or abandoned
     std::map<EntryKey, Entry> entries_;
-    std::list<EntryKey> lru_; //!< front = most recently used
+    std::list<EntryKey> lru_; //!< ready entries; front = most recent
     size_t maxEntries_ = 0;  //!< 0 = unlimited
     std::string diskDir_;    //!< "" = no persistent store
     Stats stats_;

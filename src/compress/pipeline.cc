@@ -468,17 +468,21 @@ passEnumerate(PipelineContext &ctx)
 {
     if (ctx.cache) {
         // A cached Select product supersedes enumeration: nothing
-        // downstream of Select reads the candidates.
+        // downstream of Select reads the candidates. A miss claims the
+        // Select key until passSelect stores it; the Enumerate lookup
+        // may then wait, but never on a caller that waits in turn.
         std::shared_ptr<const SelectProduct> selected =
             ctx.cache->findSelection(
-                PipelineCache::selectKey(ctx.programHash, ctx.config));
+                PipelineCache::selectKey(ctx.programHash, ctx.config),
+                ctx.selectClaim);
         if (selected) {
             ctx.selection = *selected;
             ctx.counter("select_cache_hit", 1);
             return;
         }
         ctx.candidates = ctx.cache->findCandidates(
-            PipelineCache::enumerateKey(ctx.programHash, ctx.config));
+            PipelineCache::enumerateKey(ctx.programHash, ctx.config),
+            ctx.enumerateClaim);
         if (ctx.candidates) {
             ctx.counter("enumerate_cache_hit", 1);
             ctx.counter("candidates", ctx.candidates->size());
@@ -493,9 +497,7 @@ passEnumerate(PipelineContext &ctx)
     ctx.counter("candidates", computed->size());
     ctx.counter("candidate_bytes", computed->bytes());
     if (ctx.cache)
-        ctx.cache->storeCandidates(
-            PipelineCache::enumerateKey(ctx.programHash, ctx.config),
-            computed);
+        ctx.cache->storeCandidates(ctx.enumerateClaim, computed);
     ctx.candidates = std::move(computed);
 }
 
@@ -508,7 +510,7 @@ passSelect(PipelineContext &ctx)
             ctx.greedy, ctx.config.scheme);
         if (ctx.cache)
             ctx.cache->storeSelection(
-                PipelineCache::selectKey(ctx.programHash, ctx.config),
+                ctx.selectClaim,
                 std::make_shared<const SelectProduct>(ctx.selection));
     }
     const SelectionResult &selection = ctx.selection.selection;

@@ -95,6 +95,8 @@ struct PipelineContext
      */
     PipelineCache *cache = nullptr;
     uint64_t programHash = 0;
+    /** Keys this run must compute (cache.hh); abandoned if it throws. */
+    PipelineCache::Claim selectClaim, enumerateClaim;
 
     // ---- pass products ----
     /** Enumerate: the candidates, computed or shared with the cache.

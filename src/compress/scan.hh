@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "compress/codec.hh"
 #include "isa/isa.hh"
@@ -59,7 +58,8 @@ struct StreamFault
  * One 64-bit window load and one decode-table load per item; the rank
  * index and the instruction word are shift/mask extractions, and
  * codeword-vs-raw selection is a mask. The only per-item branches are
- * the two fault guards, never taken on a valid stream.
+ * the end-of-stream window test and the two fault guards, never taken
+ * on a valid stream.
  */
 template <typename Visit>
 std::optional<StreamFault>
@@ -68,19 +68,22 @@ scanStream(const DecodeTables &tables, std::span<const uint8_t> text,
 {
     const unsigned prefix_nibbles = tables.prefixNibbles;
 
-    size_t text_bytes = (textNibbles + 1) / 2;
-    std::vector<uint8_t> padded(text_bytes + 8, 0);
-    std::copy_n(text.begin(), std::min(text.size(), text_bytes),
-                padded.begin());
-    const uint8_t *data = padded.data();
+    const size_t avail = std::min(text.size(), (textNibbles + 1) / 2);
+    const uint8_t *data = text.data();
 
     size_t pos = 0;
     while (pos < textNibbles) {
-        // The 16-nibble big-endian window starting at nibble pos (the 8
-        // bytes of zero padding keep the load inside the copy). An odd
-        // pos shifts the half-byte away, leaving 15 valid nibbles --
-        // still more than the 9-nibble worst-case item.
-        const uint8_t *p = data + pos / 2;
+        // The 16-nibble big-endian window starting at nibble pos, read
+        // in place, or zero-padded on the stack past the avail counted
+        // bytes. An odd pos shifts the half-byte away, leaving 15 valid
+        // nibbles -- still more than the 9-nibble worst-case item.
+        const size_t at = pos / 2;
+        uint8_t tail[8] = {};
+        const uint8_t *p = tail;
+        if (at + 8 <= avail)
+            p = data + at;
+        else if (at < avail)
+            std::copy(data + at, data + avail, tail);
         uint64_t window = (static_cast<uint64_t>(p[0]) << 56) |
                           (static_cast<uint64_t>(p[1]) << 48) |
                           (static_cast<uint64_t>(p[2]) << 40) |

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <system_error>
 #include <thread>
 
@@ -135,14 +134,14 @@ stderrExcerpt(const std::string &path)
  * Run one job in a worker subprocess with deadline, retries, and
  * backoff. Scratch files live under @p scratch and are removed per
  * attempt; the final result (success or a classified failure) carries
- * the attempt count and failure kind.
+ * the attempt count and failure kind, and @p cacheStats the successful
+ * worker's cache counters.
  */
 FarmJobResult
 runIsolatedJob(const FarmJob &job, size_t index,
                const FarmOptions &options, const std::string &workerBin,
                const std::filesystem::path &scratch,
-               compress::PipelineCache::Stats &cacheTotals,
-               std::mutex &cacheTotalsMutex)
+               compress::PipelineCache::Stats &cacheStats)
 {
     FarmJobResult result;
     result.id = job.id;
@@ -232,10 +231,7 @@ runIsolatedJob(const FarmJob &job, size_t index,
             result.attempts = attempts;
             result.failureKind = FailureKind::None;
             result.error.clear();
-            {
-                std::lock_guard<std::mutex> lock(cacheTotalsMutex);
-                cacheTotals += worker.cacheStats;
-            }
+            cacheStats = worker.cacheStats;
             break;
         }
 
@@ -535,17 +531,16 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
             CC_FATAL("cannot create farm scratch directory '",
                      scratch.string(), "': ", ec.message());
 
-        compress::PipelineCache::Stats cacheTotals;
-        std::mutex cacheTotalsMutex;
+        std::vector<compress::PipelineCache::Stats> jobStats(jobs.size());
         Clock::time_point compressStart = Clock::now();
         report.results = parallelMap<FarmJobResult>(
             jobs.size(), [&](size_t i) {
                 return runIsolatedJob(jobs[i], i, options, workerBin,
-                                      scratch, cacheTotals,
-                                      cacheTotalsMutex);
+                                      scratch, jobStats[i]);
             });
         report.compressMillis = millisSince(compressStart);
-        report.cacheStats = cacheTotals;
+        for (const compress::PipelineCache::Stats &stats : jobStats)
+            report.cacheStats += stats;
         std::filesystem::remove_all(scratch, ec);
         report.wallMillis = millisSince(runStart);
         return report;
@@ -573,40 +568,21 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     report.buildMillis = millisSince(buildStart);
 
     // Shard the queue: one pool task per job, results index-addressed
-    // so the report order is the queue order at any pool width.
+    // so the report order is the queue order at any pool width. The
+    // cache gives each key one computer; a job whose key is in flight
+    // waits for that product instead of computing it again.
     compress::PipelineCache cache;
     cache.setCapacity(options.cacheMaxEntries);
     if (!options.cacheDir.empty() && options.cache)
         cache.setDiskStore(options.cacheDir);
-    auto programFor = [&](const FarmJob &job) -> const BuiltProgram & {
-        return built[programOf.at({job.workload, job.scale})];
-    };
-
-    // A duplicate job (same program and Select key as an earlier one)
-    // waits for a second wave, after the first copy has stored its
-    // selection: duplicates are then Select cache hits at any pool
-    // width instead of racing to compute the same entry.
-    std::vector<size_t> firsts, duplicates;
-    std::set<uint64_t> seenSelectKeys;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        uint64_t key = compress::PipelineCache::selectKey(
-            programFor(jobs[i]).hash, jobs[i].config);
-        if (!options.cache || seenSelectKeys.insert(key).second)
-            firsts.push_back(i);
-        else
-            duplicates.push_back(i);
-    }
-
     Clock::time_point compressStart = Clock::now();
-    report.results.resize(jobs.size());
-    for (const std::vector<size_t> *wave : {&firsts, &duplicates})
-        globalPool().parallelFor(wave->size(), [&](size_t k) {
-            size_t i = (*wave)[k];
-            const BuiltProgram &prog = programFor(jobs[i]);
-            report.results[i] = runFarmJob(
-                jobs[i], prog.program, prog.hash,
-                options.cache ? &cache : nullptr, options.keepImages);
-        });
+    report.results = parallelMap<FarmJobResult>(jobs.size(), [&](size_t i) {
+        const BuiltProgram &prog =
+            built[programOf.at({jobs[i].workload, jobs[i].scale})];
+        return runFarmJob(jobs[i], prog.program, prog.hash,
+                          options.cache ? &cache : nullptr,
+                          options.keepImages);
+    });
     report.compressMillis = millisSince(compressStart);
     report.cacheStats = cache.stats();
     report.wallMillis = millisSince(runStart);

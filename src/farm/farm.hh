@@ -13,9 +13,9 @@
  *  - deduplicates Enumerate/Select work through a shared PipelineCache
  *    (compress/cache.hh) keyed by program content hash + config --
  *    optionally backed by a crash-safe on-disk store (cacheDir) that
- *    survives across runs and processes; a job that duplicates an
- *    earlier one (same program and Select key) runs in a second wave,
- *    so it is a Select hit at any pool width;
+ *    survives across runs and processes. The cache gives each key one
+ *    computer and makes the key's other jobs wait for its product, so
+ *    hit and miss counts depend on the job set, not on the pool width;
  *  - streams per-job results (sizes, image bytes + FNV-1a64 digest,
  *    per-pass PipelineStats) into a FarmReport in job order.
  *

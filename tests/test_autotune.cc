@@ -189,7 +189,7 @@ TEST(AutotuneEndToEnd, ArtifactIsByteIdenticalAcrossJobsAndCache)
     BudgetSpec spec = smallSpec();
 
     setGlobalJobs(1);
-    AutotuneOptions nocache;
+    farm::FarmOptions nocache;
     nocache.cache = false;
     std::string serial =
         autotune::autotune({"compress"}, spec, nocache).toJson();

@@ -670,7 +670,8 @@ TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
     // back as exactly the enumerated set.
     compress::PipelineCache fresh;
     ASSERT_TRUE(fresh.setDiskStore(dir.str()));
-    auto loaded = fresh.findCandidates(key);
+    compress::PipelineCache::Claim claim;
+    auto loaded = fresh.findCandidates(key, claim);
     ASSERT_TRUE(loaded);
     EXPECT_TRUE(*loaded == compress::enumerateCandidates(
                                program, cfg, 1, config.maxEntryLen));

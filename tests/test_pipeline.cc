@@ -3,15 +3,20 @@
  * Tests for the compression passes and the selection strategies:
  * pass ordering and stats, config validation, greedy/reference
  * equivalence over every workload, cross-strategy determinism across
- * job counts, and the IterativeRefit size guarantee.
+ * job counts, the IterativeRefit size guarantee, and the pipeline
+ * cache's one-computer-per-key claims.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <iterator>
 #include <stdexcept>
+#include <thread>
 
+#include "compress/cache.hh"
 #include "compress/compressor.hh"
 #include "compress/greedy.hh"
 #include "compress/objfile.hh"
@@ -323,4 +328,68 @@ TEST(Strategy, EstimateMatchesCompositionWithoutStubs)
     passEmit(ctx);
     ASSERT_EQ(ctx.image.farBranchExpansions, 0u);
     EXPECT_EQ(estimate, ctx.image.composition.totalNibbles());
+}
+
+// ---------------- pipeline cache claims ----------------
+
+namespace {
+
+/** Long enough for a thread that does not block to finish a lookup. */
+constexpr std::chrono::milliseconds kSettle{100};
+
+} // namespace
+
+TEST(PipelineCache, WaiterBlocksUntilTheClaimIsStoredThenHits)
+{
+    PipelineCache cache;
+    PipelineCache::Claim claim;
+    ASSERT_FALSE(cache.findCandidates(7, claim));
+    ASSERT_TRUE(claim);
+
+    auto product = std::make_shared<const CandidateSet>();
+    std::shared_ptr<const CandidateSet> seen;
+    std::atomic<bool> done{false};
+    std::thread waiter([&] {
+        PipelineCache::Claim mine;
+        seen = cache.findCandidates(7, mine);
+        EXPECT_FALSE(mine);
+        done = true;
+    });
+    std::this_thread::sleep_for(kSettle);
+    EXPECT_FALSE(done) << "a lookup of a claimed key returned early";
+    cache.storeCandidates(claim, product);
+    waiter.join();
+
+    EXPECT_EQ(seen, product);
+    EXPECT_EQ(cache.stats().enumMisses, 1u);
+    EXPECT_EQ(cache.stats().enumHits, 1u);
+}
+
+TEST(PipelineCache, AbandonedClaimPassesToOneWaiter)
+{
+    PipelineCache cache;
+    auto product = std::make_shared<const SelectProduct>();
+    std::atomic<bool> done{false};
+    std::thread waiter;
+    {
+        PipelineCache::Claim abandoned;
+        ASSERT_FALSE(cache.findSelection(9, abandoned));
+        waiter = std::thread([&] {
+            PipelineCache::Claim mine;
+            EXPECT_FALSE(cache.findSelection(9, mine));
+            ASSERT_TRUE(mine);
+            cache.storeSelection(mine, product);
+            done = true;
+        });
+        std::this_thread::sleep_for(kSettle);
+        EXPECT_FALSE(done) << "a lookup of a claimed key returned early";
+    } // the claim is destroyed unstored, as when a compression throws
+    waiter.join();
+
+    EXPECT_EQ(cache.stats().selectMisses, 2u);
+    EXPECT_EQ(cache.stats().selectHits, 0u);
+    PipelineCache::Claim later;
+    EXPECT_EQ(cache.findSelection(9, later), product);
+    EXPECT_FALSE(later);
+    EXPECT_EQ(cache.stats().selectHits, 1u);
 }

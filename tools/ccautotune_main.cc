@@ -107,7 +107,7 @@ run(int argc, char **argv)
 {
     std::vector<std::string> workloadNames;
     autotune::BudgetSpec spec;
-    autotune::AutotuneOptions options;
+    farm::FarmOptions options;
     std::string jsonPath;
     bool frontier = false;
 
