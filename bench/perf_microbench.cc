@@ -559,7 +559,7 @@ reportFarmFaultTolerance()
 {
     // The persistent store: a cold run (computing and writing every
     // entry) vs a warm run of the same queue in a fresh cache (every
-    // Select stage served from disk). The warm/cold ratio is the
+    // job's image served from disk). The warm/cold ratio is the
     // price of recomputation the store saves across processes.
     std::vector<farm::FarmJob> corpus = farm::starterCorpus();
     std::filesystem::path dir =

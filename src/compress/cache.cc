@@ -30,18 +30,36 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
  * support/serialize.hh (magic "CCCH", kStoreVersion) around this
  * payload, big-endian:
  *
- *   u8   kind    (1 = Enumerate, 2 = Select)
+ *   u8   kind    (1 = Enumerate, 2 = Select, 3 = Image)
  *   u64  key     (must match the file's own name)
- *   ...  product (putCandidates / putSelection)
+ *   ...  product (putCandidates / putSelection / the saveImage bytes
+ *                 as a blob)
  *
  * kStoreVersion is bumped when the payload shape changes: version 2
  * stored candidate sets as CSR arrays, version 3 moved kind and key
- * into the checksummed payload. Anything that deviates -- container
- * damage, kind, key, or a product that fails structural parsing --
+ * into the checksummed payload, version 4 added the Image kind.
+ * Anything that deviates -- container damage, kind, key, or a product
+ * that fails structural parsing (tryLoadImage for an image) --
  * quarantines the file and reads as a miss.
  */
 constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
-constexpr uint32_t kStoreVersion = 3;
+constexpr uint32_t kStoreVersion = 4;
+
+using Stats = PipelineCache::Stats;
+
+/** Per kind (index = Kind): entry file prefix, hit and miss counter. */
+struct KindInfo
+{
+    const char *prefix;
+    uint64_t Stats::*hits;
+    uint64_t Stats::*misses;
+};
+constexpr KindInfo kindInfo[] = {
+    {nullptr, nullptr, nullptr},
+    {"enum", &Stats::enumHits, &Stats::enumMisses},
+    {"sel", &Stats::selectHits, &Stats::selectMisses},
+    {"img", &Stats::imageHits, &Stats::imageMisses},
+};
 
 /** A u32 count followed by that many u32 values. */
 std::vector<uint32_t>
@@ -173,12 +191,14 @@ putSelection(ByteSink &sink, const SelectProduct &cached)
 
 } // namespace
 
-const std::array<PipelineCache::Stats::Field, 9>
+const std::array<PipelineCache::Stats::Field, 11>
     PipelineCache::Stats::fields = {{
         {"enum_hits", &Stats::enumHits},
         {"enum_misses", &Stats::enumMisses},
         {"select_hits", &Stats::selectHits},
         {"select_misses", &Stats::selectMisses},
+        {"image_hits", &Stats::imageHits},
+        {"image_misses", &Stats::imageMisses},
         {"evictions", &Stats::evictions},
         {"persist_hits", &Stats::persistHits},
         {"persist_misses", &Stats::persistMisses},
@@ -230,11 +250,30 @@ PipelineCache::selectKey(uint64_t programHash,
                        config.refitMaxRounds});
 }
 
+uint64_t
+PipelineCache::imageKey(uint64_t programHash,
+                        const CompressorConfig &config)
+{
+    // Layout reads the profile only under HotCold. There an empty
+    // profile is derived from the program (runFarmJob), so it is a
+    // function of programHash: key it apart from any given profile.
+    uint64_t hotCold = config.layout == LayoutMode::HotCold;
+    uint64_t derived = hotCold && config.trafficProfile.empty();
+    uint64_t profile =
+        hotCold && !derived
+            ? hashFields(config.trafficProfile.size(),
+                         config.trafficProfile)
+            : 0;
+    return hashFields(selectKey(programHash, config),
+                      {static_cast<uint64_t>(config.layout), derived,
+                       profile});
+}
+
 PipelineCache::Entry
 PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
 {
     CC_ASSERT(!claim, "a claim holds one key");
-    bool enumerate = kind == Kind::Enumerate;
+    const KindInfo &info = kindInfo[static_cast<uint8_t>(kind)];
     EntryKey entryKey{static_cast<uint8_t>(kind), key};
     {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -244,7 +283,7 @@ PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
             return it == entries_.end() || it->second.ready();
         });
         if (it != entries_.end()) {
-            ++(enumerate ? stats_.enumHits : stats_.selectHits);
+            ++(stats_.*info.hits);
             lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             return it->second;
         }
@@ -260,10 +299,10 @@ PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
     if (persisted)
         ++(stats_.*persisted);
     if (!loaded.ready()) {
-        ++(enumerate ? stats_.enumMisses : stats_.selectMisses);
+        ++(stats_.*info.misses);
         return {};
     }
-    ++(enumerate ? stats_.enumHits : stats_.selectHits);
+    ++(stats_.*info.hits);
     publishLocked(claim, loaded);
     return loaded;
 }
@@ -278,6 +317,12 @@ std::shared_ptr<const SelectProduct>
 PipelineCache::findSelection(uint64_t key, Claim &claim)
 {
     return find(Kind::Select, key, claim).selection;
+}
+
+std::shared_ptr<const ImageProduct>
+PipelineCache::findImage(uint64_t key, Claim &claim)
+{
+    return find(Kind::Image, key, claim).image;
 }
 
 void
@@ -307,6 +352,15 @@ PipelineCache::storeSelection(Claim &claim,
 {
     Entry entry;
     entry.selection = std::move(selection);
+    store(claim, std::move(entry));
+}
+
+void
+PipelineCache::storeImage(Claim &claim,
+                          std::shared_ptr<const ImageProduct> image)
+{
+    Entry entry;
+    entry.image = std::move(image);
     store(claim, std::move(entry));
 }
 
@@ -382,7 +436,7 @@ PipelineCache::entryPath(Kind kind, uint64_t key) const
 {
     char name[40];
     std::snprintf(name, sizeof(name), "%s-%016llx.cce",
-                  kind == Kind::Enumerate ? "enum" : "sel",
+                  kindInfo[static_cast<uint8_t>(kind)].prefix,
                   static_cast<unsigned long long>(key));
     return (std::filesystem::path(diskDir_) / name).string();
 }
@@ -395,10 +449,17 @@ PipelineCache::persist(Kind kind, uint64_t key, const Entry &entry) const
     ByteSink payload;
     payload.put8(static_cast<uint8_t>(kind));
     payload.put64(key);
-    if (kind == Kind::Enumerate)
+    switch (kind) {
+      case Kind::Enumerate:
         putCandidates(payload, *entry.candidates);
-    else
+        break;
+      case Kind::Select:
         putSelection(payload, *entry.selection);
+        break;
+      case Kind::Image:
+        payload.putBlob(entry.image->bytes);
+        break;
+    }
     if (std::optional<LoadError> error = writeFileAtomic(
             entryPath(kind, key),
             sealPayload(kStoreMagic, kStoreVersion, payload.bytes()))) {
@@ -430,12 +491,27 @@ PipelineCache::load(Kind kind, uint64_t key, Entry &out) const
             throw LoadFailure({LoadStatus::BadValue, 0,
                                "cache entry payload",
                                "kind/key mismatch: " + path});
-        if (kind == Kind::Enumerate)
+        switch (kind) {
+          case Kind::Enumerate:
             out.candidates = std::make_shared<const CandidateSet>(
                 parseCandidates(body));
-        else
+            break;
+          case Kind::Select:
             out.selection = std::make_shared<const SelectProduct>(
                 parseSelection(body));
+            break;
+          case Kind::Image: {
+            body.setContext("cached image");
+            auto product = std::make_shared<ImageProduct>();
+            product->bytes = body.getBlob();
+            Result<CompressedImage> image = tryLoadImage(product->bytes);
+            if (!image.ok())
+                throw LoadFailure(image.error());
+            product->image = image.take();
+            out.image = std::move(product);
+            break;
+          }
+        }
         if (!body.atEnd())
             throw LoadFailure({LoadStatus::TrailingBytes, body.pos(),
                                "cache entry payload", path});

@@ -1,36 +1,45 @@
 /**
  * @file
  * Content-addressed cache of the pipeline's Enumerate and Select
- * products, shared by concurrent compressions of a job corpus.
+ * products and of finished images, shared by concurrent compressions
+ * of a job corpus.
  *
  * The farm (src/farm) compresses many (program, config) pairs at once;
  * sweeps revisit the same program under several schemes and strategies,
- * and generated corpora contain outright duplicate programs. Both
- * stages are deterministic pure functions of their keys, so caching
- * their results cannot change any output image:
+ * generated corpora contain outright duplicate programs, and a warm
+ * farm run repeats every job of an earlier one. All three products are
+ * deterministic pure functions of their keys, so caching them cannot
+ * change any output image:
  *
  *   candidates = f(program bytes, minEntryLen, maxEntryLen)
  *   selection  = f(program bytes, full compressor config)
+ *   image      = f(program bytes, full compressor config, layout,
+ *                  traffic profile)
  *
  * Keys are FNV-1a64 over the program's serialized bytes combined with
  * the config fields the stage depends on. Candidate enumeration is
  * scheme-independent, so one enumeration serves all schemes and
- * strategies of a program -- the common sweep shape. Values are
- * shared_ptr-to-const: readers on any thread hold the product alive
- * without copying it.
+ * strategies of a program -- the common sweep shape. The Image key is
+ * the Select key plus the fields only the back end reads, so a layout
+ * sweep shares one selection. Values are shared_ptr-to-const: readers
+ * on any thread hold the product alive without copying it.
  *
  * Each key has one computer: a lookup that misses in memory and on
  * disk hands its caller a Claim, and other lookups of the key block
  * until the product is stored through it (a hit) or the claim is
  * dropped unstored, when one waiter takes the key over (a miss). So
  * without a cap the counts depend on the lookups, not on scheduling.
- * The mutex guards the map and the counters; disk I/O runs outside it.
+ * A caller takes its claims in the order Image, Select, Enumerate and
+ * never looks up an earlier kind while it holds a later one's claim:
+ * a total order, so no two callers can wait on each other. The mutex
+ * guards the map and the counters; disk I/O runs outside it.
  *
  * Two robustness layers sit on top of the in-memory map:
  *
- *  - a bounded footprint: setCapacity() caps the entry count, with
- *    least-recently-used eviction of stored entries (Stats::evictions)
- *    in completion order, so under a cap counts vary with scheduling;
+ *  - a bounded footprint: setCapacity() caps the entry count (all
+ *    three kinds), with least-recently-used eviction of stored entries
+ *    (Stats::evictions) in completion order, so under a cap counts
+ *    vary with scheduling;
  *  - a crash-safe persistent backing store: setDiskStore() points the
  *    cache at a directory where every product is also written as one
  *    file -- writeFileAtomic around the sealed, versioned and
@@ -38,13 +47,15 @@
  *    openSealed). In-memory misses fall back to disk, so a warm
  *    directory survives process restarts (and is how the farm's
  *    isolated workers share work). A corrupt, truncated, or
- *    version-skewed file is detected by the checksum/structure checks,
- *    quarantined (renamed *.quarantined), and silently recomputed:
- *    damage can degrade throughput but can never alter a result.
+ *    version-skewed file is detected by the checksum/structure checks
+ *    (for an image, also tryLoadImage's full validation), quarantined
+ *    (renamed *.quarantined), and silently recomputed: damage can
+ *    degrade throughput but can never alter a result.
  *
  * A PipelineCache is attached to a compression through
- * compressProgram (compressor.hh); a null cache leaves the
- * compression exactly as before.
+ * compressProgram (compressor.hh), which uses the Enumerate and Select
+ * kinds; a null cache leaves the compression exactly as before. The
+ * farm's runFarmJob (farm/farm.hh) looks up the Image kind around it.
  */
 
 #ifndef CODECOMP_COMPRESS_CACHE_HH
@@ -66,6 +77,14 @@
 
 namespace codecomp::compress {
 
+/** The Image product: a finished image and its saveImage bytes. One
+ *  loaded from disk lacks the analysis-only fields a .cci omits. */
+struct ImageProduct
+{
+    CompressedImage image;
+    std::vector<uint8_t> bytes;
+};
+
 class PipelineCache
 {
   public:
@@ -76,6 +95,8 @@ class PipelineCache
         uint64_t enumMisses = 0;
         uint64_t selectHits = 0;
         uint64_t selectMisses = 0;
+        uint64_t imageHits = 0;
+        uint64_t imageMisses = 0;
         uint64_t evictions = 0;      //!< in-memory entries dropped by cap
         uint64_t persistHits = 0;    //!< memory misses served from disk
         uint64_t persistMisses = 0;  //!< misses disk could not serve
@@ -92,7 +113,7 @@ class PipelineCache
         /** The counters in their one fixed order, which is the farm
          *  worker result's byte layout and the order of the farm
          *  report's cache_stats keys. */
-        static const std::array<Field, 9> fields;
+        static const std::array<Field, 11> fields;
 
         Stats &operator+=(const Stats &other);
     };
@@ -110,6 +131,13 @@ class PipelineCache
      *  field that can steer selection. */
     static uint64_t selectKey(uint64_t programHash,
                               const CompressorConfig &config);
+
+    /** Key of the Image product: the Select key plus the fields only
+     *  the back end reads -- the layout mode and, under HotCold, the
+     *  traffic profile. An empty HotCold profile (the farm derives it
+     *  from the program) is keyed as such, not by its counts. */
+    static uint64_t imageKey(uint64_t programHash,
+                             const CompressorConfig &config);
 
     /** The duty to compute one key's product; destroying it unstored
      *  passes the key to one of its waiters. */
@@ -136,6 +164,8 @@ class PipelineCache
                                                        Claim &claim);
     std::shared_ptr<const SelectProduct> findSelection(uint64_t key,
                                                        Claim &claim);
+    std::shared_ptr<const ImageProduct> findImage(uint64_t key,
+                                                  Claim &claim);
 
     /** Store the product of @p claim's key, release the claim and
      *  wake the key's waiters. */
@@ -143,6 +173,7 @@ class PipelineCache
                          std::shared_ptr<const CandidateSet> candidates);
     void storeSelection(Claim &claim,
                         std::shared_ptr<const SelectProduct> selection);
+    void storeImage(Claim &claim, std::shared_ptr<const ImageProduct> image);
 
     /**
      * Bound the in-memory footprint to at most @p maxEntries products
@@ -166,21 +197,21 @@ class PipelineCache
     Stats stats() const;
 
   private:
-    enum class Kind : uint8_t { Enumerate = 1, Select = 2 };
+    enum class Kind : uint8_t { Enumerate = 1, Select = 2, Image = 3 };
     using EntryKey = std::pair<uint8_t, uint64_t>; //!< (Kind, key)
 
-    /** A product, or an entry whose claim is still out (both null). */
+    /** A product, or an entry whose claim is still out (all null). */
     struct Entry
     {
         std::shared_ptr<const CandidateSet> candidates;
         std::shared_ptr<const SelectProduct> selection;
+        std::shared_ptr<const ImageProduct> image;
         std::list<EntryKey>::iterator lruIt; //!< once ready
 
-        bool ready() const { return candidates || selection; }
+        bool ready() const { return candidates || selection || image; }
     };
 
-    /** The shared bodies of findCandidates/findSelection and
-     *  storeCandidates/storeSelection. */
+    /** The shared bodies of the find* and store* methods. */
     Entry find(Kind kind, uint64_t key, Claim &claim);
     void store(Claim &claim, Entry entry);
 

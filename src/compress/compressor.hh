@@ -81,9 +81,9 @@ struct CompressorConfig
     /** Per-instruction execution counts (index = original instruction
      *  index), e.g. from timing::profileExecutionCounts. Required to
      *  cover the whole program when layout == HotCold (catchable fatal
-     *  otherwise); ignored under Linear. Not part of the selection
-     *  cache key: layout runs after Select, so profile-guided sweeps
-     *  still share cached enumeration/selection work. */
+     *  otherwise); ignored under Linear. Part of the image cache key
+     *  only (cache.hh): layout runs after Select, so profile-guided
+     *  sweeps still share cached enumeration/selection work. */
     std::vector<uint64_t> trafficProfile;
 };
 

@@ -56,9 +56,6 @@ struct OperandFields
     {
         return (immBits ? (1u << immBits) - 1 : 0u) << immShift;
     }
-
-    /** Bytes the immediate field occupies in the serialized stream. */
-    unsigned immBytes() const { return (immBits + 7u) / 8u; }
 };
 
 /** Field geometry for @p primop (the word's top six bits). Unknown

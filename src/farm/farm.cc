@@ -55,6 +55,23 @@ hexDigest(uint64_t value)
     return buf;
 }
 
+/** Fill @p result's sizes and digest from @p product: the one body of
+ *  a computed job and an Image cache hit. */
+void
+recordImage(FarmJobResult &result, const compress::ImageProduct &product,
+            bool keepImages)
+{
+    const compress::CompressedImage &image = product.image;
+    result.totalBytes = image.totalBytes();
+    result.textBytes = image.compressedTextBytes();
+    result.dictBytes = image.dictionaryBytes();
+    result.ratio = image.compressionRatio();
+    result.farBranchExpansions = image.farBranchExpansions;
+    result.imageFnv64 = fnv1a64(product.bytes);
+    if (keepImages)
+        result.imageBytes = product.bytes;
+}
+
 /** One per-job record; @p full adds wall time, attempts, failure
  *  attribution, and pipeline stats. */
 void
@@ -457,24 +474,32 @@ runFarmJob(const FarmJob &job, const Program &program,
     result.strategy = compress::strategyName(job.config.strategy);
     Clock::time_point jobStart = Clock::now();
     try {
-        // Profile-guided layout without a caller-supplied profile:
-        // profile here, where the built program is at hand, so job
-        // specs stay declarative (the profile itself is deterministic).
-        compress::CompressorConfig config = job.config;
-        if (config.layout == compress::LayoutMode::HotCold &&
-            config.trafficProfile.empty())
-            config.trafficProfile = timing::profileExecutionCounts(program);
-        compress::CompressedImage image = compress::compressProgram(
-            program, config, &result.stats, cache, programHash);
-        result.totalBytes = image.totalBytes();
-        result.textBytes = image.compressedTextBytes();
-        result.dictBytes = image.dictionaryBytes();
-        result.ratio = image.compressionRatio();
-        result.farBranchExpansions = image.farBranchExpansions;
-        std::vector<uint8_t> bytes = saveImage(image);
-        result.imageFnv64 = fnv1a64(bytes);
-        if (keepImages)
-            result.imageBytes = std::move(bytes);
+        // The Image claim comes first: compressProgram takes the
+        // Select and Enumerate claims after it (cache.hh).
+        compress::PipelineCache::Claim claim;
+        std::shared_ptr<const compress::ImageProduct> product;
+        if (cache)
+            product = cache->findImage(
+                compress::PipelineCache::imageKey(programHash, job.config),
+                claim);
+        if (!product) {
+            // Profile-guided layout without a caller-supplied profile:
+            // profile here, where the built program is at hand, so job
+            // specs stay declarative (the profile is deterministic).
+            compress::CompressorConfig config = job.config;
+            if (config.layout == compress::LayoutMode::HotCold &&
+                config.trafficProfile.empty())
+                config.trafficProfile =
+                    timing::profileExecutionCounts(program);
+            auto computed = std::make_shared<compress::ImageProduct>();
+            computed->image = compress::compressProgram(
+                program, config, &result.stats, cache, programHash);
+            computed->bytes = saveImage(computed->image);
+            if (cache)
+                cache->storeImage(claim, computed);
+            product = std::move(computed);
+        }
+        recordImage(result, *product, keepImages);
     } catch (const std::exception &error) {
         result.error = error.what();
         result.failureKind = classifyJobError(error);

@@ -10,12 +10,15 @@
  *    parallel on the global worker pool;
  *  - shards the job queue across the same pool (one task per job;
  *    each job's compression is serial within its task);
- *  - deduplicates Enumerate/Select work through a shared PipelineCache
+ *  - deduplicates work through a shared PipelineCache
  *    (compress/cache.hh) keyed by program content hash + config --
  *    optionally backed by a crash-safe on-disk store (cacheDir) that
- *    survives across runs and processes. The cache gives each key one
- *    computer and makes the key's other jobs wait for its product, so
- *    hit and miss counts depend on the job set, not on the pool width;
+ *    survives across runs and processes. A job first looks up its
+ *    finished image (the Image kind); only a miss profiles and
+ *    compresses, sharing Enumerate/Select products with the other
+ *    jobs of its program. The cache gives each key one computer and
+ *    makes the key's other jobs wait for its product, so hit and miss
+ *    counts depend on the job set, not on the pool width;
  *  - streams per-job results (sizes, image bytes + FNV-1a64 digest,
  *    per-pass PipelineStats) into a FarmReport in job order.
  *
@@ -31,7 +34,7 @@
  * Output images are bit-identical to the serial single-program path
  * (compress::compressProgram) for any pool width, isolated or inline,
  * on any attempt, cache off/on/persistent: jobs are index-addressed,
- * and both cached stages are deterministic pure functions of the
+ * and every cached product is a deterministic pure function of its
  * cache key.
  *
  * The starter corpus is the paper's sweep: 8 workloads x every
@@ -233,9 +236,12 @@ std::vector<FarmJob> starterCorpus();
 /**
  * Compress one job of @p program (whose PipelineCache::programHash is
  * @p programHash when @p cache is non-null) and capture the outcome --
- * success or in-band failure -- as a result. A HotCold job without a
- * traffic profile is profiled here first. The shared single-job body
- * of the inline farm path and the --worker subprocess mode.
+ * success or in-band failure -- as a result. With a cache, a stored
+ * image of the job's Image key is the result, with no profiling or
+ * compression (its PipelineStats stay empty). Otherwise a HotCold job
+ * without a traffic profile is profiled here first, and the image is
+ * compressed and stored. The shared single-job body of the inline
+ * farm path and the --worker subprocess mode.
  */
 FarmJobResult runFarmJob(const FarmJob &job, const Program &program,
                          uint64_t programHash,

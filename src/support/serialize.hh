@@ -196,13 +196,6 @@ class ByteSource
         return bytes_[pos_++];
     }
 
-    uint16_t
-    get16()
-    {
-        uint16_t value = get8();
-        return static_cast<uint16_t>((value << 8) | get8());
-    }
-
     uint32_t
     get32()
     {

@@ -117,10 +117,11 @@ TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
 {
     // Queue: nibble/greedy twice (exact duplicate), onebyte/greedy and
     // baseline/greedy on the same program. The first nibble job misses
-    // everything; the duplicate hits the whole selection; the two other
-    // schemes miss selection but share the enumeration. Each key has
-    // one computer that the others wait on, so the counts are the same
-    // at any pool width and on every run.
+    // everything; the duplicate hits its finished image and looks up
+    // nothing else; the two other schemes miss image and selection but
+    // share the enumeration. Each key has one computer that the others
+    // wait on, so the counts are the same at any pool width and on
+    // every run.
     std::vector<farm::FarmJob> jobs = {
         makeJob("compress", compress::Scheme::Nibble,
                 compress::StrategyKind::Greedy),
@@ -139,7 +140,9 @@ TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
         setGlobalJobs(0);
 
         ASSERT_EQ(report.failures(), 0u);
-        EXPECT_EQ(report.cacheStats.selectHits, 1u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.imageHits, 1u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.imageMisses, 3u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.selectHits, 0u) << "width " << width;
         EXPECT_EQ(report.cacheStats.selectMisses, 3u) << "width " << width;
         EXPECT_EQ(report.cacheStats.enumHits, 2u) << "width " << width;
         EXPECT_EQ(report.cacheStats.enumMisses, 1u) << "width " << width;
@@ -153,9 +156,10 @@ TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
 TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
 {
     // Three copies of one job and two of another on a pool wider than
-    // the queue: a copy that starts while its first instance computes
-    // waits for that selection, so every copy is a Select hit however
-    // the workers interleave.
+    // the queue, each copy with its own layout or traffic profile so
+    // it misses the Image kind: a copy that starts while its first
+    // instance computes waits for that selection, so every copy is a
+    // Select hit however the workers interleave.
     std::vector<farm::FarmJob> jobs;
     for (int copy = 0; copy < 3; ++copy)
         jobs.push_back(makeJob("compress", compress::Scheme::Nibble,
@@ -163,33 +167,50 @@ TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
     for (int copy = 0; copy < 2; ++copy)
         jobs.push_back(makeJob("li", compress::Scheme::Nibble,
                                compress::StrategyKind::IterativeRefit));
+    for (size_t i : {1u, 2u, 4u}) {
+        jobs[i].config.layout = compress::LayoutMode::HotCold;
+        jobs[i].id += "#hotcold";
+    }
+    jobs[2].config.trafficProfile.assign(
+        workloads::buildBenchmark("compress").text.size(), 1);
+    jobs[2].id += "-flat";
 
     setGlobalJobs(8);
     farm::FarmReport report = farm::runFarm(jobs);
+    setGlobalJobs(1);
+    farm::FarmOptions noCache;
+    noCache.cache = false;
+    farm::FarmReport reference = farm::runFarm(jobs, noCache);
     setGlobalJobs(0);
 
     ASSERT_EQ(report.failures(), 0u);
     EXPECT_EQ(report.cacheStats.selectHits, 3u);
     EXPECT_EQ(report.cacheStats.selectMisses, 2u);
-    EXPECT_EQ(report.results[0].imageBytes, report.results[2].imageBytes);
-    EXPECT_EQ(report.results[3].imageBytes, report.results[4].imageBytes);
+    EXPECT_EQ(report.cacheStats.imageHits, 0u);
+    EXPECT_EQ(report.cacheStats.imageMisses, 5u);
+    EXPECT_EQ(report.resultsJson(), reference.resultsJson());
 }
 
 TEST(Farm, CachedSelectReportsColdRounds)
 {
     // A Select cache hit carries the round count of the run that
-    // computed the selection, so the duplicate of a refit job reports
-    // the cold job's rounds rather than the default of one.
+    // computed the selection, so the hot/cold copy of a refit job (an
+    // Image miss that shares the selection) reports the cold job's
+    // rounds rather than the default of one.
     std::vector<farm::FarmJob> jobs = {
         makeJob("compress", compress::Scheme::Nibble,
                 compress::StrategyKind::IterativeRefit),
         makeJob("compress", compress::Scheme::Nibble,
                 compress::StrategyKind::IterativeRefit),
     };
-    jobs[1].id += "#dup";
+    jobs[1].config.layout = compress::LayoutMode::HotCold;
+    jobs[1].id += "#hotcold";
 
     setGlobalJobs(1);
     farm::FarmReport report = farm::runFarm(jobs);
+    farm::FarmOptions noCache;
+    noCache.cache = false;
+    farm::FarmReport reference = farm::runFarm(jobs, noCache);
     setGlobalJobs(0);
 
     ASSERT_EQ(report.failures(), 0u);
@@ -213,7 +234,7 @@ TEST(Farm, CachedSelectReportsColdRounds)
     EXPECT_EQ(coldEnumerate->counter("select_cache_hit"), 0u);
     EXPECT_EQ(dupEnumerate->counter("select_cache_hit"), 1u);
     EXPECT_EQ(report.cacheStats.selectHits, 1u);
-    EXPECT_EQ(report.results[0].imageFnv64, report.results[1].imageFnv64);
+    EXPECT_EQ(report.resultsJson(), reference.resultsJson());
 }
 
 TEST(Farm, CacheOffRecordsNoActivity)
@@ -233,6 +254,8 @@ TEST(Farm, CacheOffRecordsNoActivity)
     EXPECT_EQ(report.cacheStats.enumMisses, 0u);
     EXPECT_EQ(report.cacheStats.selectHits, 0u);
     EXPECT_EQ(report.cacheStats.selectMisses, 0u);
+    EXPECT_EQ(report.cacheStats.imageHits, 0u);
+    EXPECT_EQ(report.cacheStats.imageMisses, 0u);
 }
 
 TEST(Farm, UnknownWorkloadIsCatchableFatal)

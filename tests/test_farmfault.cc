@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -37,6 +38,7 @@
 #include "support/serialize.hh"
 #include "support/subprocess.hh"
 #include "support/thread_pool.hh"
+#include "timing/timing.hh"
 #include "workloads/workloads.hh"
 
 using namespace codecomp;
@@ -543,6 +545,14 @@ TEST(FarmFaultCache, DamagedEntriesAreQuarantinedAndRecomputed)
     ASSERT_EQ(warm.failures(), 0u);
     // Every damaged entry was detected; none changed a result.
     EXPECT_GT(warm.cacheStats.persistCorrupt, 0u);
+    size_t images = 0;
+    for (const std::filesystem::path &file : files) {
+        images += file.filename().string().rfind("img-", 0) == 0;
+        EXPECT_TRUE(
+            std::filesystem::exists(file.string() + ".quarantined"))
+            << file;
+    }
+    EXPECT_EQ(images, jobs.size());
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
@@ -679,6 +689,215 @@ TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
     EXPECT_EQ(fresh.stats().persistCorrupt, 0u);
 }
 
+/** The store's current entry version (kStoreVersion in cache.cc). */
+constexpr uint32_t storeMagic = 0x43434348; // "CCCH"
+constexpr uint32_t storeVersion = 4;
+
+TEST(FarmFaultCache, WarmInlineRunIsOneImageHitPerJob)
+{
+    // A warm job is a single lookup: its finished image comes from the
+    // store, with no Select or Enumerate lookup behind it.
+    ScratchDir dir("image-warm");
+    std::vector<farm::FarmJob> jobs = tinyCorpus();
+    farm::FarmOptions options;
+    options.cacheDir = dir.str();
+
+    setGlobalJobs(1);
+    farm::FarmReport cold = farm::runFarm(jobs, options);
+    farm::FarmReport warm = farm::runFarm(jobs, options);
+    setGlobalJobs(0);
+
+    ASSERT_EQ(cold.failures(), 0u);
+    ASSERT_EQ(warm.failures(), 0u);
+    EXPECT_EQ(cold.cacheStats.imageMisses, jobs.size());
+    EXPECT_EQ(warm.cacheStats.imageHits, jobs.size());
+    EXPECT_EQ(warm.cacheStats.imageMisses, 0u);
+    EXPECT_EQ(warm.cacheStats.persistHits, jobs.size());
+    EXPECT_EQ(warm.cacheStats.persistStores, 0u);
+    EXPECT_EQ(warm.cacheStats.selectHits + warm.cacheStats.selectMisses,
+              0u);
+    EXPECT_EQ(warm.cacheStats.enumHits + warm.cacheStats.enumMisses, 0u);
+    EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+            << jobs[i].id;
+        EXPECT_TRUE(warm.results[i].stats.passes.empty()) << jobs[i].id;
+    }
+}
+
+TEST(FarmFaultCache, LayoutOrProfileMissesImageButHitsSelect)
+{
+    // Four jobs that share one selection and differ only in what the
+    // back end reads: the layout, a given traffic profile, another
+    // given profile, and the profile the farm derives. Each is its own
+    // Image key; every one after the first hits Select.
+    Program program = workloads::buildBenchmark("compress");
+    std::vector<farm::FarmJob> jobs(
+        4, makeJob("compress", compress::Scheme::Nibble,
+                   compress::StrategyKind::Greedy));
+    std::vector<uint64_t> profile =
+        timing::profileExecutionCounts(program);
+    for (size_t i = 1; i < jobs.size(); ++i) {
+        jobs[i].config.layout = compress::LayoutMode::HotCold;
+        jobs[i].id += "#" + std::to_string(i);
+    }
+    jobs[1].config.trafficProfile = profile;
+    jobs[2].config.trafficProfile = profile;
+    jobs[2].config.trafficProfile[0] += 1;
+
+    farm::FarmOptions noCache;
+    noCache.cache = false;
+    setGlobalJobs(1);
+    farm::FarmReport reference = farm::runFarm(jobs, noCache);
+    for (unsigned width : {1u, 4u}) {
+        setGlobalJobs(width);
+        farm::FarmReport report = farm::runFarm(jobs);
+        ASSERT_EQ(report.failures(), 0u);
+        EXPECT_EQ(report.cacheStats.imageMisses, 4u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.imageHits, 0u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.selectHits, 3u) << "width " << width;
+        EXPECT_EQ(report.cacheStats.selectMisses, 1u) << "width " << width;
+        EXPECT_EQ(report.resultsJson(), reference.resultsJson());
+    }
+    setGlobalJobs(0);
+    // The derived profile is the given one, so those images agree.
+    EXPECT_EQ(reference.results[1].imageBytes,
+              reference.results[3].imageBytes);
+}
+
+TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
+{
+    // A HotCold job without a profile: cold, the farm profiles and
+    // compresses; warm, it is one Image hit with the cold result.
+    ScratchDir dir("image-hotcold");
+    farm::FarmJob job = makeJob("li", compress::Scheme::Nibble,
+                                compress::StrategyKind::Greedy);
+    job.config.layout = compress::LayoutMode::HotCold;
+    farm::FarmOptions options;
+    options.cacheDir = dir.str();
+    farm::FarmReport cold = farm::runFarm({job}, options);
+    farm::FarmReport warm = farm::runFarm({job}, options);
+    ASSERT_EQ(cold.failures(), 0u);
+    ASSERT_EQ(warm.failures(), 0u);
+    EXPECT_EQ(warm.cacheStats.imageHits, 1u);
+    EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
+    EXPECT_EQ(cold.results[0].imageBytes, warm.results[0].imageBytes);
+
+    // No profiling run on a hit: this program faults when profiled
+    // (see ProfilingMachineCheckIsClassifiedInline), yet the job
+    // succeeds with the image stored under its key.
+    Program program;
+    program.text = {isa::encode(isa::li(3, 1)), isa::encode(isa::li(4, 2))};
+    program.entryIndex = 0;
+    program.finalize();
+    farm::FarmJob handmade = makeJob("handmade", compress::Scheme::Nibble,
+                                     compress::StrategyKind::Greedy);
+    handmade.config.layout = compress::LayoutMode::HotCold;
+    uint64_t hash = compress::PipelineCache::programHash(program);
+    compress::PipelineCache cache;
+    compress::PipelineCache::Claim claim;
+    ASSERT_FALSE(cache.findImage(
+        compress::PipelineCache::imageKey(hash, handmade.config), claim));
+    auto product = std::make_shared<compress::ImageProduct>();
+    product->image = compress::compressProgram(program, {});
+    product->bytes = saveImage(product->image);
+    cache.storeImage(claim, product);
+
+    farm::FarmJobResult result =
+        farm::runFarmJob(handmade, program, hash, &cache, true);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(result.imageBytes, product->bytes);
+    EXPECT_EQ(result.imageFnv64, fnv1a64(product->bytes));
+    EXPECT_EQ(result.totalBytes, product->image.totalBytes());
+    EXPECT_EQ(cache.stats().imageHits, 1u);
+}
+
+TEST(FarmFaultCache, ImageFailingValidationIsQuarantined)
+{
+    // An Image entry whose container, kind and key are sound but whose
+    // image bytes fail tryLoadImage: the inner check alone catches it,
+    // and the job recomputes the cold image.
+    ScratchDir dir("image-invalid");
+    farm::FarmJob job = makeJob("compress", compress::Scheme::Nibble,
+                                compress::StrategyKind::Greedy);
+    farm::FarmOptions options;
+    options.cacheDir = dir.str();
+    farm::FarmReport cold = farm::runFarm({job}, options);
+    ASSERT_EQ(cold.failures(), 0u);
+
+    Program program = workloads::buildBenchmark("compress");
+    uint64_t key = compress::PipelineCache::imageKey(
+        compress::PipelineCache::programHash(program), job.config);
+    char name[40];
+    std::snprintf(name, sizeof(name), "img-%016llx.cce",
+                  static_cast<unsigned long long>(key));
+    std::filesystem::path path = dir.path() / name;
+    Result<std::vector<uint8_t>> payload = openSealed(
+        readFile(path.string()), storeMagic, storeVersion, "cache entry");
+    ASSERT_TRUE(payload.ok()) << payload.error().message();
+    std::vector<uint8_t> bytes = payload.take();
+    bytes[bytes.size() / 2] ^= 0x40; // inside the image's own payload
+    writeFile(path.string(), sealPayload(storeMagic, storeVersion, bytes));
+
+    farm::FarmReport warm = farm::runFarm({job}, options);
+    ASSERT_EQ(warm.failures(), 0u);
+    EXPECT_EQ(warm.cacheStats.persistCorrupt, 1u);
+    EXPECT_EQ(warm.cacheStats.imageMisses, 1u);
+    EXPECT_EQ(warm.cacheStats.selectHits, 1u);
+    EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
+    EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
+    EXPECT_EQ(cold.results[0].imageBytes, warm.results[0].imageBytes);
+}
+
+TEST(FarmFaultCache, VersionThreeStoreIsQuarantinedAndRecomputedOnce)
+{
+    // A version-3 store: the same Enumerate and Select payloads, no
+    // Image entries. Its entries fail the version check, are moved
+    // aside and recomputed; the next run finds version-4 entries.
+    ScratchDir dir("v3");
+    std::vector<farm::FarmJob> jobs = tinyCorpus();
+    farm::FarmOptions options;
+    options.cacheDir = dir.str();
+    setGlobalJobs(1);
+    farm::FarmReport cold = farm::runFarm(jobs, options);
+    ASSERT_EQ(cold.failures(), 0u);
+
+    size_t downgraded = 0;
+    for (const std::filesystem::path &file :
+         storeEntries(dir.path(), ".cce")) {
+        if (file.filename().string().rfind("img-", 0) == 0) {
+            std::filesystem::remove(file);
+            continue;
+        }
+        Result<std::vector<uint8_t>> payload =
+            openSealed(readFile(file.string()), storeMagic, storeVersion,
+                       "cache entry");
+        ASSERT_TRUE(payload.ok()) << payload.error().message();
+        writeFile(file.string(),
+                  sealPayload(storeMagic, 3, payload.value()));
+        ++downgraded;
+    }
+    ASSERT_GT(downgraded, 0u);
+
+    farm::FarmReport upgrade = farm::runFarm(jobs, options);
+    farm::FarmReport warm = farm::runFarm(jobs, options);
+    setGlobalJobs(0);
+    ASSERT_EQ(upgrade.failures(), 0u);
+    ASSERT_EQ(warm.failures(), 0u);
+    EXPECT_EQ(upgrade.cacheStats.persistCorrupt, downgraded);
+    EXPECT_EQ(upgrade.cacheStats.imageMisses, jobs.size());
+    EXPECT_EQ(upgrade.cacheStats.persistStores,
+              cold.cacheStats.persistStores);
+    EXPECT_EQ(storeEntries(dir.path(), ".quarantined").size(), downgraded);
+    EXPECT_EQ(warm.cacheStats.persistCorrupt, 0u);
+    EXPECT_EQ(warm.cacheStats.imageHits, jobs.size());
+    EXPECT_EQ(cold.resultsJson(), upgrade.resultsJson());
+    EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+            << jobs[i].id;
+}
+
 // ---------------- empty queue ----------------
 
 TEST(FarmFaultUnit, EmptyQueueYieldsAValidEmptyReport)
@@ -723,7 +942,7 @@ TEST(FarmFaultIsolate, IsolatedRunMatchesInlineBitForBit)
     std::vector<farm::FarmJob> jobs = tinyCorpus();
 
     setGlobalJobs(2);
-    farm::FarmReport inline_ = farm::runFarm(jobs);
+    farm::FarmReport inlineRun = farm::runFarm(jobs);
     farm::FarmOptions options;
     options.isolate = true;
     options.workerBinary = worker;
@@ -732,9 +951,9 @@ TEST(FarmFaultIsolate, IsolatedRunMatchesInlineBitForBit)
 
     ASSERT_EQ(isolated.failures(), 0u);
     EXPECT_TRUE(isolated.isolated);
-    EXPECT_EQ(inline_.resultsJson(), isolated.resultsJson());
+    EXPECT_EQ(inlineRun.resultsJson(), isolated.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(inline_.results[i].imageBytes,
+        EXPECT_EQ(inlineRun.results[i].imageBytes,
                   isolated.results[i].imageBytes)
             << jobs[i].id;
         EXPECT_EQ(isolated.results[i].attempts, 1u);
@@ -998,7 +1217,7 @@ TEST(FarmFaultIsolate, WorkersShareThePersistentStore)
                 compress::StrategyKind::Greedy)};
 
     // Cold inline run populates the store; an isolated worker then
-    // serves the whole Select stage from disk.
+    // serves the whole job from disk.
     farm::FarmOptions cold;
     cold.cacheDir = dir.str();
     farm::FarmReport coldReport = farm::runFarm(jobs, cold);
@@ -1014,6 +1233,39 @@ TEST(FarmFaultIsolate, WorkersShareThePersistentStore)
     EXPECT_GT(warmReport.cacheStats.persistHits, 0u);
     EXPECT_EQ(coldReport.results[0].imageBytes,
               warmReport.results[0].imageBytes);
+}
+
+TEST(FarmFaultIsolate, WarmIsolatedRunHitsInlineImages)
+{
+    std::string worker = ccfarmBinary();
+    if (worker.empty())
+        GTEST_SKIP() << "ccfarm binary not built";
+    // Images an inline run stored are what isolated workers return:
+    // one Image hit per job, no Select lookup, the same results and
+    // bytes cold, warm, inline and isolated.
+    ScratchDir dir("image-iso");
+    std::vector<farm::FarmJob> jobs = tinyCorpus();
+    farm::FarmOptions inlineRun;
+    inlineRun.cacheDir = dir.str();
+    farm::FarmOptions isolated = inlineRun;
+    isolated.isolate = true;
+    isolated.workerBinary = worker;
+
+    setGlobalJobs(2);
+    farm::FarmReport cold = farm::runFarm(jobs, inlineRun);
+    farm::FarmReport warm = farm::runFarm(jobs, isolated);
+    setGlobalJobs(0);
+    ASSERT_EQ(cold.failures(), 0u);
+    ASSERT_EQ(warm.failures(), 0u);
+    EXPECT_EQ(warm.cacheStats.imageHits, jobs.size());
+    EXPECT_EQ(warm.cacheStats.imageMisses, 0u);
+    EXPECT_EQ(warm.cacheStats.selectHits + warm.cacheStats.selectMisses,
+              0u);
+    EXPECT_EQ(warm.cacheStats.persistCorrupt, 0u);
+    EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+            << jobs[i].id;
 }
 
 } // namespace

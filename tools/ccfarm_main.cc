@@ -334,9 +334,11 @@ run(int argc, char **argv)
                           static_cast<double>(report.results.size()) /
                           report.compressMillis
                     : 0.0);
-    std::printf("cache: %s, enumerate %llu hit / %llu miss, select "
-                "%llu hit / %llu miss",
+    std::printf("cache: %s, image %llu hit / %llu miss, enumerate %llu "
+                "hit / %llu miss, select %llu hit / %llu miss",
                 report.cacheEnabled ? "on" : "off",
+                static_cast<unsigned long long>(cs.imageHits),
+                static_cast<unsigned long long>(cs.imageMisses),
                 static_cast<unsigned long long>(cs.enumHits),
                 static_cast<unsigned long long>(cs.enumMisses),
                 static_cast<unsigned long long>(cs.selectHits),
