@@ -8,6 +8,7 @@
 
 #include "codegen/codegen.hh"
 #include "decompress/cpu.hh"
+#include "support/serialize.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -34,6 +35,39 @@ TEST(Workloads, SourceGenerationIsDeterministic)
 {
     for (const std::string &name : benchmarkNames())
         EXPECT_EQ(benchmarkSource(name), benchmarkSource(name)) << name;
+}
+
+/** The generated MiniC text is pinned byte for byte: FNV-1a64 of every
+ *  benchmark's source at scale 1 and at paper scale (16). A rewrite of
+ *  the generators' string building must leave the text unchanged. */
+TEST(Workloads, SourceTextIsPinned)
+{
+    struct Pin
+    {
+        const char *name;
+        uint64_t scale1;
+        uint64_t scale16;
+    };
+    const Pin pins[] = {
+        {"compress", 0xf0b69afb531f00f5ull, 0x56c7b59f160eaa60ull},
+        {"gcc", 0x473a518ec9789922ull, 0xf3b39dcdb56953dbull},
+        {"go", 0x5e88fc8cab21a98full, 0x7466ddaf6af552c7ull},
+        {"ijpeg", 0xd7364faceeff793eull, 0x74e43cca13466707ull},
+        {"li", 0xf6cb2875230a758dull, 0x03534cd811301403ull},
+        {"m88ksim", 0xf4deabeef5f35ff8ull, 0x369b6c45c42909d7ull},
+        {"perl", 0x38a9490fe38e5349ull, 0x9b27b2e7984d6bedull},
+        {"vortex", 0x55d2037b485339abull, 0xdeaddaf78df67809ull},
+    };
+    auto digest = [](const std::string &src) {
+        return fnv1a64(reinterpret_cast<const uint8_t *>(src.data()),
+                       src.size());
+    };
+    for (const Pin &pin : pins) {
+        EXPECT_EQ(digest(benchmarkSource(pin.name, 1)), pin.scale1)
+            << pin.name << " scale 1";
+        EXPECT_EQ(digest(benchmarkSource(pin.name, 16)), pin.scale16)
+            << pin.name << " scale 16";
+    }
 }
 
 TEST(Workloads, GccIsLargestCompressIsSmallest)
