@@ -30,20 +30,22 @@ hashFields(uint64_t seed, const std::vector<uint64_t> &fields)
  * support/serialize.hh (magic "CCCH", kStoreVersion) around this
  * payload, big-endian:
  *
- *   u8   kind    (1 = Enumerate, 2 = Select, 3 = Image)
+ *   u8   kind    (1 = Enumerate, 2 = Select, 3 = Image, 4 = Program)
  *   u64  key     (must match the file's own name)
- *   ...  product (putCandidates / putSelection / the saveImage bytes
- *                 as a blob)
+ *   ...  product (putCandidates / putSelection / for an image its u64
+ *                 digest and then the saveImage bytes as a blob / the
+ *                 u64 program hash)
  *
  * kStoreVersion is bumped when the payload shape changes: version 2
  * stored candidate sets as CSR arrays, version 3 moved kind and key
- * into the checksummed payload, version 4 added the Image kind.
+ * into the checksummed payload, version 4 added the Image kind,
+ * version 5 the image digest and the Program kind.
  * Anything that deviates -- container damage, kind, key, or a product
  * that fails structural parsing (tryLoadImage for an image) --
  * quarantines the file and reads as a miss.
  */
 constexpr uint32_t kStoreMagic = 0x43434348; // "CCCH"
-constexpr uint32_t kStoreVersion = 4;
+constexpr uint32_t kStoreVersion = 5;
 
 using Stats = PipelineCache::Stats;
 
@@ -59,7 +61,18 @@ constexpr KindInfo kindInfo[] = {
     {"enum", &Stats::enumHits, &Stats::enumMisses},
     {"sel", &Stats::selectHits, &Stats::selectMisses},
     {"img", &Stats::imageHits, &Stats::imageMisses},
+    {"prog", &Stats::programHits, &Stats::programMisses},
 };
+
+/** The entry file name of (@p prefix, @p key). */
+std::string
+entryName(const char *prefix, uint64_t key)
+{
+    char name[40];
+    std::snprintf(name, sizeof(name), "%s-%016llx.cce", prefix,
+                  static_cast<unsigned long long>(key));
+    return name;
+}
 
 /** A u32 count followed by that many u32 values. */
 std::vector<uint32_t>
@@ -191,7 +204,7 @@ putSelection(ByteSink &sink, const SelectProduct &cached)
 
 } // namespace
 
-const std::array<PipelineCache::Stats::Field, 11>
+const std::array<PipelineCache::Stats::Field, 13>
     PipelineCache::Stats::fields = {{
         {"enum_hits", &Stats::enumHits},
         {"enum_misses", &Stats::enumMisses},
@@ -199,6 +212,8 @@ const std::array<PipelineCache::Stats::Field, 11>
         {"select_misses", &Stats::selectMisses},
         {"image_hits", &Stats::imageHits},
         {"image_misses", &Stats::imageMisses},
+        {"program_hits", &Stats::programHits},
+        {"program_misses", &Stats::programMisses},
         {"evictions", &Stats::evictions},
         {"persist_hits", &Stats::persistHits},
         {"persist_misses", &Stats::persistMisses},
@@ -269,6 +284,24 @@ PipelineCache::imageKey(uint64_t programHash,
                        profile});
 }
 
+uint64_t
+PipelineCache::programKey(const std::string &workload, int scale,
+                          const std::vector<uint8_t> &toolStamp)
+{
+    ByteSink sink;
+    sink.putString(workload);
+    sink.put32(static_cast<uint32_t>(scale));
+    sink.putBlob(toolStamp);
+    return fnv1a64(sink.bytes());
+}
+
+std::string
+PipelineCache::programEntryName(uint64_t key)
+{
+    return entryName(
+        kindInfo[static_cast<uint8_t>(Kind::Program)].prefix, key);
+}
+
 PipelineCache::Entry
 PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
 {
@@ -325,6 +358,12 @@ PipelineCache::findImage(uint64_t key, Claim &claim)
     return find(Kind::Image, key, claim).image;
 }
 
+std::optional<uint64_t>
+PipelineCache::findProgram(uint64_t key, Claim &claim)
+{
+    return find(Kind::Program, key, claim).programHash;
+}
+
 void
 PipelineCache::store(Claim &claim, Entry entry)
 {
@@ -361,6 +400,14 @@ PipelineCache::storeImage(Claim &claim,
 {
     Entry entry;
     entry.image = std::move(image);
+    store(claim, std::move(entry));
+}
+
+void
+PipelineCache::storeProgram(Claim &claim, uint64_t programHash)
+{
+    Entry entry;
+    entry.programHash = programHash;
     store(claim, std::move(entry));
 }
 
@@ -434,11 +481,9 @@ PipelineCache::evictLocked()
 std::string
 PipelineCache::entryPath(Kind kind, uint64_t key) const
 {
-    char name[40];
-    std::snprintf(name, sizeof(name), "%s-%016llx.cce",
-                  kindInfo[static_cast<uint8_t>(kind)].prefix,
-                  static_cast<unsigned long long>(key));
-    return (std::filesystem::path(diskDir_) / name).string();
+    return (std::filesystem::path(diskDir_) /
+            entryName(kindInfo[static_cast<uint8_t>(kind)].prefix, key))
+        .string();
 }
 
 bool
@@ -457,7 +502,11 @@ PipelineCache::persist(Kind kind, uint64_t key, const Entry &entry) const
         putSelection(payload, *entry.selection);
         break;
       case Kind::Image:
+        payload.put64(entry.image->digest);
         payload.putBlob(entry.image->bytes);
+        break;
+      case Kind::Program:
+        payload.put64(*entry.programHash);
         break;
     }
     if (std::optional<LoadError> error = writeFileAtomic(
@@ -503,6 +552,7 @@ PipelineCache::load(Kind kind, uint64_t key, Entry &out) const
           case Kind::Image: {
             body.setContext("cached image");
             auto product = std::make_shared<ImageProduct>();
+            product->digest = body.get64();
             product->bytes = body.getBlob();
             Result<CompressedImage> image = tryLoadImage(product->bytes);
             if (!image.ok())
@@ -511,6 +561,9 @@ PipelineCache::load(Kind kind, uint64_t key, Entry &out) const
             out.image = std::move(product);
             break;
           }
+          case Kind::Program:
+            out.programHash = body.get64();
+            break;
         }
         if (!body.atEnd())
             throw LoadFailure({LoadStatus::TrailingBytes, body.pos(),

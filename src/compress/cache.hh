@@ -1,23 +1,28 @@
 /**
  * @file
  * Content-addressed cache of the pipeline's Enumerate and Select
- * products and of finished images, shared by concurrent compressions
- * of a job corpus.
+ * products, of finished images, and of built programs' content hashes,
+ * shared by concurrent compressions of a job corpus.
  *
  * The farm (src/farm) compresses many (program, config) pairs at once;
  * sweeps revisit the same program under several schemes and strategies,
  * generated corpora contain outright duplicate programs, and a warm
- * farm run repeats every job of an earlier one. All three products are
+ * farm run repeats every job of an earlier one. All four products are
  * deterministic pure functions of their keys, so caching them cannot
  * change any output image:
  *
- *   candidates = f(program bytes, minEntryLen, maxEntryLen)
- *   selection  = f(program bytes, full compressor config)
- *   image      = f(program bytes, full compressor config, layout,
- *                  traffic profile)
+ *   program hash = f(workload, scale, the tool's build-id)
+ *   candidates   = f(program bytes, minEntryLen, maxEntryLen)
+ *   selection    = f(program bytes, full compressor config)
+ *   image        = f(program bytes, full compressor config, layout,
+ *                    traffic profile)
  *
- * Keys are FNV-1a64 over the program's serialized bytes combined with
- * the config fields the stage depends on. Candidate enumeration is
+ * The last three keys are FNV-1a64 over the program's serialized bytes
+ * combined with the config fields the stage depends on. The Program
+ * kind maps a built-in workload to that hash without building it: its
+ * key names the workload, the scale and the build-id of the executable
+ * that would build it (the compiler is part of that executable, so a
+ * new build is a new key). Candidate enumeration is
  * scheme-independent, so one enumeration serves all schemes and
  * strategies of a program -- the common sweep shape. The Image key is
  * the Select key plus the fields only the back end reads, so a layout
@@ -29,15 +34,17 @@
  * until the product is stored through it (a hit) or the claim is
  * dropped unstored, when one waiter takes the key over (a miss). So
  * without a cap the counts depend on the lookups, not on scheduling.
- * A caller takes its claims in the order Image, Select, Enumerate and
- * never looks up an earlier kind while it holds a later one's claim:
- * a total order, so no two callers can wait on each other. The mutex
+ * A caller takes its claims in the order Program, Image, Select,
+ * Enumerate and never looks up an earlier kind while it holds a later
+ * one's claim: a total order, so no two callers can wait on each
+ * other. (The farm stores or drops every Program claim before any job
+ * takes an Image claim.) The mutex
  * guards the map and the counters; disk I/O runs outside it.
  *
  * Two robustness layers sit on top of the in-memory map:
  *
  *  - a bounded footprint: setCapacity() caps the entry count (all
- *    three kinds), with least-recently-used eviction of stored entries
+ *    four kinds), with least-recently-used eviction of stored entries
  *    (Stats::evictions) in completion order, so under a cap counts
  *    vary with scheduling;
  *  - a crash-safe persistent backing store: setDiskStore() points the
@@ -55,7 +62,9 @@
  * A PipelineCache is attached to a compression through
  * compressProgram (compressor.hh), which uses the Enumerate and Select
  * kinds; a null cache leaves the compression exactly as before. The
- * farm's runFarmJob (farm/farm.hh) looks up the Image kind around it.
+ * farm's runFarmJob (farm/farm.hh) looks up the Image kind around it,
+ * and runFarm and the farm's worker look up the Program kind before
+ * any job runs.
  */
 
 #ifndef CODECOMP_COMPRESS_CACHE_HH
@@ -67,6 +76,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,12 +87,15 @@
 
 namespace codecomp::compress {
 
-/** The Image product: a finished image and its saveImage bytes. One
- *  loaded from disk lacks the analysis-only fields a .cci omits. */
+/** The Image product: a finished image, its saveImage bytes and
+ *  their FNV-1a64 digest (stored with the entry, so a hit does not
+ *  hash the bytes again). One loaded from disk lacks the
+ *  analysis-only fields a .cci omits. */
 struct ImageProduct
 {
     CompressedImage image;
     std::vector<uint8_t> bytes;
+    uint64_t digest = 0; //!< fnv1a64(bytes)
 };
 
 class PipelineCache
@@ -97,6 +110,8 @@ class PipelineCache
         uint64_t selectMisses = 0;
         uint64_t imageHits = 0;
         uint64_t imageMisses = 0;
+        uint64_t programHits = 0;
+        uint64_t programMisses = 0;
         uint64_t evictions = 0;      //!< in-memory entries dropped by cap
         uint64_t persistHits = 0;    //!< memory misses served from disk
         uint64_t persistMisses = 0;  //!< misses disk could not serve
@@ -113,7 +128,7 @@ class PipelineCache
         /** The counters in their one fixed order, which is the farm
          *  worker result's byte layout and the order of the farm
          *  report's cache_stats keys. */
-        static const std::array<Field, 11> fields;
+        static const std::array<Field, 13> fields;
 
         Stats &operator+=(const Stats &other);
     };
@@ -138,6 +153,16 @@ class PipelineCache
      *  from the program) is keyed as such, not by its counts. */
     static uint64_t imageKey(uint64_t programHash,
                              const CompressorConfig &config);
+
+    /** Key of the Program product (a built-in workload's programHash):
+     *  the workload name, its generator scale and @p toolStamp, the
+     *  build-id of the executable whose compiler builds it
+     *  (selfBuildId, support/subprocess.hh). */
+    static uint64_t programKey(const std::string &workload, int scale,
+                               const std::vector<uint8_t> &toolStamp);
+
+    /** The entry file name of Program key @p key, for diagnostics. */
+    static std::string programEntryName(uint64_t key);
 
     /** The duty to compute one key's product; destroying it unstored
      *  passes the key to one of its waiters. */
@@ -166,6 +191,7 @@ class PipelineCache
                                                        Claim &claim);
     std::shared_ptr<const ImageProduct> findImage(uint64_t key,
                                                   Claim &claim);
+    std::optional<uint64_t> findProgram(uint64_t key, Claim &claim);
 
     /** Store the product of @p claim's key, release the claim and
      *  wake the key's waiters. */
@@ -174,6 +200,7 @@ class PipelineCache
     void storeSelection(Claim &claim,
                         std::shared_ptr<const SelectProduct> selection);
     void storeImage(Claim &claim, std::shared_ptr<const ImageProduct> image);
+    void storeProgram(Claim &claim, uint64_t programHash);
 
     /**
      * Bound the in-memory footprint to at most @p maxEntries products
@@ -197,18 +224,27 @@ class PipelineCache
     Stats stats() const;
 
   private:
-    enum class Kind : uint8_t { Enumerate = 1, Select = 2, Image = 3 };
+    enum class Kind : uint8_t {
+        Enumerate = 1,
+        Select = 2,
+        Image = 3,
+        Program = 4,
+    };
     using EntryKey = std::pair<uint8_t, uint64_t>; //!< (Kind, key)
 
-    /** A product, or an entry whose claim is still out (all null). */
+    /** A product, or an entry whose claim is still out (all empty). */
     struct Entry
     {
         std::shared_ptr<const CandidateSet> candidates;
         std::shared_ptr<const SelectProduct> selection;
         std::shared_ptr<const ImageProduct> image;
+        std::optional<uint64_t> programHash;
         std::list<EntryKey>::iterator lruIt; //!< once ready
 
-        bool ready() const { return candidates || selection || image; }
+        bool ready() const
+        {
+            return candidates || selection || image || programHash;
+        }
     };
 
     /** The shared bodies of the find* and store* methods. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <system_error>
@@ -39,13 +40,6 @@ millisSince(Clock::time_point start)
         .count();
 }
 
-/** One workload program built once and shared by all its jobs. */
-struct BuiltProgram
-{
-    Program program;
-    uint64_t hash = 0; //!< PipelineCache::programHash(program)
-};
-
 std::string
 hexDigest(uint64_t value)
 {
@@ -67,7 +61,7 @@ recordImage(FarmJobResult &result, const compress::ImageProduct &product,
     result.dictBytes = image.dictionaryBytes();
     result.ratio = image.compressionRatio();
     result.farBranchExpansions = image.farBranchExpansions;
-    result.imageFnv64 = fnv1a64(product.bytes);
+    result.imageFnv64 = product.digest;
     if (keepImages)
         result.imageBytes = product.bytes;
 }
@@ -462,10 +456,63 @@ starterCorpus()
     return jobs;
 }
 
+FarmProgram::FarmProgram(std::string workload, int scale)
+    : workload_(std::move(workload)), scale_(scale)
+{}
+
+FarmProgram::FarmProgram(Program program)
+    : hash_(compress::PipelineCache::programHash(program)),
+      program_(std::move(program))
+{
+    std::call_once(built_, [] {}); // get() has nothing to build
+}
+
+void
+FarmProgram::resolve(compress::PipelineCache *cache)
+{
+    const std::vector<uint8_t> &stamp = selfBuildId();
+    if (!cache || stamp.empty()) {
+        const Program &program = get();
+        if (cache)
+            hash_ = compress::PipelineCache::programHash(program);
+        return;
+    }
+    uint64_t key =
+        compress::PipelineCache::programKey(workload_, scale_, stamp);
+    compress::PipelineCache::Claim claim;
+    if (std::optional<uint64_t> stored = cache->findProgram(key, claim)) {
+        hash_ = *stored;
+        entryKey_ = key;
+        return;
+    }
+    hash_ = compress::PipelineCache::programHash(get());
+    cache->storeProgram(claim, hash_);
+}
+
+const Program &
+FarmProgram::get()
+{
+    std::call_once(built_, [this] {
+        program_ = workloads::buildBenchmark(workload_, scale_);
+        if (!entryKey_)
+            return;
+        uint64_t built = compress::PipelineCache::programHash(program_);
+        if (built != hash_)
+            staleEntry_ =
+                compress::PipelineCache::programEntryName(*entryKey_) +
+                " holds " + hexDigest(hash_) + ", but " + workload_ +
+                " at scale " + std::to_string(scale_) + " builds to " +
+                hexDigest(built) + "; remove the entry";
+    });
+    if (!staleEntry_.empty())
+        throw LoadFailure(
+            {LoadStatus::BadValue, 0, "program cache entry", staleEntry_});
+    return program_;
+}
+
 FarmJobResult
-runFarmJob(const FarmJob &job, const Program &program,
-           uint64_t programHash, compress::PipelineCache *cache,
-           bool keepImages)
+runFarmJob(const FarmJob &job, FarmProgram &program,
+           compress::PipelineCache *cache, bool keepImages)
 {
     FarmJobResult result;
     result.id = job.id;
@@ -480,9 +527,11 @@ runFarmJob(const FarmJob &job, const Program &program,
         std::shared_ptr<const compress::ImageProduct> product;
         if (cache)
             product = cache->findImage(
-                compress::PipelineCache::imageKey(programHash, job.config),
+                compress::PipelineCache::imageKey(program.hash(),
+                                                  job.config),
                 claim);
         if (!product) {
+            const Program &built = program.get();
             // Profile-guided layout without a caller-supplied profile:
             // profile here, where the built program is at hand, so job
             // specs stay declarative (the profile is deterministic).
@@ -490,11 +539,12 @@ runFarmJob(const FarmJob &job, const Program &program,
             if (config.layout == compress::LayoutMode::HotCold &&
                 config.trafficProfile.empty())
                 config.trafficProfile =
-                    timing::profileExecutionCounts(program);
+                    timing::profileExecutionCounts(built);
             auto computed = std::make_shared<compress::ImageProduct>();
             computed->image = compress::compressProgram(
-                program, config, &result.stats, cache, programHash);
+                built, config, &result.stats, cache, program.hash());
             computed->bytes = saveImage(computed->image);
+            computed->digest = fnv1a64(computed->bytes);
             if (cache)
                 cache->storeImage(claim, computed);
             product = std::move(computed);
@@ -571,42 +621,38 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
         return report;
     }
 
-    // Build each distinct (workload, scale) program once, in parallel;
-    // its content hash doubles as the cache identity for every job
-    // that compresses it.
-    std::vector<std::pair<std::string, int>> uniques;
-    std::map<std::pair<std::string, int>, size_t> programOf;
+    compress::PipelineCache cache;
+    cache.setCapacity(options.cacheMaxEntries);
+    if (!options.cacheDir.empty() && options.cache)
+        cache.setDiskStore(options.cacheDir);
+    compress::PipelineCache *cachePtr = options.cache ? &cache : nullptr;
+
+    // Resolve each distinct (workload, scale) program once, in
+    // parallel: its content hash is the cache identity of every job
+    // that compresses it. A Program hit builds nothing here; the
+    // program is built later only if one of its jobs needs it.
+    std::deque<FarmProgram> programs;
+    std::map<std::pair<std::string, int>, FarmProgram *> programOf;
     for (const FarmJob &job : jobs) {
         auto key = std::make_pair(job.workload, job.scale);
-        if (programOf.emplace(key, uniques.size()).second)
-            uniques.push_back(key);
+        if (!programOf.count(key))
+            programOf[key] = &programs.emplace_back(job.workload, job.scale);
     }
     Clock::time_point buildStart = Clock::now();
-    std::vector<BuiltProgram> built = parallelMap<BuiltProgram>(
-        uniques.size(), [&uniques](size_t i) {
-            BuiltProgram b;
-            b.program = workloads::buildBenchmark(uniques[i].first,
-                                                  uniques[i].second);
-            b.hash = compress::PipelineCache::programHash(b.program);
-            return b;
-        });
+    globalPool().parallelFor(programs.size(), [&](size_t i) {
+        programs[i].resolve(cachePtr);
+    });
     report.buildMillis = millisSince(buildStart);
 
     // Shard the queue: one pool task per job, results index-addressed
     // so the report order is the queue order at any pool width. The
     // cache gives each key one computer; a job whose key is in flight
     // waits for that product instead of computing it again.
-    compress::PipelineCache cache;
-    cache.setCapacity(options.cacheMaxEntries);
-    if (!options.cacheDir.empty() && options.cache)
-        cache.setDiskStore(options.cacheDir);
     Clock::time_point compressStart = Clock::now();
     report.results = parallelMap<FarmJobResult>(jobs.size(), [&](size_t i) {
-        const BuiltProgram &prog =
-            built[programOf.at({jobs[i].workload, jobs[i].scale})];
-        return runFarmJob(jobs[i], prog.program, prog.hash,
-                          options.cache ? &cache : nullptr,
-                          options.keepImages);
+        return runFarmJob(jobs[i],
+                          *programOf.at({jobs[i].workload, jobs[i].scale}),
+                          cachePtr, options.keepImages);
     });
     report.compressMillis = millisSince(compressStart);
     report.cacheStats = cache.stats();

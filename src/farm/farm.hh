@@ -6,8 +6,10 @@
  * A farm run takes a queue of jobs -- (workload program, compressor
  * config) pairs -- and produces one aggregated report. The run:
  *
- *  - builds each distinct (workload, scale) program exactly once, in
- *    parallel on the global worker pool;
+ *  - looks up each distinct (workload, scale) program's content hash
+ *    in the cache's Program kind, and builds the program, at most once
+ *    and in parallel on the global worker pool, only where that lookup
+ *    misses or one of its jobs has to compress it;
  *  - shards the job queue across the same pool (one task per job;
  *    each job's compression is serial within its task);
  *  - deduplicates work through a shared PipelineCache
@@ -47,6 +49,8 @@
 
 #include <cstdint>
 #include <exception>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -201,7 +205,10 @@ struct FarmReport
     bool cacheEnabled = true;
     bool isolated = false;          //!< jobs ran in worker subprocesses
     unsigned poolJobs = 1;          //!< worker-pool width used
-    double buildMillis = 0.0;       //!< program construction wall time
+    /** Wall time of the Program lookups before the queue, with the
+     *  builds behind their misses (or every build, cache off). A
+     *  build a job needs after a Program hit is in compressMillis. */
+    double buildMillis = 0.0;
     double compressMillis = 0.0;    //!< job-queue wall time
     double wallMillis = 0.0;        //!< whole run
 
@@ -234,17 +241,60 @@ struct FarmReport
 std::vector<FarmJob> starterCorpus();
 
 /**
- * Compress one job of @p program (whose PipelineCache::programHash is
- * @p programHash when @p cache is non-null) and capture the outcome --
- * success or in-band failure -- as a result. With a cache, a stored
- * image of the job's Image key is the result, with no profiling or
- * compression (its PipelineStats stay empty). Otherwise a HotCold job
- * without a traffic profile is profiled here first, and the image is
- * compressed and stored. The shared single-job body of the inline
- * farm path and the --worker subprocess mode.
+ * The program of one (workload, scale), shared by every job that
+ * compresses it, and its content hash (PipelineCache::programHash).
+ * resolve() learns the hash: from the cache's Program entry if it has
+ * one, which builds nothing, or by building the program and storing
+ * the entry. get() builds the program on first use, once however many
+ * jobs ask (a job needs it only when its Image misses). A build behind
+ * a stored hash recomputes the hash, and if the two differ every get()
+ * throws a LoadFailure naming the entry: a stale hash never names an
+ * image that is computed or stored.
  */
-FarmJobResult runFarmJob(const FarmJob &job, const Program &program,
-                         uint64_t programHash,
+class FarmProgram
+{
+  public:
+    FarmProgram(std::string workload, int scale);
+
+    /** A program built elsewhere; its hash is computed here. */
+    explicit FarmProgram(Program program);
+
+    FarmProgram(const FarmProgram &) = delete;
+    FarmProgram &operator=(const FarmProgram &) = delete;
+
+    /** Learn the hash through @p cache (null: just build). Call it
+     *  once, before any job of the program looks up an image, so the
+     *  Program claim precedes every Image claim (cache.hh). Without
+     *  the executable's build-id there is no Program key, and the
+     *  program is built as with a null cache. */
+    void resolve(compress::PipelineCache *cache);
+
+    uint64_t hash() const { return hash_; }
+
+    /** The built program; thread-safe. */
+    const Program &get();
+
+  private:
+    std::string workload_;
+    int scale_ = 1;
+    uint64_t hash_ = 0;
+    std::optional<uint64_t> entryKey_; //!< Program key hash_ came from
+    std::once_flag built_;
+    Program program_;
+    std::string staleEntry_; //!< non-empty: the build disagreed with it
+};
+
+/**
+ * Compress one job of @p program (resolved against @p cache when that
+ * is non-null) and capture the outcome -- success or in-band failure
+ * -- as a result. With a cache, a stored image of the job's Image key
+ * is the result, with no build, profiling or compression (its
+ * PipelineStats stay empty). Otherwise the program is built if it was
+ * not, a HotCold job without a traffic profile is profiled here, and
+ * the image is compressed and stored. The shared single-job body of
+ * the inline farm path and the --worker subprocess mode.
+ */
+FarmJobResult runFarmJob(const FarmJob &job, FarmProgram &program,
                          compress::PipelineCache *cache, bool keepImages);
 
 /**

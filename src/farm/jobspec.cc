@@ -480,8 +480,10 @@ parseJobSpec(const std::string &text)
         long repeat = intField(spec, i, "repeat", 1, 1, 4096);
         for (long copy = 0; copy < repeat; ++copy) {
             FarmJob clone = job;
-            if (repeat > 1)
-                clone.id += "#" + std::to_string(copy);
+            if (repeat > 1) {
+                clone.id += '#';
+                clone.id += std::to_string(copy);
+            }
             queue.push_back(std::move(clone));
         }
     }

@@ -8,7 +8,6 @@
 #include "compress/codec.hh"
 #include "compress/strategy.hh"
 #include "support/logging.hh"
-#include "workloads/workloads.hh"
 
 namespace codecomp::farm {
 
@@ -20,7 +19,7 @@ namespace {
  * doubles as raw bits.
  */
 constexpr uint32_t kWorkerMagic = 0x43435752; // "CCWR"
-constexpr uint32_t kWorkerVersion = 2;
+constexpr uint32_t kWorkerVersion = 3;
 
 uint64_t
 doubleBits(double value)
@@ -164,12 +163,16 @@ runWorkerJob(const FarmJob &job, const std::string &cacheDir,
     result.scheme = compress::schemeCliName(job.config.scheme);
     result.strategy = compress::strategyName(job.config.strategy);
     try {
-        Program program =
-            workloads::buildBenchmark(job.workload, job.scale);
+        compress::PipelineCache cache;
+        compress::PipelineCache *cachePtr = nullptr;
+        if (!cacheDir.empty() && cache.setDiskStore(cacheDir))
+            cachePtr = &cache;
+        FarmProgram program(job.workload, job.scale);
+        program.resolve(cachePtr);
 
         // Deliberate faults for the fault-tolerance tests, placed
-        // mid-job (after the expensive build) so a kill interrupts
-        // real work.
+        // mid-job (after the Program lookup, or the build it needed)
+        // so a kill interrupts real work.
         if (inject == InjectKind::Crash)
             std::abort();
         if (inject == InjectKind::Hang)
@@ -177,13 +180,7 @@ runWorkerJob(const FarmJob &job, const std::string &cacheDir,
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(100));
 
-        compress::PipelineCache cache;
-        compress::PipelineCache *cachePtr = nullptr;
-        if (!cacheDir.empty() && cache.setDiskStore(cacheDir))
-            cachePtr = &cache;
-        uint64_t hash =
-            cachePtr ? compress::PipelineCache::programHash(program) : 0;
-        result = runFarmJob(job, program, hash, cachePtr, keepImages);
+        result = runFarmJob(job, program, cachePtr, keepImages);
         worker.cacheStats = cache.stats();
     } catch (const PanicError &) {
         throw; // a library bug: let the worker exit 3 (Crash)

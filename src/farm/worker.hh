@@ -47,13 +47,14 @@ std::vector<uint8_t> serializeWorkerResult(const WorkerResult &result);
 Result<WorkerResult> parseWorkerResult(const std::vector<uint8_t> &bytes);
 
 /**
- * Execute one job in this process on behalf of --worker mode: build
- * the program, optionally attach a persistent cache at @p cacheDir,
- * run the pipeline, and capture any catchable failure in-band (with
- * its FailureKind) so the parent can distinguish a deterministic
- * SpecError from retryable faults. @p inject deliberately crashes
- * (abort) or hangs (sleep forever) mid-job for the fault-tolerance
- * tests.
+ * Execute one job in this process on behalf of --worker mode:
+ * optionally attach a persistent cache at @p cacheDir, resolve the
+ * program (a Program hit builds nothing; FarmProgram), run the job,
+ * and capture any catchable failure in-band (with its FailureKind) so
+ * the parent can distinguish a deterministic SpecError from retryable
+ * faults. @p inject deliberately crashes (abort) or hangs (sleep
+ * forever) mid-job, after the program is resolved, for the
+ * fault-tolerance tests.
  */
 WorkerResult runWorkerJob(const FarmJob &job, const std::string &cacheDir,
                           bool keepImages,

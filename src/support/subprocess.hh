@@ -65,6 +65,11 @@ SubprocessResult runSubprocess(const std::vector<std::string> &argv,
  *  when the platform cannot say. */
 std::string selfExecutablePath();
 
+/** The GNU build-id note of the running executable (a digest the
+ *  linker takes over the whole program), read from its loaded program
+ *  headers; empty when the executable was linked without one. */
+const std::vector<uint8_t> &selfBuildId();
+
 } // namespace codecomp
 
 #endif // CODECOMP_SUPPORT_SUBPROCESS_HH

@@ -301,10 +301,16 @@ Verifier::compareState(const isa::Inst &inst, bool synthetic_group)
     for (unsigned n = 0; n < isa::numGprs; ++n) {
         if (excludeR2_ && n == 2)
             continue;
-        if (!equalOrMapped(nm.gpr(n), cm.gpr(n)))
-            capture("gpr", "r" + std::to_string(n) + " native " +
-                               hex32(nm.gpr(n)) + " vs compressed " +
-                               hex32(cm.gpr(n)) + after());
+        if (equalOrMapped(nm.gpr(n), cm.gpr(n)))
+            continue;
+        std::string detail = "r";
+        detail += std::to_string(n);
+        detail += " native ";
+        detail += hex32(nm.gpr(n));
+        detail += " vs compressed ";
+        detail += hex32(cm.gpr(n));
+        detail += after();
+        capture("gpr", detail);
     }
     if (nm.cr() != cm.cr())
         capture("cr", "CR native " + hex32(nm.cr()) + " vs compressed " +

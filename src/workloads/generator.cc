@@ -105,7 +105,8 @@ generateFiller(const GenSpec &spec, const std::string &prefix, int iters)
         src += ") {\n";
         int locals = 1 + static_cast<int>(rng.below(4));
         for (int v = 0; v < locals; ++v) {
-            std::string name = "t" + std::to_string(v);
+            std::string name = "t";
+            name += std::to_string(v);
             src += "    int " + name + " = " +
                    randExpr(rng, vars, spec.exprDepth - 1) + ";\n";
             vars.push_back(name);
@@ -129,7 +130,8 @@ generateFiller(const GenSpec &spec, const std::string &prefix, int iters)
         std::vector<std::string> vars = {"n"};
         int extras = static_cast<int>(rng.below(4));
         for (int e = 0; e < extras; ++e) {
-            std::string name = "u" + std::to_string(e);
+            std::string name = "u";
+            name += std::to_string(e);
             src += "    int " + name + " = " +
                    std::to_string(rng.range(-9, 99)) + ";\n";
             vars.push_back(name);

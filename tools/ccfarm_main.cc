@@ -334,9 +334,12 @@ run(int argc, char **argv)
                           static_cast<double>(report.results.size()) /
                           report.compressMillis
                     : 0.0);
-    std::printf("cache: %s, image %llu hit / %llu miss, enumerate %llu "
-                "hit / %llu miss, select %llu hit / %llu miss",
+    std::printf("cache: %s, program %llu hit / %llu miss, image %llu "
+                "hit / %llu miss, enumerate %llu hit / %llu miss, select "
+                "%llu hit / %llu miss",
                 report.cacheEnabled ? "on" : "off",
+                static_cast<unsigned long long>(cs.programHits),
+                static_cast<unsigned long long>(cs.programMisses),
                 static_cast<unsigned long long>(cs.imageHits),
                 static_cast<unsigned long long>(cs.imageMisses),
                 static_cast<unsigned long long>(cs.enumHits),
