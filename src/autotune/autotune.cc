@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "compress/codec.hh"
-#include "compress/objfile.hh"
 #include "decompress/cpu.hh"
 #include "decompress/replay.hh"
 #include "farm/farm.hh"
@@ -28,11 +27,15 @@ geometryId(const cache::CacheConfig &geometry)
            std::to_string(geometry.ways);
 }
 
-/** Timers for one execution run: one per kept geometry, all fed from
- *  a single fetch stream so every geometry prices the same stream. */
-std::vector<timing::FetchTimer>
-makeTimers(const BudgetSpec &spec,
-           const std::vector<cache::CacheConfig> &geometries)
+/** One point per kept geometry, "<base id>@<geometry>": @p execute runs
+ *  once with an observer that charges each fetch to every geometry's
+ *  timer, so all of them price the same stream. */
+template <typename Execute>
+void
+pricePoints(WorkloadResult &wr, const CandidatePoint &base,
+            const BudgetSpec &spec,
+            const std::vector<cache::CacheConfig> &geometries,
+            Execute &&execute)
 {
     std::vector<timing::FetchTimer> timers;
     timers.reserve(geometries.size());
@@ -41,17 +44,18 @@ makeTimers(const BudgetSpec &spec,
         model.icache = geometry;
         timers.emplace_back(model);
     }
-    return timers;
-}
-
-/** A fetch observer that charges each event to every timer. */
-auto
-fanOut(std::vector<timing::FetchTimer> &timers)
-{
-    return [&timers](const FetchEvent &event) {
+    execute([&timers](const FetchEvent &event) {
         for (timing::FetchTimer &timer : timers)
             timer.onFetch(event);
-    };
+    });
+    for (size_t g = 0; g < geometries.size(); ++g) {
+        CandidatePoint point = base;
+        point.id += "@" + geometryId(geometries[g]);
+        point.geometry = geometries[g];
+        point.onChipBytes = geometries[g].capacityBytes + base.dictBytes;
+        point.report = timers[g].report();
+        wr.points.push_back(std::move(point));
+    }
 }
 
 /** Dominated-point elimination over (onChipBytes, cycles): ascending
@@ -137,14 +141,14 @@ SearchSpace::SearchSpace(const BudgetSpec &spec)
     uint64_t min_geometry = UINT64_MAX;
     for (const cache::CacheConfig &geometry : spec.cacheGeometries) {
         if (geometry.capacityBytes > max_budget) {
-            ++prunedGeometries_;
+            ++prunedGeometries;
             continue;
         }
-        geometries_.push_back(geometry);
+        geometries.push_back(geometry);
         min_geometry = std::min<uint64_t>(min_geometry,
                                           geometry.capacityBytes);
     }
-    if (geometries_.empty())
+    if (geometries.empty())
         CC_FATAL("bad budget spec: every cache geometry exceeds the "
                  "largest budget ", max_budget);
 
@@ -180,9 +184,9 @@ SearchSpace::SearchSpace(const BudgetSpec &spec)
             for (uint32_t cap : scheme_caps) {
                 for (int hotcold = 0; hotcold <= (spec.tryHotCold ? 1 : 0);
                      ++hotcold) {
-                    ++enumerated_;
+                    ++enumerated;
                     if (4ull * cap > dict_headroom) {
-                        ++pruned_;
+                        ++pruned;
                         continue;
                     }
                     SearchPoint point;
@@ -197,7 +201,7 @@ SearchSpace::SearchSpace(const BudgetSpec &spec)
                         compress::strategyName(strategy) + "/d" +
                         std::to_string(cap) + "/" +
                         compress::layoutModeName(point.config.layout);
-                    points_.push_back(std::move(point));
+                    points.push_back(std::move(point));
                 }
             }
         }
@@ -223,9 +227,10 @@ autotune(const std::vector<std::string> &workloadNames,
     result.budgets.erase(
         std::unique(result.budgets.begin(), result.budgets.end()),
         result.budgets.end());
-    result.enumerated = space.enumerated();
-    result.pruned = space.pruned();
-    result.prunedGeometries = space.prunedGeometries();
+    result.enumerated = space.enumerated;
+    result.pruned = space.pruned;
+    result.prunedGeometries = space.prunedGeometries;
+    result.keptGeometries = space.geometries.size();
 
     // The only execution of the search: one native run per program,
     // before the farm. Its fetch stream prices the native baseline
@@ -233,55 +238,49 @@ autotune(const std::vector<std::string> &workloadNames,
     // profile that the program's hot/cold jobs lay out by and the
     // control flow that prices every compressed image of the program.
     Clock::time_point native_start = Clock::now();
-    const std::vector<cache::CacheConfig> &geometries = space.geometries();
-    std::vector<Program> programs(workloadNames.size());
+    std::vector<std::shared_ptr<const Program>> programs(
+        workloadNames.size());
     std::vector<NativeTrace> traces(workloadNames.size());
     result.workloads = parallelMap<WorkloadResult>(
         workloadNames.size(), [&](size_t w) {
             WorkloadResult wr;
             wr.workload = workloadNames[w];
-            Program &program = programs[w];
-            program = workloads::buildBenchmark(workloadNames[w]);
-            std::vector<timing::FetchTimer> timers =
-                makeTimers(spec, geometries);
-            NativeTrace &trace = traces[w];
-            auto price = fanOut(timers);
-            Cpu(program).run(
-                [&](const FetchEvent &event) {
-                    price(event);
-                    trace.record(event);
-                },
-                spec.maxSteps);
-            for (size_t g = 0; g < geometries.size(); ++g) {
-                CandidatePoint point;
-                point.id = "native@" + geometryId(geometries[g]);
-                point.scheme = "native";
-                point.geometry = geometries[g];
-                point.totalBytes = program.textBytes();
-                point.onChipBytes = geometries[g].capacityBytes;
-                point.native = true;
-                point.report = timers[g].report();
-                wr.points.push_back(std::move(point));
-            }
+            programs[w] = std::make_shared<const Program>(
+                workloads::buildBenchmark(workloadNames[w]));
+            CandidatePoint native;
+            native.id = "native";
+            native.scheme = "native";
+            native.totalBytes = programs[w]->textBytes();
+            native.native = true;
+            pricePoints(wr, native, spec, space.geometries, [&](auto price) {
+                Cpu(*programs[w]).run(
+                    [&](const FetchEvent &event) {
+                        price(event);
+                        traces[w].record(event);
+                    },
+                    spec.maxSteps);
+            });
             return wr;
         });
 
     // Compress every candidate as a farm job: the shared PipelineCache
     // enumerates each workload once (enumeration keys are
     // scheme-independent) and --isolate fault tolerance comes free.
-    // Isolated workers do not receive the profile (job specs carry no
-    // profile) and profile the program themselves.
+    // Inline jobs compress the program built above; isolated workers
+    // receive neither it nor the profile (job specs carry neither), so
+    // they build and profile the program themselves.
     Clock::time_point farm_start = Clock::now();
     std::vector<farm::FarmJob> jobs;
-    jobs.reserve(workloadNames.size() * space.points().size());
+    jobs.reserve(workloadNames.size() * space.points.size());
     for (size_t w = 0; w < workloadNames.size(); ++w) {
         std::vector<uint64_t> profile;
         if (spec.tryHotCold)
-            profile = traces[w].executionCounts(programs[w].text.size());
-        for (const SearchPoint &point : space.points()) {
+            profile = traces[w].executionCounts(programs[w]->text.size());
+        for (const SearchPoint &point : space.points) {
             farm::FarmJob job;
             job.id = workloadNames[w] + "/" + point.label;
             job.workload = workloadNames[w];
+            job.program = programs[w];
             job.config = point.config;
             if (job.config.layout == compress::LayoutMode::HotCold)
                 job.config.trafficProfile = profile;
@@ -291,15 +290,15 @@ autotune(const std::vector<std::string> &workloadNames,
     farmOptions.keepImages = true;
     farm::FarmReport report = farm::runFarm(jobs, farmOptions);
     result.cacheStats = report.cacheStats;
-    for (const farm::FarmJobResult &job : report.results)
-        if (!job.ok())
-            ++result.failedJobs;
+    result.failedJobs = report.failures();
 
     // Time every surviving image under every kept geometry by replaying
     // its program's native trace through the image's fetch table; one
-    // replay per image feeds all timers.
+    // replay per image feeds all timers. The images are the farm's own
+    // products: computed here, read from the disk store, or loaded from
+    // an isolated worker's validated bytes.
     Clock::time_point price_start = Clock::now();
-    size_t points_per_workload = space.points().size();
+    size_t points_per_workload = space.points.size();
     globalPool().parallelFor(workloadNames.size(), [&](size_t w) {
         WorkloadResult &wr = result.workloads[w];
         for (size_t j = 0; j < points_per_workload; ++j) {
@@ -307,29 +306,19 @@ autotune(const std::vector<std::string> &workloadNames,
                 report.results[w * points_per_workload + j];
             if (!job.ok())
                 continue;
-            const SearchPoint &searched = space.points()[j];
-            compress::CompressedImage image = loadImage(job.imageBytes);
-            std::vector<timing::FetchTimer> timers =
-                makeTimers(spec, geometries);
-            TraceReplayer(image, programs[w])
-                .replay(traces[w], fanOut(timers), spec.maxSteps);
-            for (size_t g = 0; g < geometries.size(); ++g) {
-                CandidatePoint point;
-                point.id = searched.label + "@" + geometryId(geometries[g]);
-                point.scheme = compress::schemeCliName(searched.config.scheme);
-                point.strategy =
-                    compress::strategyName(searched.config.strategy);
-                point.layout =
-                    compress::layoutModeName(searched.config.layout);
-                point.dictEntries = searched.config.maxEntries;
-                point.geometry = geometries[g];
-                point.dictBytes = job.dictBytes;
-                point.totalBytes = job.totalBytes;
-                point.onChipBytes =
-                    geometries[g].capacityBytes + job.dictBytes;
-                point.report = timers[g].report();
-                wr.points.push_back(std::move(point));
-            }
+            const SearchPoint &searched = space.points[j];
+            CandidatePoint priced;
+            priced.id = searched.label;
+            priced.scheme = compress::schemeCliName(searched.config.scheme);
+            priced.strategy = compress::strategyName(searched.config.strategy);
+            priced.layout = compress::layoutModeName(searched.config.layout);
+            priced.dictEntries = searched.config.maxEntries;
+            priced.dictBytes = job.dictBytes;
+            priced.totalBytes = job.totalBytes;
+            pricePoints(wr, priced, spec, space.geometries, [&](auto price) {
+                TraceReplayer(job.image->image, *programs[w])
+                    .replay(traces[w], price, spec.maxSteps);
+            });
         }
         computeFrontier(wr);
         computeWinners(wr, result.budgets);

@@ -11,11 +11,12 @@
  * once) and the farm's --isolate fault tolerance -- times every image
  * under every kept geometry with timing::FetchTimer, and reports the
  * Pareto frontier over (on-chip bytes, cycles) plus the winner at each
- * requested budget. Each program runs natively once, before the farm,
- * and nothing else executes: that run prices the native baseline,
- * supplies the traffic profile of the program's hot/cold candidates
- * (DESIGN.md section 14.6), and records the trace that prices every
- * compressed image of the program by replay (section 14.7).
+ * requested budget. Each program is built and runs natively once,
+ * before the farm, and nothing else executes: that run prices the
+ * native baseline, supplies the traffic profile of the program's
+ * hot/cold candidates (DESIGN.md section 14.6), and records the trace
+ * that prices by replay every image the farm compresses from that
+ * build and hands back in memory (section 14.7).
  *
  * Pruning keeps the sweep tractable (DESIGN.md section 14):
  *
@@ -100,30 +101,16 @@ struct SearchPoint
  * rules (geometry cutoff + analytic dictionary cutoff). Construction
  * raises a catchable fatal on an invalid spec.
  */
-class SearchSpace
+struct SearchSpace
 {
-  public:
     explicit SearchSpace(const BudgetSpec &spec);
 
-    /** Surviving compression candidates, in enumeration order. */
-    const std::vector<SearchPoint> &points() const { return points_; }
-
+    std::vector<SearchPoint> points; //!< survivors, enumeration order
     /** Geometries that fit the largest budget, in spec order. */
-    const std::vector<cache::CacheConfig> &geometries() const
-    {
-        return geometries_;
-    }
-
-    uint64_t enumerated() const { return enumerated_; } //!< before pruning
-    uint64_t pruned() const { return pruned_; }         //!< configs dropped
-    uint64_t prunedGeometries() const { return prunedGeometries_; }
-
-  private:
-    std::vector<SearchPoint> points_;
-    std::vector<cache::CacheConfig> geometries_;
-    uint64_t enumerated_ = 0;
-    uint64_t pruned_ = 0;
-    uint64_t prunedGeometries_ = 0;
+    std::vector<cache::CacheConfig> geometries;
+    uint64_t enumerated = 0;       //!< configs before pruning
+    uint64_t pruned = 0;           //!< configs dropped
+    uint64_t prunedGeometries = 0; //!< geometries dropped
 };
 
 /** One evaluated (configuration, geometry) pair on the byte/cycle
@@ -175,6 +162,7 @@ struct AutotuneResult
     uint64_t enumerated = 0;
     uint64_t pruned = 0;
     uint64_t prunedGeometries = 0;
+    uint64_t keptGeometries = 0; //!< for human output; not in toJson()
     uint64_t failedJobs = 0; //!< farm jobs that produced no image
 
     /** Run-variant extras, for human output only -- deliberately NOT

@@ -204,6 +204,14 @@ putSelection(ByteSink &sink, const SelectProduct &cached)
 
 } // namespace
 
+std::shared_ptr<const ImageProduct>
+loadImageProduct(std::vector<uint8_t> bytes, uint64_t digest)
+{
+    CompressedImage image = loadImage(bytes);
+    return std::make_shared<const ImageProduct>(
+        ImageProduct{std::move(image), std::move(bytes), digest});
+}
+
 const std::array<PipelineCache::Stats::Field, 13>
     PipelineCache::Stats::fields = {{
         {"enum_hits", &Stats::enumHits},
@@ -550,15 +558,8 @@ PipelineCache::load(Kind kind, uint64_t key, Entry &out) const
                 parseSelection(body));
             break;
           case Kind::Image: {
-            body.setContext("cached image");
-            auto product = std::make_shared<ImageProduct>();
-            product->digest = body.get64();
-            product->bytes = body.getBlob();
-            Result<CompressedImage> image = tryLoadImage(product->bytes);
-            if (!image.ok())
-                throw LoadFailure(image.error());
-            product->image = image.take();
-            out.image = std::move(product);
+            uint64_t digest = body.get64();
+            out.image = loadImageProduct(body.getBlob(), digest);
             break;
           }
           case Kind::Program:

@@ -98,6 +98,12 @@ struct ImageProduct
     uint64_t digest = 0; //!< fnv1a64(bytes)
 };
 
+/** The product of stored image @p bytes and their stored @p digest, or
+ *  a LoadFailure if loadImage rejects them: the one loader of a disk
+ *  Image entry and of an isolated farm worker's image. */
+std::shared_ptr<const ImageProduct>
+loadImageProduct(std::vector<uint8_t> bytes, uint64_t digest);
+
 class PipelineCache
 {
   public:

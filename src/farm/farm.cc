@@ -8,6 +8,7 @@
 #include <map>
 #include <system_error>
 #include <thread>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -52,18 +53,19 @@ hexDigest(uint64_t value)
 /** Fill @p result's sizes and digest from @p product: the one body of
  *  a computed job and an Image cache hit. */
 void
-recordImage(FarmJobResult &result, const compress::ImageProduct &product,
+recordImage(FarmJobResult &result,
+            std::shared_ptr<const compress::ImageProduct> product,
             bool keepImages)
 {
-    const compress::CompressedImage &image = product.image;
+    const compress::CompressedImage &image = product->image;
     result.totalBytes = image.totalBytes();
     result.textBytes = image.compressedTextBytes();
     result.dictBytes = image.dictionaryBytes();
     result.ratio = image.compressionRatio();
     result.farBranchExpansions = image.farBranchExpansions;
-    result.imageFnv64 = product.digest;
+    result.imageFnv64 = product->digest;
     if (keepImages)
-        result.imageBytes = product.bytes;
+        result.image = std::move(product);
 }
 
 /** One per-job record; @p full adds wall time, attempts, failure
@@ -109,21 +111,6 @@ mix64(uint64_t a, uint64_t b)
     return fnv1a64(sink.bytes());
 }
 
-/** Effective deadline/retry budget for @p job under @p options. */
-uint64_t
-effectiveTimeoutMs(const FarmJob &job, const FarmOptions &options)
-{
-    return job.timeoutMs >= 0 ? static_cast<uint64_t>(job.timeoutMs)
-                              : options.jobTimeoutMs;
-}
-
-uint32_t
-effectiveRetries(const FarmJob &job, const FarmOptions &options)
-{
-    return job.retries >= 0 ? static_cast<uint32_t>(job.retries)
-                            : options.retries;
-}
-
 /** First ~200 chars of the worker's captured stderr, for failure
  *  attribution (empty on any read problem). */
 std::string
@@ -154,14 +141,14 @@ runIsolatedJob(const FarmJob &job, size_t index,
                const std::filesystem::path &scratch,
                compress::PipelineCache::Stats &cacheStats)
 {
-    FarmJobResult result;
-    result.id = job.id;
-    result.workload = job.workload;
-    result.scheme = compress::schemeCliName(job.config.scheme);
-    result.strategy = compress::strategyName(job.config.strategy);
-
-    uint64_t timeoutMs = effectiveTimeoutMs(job, options);
-    uint32_t maxAttempts = 1 + effectiveRetries(job, options);
+    FarmJobResult result(job);
+    // A job's own deadline and retry budget, or -1 for the farm's.
+    uint64_t timeoutMs = job.timeoutMs >= 0
+                             ? static_cast<uint64_t>(job.timeoutMs)
+                             : options.jobTimeoutMs;
+    uint32_t maxAttempts =
+        1 + (job.retries >= 0 ? static_cast<uint32_t>(job.retries)
+                              : options.retries);
     Clock::time_point jobStart = Clock::now();
     std::string specJson = writeJobSpec({job});
 
@@ -238,10 +225,8 @@ runIsolatedJob(const FarmJob &job, size_t index,
 
         if (kind == FailureKind::None) {
             uint32_t attempts = result.attempts;
-            result = std::move(worker.result);
+            result = std::move(worker.result); // error-free: kind None
             result.attempts = attempts;
-            result.failureKind = FailureKind::None;
-            result.error.clear();
             cacheStats = worker.cacheStats;
             break;
         }
@@ -335,6 +320,12 @@ backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
     uint64_t percent = 50 + rng.below(101);
     return delay * percent / 100;
 }
+
+FarmJobResult::FarmJobResult(const FarmJob &job)
+    : id(job.id), workload(job.workload),
+      scheme(compress::schemeCliName(job.config.scheme)),
+      strategy(compress::strategyName(job.config.strategy))
+{}
 
 size_t
 FarmReport::failures() const
@@ -460,8 +451,8 @@ FarmProgram::FarmProgram(std::string workload, int scale)
     : workload_(std::move(workload)), scale_(scale)
 {}
 
-FarmProgram::FarmProgram(Program program)
-    : hash_(compress::PipelineCache::programHash(program)),
+FarmProgram::FarmProgram(std::shared_ptr<const Program> program)
+    : hash_(compress::PipelineCache::programHash(*program)),
       program_(std::move(program))
 {
     std::call_once(built_, [] {}); // get() has nothing to build
@@ -470,6 +461,8 @@ FarmProgram::FarmProgram(Program program)
 void
 FarmProgram::resolve(compress::PipelineCache *cache)
 {
+    if (program_)
+        return; // built by the caller and hashed on construction
     const std::vector<uint8_t> &stamp = selfBuildId();
     if (!cache || stamp.empty()) {
         const Program &program = get();
@@ -493,10 +486,11 @@ const Program &
 FarmProgram::get()
 {
     std::call_once(built_, [this] {
-        program_ = workloads::buildBenchmark(workload_, scale_);
+        program_ = std::make_shared<const Program>(
+            workloads::buildBenchmark(workload_, scale_));
         if (!entryKey_)
             return;
-        uint64_t built = compress::PipelineCache::programHash(program_);
+        uint64_t built = compress::PipelineCache::programHash(*program_);
         if (built != hash_)
             staleEntry_ =
                 compress::PipelineCache::programEntryName(*entryKey_) +
@@ -507,18 +501,14 @@ FarmProgram::get()
     if (!staleEntry_.empty())
         throw LoadFailure(
             {LoadStatus::BadValue, 0, "program cache entry", staleEntry_});
-    return program_;
+    return *program_;
 }
 
 FarmJobResult
 runFarmJob(const FarmJob &job, FarmProgram &program,
            compress::PipelineCache *cache, bool keepImages)
 {
-    FarmJobResult result;
-    result.id = job.id;
-    result.workload = job.workload;
-    result.scheme = compress::schemeCliName(job.config.scheme);
-    result.strategy = compress::strategyName(job.config.strategy);
+    FarmJobResult result(job);
     Clock::time_point jobStart = Clock::now();
     try {
         // The Image claim comes first: compressProgram takes the
@@ -549,7 +539,7 @@ runFarmJob(const FarmJob &job, FarmProgram &program,
                 cache->storeImage(claim, computed);
             product = std::move(computed);
         }
-        recordImage(result, *product, keepImages);
+        recordImage(result, std::move(product), keepImages);
     } catch (const std::exception &error) {
         result.error = error.what();
         result.failureKind = classifyJobError(error);
@@ -582,8 +572,10 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
 
     if (options.isolate) {
         // Process isolation: every job runs in a forked worker (the
-        // ccfarm binary in --worker mode); the parent builds nothing
-        // and touches no job state, so no fault can reach it.
+        // ccfarm binary in --worker mode), which builds its own program
+        // (FarmJob::program does not cross the boundary); the parent
+        // builds nothing and touches no job state, so no fault can
+        // reach it.
         std::string workerBin = options.workerBinary.empty()
                                     ? selfExecutablePath()
                                     : options.workerBinary;
@@ -627,16 +619,22 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
         cache.setDiskStore(options.cacheDir);
     compress::PipelineCache *cachePtr = options.cache ? &cache : nullptr;
 
-    // Resolve each distinct (workload, scale) program once, in
-    // parallel: its content hash is the cache identity of every job
-    // that compresses it. A Program hit builds nothing here; the
-    // program is built later only if one of its jobs needs it.
+    // Resolve each distinct program once, in parallel: its content
+    // hash is the cache identity of every job that compresses it. A
+    // Program hit builds nothing here; the program is built later only
+    // if one of its jobs needs it. A caller-built program is its own.
     std::deque<FarmProgram> programs;
-    std::map<std::pair<std::string, int>, FarmProgram *> programOf;
+    std::map<std::tuple<std::string, int, const Program *>, FarmProgram *>
+        byKey;
+    std::vector<FarmProgram *> programOf;
     for (const FarmJob &job : jobs) {
-        auto key = std::make_pair(job.workload, job.scale);
-        if (!programOf.count(key))
-            programOf[key] = &programs.emplace_back(job.workload, job.scale);
+        FarmProgram *&program =
+            byKey[{job.workload, job.scale, job.program.get()}];
+        if (!program)
+            program = job.program
+                          ? &programs.emplace_back(job.program)
+                          : &programs.emplace_back(job.workload, job.scale);
+        programOf.push_back(program);
     }
     Clock::time_point buildStart = Clock::now();
     globalPool().parallelFor(programs.size(), [&](size_t i) {
@@ -650,9 +648,8 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     // waits for that product instead of computing it again.
     Clock::time_point compressStart = Clock::now();
     report.results = parallelMap<FarmJobResult>(jobs.size(), [&](size_t i) {
-        return runFarmJob(jobs[i],
-                          *programOf.at({jobs[i].workload, jobs[i].scale}),
-                          cachePtr, options.keepImages);
+        return runFarmJob(jobs[i], *programOf[i], cachePtr,
+                          options.keepImages);
     });
     report.compressMillis = millisSince(compressStart);
     report.cacheStats = cache.stats();

@@ -9,7 +9,8 @@
  *  - looks up each distinct (workload, scale) program's content hash
  *    in the cache's Program kind, and builds the program, at most once
  *    and in parallel on the global worker pool, only where that lookup
- *    misses or one of its jobs has to compress it;
+ *    misses or one of its jobs has to compress it (FarmJob::program
+ *    skips both);
  *  - shards the job queue across the same pool (one task per job;
  *    each job's compression is serial within its task);
  *  - deduplicates work through a shared PipelineCache
@@ -21,7 +22,7 @@
  *    jobs of its program. The cache gives each key one computer and
  *    makes the key's other jobs wait for its product, so hit and miss
  *    counts depend on the job set, not on the pool width;
- *  - streams per-job results (sizes, image bytes + FNV-1a64 digest,
+ *  - streams per-job results (sizes, the image + FNV-1a64 digest,
  *    per-pass PipelineStats) into a FarmReport in job order.
  *
  * Fault tolerance (FarmOptions::isolate) moves each job into a forked
@@ -49,6 +50,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,6 +79,11 @@ struct FarmJob
     /** Per-job retry budget; -1 = the farm default
      *  (FarmOptions::retries). Spec key "retries". */
     int32_t retries = -1;
+
+    /** What workload builds to at scale, if the caller built it (null:
+     *  the farm builds it). Job specs do not carry it: only inline runs
+     *  use it, with no Program lookup or build. */
+    std::shared_ptr<const Program> program;
 };
 
 /** Why a job ultimately failed -- the farm's failure taxonomy. */
@@ -132,7 +139,7 @@ struct FarmOptions
 {
     bool cache = true; //!< share a PipelineCache across the run
 
-    /** Retain each job's serialized .cci bytes in its result (the
+    /** Retain each job's image and .cci bytes in its result (the
      *  digest is always computed). */
     bool keepImages = true;
 
@@ -174,14 +181,21 @@ struct FarmOptions
 /** Outcome of one job, in job-queue order in the report. */
 struct FarmJobResult
 {
+    FarmJobResult() = default;
+
+    /** A result naming @p job, before the job has run. */
+    explicit FarmJobResult(const FarmJob &job);
+
     std::string id;
     std::string workload;
     std::string scheme;
     std::string strategy;
     std::string error; //!< non-empty = the job failed
 
-    std::vector<uint8_t> imageBytes; //!< saveImage() (if keepImages)
-    uint64_t imageFnv64 = 0;         //!< digest of imageBytes
+    /** The image and its bytes (if keepImages); under isolate, loaded
+     *  back from the worker's bytes. */
+    std::shared_ptr<const compress::ImageProduct> image;
+    uint64_t imageFnv64 = 0; //!< digest of the image's bytes
 
     uint64_t totalBytes = 0;
     uint64_t textBytes = 0;
@@ -257,16 +271,14 @@ class FarmProgram
     FarmProgram(std::string workload, int scale);
 
     /** A program built elsewhere; its hash is computed here. */
-    explicit FarmProgram(Program program);
-
-    FarmProgram(const FarmProgram &) = delete;
-    FarmProgram &operator=(const FarmProgram &) = delete;
+    explicit FarmProgram(std::shared_ptr<const Program> program);
 
     /** Learn the hash through @p cache (null: just build). Call it
      *  once, before any job of the program looks up an image, so the
      *  Program claim precedes every Image claim (cache.hh). Without
      *  the executable's build-id there is no Program key, and the
-     *  program is built as with a null cache. */
+     *  program is built as with a null cache. A caller-built program
+     *  is not looked up. */
     void resolve(compress::PipelineCache *cache);
 
     uint64_t hash() const { return hash_; }
@@ -280,7 +292,7 @@ class FarmProgram
     uint64_t hash_ = 0;
     std::optional<uint64_t> entryKey_; //!< Program key hash_ came from
     std::once_flag built_;
-    Program program_;
+    std::shared_ptr<const Program> program_;
     std::string staleEntry_; //!< non-empty: the build disagreed with it
 };
 

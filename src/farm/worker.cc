@@ -5,8 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "compress/codec.hh"
-#include "compress/strategy.hh"
 #include "support/logging.hh"
 
 namespace codecomp::farm {
@@ -96,7 +94,7 @@ serializeWorkerResult(const WorkerResult &worker)
     payload.put64(r.dictBytes);
     payload.put64(doubleBits(r.ratio));
     payload.put32(r.farBranchExpansions);
-    payload.putBlob(r.imageBytes);
+    payload.putBlob(r.image ? r.image->bytes : std::vector<uint8_t>{});
     putStats(payload, r.stats);
     payload.put64(doubleBits(r.millis));
     for (const auto &field : compress::PipelineCache::Stats::fields)
@@ -134,7 +132,9 @@ parseWorkerResult(const std::vector<uint8_t> &bytes)
         r.dictBytes = body.get64();
         r.ratio = bitsDouble(body.get64());
         r.farBranchExpansions = body.get32();
-        r.imageBytes = body.getBlob();
+        if (std::vector<uint8_t> image = body.getBlob(); !image.empty())
+            r.image = compress::loadImageProduct(std::move(image),
+                                                 r.imageFnv64);
         r.stats = getStats(body);
         r.millis = bitsDouble(body.get64());
         for (const auto &field : compress::PipelineCache::Stats::fields)
@@ -156,12 +156,8 @@ WorkerResult
 runWorkerJob(const FarmJob &job, const std::string &cacheDir,
              bool keepImages, InjectKind inject)
 {
-    WorkerResult worker;
+    WorkerResult worker{FarmJobResult(job), {}};
     FarmJobResult &result = worker.result;
-    result.id = job.id;
-    result.workload = job.workload;
-    result.scheme = compress::schemeCliName(job.config.scheme);
-    result.strategy = compress::strategyName(job.config.strategy);
     try {
         compress::PipelineCache cache;
         compress::PipelineCache *cachePtr = nullptr;

@@ -13,10 +13,10 @@
  * The worker writes the file with writeFileAtomic, sealed in the
  * shared container (sealPayload, support/serialize.hh); the parent
  * treats it as untrusted (a worker may have been killed mid-write):
- * openSealed's magic, version and whole-payload FNV-1a64 checksum
- * checks and structural parsing all gate acceptance, and any
- * deviation is a classified per-job LoadError failure, never a parent
- * crash.
+ * openSealed's magic, version and checksum checks, parsing, and
+ * loading the image back (compress::loadImageProduct, as a disk Image
+ * entry is) all gate acceptance; any deviation is a classified
+ * per-job LoadError failure, never a parent crash.
  */
 
 #ifndef CODECOMP_FARM_WORKER_HH
@@ -42,8 +42,8 @@ struct WorkerResult
 /** Serialize @p result into the worker result-file format. */
 std::vector<uint8_t> serializeWorkerResult(const WorkerResult &result);
 
-/** Parse an untrusted worker result file; every structural problem is
- *  a typed LoadError, never an abort. */
+/** Parse an untrusted worker result file, image included; every
+ *  structural problem is a typed LoadError, never an abort. */
 Result<WorkerResult> parseWorkerResult(const std::vector<uint8_t> &bytes);
 
 /**

@@ -15,7 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
+#include <string>
+
+#include <unistd.h>
 
 #include "autotune/autotune.hh"
 #include "compress/codec.hh"
@@ -57,12 +61,12 @@ TEST(AutotuneSearchSpace, EnumeratesSchemesStrategiesCapsLayouts)
     BudgetSpec spec = smallSpec();
     SearchSpace space(spec);
     // 1 scheme x 1 strategy x 2 caps x 2 layouts, nothing pruned.
-    EXPECT_EQ(space.enumerated(), 4u);
-    EXPECT_EQ(space.pruned(), 0u);
-    EXPECT_EQ(space.points().size(), 4u);
-    EXPECT_EQ(space.geometries().size(), 2u);
-    EXPECT_EQ(space.points()[0].label, "nibble/greedy/d16/linear");
-    EXPECT_EQ(space.points()[1].label, "nibble/greedy/d16/hotcold");
+    EXPECT_EQ(space.enumerated, 4u);
+    EXPECT_EQ(space.pruned, 0u);
+    EXPECT_EQ(space.points.size(), 4u);
+    EXPECT_EQ(space.geometries.size(), 2u);
+    EXPECT_EQ(space.points[0].label, "nibble/greedy/d16/linear");
+    EXPECT_EQ(space.points[1].label, "nibble/greedy/d16/hotcold");
 
     // Defaults: every registered scheme, {greedy, refit}, 5 caps --
     // except that caps clip to each scheme's codeword budget and then
@@ -81,13 +85,13 @@ TEST(AutotuneSearchSpace, EnumeratesSchemesStrategiesCapsLayouts)
                 cap, compress::schemeParams(scheme).maxCodewords));
         expected += 2 * caps.size();
     }
-    EXPECT_EQ(wide.enumerated(), expected);
+    EXPECT_EQ(wide.enumerated, expected);
 
     // Identical specs enumerate identically (label-for-label).
     SearchSpace again(spec);
-    ASSERT_EQ(again.points().size(), space.points().size());
-    for (size_t i = 0; i < space.points().size(); ++i)
-        EXPECT_EQ(again.points()[i].label, space.points()[i].label);
+    ASSERT_EQ(again.points.size(), space.points.size());
+    for (size_t i = 0; i < space.points.size(); ++i)
+        EXPECT_EQ(again.points[i].label, space.points[i].label);
 }
 
 TEST(AutotuneSearchSpace, PrunesGeometriesAndDictionaryCaps)
@@ -97,17 +101,17 @@ TEST(AutotuneSearchSpace, PrunesGeometriesAndDictionaryCaps)
     spec.budgets = {2048};
     spec.cacheGeometries = {{1024, 32, 1}, {4096, 32, 2}};
     SearchSpace space(spec);
-    EXPECT_EQ(space.geometries().size(), 1u);
-    EXPECT_EQ(space.prunedGeometries(), 1u);
+    EXPECT_EQ(space.geometries.size(), 1u);
+    EXPECT_EQ(space.prunedGeometries, 1u);
 
     // Analytic dictionary cutoff: 4 bytes/entry of ROM beside the
     // smallest kept cache (1024) leaves 1024 bytes of headroom, so a
     // 4096-entry cap (>= 16KB of ROM) is dropped before compression.
     spec.dictCaps = {16, 4096};
     SearchSpace pruned(spec);
-    EXPECT_EQ(pruned.enumerated(), 4u);
-    EXPECT_EQ(pruned.pruned(), 2u);
-    for (const SearchPoint &point : pruned.points())
+    EXPECT_EQ(pruned.enumerated, 4u);
+    EXPECT_EQ(pruned.pruned, 2u);
+    for (const SearchPoint &point : pruned.points)
         EXPECT_EQ(point.config.maxEntries, 16u);
 
     // Caps clip to the scheme's codeword budget and deduplicate.
@@ -116,8 +120,8 @@ TEST(AutotuneSearchSpace, PrunesGeometriesAndDictionaryCaps)
     clipped.dictCaps = {1u << 20, 1u << 21};
     clipped.tryHotCold = false;
     SearchSpace one(clipped);
-    EXPECT_EQ(one.points().size(), 1u);
-    EXPECT_EQ(one.points()[0].config.maxEntries,
+    EXPECT_EQ(one.points.size(), 1u);
+    EXPECT_EQ(one.points[0].config.maxEntries,
               compress::schemeParams(compress::Scheme::Nibble)
                   .maxCodewords);
 
@@ -197,13 +201,43 @@ TEST(AutotuneEndToEnd, ArtifactIsByteIdenticalAcrossJobsAndCache)
     setGlobalJobs(4);
     std::string parallel = autotune::autotune({"compress"}, spec).toJson();
 
+    // A cold disk store prices the images the farm kept in memory; a
+    // warm one prices images loaded from its entries.
+    farm::FarmOptions persistent;
+    persistent.cacheDir =
+        (std::filesystem::temp_directory_path() /
+         ("cc-autotune-store-" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(persistent.cacheDir);
+    AutotuneResult cold = autotune::autotune({"compress"}, spec, persistent);
+    AutotuneResult warm = autotune::autotune({"compress"}, spec, persistent);
+    std::filesystem::remove_all(persistent.cacheDir);
+    EXPECT_EQ(cold.cacheStats.imageMisses, 4u);
+    EXPECT_EQ(warm.cacheStats.imageHits, 4u);
+    EXPECT_EQ(warm.cacheStats.imageMisses, 0u);
+    EXPECT_EQ(warm.cacheStats.persistHits, 4u);
+
     EXPECT_EQ(serial, parallel);
+    EXPECT_EQ(serial, cold.toJson());
+    EXPECT_EQ(serial, warm.toJson());
     // The artifact names its own shape.
     for (const char *field :
          {"\"budgets\"", "\"workloads\"", "\"points\"", "\"frontier\"",
           "\"winners\"", "\"on_chip_bytes\"", "\"stall_l2_miss\"",
           "\"nibble/greedy/d16/linear@1024:32:1\""})
         EXPECT_NE(serial.find(field), std::string::npos) << field;
+}
+
+TEST(AutotuneEndToEnd, InlineSearchBuildsEachProgramOnce)
+{
+    // The farm compresses the programs the native runs built: it looks
+    // none up in the Program kind, so it builds none again.
+    AutotuneResult result =
+        autotune::autotune({"compress", "li"}, smallSpec());
+    EXPECT_EQ(result.failedJobs, 0u);
+    EXPECT_EQ(result.cacheStats.programHits, 0u);
+    EXPECT_EQ(result.cacheStats.programMisses, 0u);
+    EXPECT_EQ(result.keptGeometries, 2u);
 }
 
 TEST(AutotuneEndToEnd, UnknownWorkloadIsACatchableFatal)
@@ -325,7 +359,8 @@ TEST(AutotuneSpecLayout, FarmAutoProfilesHotColdJobs)
     for (size_t i = 0; i < jobs.size(); ++i) {
         ASSERT_TRUE(report.results[i].ok())
             << jobs[i].id << ": " << report.results[i].error;
-        EXPECT_EQ(report.results[i].imageBytes, direct[i]) << jobs[i].id;
+        ASSERT_TRUE(report.results[i].image) << jobs[i].id;
+        EXPECT_EQ(report.results[i].image->bytes, direct[i]) << jobs[i].id;
     }
     // Distinct programs, caps and schemes give distinct images.
     EXPECT_EQ(std::set<std::vector<uint8_t>>(direct.begin(), direct.end())

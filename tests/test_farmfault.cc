@@ -98,6 +98,13 @@ class ScratchDir
     std::filesystem::path path_;
 };
 
+/** A result's image bytes; empty if it kept no image. */
+std::vector<uint8_t>
+imageBytes(const farm::FarmJobResult &result)
+{
+    return result.image ? result.image->bytes : std::vector<uint8_t>{};
+}
+
 std::vector<std::filesystem::path>
 storeEntries(const std::filesystem::path &dir, const char *extension)
 {
@@ -295,7 +302,7 @@ TEST(FarmFaultUnit, ProfilingMachineCheckIsClassifiedInline)
                                 compress::StrategyKind::Greedy);
     job.config.layout = compress::LayoutMode::HotCold;
 
-    farm::FarmProgram given(program);
+    farm::FarmProgram given(std::make_shared<const Program>(program));
     farm::FarmJobResult result =
         farm::runFarmJob(job, given, nullptr, false);
     EXPECT_FALSE(result.ok());
@@ -393,8 +400,13 @@ sampleWorkerResult()
     r.workload = "compress";
     r.scheme = "nibble";
     r.strategy = "greedy";
-    r.imageBytes = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x42};
-    r.imageFnv64 = fnv1a64(r.imageBytes);
+    auto image = std::make_shared<compress::ImageProduct>();
+    image->image = compress::compressProgram(
+        workloads::buildBenchmark("compress"), {});
+    image->bytes = saveImage(image->image);
+    image->digest = fnv1a64(image->bytes);
+    r.image = image;
+    r.imageFnv64 = image->digest;
     r.totalBytes = 5371;
     r.textBytes = 4000;
     r.dictBytes = 900;
@@ -428,7 +440,9 @@ TEST(WorkerProtocol, RoundTripsEveryField)
     EXPECT_EQ(r.workload, o.workload);
     EXPECT_EQ(r.scheme, o.scheme);
     EXPECT_EQ(r.strategy, o.strategy);
-    EXPECT_EQ(r.imageBytes, o.imageBytes);
+    ASSERT_TRUE(r.image);
+    EXPECT_EQ(r.image->bytes, o.image->bytes);
+    EXPECT_EQ(r.image->digest, o.image->digest);
     EXPECT_EQ(r.imageFnv64, o.imageFnv64);
     EXPECT_EQ(r.totalBytes, o.totalBytes);
     EXPECT_EQ(r.textBytes, o.textBytes);
@@ -504,7 +518,7 @@ TEST(FarmFaultCache, PersistentStoreRoundTripsAcrossRuns)
     // Disk-served results are bit-identical to computed ones.
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
     EXPECT_FALSE(storeEntries(dir.path(), ".cce").empty());
 }
@@ -556,7 +570,7 @@ TEST(FarmFaultCache, DamagedEntriesAreQuarantinedAndRecomputed)
     EXPECT_EQ(images, jobs.size());
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
     // Damaged files were moved aside, and the recomputation re-stored
     // clean replacements.
@@ -620,7 +634,7 @@ TEST(FarmFaultCache, CapacityCapEvictsLruButNeverChangesResults)
     EXPECT_GT(b.cacheStats.evictions, 0u);
     EXPECT_EQ(a.resultsJson(), b.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(a.results[i].imageBytes, b.results[i].imageBytes);
+        EXPECT_EQ(imageBytes(a.results[i]), imageBytes(b.results[i]));
 }
 
 TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
@@ -723,7 +737,7 @@ TEST(FarmFaultCache, WarmInlineRunIsOneImageHitPerJob)
     EXPECT_EQ(warm.cacheStats.enumHits + warm.cacheStats.enumMisses, 0u);
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
         EXPECT_TRUE(warm.results[i].stats.passes.empty()) << jobs[i].id;
     }
@@ -765,8 +779,8 @@ TEST(FarmFaultCache, LayoutOrProfileMissesImageButHitsSelect)
     }
     setGlobalJobs(0);
     // The derived profile is the given one, so those images agree.
-    EXPECT_EQ(reference.results[1].imageBytes,
-              reference.results[3].imageBytes);
+    EXPECT_EQ(imageBytes(reference.results[1]),
+              imageBytes(reference.results[3]));
 }
 
 TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
@@ -785,7 +799,7 @@ TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
     ASSERT_EQ(warm.failures(), 0u);
     EXPECT_EQ(warm.cacheStats.imageHits, 1u);
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
-    EXPECT_EQ(cold.results[0].imageBytes, warm.results[0].imageBytes);
+    EXPECT_EQ(imageBytes(cold.results[0]), imageBytes(warm.results[0]));
 
     // No profiling run on a hit: this program faults when profiled
     // (see ProfilingMachineCheckIsClassifiedInline), yet the job
@@ -797,7 +811,7 @@ TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
     farm::FarmJob handmade = makeJob("handmade", compress::Scheme::Nibble,
                                      compress::StrategyKind::Greedy);
     handmade.config.layout = compress::LayoutMode::HotCold;
-    farm::FarmProgram given(program);
+    farm::FarmProgram given(std::make_shared<const Program>(program));
     compress::PipelineCache cache;
     compress::PipelineCache::Claim claim;
     ASSERT_FALSE(cache.findImage(
@@ -812,7 +826,7 @@ TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
     farm::FarmJobResult result =
         farm::runFarmJob(handmade, given, &cache, true);
     ASSERT_TRUE(result.ok()) << result.error;
-    EXPECT_EQ(result.imageBytes, product->bytes);
+    EXPECT_EQ(result.image, product); // the stored product, not a copy
     EXPECT_EQ(result.imageFnv64, fnv1a64(product->bytes));
     EXPECT_EQ(result.totalBytes, product->image.totalBytes());
     EXPECT_EQ(cache.stats().imageHits, 1u);
@@ -852,7 +866,7 @@ TEST(FarmFaultCache, ImageFailingValidationIsQuarantined)
     EXPECT_EQ(warm.cacheStats.selectHits, 1u);
     EXPECT_TRUE(std::filesystem::exists(path.string() + ".quarantined"));
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
-    EXPECT_EQ(cold.results[0].imageBytes, warm.results[0].imageBytes);
+    EXPECT_EQ(imageBytes(cold.results[0]), imageBytes(warm.results[0]));
 }
 
 TEST(FarmFaultCache, VersionThreeStoreIsQuarantinedAndRecomputedOnce)
@@ -900,7 +914,7 @@ TEST(FarmFaultCache, VersionThreeStoreIsQuarantinedAndRecomputedOnce)
     EXPECT_EQ(cold.resultsJson(), upgrade.resultsJson());
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
 }
 
@@ -954,8 +968,8 @@ TEST(FarmFaultCache, WarmInlineRunBuildsNoProgram)
         EXPECT_EQ(warm.cacheStats.persistStores, 0u);
         EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
         for (size_t i = 0; i < jobs.size(); ++i)
-            EXPECT_EQ(cold.results[i].imageBytes,
-                      warm.results[i].imageBytes)
+            EXPECT_EQ(imageBytes(cold.results[i]),
+                      imageBytes(warm.results[i]))
                 << jobs[i].id;
     }
     setGlobalJobs(0);
@@ -1093,7 +1107,7 @@ TEST(FarmFaultCache, WrongProgramHashNeverYieldsAWrongImage)
                           compress::PipelineCache::programEntryName(key)),
                       std::string::npos)
                 << result.error;
-            EXPECT_TRUE(result.imageBytes.empty()) << result.id;
+            EXPECT_FALSE(result.image) << result.id;
         }
         EXPECT_EQ(warm.cacheStats.programHits, 1u);
         EXPECT_EQ(warm.cacheStats.persistStores, 0u);
@@ -1139,8 +1153,8 @@ TEST(FarmFaultCache, ProgramHitThenImageMissBuildsOnDemand)
         EXPECT_EQ(report.cacheStats.selectHits, relaid.size());
         EXPECT_EQ(report.resultsJson(), reference.resultsJson());
         for (size_t i = 0; i < relaid.size(); ++i)
-            EXPECT_EQ(report.results[i].imageBytes,
-                      reference.results[i].imageBytes)
+            EXPECT_EQ(imageBytes(report.results[i]),
+                      imageBytes(reference.results[i]))
                 << relaid[i].id;
     }
     setGlobalJobs(0);
@@ -1195,7 +1209,7 @@ TEST(FarmFaultCache, VersionFourStoreIsQuarantinedAndRecomputedOnce)
     EXPECT_EQ(cold.resultsJson(), upgrade.resultsJson());
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
 }
 
@@ -1254,11 +1268,50 @@ TEST(FarmFaultIsolate, IsolatedRunMatchesInlineBitForBit)
     EXPECT_TRUE(isolated.isolated);
     EXPECT_EQ(inlineRun.resultsJson(), isolated.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(inlineRun.results[i].imageBytes,
-                  isolated.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(inlineRun.results[i]),
+                  imageBytes(isolated.results[i]))
             << jobs[i].id;
         EXPECT_EQ(isolated.results[i].attempts, 1u);
     }
+}
+
+TEST(FarmFaultIsolate, WorkerImageFailingValidationIsALoadError)
+{
+    // A worker result whose container is sound but whose image bytes
+    // fail tryLoadImage: the parent loads every worker image back, so
+    // the job fails as a LoadError instead of reporting the bytes.
+    farm::WorkerResult worker = sampleWorkerResult();
+    auto damaged =
+        std::make_shared<compress::ImageProduct>(*worker.result.image);
+    damaged->bytes[damaged->bytes.size() / 2] ^= 0x40;
+    worker.result.image = damaged;
+    std::vector<uint8_t> bytes = farm::serializeWorkerResult(worker);
+    Result<farm::WorkerResult> parsed = farm::parseWorkerResult(bytes);
+    ASSERT_FALSE(parsed.ok());
+
+    // A stand-in worker that hands back exactly those bytes: its
+    // argv is (--worker SPEC --worker-out OUT ...).
+    ScratchDir dir("worker-image");
+    std::string resultPath = (dir.path() / "result.bin").string();
+    std::string workerPath = (dir.path() / "worker.sh").string();
+    writeFile(resultPath, bytes);
+    std::string script = "#!/bin/sh\ncp '" + resultPath + "' \"$4\"\n";
+    writeFile(workerPath, std::vector<uint8_t>(script.begin(), script.end()));
+    std::filesystem::permissions(workerPath,
+                                 std::filesystem::perms::owner_all);
+
+    farm::FarmOptions options;
+    options.isolate = true;
+    options.workerBinary = workerPath;
+    farm::FarmReport report = farm::runFarm(
+        {makeJob("compress", compress::Scheme::Nibble,
+                 compress::StrategyKind::Greedy)},
+        options);
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_FALSE(report.results[0].ok());
+    EXPECT_EQ(report.results[0].failureKind, farm::FailureKind::LoadError)
+        << report.results[0].error;
+    EXPECT_FALSE(report.results[0].image);
 }
 
 TEST(FarmFaultIsolate, InjectedCrashIsAttributedAndContained)
@@ -1314,8 +1367,8 @@ TEST(FarmFaultIsolate, TransientCrashRecoversViaRetry)
     farm::FarmReport report = farm::runFarm(jobs, options);
     ASSERT_EQ(report.failures(), 0u);
     EXPECT_EQ(report.results[0].attempts, 2u);
-    EXPECT_EQ(report.results[0].imageBytes,
-              reference.results[0].imageBytes);
+    EXPECT_EQ(imageBytes(report.results[0]),
+              imageBytes(reference.results[0]));
 }
 
 /** A seeded subset of an isolated run is crashed or hung: injected
@@ -1374,7 +1427,7 @@ expectMixedInjectionIsContained(farm::InjectKind kind,
             EXPECT_EQ(got.attempts, 2u) << got.id;
         } else {
             EXPECT_TRUE(got.ok()) << got.id << ": " << got.error;
-            EXPECT_EQ(got.imageBytes, clean.results[i].imageBytes)
+            EXPECT_EQ(imageBytes(got), imageBytes(clean.results[i]))
                 << got.id;
             EXPECT_EQ(got.attempts, 1u) << got.id;
         }
@@ -1388,7 +1441,7 @@ expectMixedInjectionIsContained(farm::InjectKind kind,
     EXPECT_EQ(soft.failures(), 0u);
     for (size_t i = 0; i < jobs.size(); ++i) {
         const farm::FarmJobResult &got = soft.results[i];
-        EXPECT_EQ(got.imageBytes, clean.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(got), imageBytes(clean.results[i]))
             << got.id;
         EXPECT_EQ(got.attempts, injected[i] ? 2u : 1u) << got.id;
     }
@@ -1502,8 +1555,8 @@ TEST(FarmFaultIsolate, DuplicateJobsUnderRepeatStayIdentical)
     farm::FarmReport report = farm::runFarm(jobs, options);
     setGlobalJobs(0);
     ASSERT_EQ(report.failures(), 0u);
-    EXPECT_EQ(report.results[0].imageBytes, report.results[1].imageBytes);
-    EXPECT_EQ(report.results[0].imageBytes, report.results[2].imageBytes);
+    EXPECT_EQ(imageBytes(report.results[0]), imageBytes(report.results[1]));
+    EXPECT_EQ(imageBytes(report.results[0]), imageBytes(report.results[2]));
     EXPECT_EQ(report.results[0].imageFnv64, report.results[2].imageFnv64);
 }
 
@@ -1532,8 +1585,8 @@ TEST(FarmFaultIsolate, WorkersShareThePersistentStore)
     farm::FarmReport warmReport = farm::runFarm(jobs, warm);
     ASSERT_EQ(warmReport.failures(), 0u);
     EXPECT_GT(warmReport.cacheStats.persistHits, 0u);
-    EXPECT_EQ(coldReport.results[0].imageBytes,
-              warmReport.results[0].imageBytes);
+    EXPECT_EQ(imageBytes(coldReport.results[0]),
+              imageBytes(warmReport.results[0]));
 }
 
 TEST(FarmFaultIsolate, WarmIsolatedRunBuildsNoProgram)
@@ -1566,8 +1619,8 @@ TEST(FarmFaultIsolate, WarmIsolatedRunBuildsNoProgram)
     EXPECT_EQ(reference.resultsJson(), cold.resultsJson());
     EXPECT_EQ(reference.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(reference.results[i].imageBytes,
-                  warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(reference.results[i]),
+                  imageBytes(warm.results[i]))
             << jobs[i].id;
 }
 
@@ -1600,7 +1653,7 @@ TEST(FarmFaultIsolate, WarmIsolatedRunHitsInlineImages)
     EXPECT_EQ(warm.cacheStats.persistCorrupt, 0u);
     EXPECT_EQ(cold.resultsJson(), warm.resultsJson());
     for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(cold.results[i].imageBytes, warm.results[i].imageBytes)
+        EXPECT_EQ(imageBytes(cold.results[i]), imageBytes(warm.results[i]))
             << jobs[i].id;
 }
 

@@ -190,25 +190,22 @@ run(int argc, char **argv)
     }
     // Reject a bad search spec up front with the reason, mirroring
     // cctime's model validation.
-    std::string spec_error;
     if (spec.cacheGeometries.empty()) {
         for (uint32_t capacity : {1024u, 2048u, 4096u, 8192u})
             spec.cacheGeometries.push_back(
                 {capacity, 32, capacity >= 4096 ? 2u : 1u});
     }
-    spec_error = autotune::budgetSpecError(spec);
-    if (!spec_error.empty())
-        return badArg(spec_error);
+    if (std::string error = autotune::budgetSpecError(spec); !error.empty())
+        return badArg(error);
 
     autotune::AutotuneResult result =
         autotune::autotune(workloadNames, spec, options);
 
-    autotune::SearchSpace space(spec);
     std::printf("search: %llu candidate configs (%llu pruned), "
-                "%zu geometries (%llu pruned), %zu workloads\n",
+                "%llu geometries (%llu pruned), %zu workloads\n",
                 static_cast<unsigned long long>(result.enumerated),
                 static_cast<unsigned long long>(result.pruned),
-                space.geometries().size(),
+                static_cast<unsigned long long>(result.keptGeometries),
                 static_cast<unsigned long long>(result.prunedGeometries),
                 workloadNames.size());
     if (result.failedJobs)

@@ -299,7 +299,7 @@ run(int argc, char **argv)
                 writeFile((std::filesystem::path(imagesDir) /
                            imageFileName(result.id))
                               .string(),
-                          result.imageBytes);
+                          result.image->bytes);
     }
     if (!reportPath.empty())
         writeText(reportPath, report.toJson() + "\n");
