@@ -168,7 +168,7 @@ runIsolatedJob(const FarmJob &job, size_t index,
         if (attempt > 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 backoffMillis(attempt, options.backoffBaseMs,
-                              backoffCapMs, options.seed, index)));
+                              backoffCapMs, index)));
         result.attempts = attempt + 1;
 
         std::string stem =
@@ -189,12 +189,6 @@ runIsolatedJob(const FarmJob &job, size_t index,
         }
         if (!options.keepImages)
             argv.push_back("--worker-no-images");
-        if (shouldInject(options.inject, index, attempt)) {
-            argv.push_back("--worker-inject");
-            argv.push_back(options.inject.kind == InjectKind::Crash
-                               ? "crash"
-                               : "hang");
-        }
 
         SubprocessOptions spawnOptions;
         spawnOptions.timeoutMs = timeoutMs;
@@ -203,16 +197,18 @@ runIsolatedJob(const FarmJob &job, size_t index,
 
         WorkerResult worker;
         bool resultOk = false;
+        std::string rejected; // why a clean exit's result was refused
         if (spawn.outcome == SubprocessResult::Outcome::Exited &&
             spawn.exitCode == 0) {
             Result<std::vector<uint8_t>> bytes = tryReadFile(outPath);
-            if (bytes.ok()) {
-                Result<WorkerResult> parsed =
-                    parseWorkerResult(bytes.value());
-                if (parsed.ok()) {
-                    worker = parsed.take();
-                    resultOk = true;
-                }
+            Result<WorkerResult> parsed =
+                bytes.ok() ? parseWorkerResult(bytes.value())
+                           : Result<WorkerResult>(bytes.error());
+            if (parsed.ok()) {
+                worker = parsed.take();
+                resultOk = true;
+            } else {
+                rejected = parsed.error().message();
             }
         }
         FailureKind kind = classifyWorkerOutcome(spawn, resultOk, worker);
@@ -246,6 +242,8 @@ runIsolatedJob(const FarmJob &job, size_t index,
             else if (spawn.outcome == SubprocessResult::Outcome::TimedOut)
                 result.error += " (deadline " +
                                 std::to_string(timeoutMs) + " ms)";
+            if (!rejected.empty())
+                result.error += ", result rejected: " + rejected;
             if (!excerpt.empty())
                 result.error += ": " + excerpt;
         }
@@ -290,33 +288,18 @@ classifyJobError(const std::exception &error)
     return FailureKind::SpecError;
 }
 
-bool
-shouldInject(const FaultPlan &plan, size_t jobIndex, uint32_t attempt)
-{
-    if (plan.kind == InjectKind::None || plan.rateDen == 0)
-        return false;
-    // Job-level decision only: the injected subset is a pure function
-    // of (seed, jobIndex), so reports reproduce across runs, pool
-    // widths, and attempt counts.
-    Rng rng(mix64(plan.seed, static_cast<uint64_t>(jobIndex)));
-    bool jobInjected = rng.chance(plan.rateNum, plan.rateDen);
-    if (plan.firstAttemptOnly)
-        return jobInjected && attempt == 0;
-    return jobInjected;
-}
-
 uint64_t
 backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
-              uint64_t seed, size_t jobIndex)
+              size_t jobIndex)
 {
     CC_ASSERT(attempt >= 1, "backoff is a between-attempts delay");
     uint64_t exp = std::min<uint64_t>(attempt - 1, 20);
     // Saturate at the cap before shifting: baseMs << exp would wrap for
     // a base of 2^44 ms or more.
     uint64_t delay = baseMs > (capMs >> exp) ? capMs : baseMs << exp;
-    // Jitter in [50%, 150%], seeded so two workers retrying the same
+    // Jitter in [50%, 150%], per job so two workers retrying the same
     // moment don't stampede in sync -- but reproducibly.
-    Rng rng(mix64(mix64(seed, static_cast<uint64_t>(jobIndex)), attempt));
+    Rng rng(mix64(static_cast<uint64_t>(jobIndex), attempt));
     uint64_t percent = 50 + rng.below(101);
     return delay * percent / 100;
 }
@@ -588,10 +571,8 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
         std::filesystem::path scratch =
             std::filesystem::temp_directory_path();
         scratch /= "ccfarm-" + std::to_string(::getpid()) + "-" +
-                   hexDigest(mix64(options.seed,
-                                   static_cast<uint64_t>(
-                                       Clock::now().time_since_epoch()
-                                           .count())));
+                   hexDigest(static_cast<uint64_t>(
+                       Clock::now().time_since_epoch().count()));
         std::error_code ec;
         std::filesystem::create_directories(scratch, ec);
         if (ec)

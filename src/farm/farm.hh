@@ -31,8 +31,10 @@
  * a structured per-job failure -- classified by FailureKind -- instead
  * of taking down the run. Jobs carry wall-clock deadlines (hung
  * workers are killed and reported as Timeout) and a retry budget with
- * exponential backoff + seeded jitter; attempts and the final failure
- * kind land in the report.
+ * exponential backoff + per-job jitter; attempts and the final failure
+ * kind land in the report. The farm injects no faults itself: the
+ * tests crash and hang jobs through a stand-in worker binary
+ * (FarmOptions::workerBinary).
  *
  * Output images are bit-identical to the serial single-program path
  * (compress::compressProgram) for any pool width, isolated or inline,
@@ -104,36 +106,12 @@ const char *failureKindName(FailureKind kind);
  *  isolated (worker) paths, so both report the same kind. */
 FailureKind classifyJobError(const std::exception &error);
 
-/** Seeded deliberate-fault plan for the fault-tolerance tests: crash
- *  or hang a deterministic subset of worker subprocesses (passed to
- *  each worker as the hidden --worker-inject flag). */
-enum class InjectKind : uint8_t { None = 0, Crash, Hang };
-
-struct FaultPlan
-{
-    InjectKind kind = InjectKind::None;
-    uint64_t seed = 1;
-    uint32_t rateNum = 1; //!< inject ~rateNum/rateDen of the jobs
-    uint32_t rateDen = 3;
-
-    /** Inject only a job's first attempt (a transient fault: retries
-     *  recover), instead of every attempt (a hard fault: the job
-     *  fails with a fully-attributed report entry). */
-    bool firstAttemptOnly = false;
-};
-
-/** Whether @p plan injects a fault into (job @p jobIndex, attempt
- *  @p attempt). Deterministic in (seed, jobIndex): the injected job
- *  subset is identical across runs, pool widths, and retries. */
-bool shouldInject(const FaultPlan &plan, size_t jobIndex,
-                  uint32_t attempt);
-
 /** Retry delay before @p attempt (>= 1): exponential in the attempt
- *  with seeded jitter in [50%, 150%], capped at @p capMs before the
- *  jitter (any base saturates, none overflows). Deterministic in
- *  (seed, jobIndex, attempt) so reports are reproducible. */
+ *  with jitter in [50%, 150%], capped at @p capMs before the jitter
+ *  (any base saturates, none overflows). The jitter differs between
+ *  jobs and is deterministic in (jobIndex, attempt). */
 uint64_t backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
-                       uint64_t seed, size_t jobIndex);
+                       size_t jobIndex);
 
 struct FarmOptions
 {
@@ -169,13 +147,6 @@ struct FarmOptions
 
     /** Exponential-backoff base between attempts (capped at 2 s). */
     uint64_t backoffBaseMs = 50;
-
-    /** Seed for backoff jitter and fault injection. */
-    uint64_t seed = 1;
-
-    /** Deliberate-fault plan for the fault-tolerance tests; takes
-     *  effect only with isolate. */
-    FaultPlan inject;
 };
 
 /** Outcome of one job, in job-queue order in the report. */

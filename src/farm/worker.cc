@@ -1,9 +1,6 @@
 #include "farm/worker.hh"
 
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "support/logging.hh"
 
@@ -154,7 +151,7 @@ parseWorkerResult(const std::vector<uint8_t> &bytes)
 
 WorkerResult
 runWorkerJob(const FarmJob &job, const std::string &cacheDir,
-             bool keepImages, InjectKind inject)
+             bool keepImages)
 {
     WorkerResult worker{FarmJobResult(job), {}};
     FarmJobResult &result = worker.result;
@@ -165,17 +162,6 @@ runWorkerJob(const FarmJob &job, const std::string &cacheDir,
             cachePtr = &cache;
         FarmProgram program(job.workload, job.scale);
         program.resolve(cachePtr);
-
-        // Deliberate faults for the fault-tolerance tests, placed
-        // mid-job (after the Program lookup, or the build it needed)
-        // so a kill interrupts real work.
-        if (inject == InjectKind::Crash)
-            std::abort();
-        if (inject == InjectKind::Hang)
-            for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
-
         result = runFarmJob(job, program, cachePtr, keepImages);
         worker.cacheStats = cache.stats();
     } catch (const PanicError &) {

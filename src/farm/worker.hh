@@ -16,7 +16,8 @@
  * openSealed's magic, version and checksum checks, parsing, and
  * loading the image back (compress::loadImageProduct, as a disk Image
  * entry is) all gate acceptance; any deviation is a classified
- * per-job LoadError failure, never a parent crash.
+ * per-job LoadError failure, never a parent crash, and the job's error
+ * names the check that refused the file.
  */
 
 #ifndef CODECOMP_FARM_WORKER_HH
@@ -52,13 +53,10 @@ Result<WorkerResult> parseWorkerResult(const std::vector<uint8_t> &bytes);
  * program (a Program hit builds nothing; FarmProgram), run the job,
  * and capture any catchable failure in-band (with its FailureKind) so
  * the parent can distinguish a deterministic SpecError from retryable
- * faults. @p inject deliberately crashes (abort) or hangs (sleep
- * forever) mid-job, after the program is resolved, for the
- * fault-tolerance tests.
+ * faults.
  */
 WorkerResult runWorkerJob(const FarmJob &job, const std::string &cacheDir,
-                          bool keepImages,
-                          InjectKind inject = InjectKind::None);
+                          bool keepImages);
 
 /**
  * Classify a finished worker subprocess: @p spawn outcome/exit code x

@@ -2,11 +2,12 @@
  * @file
  * Tests for the farm's fault tolerance: the subprocess helper, the
  * worker result protocol (round-trip and corruption rejection), the
- * failure-classification table, deterministic fault injection and
- * backoff, the crash-safe persistent pipeline cache (damage is
- * detected, quarantined, and never changes results), LRU capacity
- * eviction, and -- when the ccfarm binary is available -- end-to-end
- * process isolation with deadlines and retries.
+ * failure-classification table, deterministic backoff, the crash-safe
+ * persistent pipeline cache (damage is detected, quarantined, and
+ * never changes results), LRU capacity eviction, and -- when the
+ * ccfarm binary is available -- end-to-end process isolation with
+ * deadlines and retries, its faults injected by a stand-in worker
+ * script.
  */
 
 #include <gtest/gtest.h>
@@ -183,81 +184,26 @@ TEST(Subprocess, SelfExecutablePathResolves)
     EXPECT_TRUE(std::filesystem::exists(self));
 }
 
-// ---------------- injection & backoff determinism ----------------
-
-TEST(FarmFaultUnit, InjectionIsDeterministicAndJobLevel)
-{
-    farm::FaultPlan plan;
-    plan.kind = farm::InjectKind::Crash;
-    plan.seed = 42;
-    for (size_t job = 0; job < 64; ++job) {
-        bool first = farm::shouldInject(plan, job, 0);
-        // Same (seed, job) on any attempt and any later call: same
-        // answer -- the injected subset is a pure function of the
-        // plan, so reports reproduce across runs and pool widths.
-        EXPECT_EQ(farm::shouldInject(plan, job, 0), first);
-        EXPECT_EQ(farm::shouldInject(plan, job, 3), first);
-    }
-    // ~1/3 default rate: a 64-job queue has both kinds.
-    size_t injected = 0;
-    for (size_t job = 0; job < 64; ++job)
-        injected += farm::shouldInject(plan, job, 0) ? 1 : 0;
-    EXPECT_GT(injected, 0u);
-    EXPECT_LT(injected, 64u);
-}
-
-TEST(FarmFaultUnit, FirstAttemptOnlyInjectionStopsAfterRetry)
-{
-    farm::FaultPlan plan;
-    plan.kind = farm::InjectKind::Hang;
-    plan.seed = 7;
-    plan.rateNum = 1;
-    plan.rateDen = 1; // inject every job
-    plan.firstAttemptOnly = true;
-    EXPECT_TRUE(farm::shouldInject(plan, 0, 0));
-    EXPECT_FALSE(farm::shouldInject(plan, 0, 1));
-    EXPECT_FALSE(farm::shouldInject(plan, 0, 2));
-}
-
-TEST(FarmFaultUnit, NoneAndZeroRatePlansNeverInject)
-{
-    farm::FaultPlan none;
-    none.rateNum = 1;
-    none.rateDen = 1;
-    for (farm::InjectKind kind :
-         {farm::InjectKind::Crash, farm::InjectKind::Hang}) {
-        farm::FaultPlan zero;
-        zero.kind = kind;
-        zero.rateNum = 0;
-        farm::FaultPlan noDenominator;
-        noDenominator.kind = kind;
-        noDenominator.rateDen = 0;
-        for (size_t job = 0; job < 32; ++job) {
-            EXPECT_FALSE(farm::shouldInject(none, job, 0));
-            EXPECT_FALSE(farm::shouldInject(zero, job, 0));
-            EXPECT_FALSE(farm::shouldInject(noDenominator, job, 0));
-        }
-    }
-}
+// ---------------- backoff determinism ----------------
 
 TEST(FarmFaultUnit, BackoffGrowsIsCappedAndJittersDeterministically)
 {
-    // Deterministic in (seed, job, attempt).
-    EXPECT_EQ(farm::backoffMillis(1, 50, 2000, 9, 4),
-              farm::backoffMillis(1, 50, 2000, 9, 4));
+    // Deterministic in (job, attempt).
+    EXPECT_EQ(farm::backoffMillis(1, 50, 2000, 4),
+              farm::backoffMillis(1, 50, 2000, 4));
     // Jitter keeps every delay within [50%, 150%] of the exponential
     // schedule, and the cap bounds late attempts.
     for (uint32_t attempt = 1; attempt <= 8; ++attempt) {
         uint64_t nominal = std::min<uint64_t>(
             50ull << (attempt - 1), 2000);
-        uint64_t delay = farm::backoffMillis(attempt, 50, 2000, 1, 0);
+        uint64_t delay = farm::backoffMillis(attempt, 50, 2000, 0);
         EXPECT_GE(delay, nominal / 2) << attempt;
         EXPECT_LE(delay, nominal + nominal / 2) << attempt;
     }
     // Different jobs see different jitter (no retry stampede).
     std::set<uint64_t> delays;
     for (size_t job = 0; job < 16; ++job)
-        delays.insert(farm::backoffMillis(3, 50, 2000, 1, job));
+        delays.insert(farm::backoffMillis(3, 50, 2000, job));
     EXPECT_GT(delays.size(), 1u);
 }
 
@@ -269,7 +215,7 @@ TEST(FarmFaultUnit, BackoffSaturatesAtTheCapForHugeBases)
     for (uint64_t base : {uint64_t{1} << 44, uint64_t{1} << 50,
                           uint64_t{LONG_MAX}}) {
         for (uint32_t attempt : {2u, 21u, 101u}) {
-            uint64_t delay = farm::backoffMillis(attempt, base, 2000, 1, 0);
+            uint64_t delay = farm::backoffMillis(attempt, base, 2000, 0);
             EXPECT_GE(delay, 1000u) << base << " attempt " << attempt;
             EXPECT_LE(delay, 3000u) << base << " attempt " << attempt;
         }
@@ -1249,6 +1195,51 @@ ccfarmBinary()
     return "";
 }
 
+/** Write @p body as an executable /bin/sh script in @p dir to stand in
+ *  for the worker binary, and return its path. The farm runs it as
+ *  (--worker SPEC --worker-out OUT ...), so SPEC (one line of JSON)
+ *  is $2 and OUT $4. */
+std::string
+writeStandIn(const ScratchDir &dir, const std::string &body)
+{
+    std::string path = (dir.path() / "worker.sh").string();
+    std::string script = "#!/bin/sh\n" + body;
+    writeFile(path, std::vector<uint8_t>(script.begin(), script.end()));
+    std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+    return path;
+}
+
+enum class Fault { Crash, Hang };
+
+/**
+ * A stand-in worker that faults the jobs named in @p ids and execs the
+ * real ccfarm worker for every other job. A crash kills the stand-in
+ * by a signal; a hang execs a sleep that outlives the tests' deadlines,
+ * so the deadline's SIGKILL reaches the sleep itself (which ends on
+ * its own after 30 s). A @p transient fault hits only a job's first
+ * attempt: the stand-in leaves a per-job marker file in @p dir.
+ */
+std::string
+faultyWorker(const ScratchDir &dir, Fault fault,
+             const std::vector<std::string> &ids, bool transient = false)
+{
+    std::string action =
+        fault == Fault::Crash ? "kill -KILL $$" : "exec sleep 30";
+    std::string body = "read -r spec < \"$2\"\ncase \"$spec\" in\n";
+    for (size_t i = 0; i < ids.size(); ++i) {
+        std::string marker =
+            "'" + (dir.path() / ("faulted-" + std::to_string(i))).string() +
+            "'";
+        body += "*'\"id\":\"" + ids[i] + "\"'*) ";
+        body += transient ? "[ -e " + marker + " ] || { : > " + marker +
+                                "; " + action + "; }"
+                          : action;
+        body += " ;;\n";
+    }
+    return writeStandIn(dir, body + "esac\nexec '" + ccfarmBinary() +
+                                 "' \"$@\"\n");
+}
+
 TEST(FarmFaultIsolate, IsolatedRunMatchesInlineBitForBit)
 {
     std::string worker = ccfarmBinary();
@@ -1289,20 +1280,15 @@ TEST(FarmFaultIsolate, WorkerImageFailingValidationIsALoadError)
     Result<farm::WorkerResult> parsed = farm::parseWorkerResult(bytes);
     ASSERT_FALSE(parsed.ok());
 
-    // A stand-in worker that hands back exactly those bytes: its
-    // argv is (--worker SPEC --worker-out OUT ...).
+    // A stand-in worker that hands back exactly those bytes.
     ScratchDir dir("worker-image");
     std::string resultPath = (dir.path() / "result.bin").string();
-    std::string workerPath = (dir.path() / "worker.sh").string();
     writeFile(resultPath, bytes);
-    std::string script = "#!/bin/sh\ncp '" + resultPath + "' \"$4\"\n";
-    writeFile(workerPath, std::vector<uint8_t>(script.begin(), script.end()));
-    std::filesystem::permissions(workerPath,
-                                 std::filesystem::perms::owner_all);
 
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = workerPath;
+    options.workerBinary =
+        writeStandIn(dir, "cp '" + resultPath + "' \"$4\"\n");
     farm::FarmReport report = farm::runFarm(
         {makeJob("compress", compress::Scheme::Nibble,
                  compress::StrategyKind::Greedy)},
@@ -1311,22 +1297,26 @@ TEST(FarmFaultIsolate, WorkerImageFailingValidationIsALoadError)
     EXPECT_FALSE(report.results[0].ok());
     EXPECT_EQ(report.results[0].failureKind, farm::FailureKind::LoadError)
         << report.results[0].error;
+    // The error names the image check that refused the result.
+    EXPECT_NE(report.results[0].error.find(parsed.error().message()),
+              std::string::npos)
+        << report.results[0].error;
     EXPECT_FALSE(report.results[0].image);
 }
 
 TEST(FarmFaultIsolate, InjectedCrashIsAttributedAndContained)
 {
-    std::string worker = ccfarmBinary();
-    if (worker.empty())
+    if (ccfarmBinary().empty())
         GTEST_SKIP() << "ccfarm binary not built";
     std::vector<farm::FarmJob> jobs = tinyCorpus();
+    std::vector<std::string> ids;
+    for (const farm::FarmJob &job : jobs)
+        ids.push_back(job.id);
 
+    ScratchDir dir("crash-all");
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = worker;
-    options.inject.kind = farm::InjectKind::Crash;
-    options.inject.rateNum = 1;
-    options.inject.rateDen = 1; // crash every worker
+    options.workerBinary = faultyWorker(dir, Fault::Crash, ids);
     options.retries = 1;
     options.backoffBaseMs = 1;
 
@@ -1345,8 +1335,7 @@ TEST(FarmFaultIsolate, InjectedCrashIsAttributedAndContained)
 
 TEST(FarmFaultIsolate, TransientCrashRecoversViaRetry)
 {
-    std::string worker = ccfarmBinary();
-    if (worker.empty())
+    if (ccfarmBinary().empty())
         GTEST_SKIP() << "ccfarm binary not built";
     std::vector<farm::FarmJob> jobs = {
         makeJob("compress", compress::Scheme::Nibble,
@@ -1354,13 +1343,11 @@ TEST(FarmFaultIsolate, TransientCrashRecoversViaRetry)
 
     farm::FarmReport reference = farm::runFarm(jobs);
 
+    ScratchDir dir("crash-once");
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = worker;
-    options.inject.kind = farm::InjectKind::Crash;
-    options.inject.rateNum = 1;
-    options.inject.rateDen = 1;
-    options.inject.firstAttemptOnly = true; // transient fault
+    options.workerBinary = faultyWorker(dir, Fault::Crash, {jobs[0].id},
+                                        /*transient=*/true);
     options.retries = 2;
     options.backoffBaseMs = 1;
 
@@ -1371,16 +1358,15 @@ TEST(FarmFaultIsolate, TransientCrashRecoversViaRetry)
               imageBytes(reference.results[0]));
 }
 
-/** A seeded subset of an isolated run is crashed or hung: injected
- *  jobs fail with @p expected after every attempt, the others match
- *  an inline run on their first try, and with the faults made
- *  transient every job recovers. */
+/** The jobs at @p faulted of an isolated run are crashed or hung:
+ *  they fail with @p expected after every attempt, the others match an
+ *  inline run on their first try, and with the faults made transient
+ *  every job recovers. */
 void
-expectMixedInjectionIsContained(farm::InjectKind kind,
-                                farm::FailureKind expected)
+expectMixedInjectionIsContained(Fault fault, farm::FailureKind expected,
+                                const std::vector<size_t> &faulted)
 {
-    std::string worker = ccfarmBinary();
-    if (worker.empty())
+    if (ccfarmBinary().empty())
         GTEST_SKIP() << "ccfarm binary not built";
     std::vector<farm::FarmJob> jobs;
     for (compress::Scheme scheme :
@@ -1390,29 +1376,22 @@ expectMixedInjectionIsContained(farm::InjectKind kind,
             jobs.push_back(makeJob("compress", scheme, strategy));
     farm::FarmReport clean = farm::runFarm(jobs);
     ASSERT_EQ(clean.failures(), 0u);
+    std::vector<bool> injected(jobs.size());
+    std::vector<std::string> ids;
+    for (size_t i : faulted) {
+        injected.at(i) = true;
+        ids.push_back(jobs[i].id);
+    }
+    // A mixed subset, so both halves of the contract are exercised.
+    ASSERT_TRUE(!ids.empty() && ids.size() < jobs.size());
 
+    ScratchDir hardDir("mixed-hard");
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = worker;
+    options.workerBinary = faultyWorker(hardDir, fault, ids);
     options.retries = 1;
-    options.backoffBaseMs = 1;
+    options.backoffBaseMs = 0; // retry at once
     options.jobTimeoutMs = 2000; // a hang is only seen at a deadline
-    options.inject.kind = kind;
-
-    // The first seed whose injected subset is mixed, so both
-    // halves of the contract are exercised.
-    std::vector<bool> injected(jobs.size());
-    size_t injectedCount = 0;
-    for (;; ++options.inject.seed) {
-        ASSERT_LT(options.inject.seed, 1000u);
-        injectedCount = 0;
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            injected[i] = farm::shouldInject(options.inject, i, 0);
-            injectedCount += injected[i];
-        }
-        if (injectedCount > 0 && injectedCount < jobs.size())
-            break;
-    }
 
     // Hard faults: injected jobs fail with the right kind after
     // every attempt; the others match the inline run, first try.
@@ -1432,10 +1411,12 @@ expectMixedInjectionIsContained(farm::InjectKind kind,
             EXPECT_EQ(got.attempts, 1u) << got.id;
         }
     }
-    EXPECT_EQ(hard.failuresOfKind(expected), injectedCount);
+    EXPECT_EQ(hard.failuresOfKind(expected), ids.size());
 
     // The same faults made transient: every job recovers.
-    options.inject.firstAttemptOnly = true;
+    ScratchDir softDir("mixed-soft");
+    options.workerBinary =
+        faultyWorker(softDir, fault, ids, /*transient=*/true);
     farm::FarmReport soft = farm::runFarm(jobs, options);
     setGlobalJobs(0);
     EXPECT_EQ(soft.failures(), 0u);
@@ -1449,31 +1430,33 @@ expectMixedInjectionIsContained(farm::InjectKind kind,
 
 TEST(FarmFaultIsolate, MixedCrashInjectionIsContained)
 {
-    expectMixedInjectionIsContained(farm::InjectKind::Crash,
-                                    farm::FailureKind::Crash);
+    expectMixedInjectionIsContained(Fault::Crash, farm::FailureKind::Crash,
+                                    {0, 1});
 }
 
 TEST(FarmFaultIsolate, MixedHangInjectionIsContained)
 {
-    expectMixedInjectionIsContained(farm::InjectKind::Hang,
-                                    farm::FailureKind::Timeout);
+    // One hung job, the first claimed: its deadlines start at once and
+    // the other runner of the pool of two clears the clean jobs in the
+    // meantime. Three 2 s deadlines (two hard, one transient) are the
+    // test's floor; a second hung job would only queue clean work
+    // behind both hangs.
+    expectMixedInjectionIsContained(Fault::Hang, farm::FailureKind::Timeout,
+                                    {0});
 }
 
 TEST(FarmFaultIsolate, HungWorkerIsKilledAtTheDeadline)
 {
-    std::string worker = ccfarmBinary();
-    if (worker.empty())
+    if (ccfarmBinary().empty())
         GTEST_SKIP() << "ccfarm binary not built";
     std::vector<farm::FarmJob> jobs = {
         makeJob("compress", compress::Scheme::Nibble,
                 compress::StrategyKind::Greedy)};
 
+    ScratchDir dir("hang");
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = worker;
-    options.inject.kind = farm::InjectKind::Hang;
-    options.inject.rateNum = 1;
-    options.inject.rateDen = 1;
+    options.workerBinary = faultyWorker(dir, Fault::Hang, {jobs[0].id});
     options.jobTimeoutMs = 500;
 
     farm::FarmReport report = farm::runFarm(jobs, options);
@@ -1485,8 +1468,7 @@ TEST(FarmFaultIsolate, HungWorkerIsKilledAtTheDeadline)
 
 TEST(FarmFaultIsolate, PerJobTimeoutOverridesTheFarmDefault)
 {
-    std::string worker = ccfarmBinary();
-    if (worker.empty())
+    if (ccfarmBinary().empty())
         GTEST_SKIP() << "ccfarm binary not built";
     // The farm default would never fire; the per-job deadline does.
     std::vector<farm::FarmJob> jobs = {
@@ -1494,12 +1476,10 @@ TEST(FarmFaultIsolate, PerJobTimeoutOverridesTheFarmDefault)
                 compress::StrategyKind::Greedy)};
     jobs[0].timeoutMs = 400;
 
+    ScratchDir dir("hang-per-job");
     farm::FarmOptions options;
     options.isolate = true;
-    options.workerBinary = worker;
-    options.inject.kind = farm::InjectKind::Hang;
-    options.inject.rateNum = 1;
-    options.inject.rateDen = 1;
+    options.workerBinary = faultyWorker(dir, Fault::Hang, {jobs[0].id});
     options.jobTimeoutMs = 0; // no farm-wide deadline
 
     farm::FarmReport report = farm::runFarm(jobs, options);

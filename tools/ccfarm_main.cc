@@ -6,8 +6,7 @@
  *   ccfarm [--spec jobs.json]
  *          [--workloads a,b,...] [--schemes x,y] [--strategies s,t]
  *          [--jobs N] [--isolate N] [--job-timeout MS] [--retries N]
- *          [--backoff MS] [--seed S]
- *          [--no-cache] [--cache-dir dir/] [--cache-cap N]
+ *          [--backoff MS] [--no-cache] [--cache-dir dir/] [--cache-cap N]
  *          [--report out.json] [--results out.json] [--images outdir/]
  *          [--list]
  *
@@ -21,7 +20,8 @@
  * binary in its hidden --worker mode) on an N-wide pool: a crash,
  * hang, machine check, or OOM kill in one job becomes a classified
  * per-job failure instead of taking down the run. --job-timeout and
- * --retries add deadlines and retry-with-backoff on top.
+ * --retries add deadlines and retry-with-backoff on top; the delay
+ * doubles from --backoff MS, with jitter fixed per (job, attempt).
  *
  * --cache-dir backs the pipeline cache with a crash-safe on-disk
  * store shared across runs and worker processes; a damaged store is
@@ -66,7 +66,7 @@ usage()
                  "[--schemes %s,...] "
                  "[--strategies greedy,refit] [--jobs N] "
                  "[--isolate N] [--job-timeout MS] [--retries N] "
-                 "[--backoff MS] [--seed S] [--no-cache] "
+                 "[--backoff MS] [--no-cache] "
                  "[--cache-dir dir/] [--cache-cap N] [--report out.json] "
                  "[--results out.json] [--images outdir/] [--list]\n",
                  compress::schemeCliNames(",").c_str());
@@ -112,7 +112,6 @@ runWorker(int argc, char **argv)
     std::string outPath;
     std::string cacheDir;
     bool keepImages = true;
-    farm::InjectKind inject = farm::InjectKind::None;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -124,14 +123,6 @@ runWorker(int argc, char **argv)
             cacheDir = argv[++i];
         } else if (arg == "--worker-no-images") {
             keepImages = false;
-        } else if (arg == "--worker-inject" && i + 1 < argc) {
-            std::string kind = argv[++i];
-            if (kind == "crash")
-                inject = farm::InjectKind::Crash;
-            else if (kind == "hang")
-                inject = farm::InjectKind::Hang;
-            else
-                return badArg("unknown --worker-inject '" + kind + "'");
         } else {
             return badArg("unknown worker-mode argument '" + arg + "'");
         }
@@ -147,7 +138,7 @@ runWorker(int argc, char **argv)
                       std::to_string(jobs.size()));
 
     farm::WorkerResult result =
-        farm::runWorkerJob(jobs[0], cacheDir, keepImages, inject);
+        farm::runWorkerJob(jobs[0], cacheDir, keepImages);
     if (std::optional<LoadError> error = writeFileAtomic(
             outPath, farm::serializeWorkerResult(result)))
         throw LoadFailure(*error);
@@ -196,8 +187,6 @@ run(int argc, char **argv)
         } else if (arg == "--backoff" && i + 1 < argc) {
             options.backoffBaseMs =
                 tools::flagValue<uint64_t>("--backoff", argv[++i]);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = tools::flagValue<uint64_t>("--seed", argv[++i]);
         } else if (arg == "--no-cache") {
             options.cache = false;
         } else if (arg == "--cache-dir" && i + 1 < argc) {
