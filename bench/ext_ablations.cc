@@ -161,9 +161,7 @@ main(int argc, char **argv)
             jobs.push_back(std::move(job));
         }
     }
-    farm::FarmOptions options;
-    options.keepImages = false; // only sizes and stats are read back
-    farm::FarmReport report = farm::runFarm(jobs, options);
+    farm::FarmReport report = farm::runFarm(jobs);
 
     banner("Ablation A3", "far-branch stub rewrites per scheme");
     std::printf("%-9s", "bench");

@@ -45,9 +45,7 @@ main(int argc, char **argv)
             jobs.push_back(std::move(job));
         }
     }
-    farm::FarmOptions options;
-    options.keepImages = false;
-    farm::FarmReport report = farm::runFarm(jobs, options);
+    farm::FarmReport report = farm::runFarm(jobs);
 
     std::printf("%-9s", "bench");
     for (unsigned budget : budgets)

@@ -506,38 +506,25 @@ reportPassTimings()
 void
 reportFarmThroughput()
 {
-    // Farm throughput over the starter corpus (8 workloads x 3 schemes
-    // x 2 strategies) and what the enumeration/selection cache buys: a
-    // cached run vs an uncached run of the same queue, same pool.
+    // Farm throughput over the starter corpus (8 workloads x every
+    // scheme x 2 strategies) with the run's in-memory cache, after one
+    // warm-up run of the same queue on the same pool.
     std::vector<farm::FarmJob> corpus = farm::starterCorpus();
-    farm::FarmOptions options;
-    options.keepImages = false;
+    farm::runFarm(corpus); // warm
+    farm::FarmReport report = farm::runFarm(corpus);
 
-    options.cache = false;
-    farm::runFarm(corpus, options); // warm
-    farm::FarmReport uncached = farm::runFarm(corpus, options);
-    options.cache = true;
-    farm::FarmReport cached = farm::runFarm(corpus, options);
-
-    double uncached_jps =
-        1000.0 * static_cast<double>(corpus.size()) /
-        uncached.compressMillis;
-    double cached_jps = 1000.0 * static_cast<double>(corpus.size()) /
-                        cached.compressMillis;
-    std::printf("farm throughput (%zu jobs, %u workers): uncached "
-                "%.1f ms (%.1f jobs/s), cached %.1f ms (%.1f jobs/s), "
-                "speedup %.2fx\n",
-                corpus.size(), cached.poolJobs, uncached.compressMillis,
-                uncached_jps, cached.compressMillis, cached_jps,
-                uncached.compressMillis / cached.compressMillis);
+    double jobs_per_s = 1000.0 * static_cast<double>(corpus.size()) /
+                        report.compressMillis;
+    std::printf("farm throughput (%zu jobs, %u workers): %.1f ms "
+                "(%.1f jobs/s)\n",
+                corpus.size(), report.poolJobs, report.compressMillis,
+                jobs_per_s);
     std::printf("PERF_JSON: {\"bench\":\"farm_throughput\","
-                "\"jobs\":%zu,\"workers\":%u,\"uncached_ms\":%.2f,"
-                "\"cached_ms\":%.2f,\"jobs_per_second\":%.2f,"
-                "\"speedup\":%.3f}\n",
-                corpus.size(), cached.poolJobs, uncached.compressMillis,
-                cached.compressMillis, cached_jps,
-                uncached.compressMillis / cached.compressMillis);
-    const PipelineCache::Stats &cs = cached.cacheStats;
+                "\"jobs\":%zu,\"workers\":%u,\"cached_ms\":%.2f,"
+                "\"jobs_per_second\":%.2f}\n",
+                corpus.size(), report.poolJobs, report.compressMillis,
+                jobs_per_s);
+    const PipelineCache::Stats &cs = report.cacheStats;
     double lookups = static_cast<double>(
         cs.enumHits + cs.enumMisses + cs.selectHits + cs.selectMisses);
     std::printf("PERF_JSON: {\"bench\":\"farm_cache_hit\","
@@ -568,7 +555,6 @@ reportFarmFaultTolerance()
     std::filesystem::remove_all(dir);
 
     farm::FarmOptions options;
-    options.keepImages = false;
     options.cacheDir = dir.string();
     farm::FarmReport cold = farm::runFarm(corpus, options);
     farm::FarmReport warm = farm::runFarm(corpus, options);
@@ -601,24 +587,6 @@ reportFarmFaultTolerance()
                 warm.compressMillis > 0.0
                     ? cold.compressMillis / warm.compressMillis
                     : 0.0);
-
-    // LRU eviction under a tight entry cap: the cache keeps working
-    // (results identical -- asserted by tests; here we track cost).
-    farm::FarmOptions capped;
-    capped.keepImages = false;
-    capped.cacheMaxEntries = 4;
-    farm::FarmReport evicting = farm::runFarm(corpus, capped);
-    std::printf("PERF_JSON: {\"bench\":\"farm_cache_evict\","
-                "\"jobs\":%zu,\"cap_entries\":4,\"wall_ms\":%.2f,"
-                "\"evictions\":%llu,\"enum_hits\":%llu,"
-                "\"select_hits\":%llu}\n",
-                corpus.size(), evicting.compressMillis,
-                static_cast<unsigned long long>(
-                    evicting.cacheStats.evictions),
-                static_cast<unsigned long long>(
-                    evicting.cacheStats.enumHits),
-                static_cast<unsigned long long>(
-                    evicting.cacheStats.selectHits));
 }
 
 } // namespace

@@ -210,7 +210,7 @@ SearchSpace::SearchSpace(const BudgetSpec &spec)
 
 AutotuneResult
 autotune(const std::vector<std::string> &workloadNames,
-         const BudgetSpec &spec, farm::FarmOptions farmOptions)
+         const BudgetSpec &spec, const farm::FarmOptions &farmOptions)
 {
     Clock::time_point start = Clock::now();
 
@@ -287,7 +287,6 @@ autotune(const std::vector<std::string> &workloadNames,
             jobs.push_back(std::move(job));
         }
     }
-    farmOptions.keepImages = true;
     farm::FarmReport report = farm::runFarm(jobs, farmOptions);
     result.cacheStats = report.cacheStats;
     result.failedJobs = report.failures();

@@ -31,7 +31,7 @@
  *
  * Everything downstream of the (deterministic) farm is deterministic:
  * the same spec produces a byte-identical AutotuneResult::toJson() for
- * any --jobs value and any cache setting.
+ * any --jobs value, inline or isolated, with or without a cache dir.
  */
 
 #ifndef CODECOMP_AUTOTUNE_AUTOTUNE_HH
@@ -167,7 +167,7 @@ struct AutotuneResult
 
     /** Run-variant extras, for human output only -- deliberately NOT
      *  part of toJson() so the artifact stays byte-identical across
-     *  --jobs and cache settings. */
+     *  --jobs, isolation and cache dirs. */
     compress::PipelineCache::Stats cacheStats;
     double wallMillis = 0.0;
     double nativeMillis = 0.0; //!< native runs: baselines and traces
@@ -181,13 +181,12 @@ struct AutotuneResult
 
 /**
  * Run the search over @p workloadNames, compressing the candidates
- * with runFarm under @p farmOptions (keepImages is forced on: the
- * images are priced). Catchable fatal on an invalid spec or unknown
+ * with runFarm under @p farmOptions. Catchable fatal on an invalid spec or unknown
  * workload name (validated before any work starts).
  */
 AutotuneResult autotune(const std::vector<std::string> &workloadNames,
                         const BudgetSpec &spec,
-                        farm::FarmOptions farmOptions = {});
+                        const farm::FarmOptions &farmOptions = {});
 
 } // namespace codecomp::autotune
 

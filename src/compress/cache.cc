@@ -212,7 +212,7 @@ loadImageProduct(std::vector<uint8_t> bytes, uint64_t digest)
         ImageProduct{std::move(image), std::move(bytes), digest});
 }
 
-const std::array<PipelineCache::Stats::Field, 13>
+const std::array<PipelineCache::Stats::Field, 12>
     PipelineCache::Stats::fields = {{
         {"enum_hits", &Stats::enumHits},
         {"enum_misses", &Stats::enumMisses},
@@ -222,7 +222,6 @@ const std::array<PipelineCache::Stats::Field, 13>
         {"image_misses", &Stats::imageMisses},
         {"program_hits", &Stats::programHits},
         {"program_misses", &Stats::programMisses},
-        {"evictions", &Stats::evictions},
         {"persist_hits", &Stats::persistHits},
         {"persist_misses", &Stats::persistMisses},
         {"persist_stores", &Stats::persistStores},
@@ -325,7 +324,6 @@ PipelineCache::find(Kind kind, uint64_t key, Claim &claim)
         });
         if (it != entries_.end()) {
             ++(stats_.*info.hits);
-            lru_.splice(lru_.begin(), lru_, it->second.lruIt);
             return it->second;
         }
         entries_.emplace(entryKey, Entry{});
@@ -429,14 +427,6 @@ PipelineCache::Claim::~Claim()
     cache_->stored_.notify_all();
 }
 
-void
-PipelineCache::setCapacity(size_t maxEntries)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    maxEntries_ = maxEntries;
-    evictLocked();
-}
-
 bool
 PipelineCache::setDiskStore(const std::string &dir)
 {
@@ -467,23 +457,8 @@ PipelineCache::publishLocked(Claim &claim, Entry entry)
     CC_ASSERT(it != entries_.end() && !it->second.ready(),
               "second store for a cache key");
     it->second = std::move(entry);
-    lru_.push_front(claim.key_);
-    it->second.lruIt = lru_.begin();
     claim.cache_ = nullptr;
     stored_.notify_all();
-    evictLocked();
-}
-
-void
-PipelineCache::evictLocked()
-{
-    while (maxEntries_ && lru_.size() > maxEntries_) {
-        auto it = entries_.find(lru_.back());
-        CC_ASSERT(it != entries_.end(), "LRU list out of sync");
-        entries_.erase(it);
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
 }
 
 std::string

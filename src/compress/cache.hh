@@ -33,7 +33,9 @@
  * disk hands its caller a Claim, and other lookups of the key block
  * until the product is stored through it (a hit) or the claim is
  * dropped unstored, when one waiter takes the key over (a miss). So
- * without a cap the counts depend on the lookups, not on scheduling.
+ * the counts depend on the lookups, not on scheduling. Nothing is
+ * evicted: a farm run (or one isolated worker) holds one cache for its
+ * lifetime, and the cache keeps every product of that run.
  * A caller takes its claims in the order Program, Image, Select,
  * Enumerate and never looks up an earlier kind while it holds a later
  * one's claim: a total order, so no two callers can wait on each
@@ -41,23 +43,17 @@
  * takes an Image claim.) The mutex
  * guards the map and the counters; disk I/O runs outside it.
  *
- * Two robustness layers sit on top of the in-memory map:
- *
- *  - a bounded footprint: setCapacity() caps the entry count (all
- *    four kinds), with least-recently-used eviction of stored entries
- *    (Stats::evictions) in completion order, so under a cap counts
- *    vary with scheduling;
- *  - a crash-safe persistent backing store: setDiskStore() points the
- *    cache at a directory where every product is also written as one
- *    file -- writeFileAtomic around the sealed, versioned and
- *    checksummed container of support/serialize.hh (sealPayload /
- *    openSealed). In-memory misses fall back to disk, so a warm
- *    directory survives process restarts (and is how the farm's
- *    isolated workers share work). A corrupt, truncated, or
- *    version-skewed file is detected by the checksum/structure checks
- *    (for an image, also tryLoadImage's full validation), quarantined
- *    (renamed *.quarantined), and silently recomputed: damage can
- *    degrade throughput but can never alter a result.
+ * A crash-safe persistent backing store sits under the in-memory map:
+ * setDiskStore() points the cache at a directory where every product
+ * is also written as one file -- writeFileAtomic around the sealed,
+ * versioned and checksummed container of support/serialize.hh
+ * (sealPayload / openSealed). In-memory misses fall back to disk, so a
+ * warm directory survives process restarts (and is how the farm's
+ * isolated workers share work). A corrupt, truncated, or
+ * version-skewed file is detected by the checksum/structure checks
+ * (for an image, also tryLoadImage's full validation), quarantined
+ * (renamed *.quarantined), and silently recomputed: damage can
+ * degrade throughput but can never alter a result.
  *
  * A PipelineCache is attached to a compression through
  * compressProgram (compressor.hh), which uses the Enumerate and Select
@@ -72,7 +68,6 @@
 
 #include <array>
 #include <condition_variable>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,7 +113,6 @@ class PipelineCache
         uint64_t imageMisses = 0;
         uint64_t programHits = 0;
         uint64_t programMisses = 0;
-        uint64_t evictions = 0;      //!< in-memory entries dropped by cap
         uint64_t persistHits = 0;    //!< memory misses served from disk
         uint64_t persistMisses = 0;  //!< misses disk could not serve
         uint64_t persistStores = 0;  //!< entry files written
@@ -134,7 +128,7 @@ class PipelineCache
         /** The counters in their one fixed order, which is the farm
          *  worker result's byte layout and the order of the farm
          *  report's cache_stats keys. */
-        static const std::array<Field, 13> fields;
+        static const std::array<Field, 12> fields;
 
         Stats &operator+=(const Stats &other);
     };
@@ -209,15 +203,6 @@ class PipelineCache
     void storeProgram(Claim &claim, uint64_t programHash);
 
     /**
-     * Bound the in-memory footprint to at most @p maxEntries products
-     * (0 = unlimited). When a store exceeds the cap the
-     * least-recently-used products are evicted (Stats::evictions).
-     * Disk copies are never evicted, so a capped cache backed by a
-     * store degrades to disk reads, not to recomputation.
-     */
-    void setCapacity(size_t maxEntries);
-
-    /**
      * Back the cache with directory @p dir (created if absent). Every
      * store is also written as one sealed file via writeFileAtomic;
      * misses fall back to disk. If the directory cannot be created or
@@ -245,7 +230,6 @@ class PipelineCache
         std::shared_ptr<const SelectProduct> selection;
         std::shared_ptr<const ImageProduct> image;
         std::optional<uint64_t> programHash;
-        std::list<EntryKey>::iterator lruIt; //!< once ready
 
         bool ready() const
         {
@@ -259,7 +243,6 @@ class PipelineCache
 
     /** Fill @p claim's entry, release it and wake its waiters. */
     void publishLocked(Claim &claim, Entry entry);
-    void evictLocked();
 
     /** Disk-store I/O, without the lock; load returns the persist
      *  counter to bump (null: no store). */
@@ -270,9 +253,7 @@ class PipelineCache
     mutable std::mutex mutex_;
     std::condition_variable stored_; //!< an entry filled or abandoned
     std::map<EntryKey, Entry> entries_;
-    std::list<EntryKey> lru_; //!< ready entries; front = most recent
-    size_t maxEntries_ = 0;  //!< 0 = unlimited
-    std::string diskDir_;    //!< "" = no persistent store
+    std::string diskDir_; //!< "" = no persistent store
     Stats stats_;
 };
 

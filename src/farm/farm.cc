@@ -50,12 +50,12 @@ hexDigest(uint64_t value)
     return buf;
 }
 
-/** Fill @p result's sizes and digest from @p product: the one body of
- *  a computed job and an Image cache hit. */
+/** Fill @p result's image, sizes and digest from @p product: the one
+ *  body of a computed job, an Image cache hit and an isolated worker's
+ *  loaded image. */
 void
 recordImage(FarmJobResult &result,
-            std::shared_ptr<const compress::ImageProduct> product,
-            bool keepImages)
+            std::shared_ptr<const compress::ImageProduct> product)
 {
     const compress::CompressedImage &image = product->image;
     result.totalBytes = image.totalBytes();
@@ -64,8 +64,7 @@ recordImage(FarmJobResult &result,
     result.ratio = image.compressionRatio();
     result.farBranchExpansions = image.farBranchExpansions;
     result.imageFnv64 = product->digest;
-    if (keepImages)
-        result.image = std::move(product);
+    result.image = std::move(product);
 }
 
 /** One per-job record; @p full adds wall time, attempts, failure
@@ -130,9 +129,10 @@ stderrExcerpt(const std::string &path)
 
 /**
  * Run one job in a worker subprocess with deadline, retries, and
- * backoff. Scratch files live under @p scratch and are removed per
- * attempt; the final result (success or a classified failure) carries
- * the attempt count and failure kind, and @p cacheStats the successful
+ * backoff. The worker gets its one-job spec as an argument; its result
+ * and stderr files live under @p scratch and are removed per attempt.
+ * The final result (success or a classified failure) carries the
+ * attempt count and failure kind, and @p cacheStats the successful
  * worker's cache counters.
  */
 FarmJobResult
@@ -175,20 +175,15 @@ runIsolatedJob(const FarmJob &job, size_t index,
             (scratch / ("job-" + std::to_string(index) + "-" +
                         std::to_string(attempt)))
                 .string();
-        std::string specPath = stem + ".json";
         std::string outPath = stem + ".bin";
         std::string errPath = stem + ".stderr";
-        writeFile(specPath,
-                  std::vector<uint8_t>(specJson.begin(), specJson.end()));
 
-        std::vector<std::string> argv = {workerBin, "--worker", specPath,
+        std::vector<std::string> argv = {workerBin, "--worker", specJson,
                                          "--worker-out", outPath};
-        if (!options.cacheDir.empty() && options.cache) {
+        if (!options.cacheDir.empty()) {
             argv.push_back("--cache-dir");
             argv.push_back(options.cacheDir);
         }
-        if (!options.keepImages)
-            argv.push_back("--worker-no-images");
 
         SubprocessOptions spawnOptions;
         spawnOptions.timeoutMs = timeoutMs;
@@ -215,7 +210,6 @@ runIsolatedJob(const FarmJob &job, size_t index,
 
         std::string excerpt = stderrExcerpt(errPath);
         std::error_code ec;
-        std::filesystem::remove(specPath, ec);
         std::filesystem::remove(outPath, ec);
         std::filesystem::remove(errPath, ec);
 
@@ -223,6 +217,8 @@ runIsolatedJob(const FarmJob &job, size_t index,
             uint32_t attempts = result.attempts;
             result = std::move(worker.result); // error-free: kind None
             result.attempts = attempts;
+            // The worker ships no sizes: take them from its image.
+            recordImage(result, std::move(result.image));
             cacheStats = worker.cacheStats;
             break;
         }
@@ -376,7 +372,6 @@ FarmReport::toJson() const
     }
     json.endObject();
     json.member("pool_jobs", poolJobs);
-    json.member("cache", cacheEnabled);
     json.member("isolate", isolated);
     json.member("build_millis", buildMillis);
     json.member("compress_millis", compressMillis);
@@ -442,27 +437,25 @@ FarmProgram::FarmProgram(std::shared_ptr<const Program> program)
 }
 
 void
-FarmProgram::resolve(compress::PipelineCache *cache)
+FarmProgram::resolve(compress::PipelineCache &cache)
 {
     if (program_)
         return; // built by the caller and hashed on construction
     const std::vector<uint8_t> &stamp = selfBuildId();
-    if (!cache || stamp.empty()) {
-        const Program &program = get();
-        if (cache)
-            hash_ = compress::PipelineCache::programHash(program);
+    if (stamp.empty()) {
+        hash_ = compress::PipelineCache::programHash(get());
         return;
     }
     uint64_t key =
         compress::PipelineCache::programKey(workload_, scale_, stamp);
     compress::PipelineCache::Claim claim;
-    if (std::optional<uint64_t> stored = cache->findProgram(key, claim)) {
+    if (std::optional<uint64_t> stored = cache.findProgram(key, claim)) {
         hash_ = *stored;
         entryKey_ = key;
         return;
     }
     hash_ = compress::PipelineCache::programHash(get());
-    cache->storeProgram(claim, hash_);
+    cache.storeProgram(claim, hash_);
 }
 
 const Program &
@@ -489,7 +482,7 @@ FarmProgram::get()
 
 FarmJobResult
 runFarmJob(const FarmJob &job, FarmProgram &program,
-           compress::PipelineCache *cache, bool keepImages)
+           compress::PipelineCache &cache)
 {
     FarmJobResult result(job);
     Clock::time_point jobStart = Clock::now();
@@ -497,12 +490,10 @@ runFarmJob(const FarmJob &job, FarmProgram &program,
         // The Image claim comes first: compressProgram takes the
         // Select and Enumerate claims after it (cache.hh).
         compress::PipelineCache::Claim claim;
-        std::shared_ptr<const compress::ImageProduct> product;
-        if (cache)
-            product = cache->findImage(
-                compress::PipelineCache::imageKey(program.hash(),
-                                                  job.config),
-                claim);
+        std::shared_ptr<const compress::ImageProduct> product =
+            cache.findImage(compress::PipelineCache::imageKey(
+                                program.hash(), job.config),
+                            claim);
         if (!product) {
             const Program &built = program.get();
             // Profile-guided layout without a caller-supplied profile:
@@ -515,14 +506,13 @@ runFarmJob(const FarmJob &job, FarmProgram &program,
                     timing::profileExecutionCounts(built);
             auto computed = std::make_shared<compress::ImageProduct>();
             computed->image = compress::compressProgram(
-                built, config, &result.stats, cache, program.hash());
+                built, config, &result.stats, &cache, program.hash());
             computed->bytes = saveImage(computed->image);
             computed->digest = fnv1a64(computed->bytes);
-            if (cache)
-                cache->storeImage(claim, computed);
+            cache.storeImage(claim, computed);
             product = std::move(computed);
         }
-        recordImage(result, std::move(product), keepImages);
+        recordImage(result, std::move(product));
     } catch (const std::exception &error) {
         result.error = error.what();
         result.failureKind = classifyJobError(error);
@@ -536,7 +526,6 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
 {
     Clock::time_point runStart = Clock::now();
     FarmReport report;
-    report.cacheEnabled = options.cache;
     report.isolated = options.isolate;
     report.poolJobs = globalJobs();
 
@@ -595,10 +584,8 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     }
 
     compress::PipelineCache cache;
-    cache.setCapacity(options.cacheMaxEntries);
-    if (!options.cacheDir.empty() && options.cache)
+    if (!options.cacheDir.empty())
         cache.setDiskStore(options.cacheDir);
-    compress::PipelineCache *cachePtr = options.cache ? &cache : nullptr;
 
     // Resolve each distinct program once, in parallel: its content
     // hash is the cache identity of every job that compresses it. A
@@ -619,7 +606,7 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     }
     Clock::time_point buildStart = Clock::now();
     globalPool().parallelFor(programs.size(), [&](size_t i) {
-        programs[i].resolve(cachePtr);
+        programs[i].resolve(cache);
     });
     report.buildMillis = millisSince(buildStart);
 
@@ -629,8 +616,7 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
     // waits for that product instead of computing it again.
     Clock::time_point compressStart = Clock::now();
     report.results = parallelMap<FarmJobResult>(jobs.size(), [&](size_t i) {
-        return runFarmJob(jobs[i], *programOf[i], cachePtr,
-                          options.keepImages);
+        return runFarmJob(jobs[i], *programOf[i], cache);
     });
     report.compressMillis = millisSince(compressStart);
     report.cacheStats = cache.stats();

@@ -13,9 +13,9 @@
  *    skips both);
  *  - shards the job queue across the same pool (one task per job;
  *    each job's compression is serial within its task);
- *  - deduplicates work through a shared PipelineCache
+ *  - deduplicates work through the run's one PipelineCache
  *    (compress/cache.hh) keyed by program content hash + config --
- *    optionally backed by a crash-safe on-disk store (cacheDir) that
+ *    backed by a crash-safe on-disk store when cacheDir is set, which
  *    survives across runs and processes. A job first looks up its
  *    finished image (the Image kind); only a miss profiles and
  *    compresses, sharing Enumerate/Select products with the other
@@ -38,9 +38,9 @@
  *
  * Output images are bit-identical to the serial single-program path
  * (compress::compressProgram) for any pool width, isolated or inline,
- * on any attempt, cache off/on/persistent: jobs are index-addressed,
- * and every cached product is a deterministic pure function of its
- * cache key.
+ * on any attempt, with or without a persistent store: jobs are
+ * index-addressed, and every cached product is a deterministic pure
+ * function of its cache key.
  *
  * The starter corpus is the paper's sweep: 8 workloads x every
  * registered scheme x {greedy, refit} strategies. Larger corpora come
@@ -115,20 +115,10 @@ uint64_t backoffMillis(uint32_t attempt, uint64_t baseMs, uint64_t capMs,
 
 struct FarmOptions
 {
-    bool cache = true; //!< share a PipelineCache across the run
-
-    /** Retain each job's image and .cci bytes in its result (the
-     *  digest is always computed). */
-    bool keepImages = true;
-
-    /** Non-empty: back the PipelineCache with this directory
+    /** Non-empty: back the run's PipelineCache with this directory
      *  (crash-safe checksummed entry files; see cache.hh). Isolated
      *  workers share work through it across processes. */
     std::string cacheDir;
-
-    /** In-memory cache entry cap (0 = unlimited); see
-     *  PipelineCache::setCapacity. */
-    size_t cacheMaxEntries = 0;
 
     /** Run each job in a worker subprocess (process isolation). */
     bool isolate = false;
@@ -163,11 +153,13 @@ struct FarmJobResult
     std::string strategy;
     std::string error; //!< non-empty = the job failed
 
-    /** The image and its bytes (if keepImages); under isolate, loaded
-     *  back from the worker's bytes. */
+    /** The image and its bytes (set iff the job succeeded); under
+     *  isolate, loaded back from the worker's bytes. */
     std::shared_ptr<const compress::ImageProduct> image;
     uint64_t imageFnv64 = 0; //!< digest of the image's bytes
 
+    /** The image's sizes, computed once from image (not accessors:
+     *  opfac's dictionaryBytes factors the whole dictionary). */
     uint64_t totalBytes = 0;
     uint64_t textBytes = 0;
     uint64_t dictBytes = 0;
@@ -187,12 +179,11 @@ struct FarmReport
 {
     std::vector<FarmJobResult> results; //!< one per job, queue order
     compress::PipelineCache::Stats cacheStats;
-    bool cacheEnabled = true;
     bool isolated = false;          //!< jobs ran in worker subprocesses
     unsigned poolJobs = 1;          //!< worker-pool width used
     /** Wall time of the Program lookups before the queue, with the
-     *  builds behind their misses (or every build, cache off). A
-     *  build a job needs after a Program hit is in compressMillis. */
+     *  builds behind their misses. A build a job needs after a
+     *  Program hit is in compressMillis. */
     double buildMillis = 0.0;
     double compressMillis = 0.0;    //!< job-queue wall time
     double wallMillis = 0.0;        //!< whole run
@@ -208,9 +199,9 @@ struct FarmReport
     /**
      * The run-invariant half of the report: per-job identity, sizes,
      * ratio, and image digest -- everything except wall times,
-     * attempt counts, and pool/cache configuration. Byte-identical
-     * across pool widths, isolation on/off, retries, and cache
-     * off/on/persistent (the farm determinism tests assert exactly
+     * attempt counts, and pool configuration. Byte-identical across
+     * pool widths, isolation on/off, retries, and with or without a
+     * persistent store (the farm determinism tests assert exactly
      * this).
      */
     std::string resultsJson() const;
@@ -244,13 +235,12 @@ class FarmProgram
     /** A program built elsewhere; its hash is computed here. */
     explicit FarmProgram(std::shared_ptr<const Program> program);
 
-    /** Learn the hash through @p cache (null: just build). Call it
-     *  once, before any job of the program looks up an image, so the
-     *  Program claim precedes every Image claim (cache.hh). Without
-     *  the executable's build-id there is no Program key, and the
-     *  program is built as with a null cache. A caller-built program
-     *  is not looked up. */
-    void resolve(compress::PipelineCache *cache);
+    /** Learn the hash through @p cache. Call it once, before any job
+     *  of the program looks up an image, so the Program claim precedes
+     *  every Image claim (cache.hh). Without the executable's build-id
+     *  there is no Program key, and the program is built and hashed
+     *  here. A caller-built program is not looked up. */
+    void resolve(compress::PipelineCache &cache);
 
     uint64_t hash() const { return hash_; }
 
@@ -268,17 +258,17 @@ class FarmProgram
 };
 
 /**
- * Compress one job of @p program (resolved against @p cache when that
- * is non-null) and capture the outcome -- success or in-band failure
- * -- as a result. With a cache, a stored image of the job's Image key
- * is the result, with no build, profiling or compression (its
- * PipelineStats stay empty). Otherwise the program is built if it was
- * not, a HotCold job without a traffic profile is profiled here, and
- * the image is compressed and stored. The shared single-job body of
- * the inline farm path and the --worker subprocess mode.
+ * Compress one job of @p program (resolved against @p cache) and
+ * capture the outcome -- success or in-band failure -- as a result. A
+ * stored image of the job's Image key is the result, with no build,
+ * profiling or compression (its PipelineStats stay empty). Otherwise
+ * the program is built if it was not, a HotCold job without a traffic
+ * profile is profiled here, and the image is compressed and stored.
+ * The shared single-job body of the inline farm path and the --worker
+ * subprocess mode.
  */
 FarmJobResult runFarmJob(const FarmJob &job, FarmProgram &program,
-                         compress::PipelineCache *cache, bool keepImages);
+                         compress::PipelineCache &cache);
 
 /**
  * Run @p jobs and aggregate the results. Unknown workload names and

@@ -14,7 +14,7 @@ namespace {
  * doubles as raw bits.
  */
 constexpr uint32_t kWorkerMagic = 0x43435752; // "CCWR"
-constexpr uint32_t kWorkerVersion = 3;
+constexpr uint32_t kWorkerVersion = 4;
 
 uint64_t
 doubleBits(double value)
@@ -86,11 +86,6 @@ serializeWorkerResult(const WorkerResult &worker)
     payload.put8(static_cast<uint8_t>(r.failureKind));
     payload.put32(r.attempts);
     payload.put64(r.imageFnv64);
-    payload.put64(r.totalBytes);
-    payload.put64(r.textBytes);
-    payload.put64(r.dictBytes);
-    payload.put64(doubleBits(r.ratio));
-    payload.put32(r.farBranchExpansions);
     payload.putBlob(r.image ? r.image->bytes : std::vector<uint8_t>{});
     putStats(payload, r.stats);
     payload.put64(doubleBits(r.millis));
@@ -124,14 +119,13 @@ parseWorkerResult(const std::vector<uint8_t> &bytes)
         r.failureKind = static_cast<FailureKind>(kind);
         r.attempts = body.get32();
         r.imageFnv64 = body.get64();
-        r.totalBytes = body.get64();
-        r.textBytes = body.get64();
-        r.dictBytes = body.get64();
-        r.ratio = bitsDouble(body.get64());
-        r.farBranchExpansions = body.get32();
         if (std::vector<uint8_t> image = body.getBlob(); !image.empty())
             r.image = compress::loadImageProduct(std::move(image),
                                                  r.imageFnv64);
+        else if (r.error.empty())
+            return LoadError{LoadStatus::BadValue, body.pos(),
+                             "worker result payload",
+                             "successful job without an image"};
         r.stats = getStats(body);
         r.millis = bitsDouble(body.get64());
         for (const auto &field : compress::PipelineCache::Stats::fields)
@@ -150,19 +144,17 @@ parseWorkerResult(const std::vector<uint8_t> &bytes)
 }
 
 WorkerResult
-runWorkerJob(const FarmJob &job, const std::string &cacheDir,
-             bool keepImages)
+runWorkerJob(const FarmJob &job, const std::string &cacheDir)
 {
     WorkerResult worker{FarmJobResult(job), {}};
     FarmJobResult &result = worker.result;
     try {
         compress::PipelineCache cache;
-        compress::PipelineCache *cachePtr = nullptr;
-        if (!cacheDir.empty() && cache.setDiskStore(cacheDir))
-            cachePtr = &cache;
+        if (!cacheDir.empty())
+            cache.setDiskStore(cacheDir);
         FarmProgram program(job.workload, job.scale);
-        program.resolve(cachePtr);
-        result = runFarmJob(job, program, cachePtr, keepImages);
+        program.resolve(cache);
+        result = runFarmJob(job, program, cache);
         worker.cacheStats = cache.stats();
     } catch (const PanicError &) {
         throw; // a library bug: let the worker exit 3 (Crash)

@@ -3,21 +3,23 @@
  * The farm's worker protocol: how an isolated job crosses the process
  * boundary.
  *
- * The parent writes a one-job spec file (jobspec.hh), spawns the
- * ccfarm binary in --worker mode, and reads back a checksummed binary
- * result file. The result file carries everything jobRecordJson needs
- * -- sizes, the image bytes and digest, the full PipelineStats, the
- * worker's cache counters -- with doubles transported as raw bits so
- * the deterministic report half is byte-identical to an inline run.
+ * The parent spawns the ccfarm binary in --worker mode with a one-job
+ * spec (jobspec.hh) as the argument of --worker, and reads back a
+ * checksummed binary result file. The result file carries the job's
+ * outcome -- the image bytes and digest, the full PipelineStats, the
+ * worker's cache counters -- with doubles transported as raw bits; the
+ * parent computes the sizes from the image it loads back, as an inline
+ * run does, so the deterministic report half is byte-identical.
  *
  * The worker writes the file with writeFileAtomic, sealed in the
  * shared container (sealPayload, support/serialize.hh); the parent
  * treats it as untrusted (a worker may have been killed mid-write):
  * openSealed's magic, version and checksum checks, parsing, and
  * loading the image back (compress::loadImageProduct, as a disk Image
- * entry is) all gate acceptance; any deviation is a classified
- * per-job LoadError failure, never a parent crash, and the job's error
- * names the check that refused the file.
+ * entry is; a successful result must carry one) all gate acceptance;
+ * any deviation is a classified per-job LoadError failure, never a
+ * parent crash, and the job's error names the check that refused the
+ * file.
  */
 
 #ifndef CODECOMP_FARM_WORKER_HH
@@ -48,15 +50,14 @@ std::vector<uint8_t> serializeWorkerResult(const WorkerResult &result);
 Result<WorkerResult> parseWorkerResult(const std::vector<uint8_t> &bytes);
 
 /**
- * Execute one job in this process on behalf of --worker mode:
- * optionally attach a persistent cache at @p cacheDir, resolve the
- * program (a Program hit builds nothing; FarmProgram), run the job,
- * and capture any catchable failure in-band (with its FailureKind) so
- * the parent can distinguish a deterministic SpecError from retryable
- * faults.
+ * Execute one job in this process on behalf of --worker mode: hold one
+ * PipelineCache (backed by @p cacheDir when that is set and usable),
+ * resolve the program (a Program hit builds nothing; FarmProgram), run
+ * the job, and capture any catchable failure in-band (with its
+ * FailureKind) so the parent can distinguish a deterministic SpecError
+ * from retryable faults.
  */
-WorkerResult runWorkerJob(const FarmJob &job, const std::string &cacheDir,
-                          bool keepImages);
+WorkerResult runWorkerJob(const FarmJob &job, const std::string &cacheDir);
 
 /**
  * Classify a finished worker subprocess: @p spawn outcome/exit code x

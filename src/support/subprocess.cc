@@ -115,9 +115,6 @@ runSubprocess(const std::vector<std::string> &argv,
     if (pid == 0) {
         // Child: redirect, exec, and on any failure exit with a code
         // the parent cannot confuse with the tool exit contract (0-3).
-        if (!options.stdoutPath.empty() &&
-            !redirectFd(options.stdoutPath.c_str(), STDOUT_FILENO))
-            ::_exit(127);
         if (!options.stderrPath.empty() &&
             !redirectFd(options.stderrPath.c_str(), STDERR_FILENO))
             ::_exit(127);

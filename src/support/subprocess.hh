@@ -6,7 +6,7 @@
  * job in a forked worker so a crash, panic, or OOM-kill in one job is
  * an observable per-job outcome instead of the death of the whole run.
  * This helper owns the fork/exec/wait machinery: spawn argv, optionally
- * redirect stdout/stderr to files, poll for exit, and on deadline
+ * redirect stderr to a file, poll for exit, and on deadline
  * expiry SIGKILL the child and report TimedOut. Every outcome --
  * normal exit, signal death, timeout, or spawn failure -- is a value,
  * never an exception, so callers can build retry policies on top.
@@ -46,9 +46,8 @@ struct SubprocessOptions
     /** Wall-clock deadline in milliseconds; 0 waits forever. */
     uint64_t timeoutMs = 0;
 
-    /** Redirect the child's stdout/stderr to these paths (empty =
-     *  inherit the parent's). */
-    std::string stdoutPath;
+    /** Redirect the child's stderr to this path (empty = inherit the
+     *  parent's). */
     std::string stderrPath;
 };
 

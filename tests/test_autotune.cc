@@ -193,10 +193,7 @@ TEST(AutotuneEndToEnd, ArtifactIsByteIdenticalAcrossJobsAndCache)
     BudgetSpec spec = smallSpec();
 
     setGlobalJobs(1);
-    farm::FarmOptions nocache;
-    nocache.cache = false;
-    std::string serial =
-        autotune::autotune({"compress"}, spec, nocache).toJson();
+    std::string serial = autotune::autotune({"compress"}, spec).toJson();
 
     setGlobalJobs(4);
     std::string parallel = autotune::autotune({"compress"}, spec).toJson();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the compression farm: bit-identity of batched output
- * against the serial single-program path at any pool width and cache
- * setting, cache hit/miss accounting on corpora with shared programs
- * and duplicated jobs, error capture, and the job-spec JSON parser.
+ * against the serial single-program path at any pool width, cache
+ * hit/miss accounting on corpora with shared programs and duplicated
+ * jobs, error capture, and the job-spec JSON parser.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +15,11 @@
 
 #include "compress/compressor.hh"
 #include "compress/encoding.hh"
-#include "compress/strategy.hh"
 #include "compress/objfile.hh"
+#include "compress/strategy.hh"
 #include "farm/farm.hh"
 #include "farm/jobspec.hh"
-#include "support/serialize.hh"
+#include "farm_reference.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
 
@@ -27,26 +27,8 @@ using namespace codecomp;
 
 namespace {
 
-/** A result's image bytes; empty if it kept no image. */
-std::vector<uint8_t>
-imageBytes(const farm::FarmJobResult &result)
-{
-    return result.image ? result.image->bytes : std::vector<uint8_t>{};
-}
-
-farm::FarmJob
-makeJob(const std::string &workload, compress::Scheme scheme,
-        compress::StrategyKind strategy)
-{
-    farm::FarmJob job;
-    job.workload = workload;
-    job.config.scheme = scheme;
-    job.config.strategy = strategy;
-    job.config.maxEntries = 4680;
-    job.id = workload + "/" + compress::schemeCliName(scheme) + "/" +
-             compress::strategyName(strategy);
-    return job;
-}
+using test::imageBytes;
+using test::makeJob;
 
 /** A small mixed queue: one workload swept across schemes (shares an
  *  enumeration), a second workload, and a refit job. */
@@ -77,17 +59,12 @@ TEST(Farm, MatchesSerialCompressorBitForBit)
     ASSERT_EQ(report.failures(), 0u);
 
     // The reference path: serial compressProgram, no farm, no cache.
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        Program program =
-            workloads::buildBenchmark(jobs[i].workload, jobs[i].scale);
-        compress::CompressedImage image =
-            compress::compressProgram(program, jobs[i].config);
-        std::vector<uint8_t> expected = saveImage(image);
-        EXPECT_EQ(imageBytes(report.results[i]), expected)
+    std::vector<std::vector<uint8_t>> expected = test::serialImages(jobs);
+    test::expectImages(jobs, report, expected);
+    for (size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(report.results[i].totalBytes,
+                  loadImage(expected[i]).totalBytes())
             << jobs[i].id;
-        EXPECT_EQ(report.results[i].imageFnv64, fnv1a64(expected));
-        EXPECT_EQ(report.results[i].totalBytes, image.totalBytes());
-    }
 }
 
 TEST(Farm, DeterministicAcrossPoolWidthsAndCache)
@@ -95,9 +72,7 @@ TEST(Farm, DeterministicAcrossPoolWidthsAndCache)
     std::vector<farm::FarmJob> jobs = smallCorpus();
 
     setGlobalJobs(1);
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    farm::FarmReport serial = farm::runFarm(jobs, noCache);
+    farm::FarmReport serial = farm::runFarm(jobs);
 
     setGlobalJobs(4);
     farm::FarmReport wide = farm::runFarm(jobs);
@@ -107,17 +82,13 @@ TEST(Farm, DeterministicAcrossPoolWidthsAndCache)
     setGlobalJobs(0);
 
     // The deterministic report half is byte-identical; the images are
-    // bit-identical job for job.
+    // the cache-free serial path's, job for job.
     EXPECT_EQ(serial.resultsJson(), wide.resultsJson());
     EXPECT_EQ(serial.resultsJson(), odd.resultsJson());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(imageBytes(serial.results[i]),
-                  imageBytes(wide.results[i]))
-            << jobs[i].id;
-        EXPECT_EQ(imageBytes(serial.results[i]),
-                  imageBytes(odd.results[i]))
-            << jobs[i].id;
-    }
+    std::vector<std::vector<uint8_t>> expected = test::serialImages(jobs);
+    test::expectImages(jobs, serial, expected);
+    test::expectImages(jobs, wide, expected);
+    test::expectImages(jobs, odd, expected);
 }
 
 TEST(Farm, CacheCountersOnDuplicatesAndSchemeSweeps)
@@ -184,10 +155,6 @@ TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
 
     setGlobalJobs(8);
     farm::FarmReport report = farm::runFarm(jobs);
-    setGlobalJobs(1);
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    farm::FarmReport reference = farm::runFarm(jobs, noCache);
     setGlobalJobs(0);
 
     ASSERT_EQ(report.failures(), 0u);
@@ -195,7 +162,7 @@ TEST(Farm, DuplicatesHitSelectionAtAnyPoolWidth)
     EXPECT_EQ(report.cacheStats.selectMisses, 2u);
     EXPECT_EQ(report.cacheStats.imageHits, 0u);
     EXPECT_EQ(report.cacheStats.imageMisses, 5u);
-    EXPECT_EQ(report.resultsJson(), reference.resultsJson());
+    test::expectImages(jobs, report, test::serialImages(jobs));
 }
 
 TEST(Farm, CachedSelectReportsColdRounds)
@@ -215,9 +182,6 @@ TEST(Farm, CachedSelectReportsColdRounds)
 
     setGlobalJobs(1);
     farm::FarmReport report = farm::runFarm(jobs);
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    farm::FarmReport reference = farm::runFarm(jobs, noCache);
     setGlobalJobs(0);
 
     ASSERT_EQ(report.failures(), 0u);
@@ -241,28 +205,7 @@ TEST(Farm, CachedSelectReportsColdRounds)
     EXPECT_EQ(coldEnumerate->counter("select_cache_hit"), 0u);
     EXPECT_EQ(dupEnumerate->counter("select_cache_hit"), 1u);
     EXPECT_EQ(report.cacheStats.selectHits, 1u);
-    EXPECT_EQ(report.resultsJson(), reference.resultsJson());
-}
-
-TEST(Farm, CacheOffRecordsNoActivity)
-{
-    farm::FarmOptions options;
-    options.cache = false;
-    setGlobalJobs(2);
-    farm::FarmReport report = farm::runFarm(
-        {makeJob("compress", compress::Scheme::Nibble,
-                 compress::StrategyKind::Greedy),
-         makeJob("compress", compress::Scheme::Nibble,
-                 compress::StrategyKind::Greedy)},
-        options);
-    setGlobalJobs(0);
-    EXPECT_EQ(report.failures(), 0u);
-    EXPECT_EQ(report.cacheStats.enumHits, 0u);
-    EXPECT_EQ(report.cacheStats.enumMisses, 0u);
-    EXPECT_EQ(report.cacheStats.selectHits, 0u);
-    EXPECT_EQ(report.cacheStats.selectMisses, 0u);
-    EXPECT_EQ(report.cacheStats.imageHits, 0u);
-    EXPECT_EQ(report.cacheStats.imageMisses, 0u);
+    test::expectImages(jobs, report, test::serialImages(jobs));
 }
 
 TEST(Farm, UnknownWorkloadIsCatchableFatal)

@@ -4,8 +4,8 @@
  * worker result protocol (round-trip and corruption rejection), the
  * failure-classification table, deterministic backoff, the crash-safe
  * persistent pipeline cache (damage is detected, quarantined, and
- * never changes results), LRU capacity eviction, and -- when the
- * ccfarm binary is available -- end-to-end process isolation with
+ * never changes results), and -- when the ccfarm binary is available
+ * -- end-to-end process isolation with
  * deadlines and retries, its faults injected by a stand-in worker
  * script.
  */
@@ -34,6 +34,7 @@
 #include "decompress/fault.hh"
 #include "farm/farm.hh"
 #include "farm/worker.hh"
+#include "farm_reference.hh"
 #include "isa/builder.hh"
 #include "isa/inst.hh"
 #include "support/serialize.hh"
@@ -48,19 +49,8 @@ namespace {
 
 // ---------------- helpers ----------------
 
-farm::FarmJob
-makeJob(const std::string &workload, compress::Scheme scheme,
-        compress::StrategyKind strategy)
-{
-    farm::FarmJob job;
-    job.workload = workload;
-    job.config.scheme = scheme;
-    job.config.strategy = strategy;
-    job.config.maxEntries = 4680;
-    job.id = workload + "/" + compress::schemeCliName(scheme) + "/" +
-             compress::strategyName(strategy);
-    return job;
-}
+using test::imageBytes;
+using test::makeJob;
 
 std::vector<farm::FarmJob>
 tinyCorpus()
@@ -98,13 +88,6 @@ class ScratchDir
   private:
     std::filesystem::path path_;
 };
-
-/** A result's image bytes; empty if it kept no image. */
-std::vector<uint8_t>
-imageBytes(const farm::FarmJobResult &result)
-{
-    return result.image ? result.image->bytes : std::vector<uint8_t>{};
-}
 
 std::vector<std::filesystem::path>
 storeEntries(const std::filesystem::path &dir, const char *extension)
@@ -249,8 +232,8 @@ TEST(FarmFaultUnit, ProfilingMachineCheckIsClassifiedInline)
     job.config.layout = compress::LayoutMode::HotCold;
 
     farm::FarmProgram given(std::make_shared<const Program>(program));
-    farm::FarmJobResult result =
-        farm::runFarmJob(job, given, nullptr, false);
+    compress::PipelineCache cache;
+    farm::FarmJobResult result = farm::runFarmJob(job, given, cache);
     EXPECT_FALSE(result.ok());
     EXPECT_EQ(result.failureKind, farm::FailureKind::MachineCheck)
         << farm::failureKindName(result.failureKind) << ": "
@@ -353,11 +336,6 @@ sampleWorkerResult()
     image->digest = fnv1a64(image->bytes);
     r.image = image;
     r.imageFnv64 = image->digest;
-    r.totalBytes = 5371;
-    r.textBytes = 4000;
-    r.dictBytes = 900;
-    r.ratio = 0.54215;
-    r.farBranchExpansions = 3;
     r.millis = 12.75;
     r.attempts = 2;
     compress::PassStats pass;
@@ -390,13 +368,8 @@ TEST(WorkerProtocol, RoundTripsEveryField)
     EXPECT_EQ(r.image->bytes, o.image->bytes);
     EXPECT_EQ(r.image->digest, o.image->digest);
     EXPECT_EQ(r.imageFnv64, o.imageFnv64);
-    EXPECT_EQ(r.totalBytes, o.totalBytes);
-    EXPECT_EQ(r.textBytes, o.textBytes);
-    EXPECT_EQ(r.dictBytes, o.dictBytes);
     // Doubles cross the boundary as raw bits: exact equality holds.
-    EXPECT_EQ(r.ratio, o.ratio);
     EXPECT_EQ(r.millis, o.millis);
-    EXPECT_EQ(r.farBranchExpansions, o.farBranchExpansions);
     EXPECT_EQ(r.attempts, o.attempts);
     EXPECT_EQ(r.failureKind, o.failureKind);
     ASSERT_EQ(r.stats.passes.size(), 1u);
@@ -406,6 +379,25 @@ TEST(WorkerProtocol, RoundTripsEveryField)
     EXPECT_EQ(parsed.value().cacheStats.enumHits, 1u);
     EXPECT_EQ(parsed.value().cacheStats.selectMisses, 2u);
     EXPECT_EQ(parsed.value().cacheStats.persistStores, 3u);
+}
+
+TEST(WorkerProtocol, SuccessWithoutAnImageIsRejected)
+{
+    // The parent computes a job's sizes from the image it loads back,
+    // so a successful result must carry one; a failed result need not.
+    farm::WorkerResult worker = sampleWorkerResult();
+    worker.result.image.reset();
+    Result<farm::WorkerResult> parsed =
+        farm::parseWorkerResult(farm::serializeWorkerResult(worker));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.error().message().find("without an image"),
+              std::string::npos)
+        << parsed.error().message();
+
+    worker.result.error = "bad config";
+    worker.result.failureKind = farm::FailureKind::SpecError;
+    EXPECT_TRUE(
+        farm::parseWorkerResult(farm::serializeWorkerResult(worker)).ok());
 }
 
 TEST(WorkerProtocol, RejectsDamageAnywhere)
@@ -562,27 +554,6 @@ TEST(FarmFaultCache, UnusableStoreDirectoryDegradesGracefully)
     EXPECT_EQ(report.failures(), 0u);
 }
 
-TEST(FarmFaultCache, CapacityCapEvictsLruButNeverChangesResults)
-{
-    std::vector<farm::FarmJob> jobs = tinyCorpus();
-    farm::FarmOptions uncapped;
-    farm::FarmOptions capped;
-    capped.cacheMaxEntries = 1;
-
-    setGlobalJobs(1);
-    farm::FarmReport a = farm::runFarm(jobs, uncapped);
-    farm::FarmReport b = farm::runFarm(jobs, capped);
-    setGlobalJobs(0);
-
-    ASSERT_EQ(a.failures(), 0u);
-    ASSERT_EQ(b.failures(), 0u);
-    EXPECT_EQ(a.cacheStats.evictions, 0u);
-    EXPECT_GT(b.cacheStats.evictions, 0u);
-    EXPECT_EQ(a.resultsJson(), b.resultsJson());
-    for (size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(imageBytes(a.results[i]), imageBytes(b.results[i]));
-}
-
 TEST(FarmFaultCache, VersionOneEntryIsQuarantinedAndRecomputed)
 {
     // A store written before candidate sets became CSR arrays holds
@@ -709,10 +680,7 @@ TEST(FarmFaultCache, LayoutOrProfileMissesImageButHitsSelect)
     jobs[2].config.trafficProfile = profile;
     jobs[2].config.trafficProfile[0] += 1;
 
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    setGlobalJobs(1);
-    farm::FarmReport reference = farm::runFarm(jobs, noCache);
+    std::vector<std::vector<uint8_t>> reference = test::serialImages(jobs);
     for (unsigned width : {1u, 4u}) {
         setGlobalJobs(width);
         farm::FarmReport report = farm::runFarm(jobs);
@@ -721,12 +689,11 @@ TEST(FarmFaultCache, LayoutOrProfileMissesImageButHitsSelect)
         EXPECT_EQ(report.cacheStats.imageHits, 0u) << "width " << width;
         EXPECT_EQ(report.cacheStats.selectHits, 3u) << "width " << width;
         EXPECT_EQ(report.cacheStats.selectMisses, 1u) << "width " << width;
-        EXPECT_EQ(report.resultsJson(), reference.resultsJson());
+        test::expectImages(jobs, report, reference);
     }
     setGlobalJobs(0);
     // The derived profile is the given one, so those images agree.
-    EXPECT_EQ(imageBytes(reference.results[1]),
-              imageBytes(reference.results[3]));
+    EXPECT_EQ(reference[1], reference[3]);
 }
 
 TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
@@ -770,7 +737,7 @@ TEST(FarmFaultCache, WarmHotColdJobHitsImageWithoutProfiling)
     cache.storeImage(claim, product);
 
     farm::FarmJobResult result =
-        farm::runFarmJob(handmade, given, &cache, true);
+        farm::runFarmJob(handmade, given, cache);
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.image, product); // the stored product, not a copy
     EXPECT_EQ(result.imageFnv64, fnv1a64(product->bytes));
@@ -944,19 +911,16 @@ TEST(FarmFaultCache, ProgramEntryOfAnotherToolIsAMiss)
         other.storeProgram(claim, 0x1234);
     }
 
-    farm::FarmJob job = makeJob("compress", compress::Scheme::Nibble,
-                                compress::StrategyKind::Greedy);
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    farm::FarmReport reference = farm::runFarm({job}, noCache);
+    std::vector<farm::FarmJob> jobs = {makeJob(
+        "compress", compress::Scheme::Nibble, compress::StrategyKind::Greedy)};
     farm::FarmOptions options;
     options.cacheDir = dir.str();
-    farm::FarmReport report = farm::runFarm({job}, options);
+    farm::FarmReport report = farm::runFarm(jobs, options);
     ASSERT_EQ(report.failures(), 0u);
     EXPECT_EQ(report.cacheStats.programHits, 0u);
     EXPECT_EQ(report.cacheStats.programMisses, 1u);
     EXPECT_EQ(report.cacheStats.persistCorrupt, 0u);
-    EXPECT_EQ(report.resultsJson(), reference.resultsJson());
+    test::expectImages(jobs, report, test::serialImages(jobs));
     EXPECT_TRUE(std::filesystem::exists(entryFile(dir, "prog", otherKey)));
     EXPECT_TRUE(std::filesystem::exists(entryFile(dir, "prog", ownKey)));
 }
@@ -1070,7 +1034,7 @@ TEST(FarmFaultCache, ProgramHitThenImageMissBuildsOnDemand)
     // A warm store, then jobs of its programs under layouts it has no
     // image for (one of them profile-derived HotCold): the programs are
     // Program hits, so each is built on demand by its first job whose
-    // image misses, and the images match a cache-off run's.
+    // image misses, and the images match the serial path's.
     if (selfBuildId().empty())
         GTEST_SKIP() << "this executable has no build-id";
     std::vector<farm::FarmJob> jobs = tinyCorpus();
@@ -1080,11 +1044,8 @@ TEST(FarmFaultCache, ProgramHitThenImageMissBuildsOnDemand)
         job.id += "#hotcold";
         relaid.push_back(job);
     }
-    farm::FarmOptions noCache;
-    noCache.cache = false;
-    setGlobalJobs(1);
-    farm::FarmReport reference = farm::runFarm(relaid, noCache);
-    ASSERT_EQ(reference.failures(), 0u);
+    std::vector<std::vector<uint8_t>> reference =
+        test::serialImages(relaid);
     for (unsigned width : {1u, 4u}) {
         ScratchDir dir("program-relaid-" + std::to_string(width));
         farm::FarmOptions options;
@@ -1097,11 +1058,7 @@ TEST(FarmFaultCache, ProgramHitThenImageMissBuildsOnDemand)
         EXPECT_EQ(report.cacheStats.programMisses, 0u) << "width " << width;
         EXPECT_EQ(report.cacheStats.imageMisses, relaid.size());
         EXPECT_EQ(report.cacheStats.selectHits, relaid.size());
-        EXPECT_EQ(report.resultsJson(), reference.resultsJson());
-        for (size_t i = 0; i < relaid.size(); ++i)
-            EXPECT_EQ(imageBytes(report.results[i]),
-                      imageBytes(reference.results[i]))
-                << relaid[i].id;
+        test::expectImages(relaid, report, reference);
     }
     setGlobalJobs(0);
 }
@@ -1225,7 +1182,7 @@ faultyWorker(const ScratchDir &dir, Fault fault,
 {
     std::string action =
         fault == Fault::Crash ? "kill -KILL $$" : "exec sleep 30";
-    std::string body = "read -r spec < \"$2\"\ncase \"$spec\" in\n";
+    std::string body = "spec=$2\ncase \"$spec\" in\n";
     for (size_t i = 0; i < ids.size(); ++i) {
         std::string marker =
             "'" + (dir.path() / ("faulted-" + std::to_string(i))).string() +

@@ -11,7 +11,7 @@
  *              [--expand-cycles N] [--redirect-penalty N]
  *              [--l2 CAP:LINE:WAYS] [--l2-hit N] [--l2-cycles N]
  *              [--max-steps N] [--jobs N] [--isolate N]
- *              [--worker-binary <ccfarm>] [--no-cache] [--cache-dir D]
+ *              [--worker-binary <ccfarm>] [--cache-dir D]
  *              [--json <file>] [--frontier]
  *
  * The compression sweep runs as farm jobs (shared pipeline cache;
@@ -19,8 +19,9 @@
  * binary next to this executable). The human report prints the winner
  * table per workload; --frontier also prints every Pareto point.
  * --json writes AutotuneResult::toJson(), which is byte-identical for
- * any --jobs value and any cache setting. Exit codes follow
- * tool_common.hh: bad flags, unknown names, and invalid models exit 1.
+ * any --jobs value, inline or isolated, with or without --cache-dir.
+ * Exit codes follow tool_common.hh: bad flags, unknown names, and
+ * invalid models exit 1.
  */
 
 #include <cstdio>
@@ -57,7 +58,7 @@ usage()
         "[--l2-cycles N]\n"
         "       [--max-steps N] [--jobs N] [--isolate N] "
         "[--worker-binary <ccfarm>]\n"
-        "       [--no-cache] [--cache-dir D] [--json <file>] "
+        "       [--cache-dir D] [--json <file>] "
         "[--frontier]\n",
         compress::schemeCliNames(",").c_str(),
         compress::strategyCliNames(",").c_str());
@@ -164,8 +165,6 @@ run(int argc, char **argv)
             options.isolate = true;
         } else if (arg == "--worker-binary" && i + 1 < argc) {
             options.workerBinary = argv[++i];
-        } else if (arg == "--no-cache") {
-            options.cache = false;
         } else if (arg == "--cache-dir" && i + 1 < argc) {
             options.cacheDir = argv[++i];
         } else if (arg == "--json" && i + 1 < argc) {

@@ -6,7 +6,7 @@
  *   ccfarm [--spec jobs.json]
  *          [--workloads a,b,...] [--schemes x,y] [--strategies s,t]
  *          [--jobs N] [--isolate N] [--job-timeout MS] [--retries N]
- *          [--backoff MS] [--no-cache] [--cache-dir dir/] [--cache-cap N]
+ *          [--backoff MS] [--cache-dir dir/]
  *          [--report out.json] [--results out.json] [--images outdir/]
  *          [--list]
  *
@@ -23,19 +23,18 @@
  * --retries add deadlines and retry-with-backoff on top; the delay
  * doubles from --backoff MS, with jitter fixed per (job, attempt).
  *
- * --cache-dir backs the pipeline cache with a crash-safe on-disk
- * store shared across runs and worker processes; a damaged store is
- * detected (checksums), quarantined, and silently recomputed --
- * results are never affected.
+ * Every run shares its work through one pipeline cache. --cache-dir
+ * backs it with a crash-safe on-disk store shared across runs and
+ * worker processes; a damaged store is detected (checksums),
+ * quarantined, and silently recomputed -- results are never affected.
  *
  * --images writes each job's .cci image into the directory (job ids
  * with '/' becoming '-'); the images are bit-identical to what serial
  * ccompress produces for the same program and config, at any --jobs /
- * --isolate width, with retries, and with the cache off, on, or
- * persistent. --report writes the full aggregated JSON report;
- * --results writes just the deterministic results array (the
- * byte-identity surface the determinism tests compare); stdout always
- * carries a human summary.
+ * --isolate width, with retries, and with or without --cache-dir.
+ * --report writes the full aggregated JSON report; --results writes
+ * just the deterministic results array (the byte-identity surface the
+ * determinism tests compare); stdout always carries a human summary.
  */
 
 #include <algorithm>
@@ -66,8 +65,8 @@ usage()
                  "[--schemes %s,...] "
                  "[--strategies greedy,refit] [--jobs N] "
                  "[--isolate N] [--job-timeout MS] [--retries N] "
-                 "[--backoff MS] [--no-cache] "
-                 "[--cache-dir dir/] [--cache-cap N] [--report out.json] "
+                 "[--backoff MS] "
+                 "[--cache-dir dir/] [--report out.json] "
                  "[--results out.json] [--images outdir/] [--list]\n",
                  compress::schemeCliNames(",").c_str());
     return tools::exitUserError;
@@ -98,47 +97,42 @@ writeText(const std::string &path, const std::string &text)
 }
 
 /**
- * Hidden worker mode: execute exactly one job from a one-job spec
- * file and write the checksummed binary result (writeFileAtomic,
- * so a kill mid-write leaves no half-written file the parent could
- * mistake for a result). In-band job failures still exit 0 -- the
- * result file carries their FailureKind; only worker-level plumbing
- * failures (unreadable spec, unwritable result) exit nonzero.
+ * Hidden worker mode: execute exactly one job from the one-job spec
+ * given as the argument of --worker and write the checksummed binary
+ * result (writeFileAtomic, so a kill mid-write leaves no half-written
+ * file the parent could mistake for a result). In-band job failures
+ * still exit 0 -- the result file carries their FailureKind; only
+ * worker-level plumbing failures (bad spec, unwritable result) exit
+ * nonzero.
  */
 int
 runWorker(int argc, char **argv)
 {
-    std::string specPath;
+    std::string spec;
     std::string outPath;
     std::string cacheDir;
-    bool keepImages = true;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--worker" && i + 1 < argc) {
-            specPath = argv[++i];
+            spec = argv[++i];
         } else if (arg == "--worker-out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (arg == "--cache-dir" && i + 1 < argc) {
             cacheDir = argv[++i];
-        } else if (arg == "--worker-no-images") {
-            keepImages = false;
         } else {
             return badArg("unknown worker-mode argument '" + arg + "'");
         }
     }
-    if (specPath.empty() || outPath.empty())
+    if (spec.empty() || outPath.empty())
         return badArg("--worker requires --worker-out");
 
-    std::vector<uint8_t> bytes = readFile(specPath);
-    std::vector<farm::FarmJob> jobs =
-        farm::parseJobSpec(std::string(bytes.begin(), bytes.end()));
+    std::vector<farm::FarmJob> jobs = farm::parseJobSpec(spec);
     if (jobs.size() != 1)
         return badArg("worker spec must contain exactly one job, got " +
                       std::to_string(jobs.size()));
 
-    farm::WorkerResult result =
-        farm::runWorkerJob(jobs[0], cacheDir, keepImages);
+    farm::WorkerResult result = farm::runWorkerJob(jobs[0], cacheDir);
     if (std::optional<LoadError> error = writeFileAtomic(
             outPath, farm::serializeWorkerResult(result)))
         throw LoadFailure(*error);
@@ -187,13 +181,8 @@ run(int argc, char **argv)
         } else if (arg == "--backoff" && i + 1 < argc) {
             options.backoffBaseMs =
                 tools::flagValue<uint64_t>("--backoff", argv[++i]);
-        } else if (arg == "--no-cache") {
-            options.cache = false;
         } else if (arg == "--cache-dir" && i + 1 < argc) {
             options.cacheDir = argv[++i];
-        } else if (arg == "--cache-cap" && i + 1 < argc) {
-            options.cacheMaxEntries =
-                tools::flagValue<size_t>("--cache-cap", argv[++i], 1);
         } else if (arg == "--report" && i + 1 < argc) {
             reportPath = argv[++i];
         } else if (arg == "--results" && i + 1 < argc) {
@@ -279,7 +268,6 @@ run(int argc, char **argv)
         return tools::exitOk;
     }
 
-    options.keepImages = !imagesDir.empty();
     farm::FarmReport report = farm::runFarm(jobs, options);
 
     if (!imagesDir.empty()) {
@@ -323,10 +311,9 @@ run(int argc, char **argv)
                           static_cast<double>(report.results.size()) /
                           report.compressMillis
                     : 0.0);
-    std::printf("cache: %s, program %llu hit / %llu miss, image %llu "
+    std::printf("cache: program %llu hit / %llu miss, image %llu "
                 "hit / %llu miss, enumerate %llu hit / %llu miss, select "
                 "%llu hit / %llu miss",
-                report.cacheEnabled ? "on" : "off",
                 static_cast<unsigned long long>(cs.programHits),
                 static_cast<unsigned long long>(cs.programMisses),
                 static_cast<unsigned long long>(cs.imageHits),
@@ -335,9 +322,6 @@ run(int argc, char **argv)
                 static_cast<unsigned long long>(cs.enumMisses),
                 static_cast<unsigned long long>(cs.selectHits),
                 static_cast<unsigned long long>(cs.selectMisses));
-    if (cs.evictions)
-        std::printf(", %llu evicted",
-                    static_cast<unsigned long long>(cs.evictions));
     if (!options.cacheDir.empty())
         std::printf("; disk %llu hit / %llu store / %llu corrupt",
                     static_cast<unsigned long long>(cs.persistHits),
