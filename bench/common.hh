@@ -8,12 +8,12 @@
  * side-by-side record).
  *
  * Every sweep point is an independent compress, so the harnesses fan
- * out over the global thread pool: initJobs() reads a --jobs N flag
- * (falling back to CODECOMP_JOBS, then hardware_concurrency), the
- * suite is built concurrently, and parallelGrid() evaluates a
- * bench x config matrix with results collected in index order. The
- * compressor is bit-deterministic for any job count, so figures are
- * reproduced exactly regardless of parallelism.
+ * out in parallel stages: initJobs() reads a --jobs N flag (falling
+ * back to hardware_concurrency), the suite is built concurrently,
+ * and parallelGrid() evaluates a bench x config matrix with results
+ * collected in index order. The compressor is bit-deterministic for
+ * any job count, so figures are reproduced exactly regardless of
+ * parallelism.
  */
 
 #ifndef CODECOMP_BENCH_COMMON_HH
@@ -76,14 +76,13 @@ buildSuite()
 }
 
 /**
- * Evaluate fn(row, col) for every point of a rows x cols sweep on the
- * global pool; results come back as [row][col], so printing stays in
- * table order no matter how the points were scheduled.
+ * Evaluate fn(row, col) for every point of a rows x cols sweep in one
+ * parallel stage; results come back as [row][col], so printing stays
+ * in table order no matter how the points were scheduled.
  */
-template <typename R>
+template <typename R, typename Fn>
 std::vector<std::vector<R>>
-parallelGrid(size_t rows, size_t cols,
-             const std::function<R(size_t, size_t)> &fn)
+parallelGrid(size_t rows, size_t cols, const Fn &fn)
 {
     std::vector<R> flat = parallelMap<R>(
         rows * cols,

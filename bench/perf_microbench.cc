@@ -7,11 +7,11 @@
  * scan), and compressed vs native execution rates.
  *
  * After the registered benchmarks, main() times one end-to-end
- * compression of the whole eight-workload suite serially and with the
- * worker pool, and emits a single machine-readable JSON line
+ * compression of the whole eight-workload suite serially and in
+ * parallel, and emits a single machine-readable JSON line
  * (prefixed "PERF_JSON: ") so the bench trajectory can track the
- * parallel speedup over time. CODECOMP_JOBS / --jobs control the
- * parallel leg's worker count.
+ * parallel speedup over time. --jobs controls the parallel leg's
+ * worker count.
  */
 
 #include <benchmark/benchmark.h>
@@ -307,6 +307,7 @@ double
 suiteCompressMs(const std::vector<std::pair<std::string, Program>> &suite,
                 unsigned jobs)
 {
+    unsigned previous = globalJobs();
     setGlobalJobs(jobs);
     auto start = std::chrono::steady_clock::now();
     std::vector<size_t> sizes = parallelMap<size_t>(
@@ -318,7 +319,7 @@ suiteCompressMs(const std::vector<std::pair<std::string, Program>> &suite,
         });
     auto end = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(sizes.data());
-    setGlobalJobs(0);
+    setGlobalJobs(previous);
     return std::chrono::duration<double, std::milli>(end - start)
         .count();
 }

@@ -298,7 +298,7 @@ autotune(const std::vector<std::string> &workloadNames,
     // an isolated worker's validated bytes.
     Clock::time_point price_start = Clock::now();
     size_t points_per_workload = space.points.size();
-    globalPool().parallelFor(workloadNames.size(), [&](size_t w) {
+    parallelFor(workloadNames.size(), [&](size_t w) {
         WorkloadResult &wr = result.workloads[w];
         for (size_t j = 0; j < points_per_workload; ++j) {
             const farm::FarmJobResult &job =

@@ -605,13 +605,13 @@ runFarm(const std::vector<FarmJob> &jobs, const FarmOptions &options)
         programOf.push_back(program);
     }
     Clock::time_point buildStart = Clock::now();
-    globalPool().parallelFor(programs.size(), [&](size_t i) {
+    parallelFor(programs.size(), [&](size_t i) {
         programs[i].resolve(cache);
     });
     report.buildMillis = millisSince(buildStart);
 
-    // Shard the queue: one pool task per job, results index-addressed
-    // so the report order is the queue order at any pool width. The
+    // Shard the queue: one stage index per job, results index-addressed
+    // so the report order is the queue order at any width. The
     // cache gives each key one computer; a job whose key is in flight
     // waits for that product instead of computing it again.
     Clock::time_point compressStart = Clock::now();

@@ -8,11 +8,11 @@
  *
  *  - looks up each distinct (workload, scale) program's content hash
  *    in the cache's Program kind, and builds the program, at most once
- *    and in parallel on the global worker pool, only where that lookup
+ *    and in one parallel stage (support/thread_pool), only where that lookup
  *    misses or one of its jobs has to compress it (FarmJob::program
  *    skips both);
- *  - shards the job queue across the same pool (one task per job;
- *    each job's compression is serial within its task);
+ *  - runs the job queue as a second parallel stage (one index per
+ *    job; each job's compression is serial);
  *  - deduplicates work through the run's one PipelineCache
  *    (compress/cache.hh) keyed by program content hash + config --
  *    backed by a crash-safe on-disk store when cacheDir is set, which

@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <link.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -107,24 +108,37 @@ runSubprocess(const std::vector<std::string> &argv,
         args.push_back(const_cast<char *>(arg.c_str()));
     args.push_back(nullptr);
 
+    pid_t parent = ::getpid();
     pid_t pid = ::fork();
     if (pid < 0) {
         result.error = std::strerror(errno);
         return result;
     }
     if (pid == 0) {
-        // Child: redirect, exec, and on any failure exit with a code
-        // the parent cannot confuse with the tool exit contract (0-3).
+        // Child: lead a process group of its own, so the deadline
+        // kills whatever it forks too. Outside the terminal's group it
+        // misses a Ctrl-C, so it dies with the parent instead (checked
+        // once more in case the parent died before the prctl). Then
+        // redirect, exec, and on any failure exit with a code the
+        // parent cannot confuse with the tool exit contract (0-3).
+        ::setpgid(0, 0);
+        if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+            ::getppid() != parent)
+            ::_exit(127);
         if (!options.stderrPath.empty() &&
             !redirectFd(options.stderrPath.c_str(), STDERR_FILENO))
             ::_exit(127);
         ::execv(args[0], args.data());
         ::_exit(127);
     }
+    // Also from this side, so the group exists before any deadline
+    // (fails harmlessly once the child has exec'd).
+    ::setpgid(pid, pid);
 
-    // Parent: poll for exit; past the deadline, SIGKILL and reap. The
-    // poll interval is short enough that deadline overshoot is noise
-    // next to the multi-millisecond jobs the farm runs.
+    // Parent: poll for exit; past the deadline, SIGKILL the child's
+    // process group and reap the child. The poll interval is short
+    // enough that deadline overshoot is noise next to the
+    // multi-millisecond jobs the farm runs.
     int status = 0;
     bool killed = false;
     for (;;) {
@@ -137,7 +151,7 @@ runSubprocess(const std::vector<std::string> &argv,
         }
         if (!killed && options.timeoutMs > 0 &&
             millisSince(start) >= static_cast<double>(options.timeoutMs)) {
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
             killed = true;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -7,7 +7,7 @@
  * an observable per-job outcome instead of the death of the whole run.
  * This helper owns the fork/exec/wait machinery: spawn argv, optionally
  * redirect stderr to a file, poll for exit, and on deadline
- * expiry SIGKILL the child and report TimedOut. Every outcome --
+ * expiry SIGKILL the child's process group and report TimedOut. Every outcome --
  * normal exit, signal death, timeout, or spawn failure -- is a value,
  * never an exception, so callers can build retry policies on top.
  */
@@ -26,7 +26,7 @@ struct SubprocessResult
     enum class Outcome : uint8_t {
         Exited,      //!< child ran to completion; exitCode is valid
         Signaled,    //!< child died on a signal; signal is valid
-        TimedOut,    //!< deadline expired; child was SIGKILLed
+        TimedOut,    //!< deadline expired; child's group was SIGKILLed
         SpawnFailed, //!< fork/exec never happened; error is valid
     };
 
@@ -53,9 +53,11 @@ struct SubprocessOptions
 
 /**
  * Run @p argv (argv[0] is the executable path) and wait for it under
- * @p options. The child is always reaped before returning; a timed-out
- * child is SIGKILLed first, so no zombie or runaway worker survives
- * the call.
+ * @p options. The child leads a process group of its own and is
+ * SIGKILLed if the thread that spawned it exits first. It is always
+ * reaped before returning; at the deadline its whole process group is
+ * SIGKILLed first, so neither a runaway worker nor anything it forked
+ * survives the call.
  */
 SubprocessResult runSubprocess(const std::vector<std::string> &argv,
                                const SubprocessOptions &options = {});

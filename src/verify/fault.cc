@@ -297,10 +297,9 @@ faultKindName(FaultKind kind)
 }
 
 FaultInjection
-injectFault(const Program &program, const compress::CompressedImage &image,
-            FaultKind kind, uint64_t seed)
+injectFault(const compress::CompressedImage &image, FaultKind kind,
+            uint64_t seed)
 {
-    (void)program;
     DecompressionEngine engine(image);
     Profile profile = profileRun(image, CompressedCpu::defaultMaxSteps);
     Rng rng(seed);

@@ -42,12 +42,10 @@ struct FaultInjection
 };
 
 /**
- * Produce a mutated copy of @p image. The profiling run executes the
- * pristine image, so @p program must be the source of @p image.
- * Deterministic in @p seed.
+ * Produce a mutated copy of @p image. The mutation site is chosen from
+ * a profiling run of the pristine image. Deterministic in @p seed.
  */
-FaultInjection injectFault(const Program &program,
-                           const compress::CompressedImage &image,
+FaultInjection injectFault(const compress::CompressedImage &image,
                            FaultKind kind, uint64_t seed);
 
 // ---------------------------------------------------------------------

@@ -12,14 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -135,6 +138,40 @@ TEST(Subprocess, DeadlineKillsAHungChild)
     EXPECT_FALSE(result.ok());
     // Killed near the deadline, not after the full sleep.
     EXPECT_LT(result.millis, 10000.0);
+}
+
+TEST(Subprocess, DeadlineKillsWhatTheChildForked)
+{
+    // The shell forks a sleep and waits on it; the deadline must take
+    // down the sleep too, not only the shell.
+    ScratchDir dir("pgroup");
+    std::string pidFile = (dir.path() / "pid").string();
+    SubprocessOptions options;
+    options.timeoutMs = 200;
+    SubprocessResult result = runSubprocess(
+        {"/bin/sh", "-c", "sleep 30 & echo $! > '" + pidFile + "'; wait"},
+        options);
+    ASSERT_EQ(result.outcome, SubprocessResult::Outcome::TimedOut);
+    Result<std::vector<uint8_t>> bytes = tryReadFile(pidFile);
+    ASSERT_TRUE(bytes.ok());
+    std::string pid(bytes.value().begin(), bytes.value().end());
+    pid.erase(pid.find_last_not_of(" \n") + 1);
+    ASSERT_FALSE(pid.empty());
+
+    // Gone, or a zombie if nothing reaps the orphan: stat's third
+    // field (after the parenthesised name) is the state.
+    auto dead = [&pid] {
+        std::ifstream stat("/proc/" + pid + "/stat");
+        std::string text;
+        if (!std::getline(stat, text))
+            return true;
+        size_t close = text.rfind(')');
+        return close != std::string::npos && close + 2 < text.size() &&
+               text[close + 2] == 'Z';
+    };
+    for (int i = 0; i < 100 && !dead(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(dead()) << "forked sleep " << pid << " outlived the kill";
 }
 
 TEST(Subprocess, MissingBinaryExits127)

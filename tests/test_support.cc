@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the support substrate: nibble/bit stream writers and
- * readers (the carrier of every compressed program), the worker pool
- * behind every parallel stage, the deterministic RNG, the JSON writer
+ * readers (the carrier of every compressed program), the scoped
+ * parallelFor behind every parallel stage, the deterministic RNG, the JSON writer
  * used for pipeline statistics and benchmark output, and the sealed
  * container and crash-safe write behind every file the repo reads
  * back.
@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <chrono>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -137,71 +137,69 @@ TEST_P(StreamProperty, RandomChunksRoundTrip)
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamProperty,
                          ::testing::Values(1, 7, 99, 12345));
 
-// ---------------- thread pool ----------------
+// ---------------- parallel stages ----------------
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce)
 {
-    for (unsigned threads : {1u, 2u, 4u}) {
-        ThreadPool pool(threads);
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        setGlobalJobs(jobs);
         constexpr size_t n = 10000;
         std::vector<std::atomic<int>> visits(n);
-        pool.parallelFor(n, [&visits](size_t i) { visits[i]++; });
+        parallelFor(n, [&visits](size_t i) { visits[i]++; });
         for (size_t i = 0; i < n; ++i)
-            ASSERT_EQ(visits[i].load(), 1) << "threads " << threads
+            ASSERT_EQ(visits[i].load(), 1) << "jobs " << jobs
                                            << " index " << i;
+        parallelFor(0, [](size_t) { FAIL() << "empty stage ran a body"; });
     }
-}
-
-TEST(ThreadPool, RunBatchExecutesAllTasks)
-{
-    ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 1; i <= 100; ++i)
-        tasks.push_back([&sum, i] { sum += i; });
-    pool.runBatch(std::move(tasks));
-    EXPECT_EQ(sum.load(), 5050);
-    pool.runBatch({}); // empty batch is a no-op
+    setGlobalJobs(0);
 }
 
 TEST(ThreadPool, PropagatesFirstException)
 {
-    ThreadPool pool(4);
+    setGlobalJobs(4);
     std::atomic<int> completed{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 100; ++i)
-        tasks.push_back([&completed, i] {
-            if (i == 37)
-                throw std::runtime_error("task 37");
-            completed++;
-        });
-    EXPECT_THROW(pool.runBatch(std::move(tasks)), std::runtime_error);
-    // Every other task in the batch still ran to completion.
+    EXPECT_THROW(parallelFor(100,
+                             [&completed](size_t i) {
+                                 if (i == 37)
+                                     throw std::runtime_error("index 37");
+                                 completed++;
+                             }),
+                 std::runtime_error);
+    // Every other index in the stage still ran to completion.
     EXPECT_EQ(completed.load(), 99);
+    setGlobalJobs(0);
 }
 
 TEST(ThreadPool, PoolIsReusableAfterException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(pool.parallelFor(
-                     8, [](size_t) { throw std::runtime_error("x"); }),
-                 std::runtime_error);
+    setGlobalJobs(2);
+    EXPECT_THROW(
+        parallelFor(8, [](size_t) { throw std::runtime_error("x"); }),
+        std::runtime_error);
     std::atomic<int> count{0};
-    pool.parallelFor(64, [&count](size_t) { count++; });
+    parallelFor(64, [&count](size_t) { count++; });
     EXPECT_EQ(count.load(), 64);
+    setGlobalJobs(0);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline)
 {
     // A parallel stage may itself invoke a parallel stage (suite
-    // fan-out -> per-program candidate sharding); the inner one must
-    // run inline rather than deadlocking on the busy pool.
+    // fan-out -> per-program work); the inner one runs inline on the
+    // thread of the body that started it.
     setGlobalJobs(4);
     std::atomic<int> inner{0};
-    globalPool().parallelFor(8, [&inner](size_t) {
-        globalPool().parallelFor(16, [&inner](size_t) { inner++; });
+    std::atomic<int> elsewhere{0};
+    parallelFor(8, [&](size_t) {
+        std::thread::id outer = std::this_thread::get_id();
+        parallelFor(16, [&](size_t) {
+            inner++;
+            if (std::this_thread::get_id() != outer)
+                elsewhere++;
+        });
     });
     EXPECT_EQ(inner.load(), 8 * 16);
+    EXPECT_EQ(elsewhere.load(), 0);
     setGlobalJobs(0);
 }
 
@@ -217,104 +215,140 @@ TEST(ThreadPool, ParallelMapPreservesIndexOrder)
 
 TEST(ThreadPool, JobsKnobPriorities)
 {
-    // setGlobalJobs overrides everything; 0 restores the default,
-    // which is at least 1 whatever the environment says.
+    // setGlobalJobs overrides the hardware width, clamped to 256; 0
+    // restores the hardware width, which is at least 1.
     setGlobalJobs(3);
     EXPECT_EQ(globalJobs(), 3u);
+    setGlobalJobs(9999);
+    EXPECT_EQ(globalJobs(), 256u);
     setGlobalJobs(0);
     EXPECT_GE(globalJobs(), 1u);
 }
 
-TEST(ThreadPool, EnvJobsRejectsTrailingGarbage)
-{
-    // CODECOMP_JOBS must be a whole positive integer; "8abc" used to
-    // be silently accepted as 8 (strtol without an end check).
-    ::unsetenv("CODECOMP_JOBS");
-    unsigned fallback = defaultJobs();
-    unsigned want = fallback == 7 ? 9u : 7u;
-
-    ::setenv("CODECOMP_JOBS", std::to_string(want).c_str(), 1);
-    EXPECT_EQ(defaultJobs(), want);
-
-    std::string garbage = std::to_string(want) + "abc";
-    ::setenv("CODECOMP_JOBS", garbage.c_str(), 1);
-    EXPECT_EQ(defaultJobs(), fallback);
-
-    for (const char *bad : {"abc", "-3", "0", ""}) {
-        ::setenv("CODECOMP_JOBS", bad, 1);
-        EXPECT_EQ(defaultJobs(), fallback) << "CODECOMP_JOBS=" << bad;
-    }
-
-    ::setenv("CODECOMP_JOBS", "9999", 1);
-    EXPECT_EQ(defaultJobs(), 256u); // clamped, like setGlobalJobs
-    ::unsetenv("CODECOMP_JOBS");
-}
-
 TEST(ThreadPool, NestedRunBatchRunsAllTasksThenRethrows)
 {
-    // The nested-inline path must have the same completion semantics
-    // as the pooled path: every task runs, then the first exception is
-    // rethrown. It used to stop at the first throwing task.
-    ThreadPool pool(2);
+    // A nested stage, which runs inline, has the same completion
+    // semantics as an outer one: every index runs, then the first
+    // exception is rethrown.
+    setGlobalJobs(2);
     std::atomic<int> completed{0};
-    bool innerThrew = false;
-    pool.runBatch({[&pool, &completed, &innerThrew] {
-        std::vector<std::function<void()>> inner;
-        for (int i = 0; i < 8; ++i)
-            inner.push_back([&completed, i] {
+    std::atomic<int> innerThrew{0};
+    parallelFor(2, [&](size_t) {
+        try {
+            parallelFor(8, [&completed](size_t i) {
                 if (i == 2)
-                    throw std::runtime_error("inner task 2");
+                    throw std::runtime_error("inner index 2");
                 completed++;
             });
-        try {
-            pool.runBatch(std::move(inner));
         } catch (const std::runtime_error &) {
-            innerThrew = true;
+            innerThrew++;
         }
-    }});
-    EXPECT_TRUE(innerThrew);
-    EXPECT_EQ(completed.load(), 7);
+    });
+    EXPECT_EQ(innerThrew.load(), 2);
+    EXPECT_EQ(completed.load(), 2 * 7);
+    setGlobalJobs(0);
 }
 
-TEST(GlobalPool, ConcurrentAccessIsSerialized)
+TEST(ThreadPool, NeverRunsMoreBodiesThanTheWidth)
 {
-    // Many threads hitting globalPool() while it needs a rebuild: the
-    // unique_ptr swap used to be unsynchronized (a data race and a
-    // use-after-free under a sanitizer).
     setGlobalJobs(3);
-    globalPool();
-    setGlobalJobs(4); // the next access must rebuild, exactly once
-    std::atomic<int> correct{0};
+    std::atomic<unsigned> running{0};
+    std::atomic<unsigned> highWater{0};
+    parallelFor(64, [&](size_t) {
+        unsigned now = ++running;
+        unsigned seen = highWater;
+        while (now > seen && !highWater.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        --running;
+    });
+    EXPECT_GE(highWater.load(), 1u);
+    EXPECT_LE(highWater.load(), globalJobs());
+    setGlobalJobs(0);
+}
+
+TEST(ThreadPool, StagesOnUnrelatedThreadsEachRunEveryIndex)
+{
+    // Stages share no state but the width, which may change while
+    // they start: each still visits every one of its indices once.
+    std::vector<std::vector<std::atomic<int>>> visits(4);
     std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t)
-        threads.emplace_back([&correct] {
-            for (int i = 0; i < 200; ++i)
-                if (globalPool().threadCount() == 4u)
-                    correct++;
+    for (std::vector<std::atomic<int>> &mine : visits) {
+        mine = std::vector<std::atomic<int>>(200);
+        threads.emplace_back([&mine] {
+            for (int round = 0; round < 20; ++round)
+                parallelFor(mine.size(), [&mine](size_t i) { mine[i]++; });
         });
+    }
+    for (unsigned jobs = 1; jobs <= 40; ++jobs)
+        setGlobalJobs(jobs % 4 + 1);
     for (std::thread &thread : threads)
         thread.join();
-    EXPECT_EQ(correct.load(), 8 * 200);
+    for (const std::vector<std::atomic<int>> &mine : visits)
+        for (const std::atomic<int> &count : mine)
+            ASSERT_EQ(count.load(), 20);
     setGlobalJobs(0);
 }
 
-TEST(GlobalPool, ResizeWhileBusyIsCatchableFatal)
+TEST(ThreadPool, ContiguousRunsStayOnOneThread)
 {
-    // Rebuilding the pool out from under a draining batch would be a
-    // use-after-free; it must refuse loudly instead.
+    // 64 indices at width 2 are 8 runs of 8: a farm queue's 8 jobs of
+    // one program run on one thread, one after another.
     setGlobalJobs(2);
-    globalPool();
-    EXPECT_THROW(globalPool().parallelFor(
-                     4,
-                     [](size_t i) {
-                         if (i == 0) {
-                             setGlobalJobs(3);
-                             globalPool();
-                         }
-                     }),
-                 std::runtime_error);
+    std::vector<std::thread::id> ran(64);
+    parallelFor(ran.size(),
+                [&ran](size_t i) { ran[i] = std::this_thread::get_id(); });
+    for (size_t i = 0; i < ran.size(); ++i)
+        ASSERT_EQ(ran[i], ran[i / 8 * 8]) << "index " << i;
     setGlobalJobs(0);
-    EXPECT_GE(globalPool().threadCount(), 1u); // idle: rebuild is fine
+}
+
+TEST(ThreadPool, WidthOneRunsEveryBodyOnTheCaller)
+{
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    auto body = [&](size_t) {
+        if (std::this_thread::get_id() != caller)
+            elsewhere++;
+    };
+    setGlobalJobs(1);
+    parallelFor(100, body);
+    setGlobalJobs(4);
+    parallelFor(1, body); // one index starts no thread at any width
+    EXPECT_EQ(elsewhere.load(), 0);
+    setGlobalJobs(0);
+}
+
+TEST(ThreadPool, SetGlobalJobsInsideAStageChangesOnlyLaterStages)
+{
+    // A width-1 stage that raises the width keeps running on the
+    // caller alone; the next stage starts threads at the new width.
+    // Each body of that stage waits (bounded) until a second thread
+    // has entered the stage, which only a started thread can do.
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    setGlobalJobs(1);
+    parallelFor(16, [&](size_t i) {
+        if (i == 0)
+            setGlobalJobs(4);
+        if (std::this_thread::get_id() != caller)
+            elsewhere++;
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+    EXPECT_EQ(globalJobs(), 4u);
+
+    std::atomic<int> entered{0};
+    parallelFor(4, [&](size_t) {
+        entered++;
+        if (std::this_thread::get_id() != caller)
+            elsewhere++;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (entered < 2 && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    EXPECT_GT(elsewhere.load(), 0);
+    setGlobalJobs(0);
 }
 
 TEST(Rng, DeterministicAcrossInstances)

@@ -397,7 +397,7 @@ TEST_P(FaultInjectionKinds, SeededFaultIsReportedAsDivergence)
     CompressedImage image = compressScheme(p, Scheme::Nibble);
 
     verify::FaultInjection fault =
-        verify::injectFault(p, image, kind, seed);
+        verify::injectFault(image, kind, seed);
     EXPECT_FALSE(fault.description.empty());
 
     verify::LockstepResult result =
@@ -441,9 +441,9 @@ TEST(FaultInjectionDeterminism, SameSeedSameMutation)
     Program p = workloads::buildBenchmark("compress");
     CompressedImage image = compressScheme(p, Scheme::Nibble);
     verify::FaultInjection a = verify::injectFault(
-        p, image, verify::FaultKind::DictEntryWord, 42);
+        image, verify::FaultKind::DictEntryWord, 42);
     verify::FaultInjection b = verify::injectFault(
-        p, image, verify::FaultKind::DictEntryWord, 42);
+        image, verify::FaultKind::DictEntryWord, 42);
     EXPECT_EQ(a.description, b.description);
     EXPECT_EQ(a.image.entriesByRank, b.image.entriesByRank);
 }
@@ -453,7 +453,7 @@ TEST(LockstepReport, DivergenceCountAndWindowsAreBounded)
     Program p = workloads::buildBenchmark("compress");
     CompressedImage image = compressScheme(p, Scheme::Nibble);
     verify::FaultInjection fault = verify::injectFault(
-        p, image, verify::FaultKind::DictEntryWord, 3);
+        image, verify::FaultKind::DictEntryWord, 3);
 
     verify::LockstepConfig config;
     config.maxDivergences = 4;

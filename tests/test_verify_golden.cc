@@ -115,7 +115,7 @@ TEST_P(LockstepGolden, ReportDigests)
               verify::FaultKind::CodewordRank,
               verify::FaultKind::BranchDisp}) {
             verify::FaultInjection fault =
-                verify::injectFault(program, image, kind, faultSeed);
+                verify::injectFault(image, kind, faultSeed);
             check(prefix + verify::faultKindName(kind),
                   reportDigest(verify::runLockstep(program, fault.image)));
         }

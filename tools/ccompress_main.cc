@@ -17,8 +17,8 @@
  *
  * With several inputs the output names an existing directory (or a
  * path ending in '/'), each program is written there as <stem>.cci,
- * and the compressions run concurrently on the worker pool. --jobs N
- * (default: CODECOMP_JOBS, then hardware_concurrency) caps the pool;
+ * and the compressions run concurrently, one parallel stage over the
+ * inputs. --jobs N (default: hardware_concurrency) caps its width;
  * the compressed bytes are identical for every job count and every
  * strategy is deterministic.
  *
@@ -251,8 +251,8 @@ run(int argc, char **argv)
         return tools::exitUserError;
     }
 
-    // Each input is an independent compress; fan the batch out across
-    // the pool and print reports in input order.
+    // Each input is an independent compress; fan the batch out in one
+    // parallel stage and print reports in input order.
     bool wantJson = !statsJsonPath.empty();
     std::vector<CompressReport> reports = parallelMap<CompressReport>(
         inputs.size(), [&](size_t i) {

@@ -104,7 +104,7 @@ verifyInjected(const Program &program, compress::Scheme scheme,
     compress::CompressedImage image =
         compress::compressProgram(program, cc);
     verify::FaultInjection fault =
-        verify::injectFault(program, image, kind, seed);
+        verify::injectFault(image, kind, seed);
     verify::LockstepResult result =
         verify::runLockstep(program, fault.image, config);
     std::printf("[%s/%s] injected: %s\n", compress::schemeName(scheme),
