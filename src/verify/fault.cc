@@ -17,70 +17,31 @@ namespace codecomp::verify {
 
 namespace {
 
-constexpr uint32_t noIndex = UINT32_MAX;
-
-std::string
-hex32(uint32_t v)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "0x%08x", v);
-    return buf;
-}
-
-/** Execution profile of a pristine image: which item boundaries ran,
- *  and which items ever redirected control (taken branches). */
-struct Profile
-{
-    std::vector<uint32_t> executed;   //!< sorted item nibble offsets
-    std::vector<uint32_t> redirected; //!< sorted; subset of executed
-};
-
-Profile
-profileRun(const compress::CompressedImage &image, uint64_t max_steps)
-{
-    CompressedCpu cpu(image);
-    const DecompressionEngine &engine = cpu.engine();
-    std::set<uint32_t> executed, redirected;
-    uint32_t prev_addr = noIndex, prev_next = 0;
-    uint64_t steps = 0;
-    while (!cpu.machine().halted() && steps++ < max_steps) {
-        uint32_t pc_nibble =
-            cpu.pc() - compress::CompressedImage::nibbleBase;
-        executed.insert(pc_nibble);
-        if (prev_addr != noIndex && pc_nibble != prev_next)
-            redirected.insert(prev_addr);
-        const DecodedItem &item = engine.itemAt(pc_nibble);
-        prev_addr = pc_nibble;
-        prev_next = pc_nibble + item.nibbles;
-        cpu.step();
-    }
-    CC_ASSERT(cpu.machine().halted(),
-              "fault-injection profiling run did not terminate");
-    Profile profile;
-    profile.executed.assign(executed.begin(), executed.end());
-    profile.redirected.assign(redirected.begin(), redirected.end());
-    return profile;
-}
-
-/** Re-emit the whole item sequence, with per-item overrides applied by
- *  the caller through @p rank_of and @p word_of. Stream size must come
- *  out identical, or the address map and branches would break. */
-template <typename RankOf, typename WordOf>
+/** Re-emit @p image's stream from @p items, an edited copy of its
+ *  decoded items. Stream size must come out identical, or the address
+ *  map and branches would break. */
 void
 rebuildStream(compress::CompressedImage &image,
-              const std::vector<DecodedItem> &items, RankOf rank_of,
-              WordOf word_of)
+              const std::vector<DecodedItem> &items)
 {
     NibbleWriter writer;
-    for (uint32_t i = 0; i < items.size(); ++i) {
-        if (items[i].isCodeword)
-            compress::emitCodeword(writer, image.scheme, rank_of(i));
+    for (const DecodedItem &item : items) {
+        if (item.isCodeword)
+            compress::emitCodeword(writer, image.scheme, item.rank);
         else
-            compress::emitInstruction(writer, image.scheme, word_of(i));
+            compress::emitInstruction(writer, image.scheme, item.word);
     }
     CC_ASSERT(writer.nibbleCount() == image.textNibbles,
               "fault mutation changed the stream size");
     image.text = writer.bytes();
+}
+
+/** Store @p value big-endian at @p bytes[@p pos]. */
+void
+putWord32(std::vector<uint8_t> &bytes, size_t pos, uint32_t value)
+{
+    for (unsigned b = 0; b < 4; ++b)
+        bytes[pos + b] = static_cast<uint8_t>(value >> (24 - 8 * b));
 }
 
 /** Register whose corruption the mutated instruction should target:
@@ -120,23 +81,30 @@ corruptionTarget(const isa::Inst &inst)
     return reg;
 }
 
-FaultInjection
+Mutant
+noSite(MutationKind kind, std::string why)
+{
+    return {kind, false, std::move(why), {}, {}};
+}
+
+Mutant
 injectDictEntryWord(const compress::CompressedImage &image,
                     const DecompressionEngine &engine,
-                    const Profile &profile, Rng &rng)
+                    const PristineRun &pristine, Rng &rng)
 {
+    const std::vector<DecodedItem> &items = engine.items();
     std::set<uint32_t> rank_set;
-    for (uint32_t addr : profile.executed) {
-        const DecodedItem &item = engine.itemAt(addr);
-        if (item.isCodeword)
-            rank_set.insert(item.rank);
-    }
-    CC_ASSERT(!rank_set.empty(),
-              "no codeword executed; cannot inject a dictionary fault");
+    for (uint32_t i = 0; i < items.size(); ++i)
+        if (pristine.executed[i] && items[i].isCodeword)
+            rank_set.insert(items[i].rank);
+    if (rank_set.empty())
+        return noSite(MutationKind::DictEntryWord,
+                      "no codeword executed; cannot inject a dictionary "
+                      "fault");
     std::vector<uint32_t> ranks(rank_set.begin(), rank_set.end());
     uint32_t rank = ranks[rng.below(ranks.size())];
 
-    FaultInjection fault{FaultKind::DictEntryWord, image, {}};
+    Mutant fault{MutationKind::DictEntryWord, true, {}, image, {}};
     isa::Word original = fault.image.entriesByRank[rank][0];
     isa::Inst victim = isa::decode(original);
     isa::Inst corrupt;
@@ -153,28 +121,28 @@ injectDictEntryWord(const compress::CompressedImage &image,
     return fault;
 }
 
-FaultInjection
+Mutant
 injectCodewordRank(const compress::CompressedImage &image,
                    const DecompressionEngine &engine,
-                   const Profile &profile, Rng &rng)
+                   const PristineRun &pristine, Rng &rng)
 {
+    const std::vector<DecodedItem> &items = engine.items();
     std::vector<uint32_t> executed_codewords;
-    for (uint32_t addr : profile.executed) {
-        if (engine.itemAt(addr).isCodeword)
-            executed_codewords.push_back(addr);
-    }
-    CC_ASSERT(!executed_codewords.empty(),
-              "no codeword executed; cannot inject a rank fault");
+    for (uint32_t i = 0; i < items.size(); ++i)
+        if (pristine.executed[i] && items[i].isCodeword)
+            executed_codewords.push_back(i);
+    if (executed_codewords.empty())
+        return noSite(MutationKind::CodewordRank,
+                      "no codeword executed; cannot inject a rank fault");
 
     // Pick an executed codeword whose width class holds another rank;
     // a same-width swap keeps the stream layout bit-identical in size.
     uint32_t num_ranks =
         static_cast<uint32_t>(image.entriesByRank.size());
     for (uint64_t attempt = 0; attempt < 64; ++attempt) {
-        uint32_t victim_addr =
+        uint32_t victim_index =
             executed_codewords[rng.below(executed_codewords.size())];
-        uint32_t victim_index = engine.itemIndexAt(victim_addr);
-        uint32_t old_rank = engine.items()[victim_index].rank;
+        uint32_t old_rank = items[victim_index].rank;
         unsigned width = compress::codewordNibbles(image.scheme, old_rank);
         std::vector<uint32_t> candidates;
         for (uint32_t r = 0; r < num_ranks; ++r) {
@@ -187,27 +155,26 @@ injectCodewordRank(const compress::CompressedImage &image,
             continue;
         uint32_t new_rank = candidates[rng.below(candidates.size())];
 
-        FaultInjection fault{FaultKind::CodewordRank, image, {}};
-        const std::vector<DecodedItem> &items = engine.items();
-        rebuildStream(
-            fault.image, items,
-            [&](uint32_t i) {
-                return i == victim_index ? new_rank : items[i].rank;
-            },
-            [&](uint32_t i) { return items[i].word; });
-        fault.description = "codeword at nibble " + hex32(victim_addr) +
+        Mutant fault{MutationKind::CodewordRank, true, {}, image, {}};
+        std::vector<DecodedItem> edited = items;
+        edited[victim_index].rank = new_rank;
+        rebuildStream(fault.image, edited);
+        fault.description = "codeword at nibble " +
+                            hex32(items[victim_index].nibbleAddr) +
                             ": rank " + std::to_string(old_rank) +
                             " -> rank " + std::to_string(new_rank) +
                             " (same width)";
         return fault;
     }
-    CC_PANIC("no same-width rank swap available for any executed codeword");
+    return noSite(MutationKind::CodewordRank,
+                  "no same-width rank swap available for 64 drawn "
+                  "executed codewords");
 }
 
-FaultInjection
+Mutant
 injectBranchDisp(const compress::CompressedImage &image,
-                 const DecompressionEngine &engine, const Profile &profile,
-                 Rng &rng)
+                 const DecompressionEngine &engine,
+                 const PristineRun &pristine, Rng &rng)
 {
     ItemMap map = mapItems(engine, image);
     const std::vector<DecodedItem> &items = engine.items();
@@ -215,16 +182,17 @@ injectBranchDisp(const compress::CompressedImage &image,
     // Taken relative branches outside stub groups: retargeting one is
     // guaranteed to change the control flow of the verified run.
     std::vector<uint32_t> candidates;
-    for (uint32_t addr : profile.redirected) {
-        uint32_t index = engine.itemIndexAt(addr);
-        if (map.isStub[index] || items[index].isCodeword)
+    for (uint32_t i = 0; i < items.size(); ++i) {
+        if (!pristine.redirected[i] || map.isStub[i] ||
+            items[i].isCodeword)
             continue;
-        if (isa::decode(items[index].word).isRelativeBranch())
-            candidates.push_back(index);
+        if (isa::decode(items[i].word).isRelativeBranch())
+            candidates.push_back(i);
     }
-    CC_ASSERT(!candidates.empty(),
-              "no taken relative branch executed; cannot inject a "
-              "displacement fault");
+    if (candidates.empty())
+        return noSite(MutationKind::BranchDisp,
+                      "no taken relative branch executed; cannot inject "
+                      "a displacement fault");
     uint32_t victim_index = candidates[rng.below(candidates.size())];
     const DecodedItem &victim = items[victim_index];
     isa::Inst inst = isa::decode(victim.word);
@@ -237,7 +205,7 @@ injectBranchDisp(const compress::CompressedImage &image,
     // Retarget to the nearest other mapped, non-stub item boundary the
     // displacement field can reach; item-boundary deltas are unit
     // aligned by construction.
-    uint32_t best_index = noIndex;
+    uint32_t best_index = ItemMap::noIndex;
     int64_t best_distance = 0;
     for (uint32_t i = 0; i < items.size(); ++i) {
         if (map.origOf[i] == ItemMap::noIndex || map.isStub[i])
@@ -251,27 +219,24 @@ injectBranchDisp(const compress::CompressedImage &image,
             continue;
         int64_t distance = target > old_target ? target - old_target
                                                : old_target - target;
-        if (best_index == noIndex || distance < best_distance) {
+        if (best_index == ItemMap::noIndex || distance < best_distance) {
             best_index = i;
             best_distance = distance;
         }
     }
-    CC_ASSERT(best_index != noIndex,
-              "no reachable alternative branch target");
+    if (best_index == ItemMap::noIndex)
+        return noSite(MutationKind::BranchDisp,
+                      "no reachable alternative branch target");
     isa::Inst mutated = inst;
     mutated.disp = static_cast<int32_t>(
         (static_cast<int64_t>(items[best_index].nibbleAddr) -
          static_cast<int64_t>(victim.nibbleAddr)) /
         unit);
 
-    FaultInjection fault{FaultKind::BranchDisp, image, {}};
-    rebuildStream(
-        fault.image, items,
-        [&](uint32_t i) { return items[i].rank; },
-        [&](uint32_t i) {
-            return i == victim_index ? isa::encode(mutated)
-                                     : items[i].word;
-        });
+    Mutant fault{MutationKind::BranchDisp, true, {}, image, {}};
+    std::vector<DecodedItem> edited = items;
+    edited[victim_index].word = isa::encode(mutated);
+    rebuildStream(fault.image, edited);
     fault.description =
         "branch at nibble " + hex32(victim.nibbleAddr) + ": disp " +
         std::to_string(inst.disp) + " -> " + std::to_string(mutated.disp) +
@@ -280,99 +245,33 @@ injectBranchDisp(const compress::CompressedImage &image,
     return fault;
 }
 
-} // namespace
-
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::DictEntryWord:
-        return "dict-entry-word";
-      case FaultKind::CodewordRank:
-        return "codeword-rank";
-      case FaultKind::BranchDisp:
-        return "branch-disp";
-    }
-    return "unknown";
-}
-
-FaultInjection
-injectFault(const compress::CompressedImage &image, FaultKind kind,
-            uint64_t seed)
-{
-    DecompressionEngine engine(image);
-    Profile profile = profileRun(image, CompressedCpu::defaultMaxSteps);
-    Rng rng(seed);
-    switch (kind) {
-      case FaultKind::DictEntryWord:
-        return injectDictEntryWord(image, engine, profile, rng);
-      case FaultKind::CodewordRank:
-        return injectCodewordRank(image, engine, profile, rng);
-      case FaultKind::BranchDisp:
-        return injectBranchDisp(image, engine, profile, rng);
-    }
-    CC_PANIC("unknown fault kind");
-}
-
-// ------------------------- corruption campaign -----------------------
-
-const char *
-corruptionKindName(CorruptionKind kind)
-{
-    switch (kind) {
-      case CorruptionKind::BitFlip:
-        return "bit-flip";
-      case CorruptionKind::Truncate:
-        return "truncate";
-      case CorruptionKind::Splice:
-        return "splice";
-      case CorruptionKind::LengthLie:
-        return "length-lie";
-    }
-    return "unknown";
-}
-
-const char *
-mutantOutcomeName(MutantOutcome outcome)
-{
-    switch (outcome) {
-      case MutantOutcome::LoadRejected:
-        return "load-rejected";
-      case MutantOutcome::Trapped:
-        return "trapped";
-      case MutantOutcome::RanIdentical:
-        return "ran-identical";
-      case MutantOutcome::SilentDivergence:
-        return "silent-divergence";
-      case MutantOutcome::Panicked:
-        return "panicked";
-    }
-    return "unknown";
-}
-
-std::vector<uint8_t>
-corruptBytes(const std::vector<uint8_t> &bytes, CorruptionKind kind,
-             Rng &rng, std::string &description)
+/** Apply byte mutation @p kind to a copy of @p bytes, drawing positions
+ *  from @p rng. */
+Mutant
+corruptBytes(const std::vector<uint8_t> &bytes, MutationKind kind,
+             Rng &rng)
 {
     CC_ASSERT(bytes.size() >= 16, "serialized image implausibly small");
-    std::vector<uint8_t> out = bytes;
+    Mutant mutant{kind, true, std::string(kindName(kind)) + ": ", {}, bytes};
+    std::vector<uint8_t> &out = mutant.bytes;
+    std::string &description = mutant.description;
     switch (kind) {
-      case CorruptionKind::BitFlip: {
+      case MutationKind::BitFlip: {
         size_t pos = rng.below(out.size());
         unsigned bit = static_cast<unsigned>(rng.below(8));
         out[pos] ^= static_cast<uint8_t>(1u << bit);
-        description = "flip bit " + std::to_string(bit) + " of byte " +
-                      std::to_string(pos);
+        description += "flip bit " + std::to_string(bit) + " of byte " +
+                       std::to_string(pos);
         break;
       }
-      case CorruptionKind::Truncate: {
+      case MutationKind::Truncate: {
         size_t size = rng.below(out.size());
         out.resize(size);
-        description = "truncate to " + std::to_string(size) + " of " +
-                      std::to_string(bytes.size()) + " bytes";
+        description += "truncate to " + std::to_string(size) + " of " +
+                       std::to_string(bytes.size()) + " bytes";
         break;
       }
-      case CorruptionKind::Splice: {
+      case MutationKind::Splice: {
         size_t len = 1 + rng.below(std::min<size_t>(16, out.size()));
         size_t src = rng.below(out.size() - len + 1);
         size_t dst = rng.below(out.size() - len + 1);
@@ -380,95 +279,40 @@ corruptBytes(const std::vector<uint8_t> &bytes, CorruptionKind kind,
                                   out.begin() + static_cast<long>(src + len));
         std::copy(span.begin(), span.end(),
                   out.begin() + static_cast<long>(dst));
-        description = "splice " + std::to_string(len) + " bytes from " +
-                      std::to_string(src) + " over " + std::to_string(dst);
+        description += "splice " + std::to_string(len) + " bytes from " +
+                       std::to_string(src) + " over " + std::to_string(dst);
         break;
       }
-      case CorruptionKind::LengthLie: {
+      case MutationKind::LengthLie: {
         size_t pos = rng.below(out.size() - 3);
         uint32_t value = static_cast<uint32_t>(rng.next());
-        for (unsigned i = 0; i < 4; ++i)
-            out[pos + i] = static_cast<uint8_t>(value >> (24 - 8 * i));
-        description = "overwrite 4 bytes at " + std::to_string(pos) +
-                      " with " + hex32(value);
+        putWord32(out, pos, value);
+        description += "overwrite 4 bytes at " + std::to_string(pos) +
+                       " with " + hex32(value);
         break;
       }
+      default:
+        CC_PANIC("not a byte mutation: ", kindName(kind));
     }
-    return out;
+    return mutant;
 }
 
-namespace {
-
-/** Execute an already-loaded mutant, with panics trapped, and compare
- *  against the pristine run. */
-MutantReport
-runMutant(const compress::CompressedImage &image, const ExecResult &expected,
-          uint64_t max_steps, std::string description)
-{
-    MutantReport report{MutantOutcome::RanIdentical, std::move(description),
-                        {}};
-    try {
-        PanicTrap trap;
-        ExecResult result = runCompressed(image, max_steps);
-        if (result == expected) {
-            report.outcome = MutantOutcome::RanIdentical;
-        } else {
-            report.outcome = MutantOutcome::SilentDivergence;
-            report.detail =
-                "exit " + std::to_string(result.exitCode) + " vs " +
-                std::to_string(expected.exitCode) + ", " +
-                std::to_string(result.instCount) + " vs " +
-                std::to_string(expected.instCount) + " insts, output " +
-                (result.output == expected.output ? "equal" : "differs");
-        }
-    } catch (const MachineCheckError &error) {
-        report.outcome = MutantOutcome::Trapped;
-        report.detail = error.what();
-    } catch (const PanicError &error) {
-        report.outcome = MutantOutcome::Panicked;
-        report.detail = error.what();
-    } catch (const std::runtime_error &error) {
-        // CC_FATAL: the watchdog step budget; part of the fault model.
-        report.outcome = MutantOutcome::Trapped;
-        report.detail = error.what();
-    }
-    return report;
-}
-
-} // namespace
-
-MutantReport
-classifyMutantBytes(const std::vector<uint8_t> &mutant,
-                    const ExecResult &expected, uint64_t max_steps,
-                    std::string description)
-{
-    Result<compress::CompressedImage> loaded = tryLoadImage(mutant);
-    if (!loaded.ok())
-        return {MutantOutcome::LoadRejected, std::move(description),
-                loaded.error().message()};
-    return runMutant(loaded.value(), expected, max_steps,
-                     std::move(description));
-}
-
-MutantReport
-classifyMutantImage(const compress::CompressedImage &mutant,
-                    const ExecResult &expected, uint64_t max_steps,
-                    std::string description)
-{
-    if (std::optional<LoadError> error = validateImage(mutant))
-        return {MutantOutcome::LoadRejected, std::move(description),
-                error->message()};
-    return runMutant(mutant, expected, max_steps, std::move(description));
-}
-
-std::vector<StructuralMutant>
+/**
+ * The structural mutants of @p image: validator bait (illegal
+ * dictionary words, out-of-range ranks, lying nibble counts,
+ * out-of-range entry points, truncated streams) plus jump-table code
+ * pointers redirected out of the compressed text, which load-validate
+ * cleanly but must machine-check when consumed.
+ */
+std::vector<Mutant>
 structuralMutants(const Program &program,
                   const compress::CompressedImage &image)
 {
-    std::vector<StructuralMutant> mutants;
+    std::vector<Mutant> mutants;
     auto add = [&mutants, &image](std::string description) ->
         compress::CompressedImage & {
-        mutants.push_back({image, std::move(description)});
+        mutants.push_back({MutationKind::Structural, true,
+                           std::move(description), image, {}});
         return mutants.back().image;
     };
 
@@ -505,72 +349,214 @@ structuralMutants(const Program &program,
         uint32_t bogus = compress::CompressedImage::nibbleBase +
                          static_cast<uint32_t>(image.textNibbles) + 1 +
                          static_cast<uint32_t>(i);
-        compress::CompressedImage &corrupted =
-            add("jump-table slot at .data+" +
-                std::to_string(reloc.dataOffset) +
-                " redirected past the compressed text");
-        for (unsigned b = 0; b < 4; ++b)
-            corrupted.data[reloc.dataOffset + b] =
-                static_cast<uint8_t>(bogus >> (24 - 8 * b));
+        putWord32(add("jump-table slot at .data+" +
+                      std::to_string(reloc.dataOffset) +
+                      " redirected past the compressed text")
+                      .data,
+                  reloc.dataOffset, bogus);
     }
     if (reloc_count > 0) {
         const CodeReloc &reloc = program.codeRelocs[0];
-        compress::CompressedImage &corrupted =
-            add("jump-table slot at .data+" +
-                std::to_string(reloc.dataOffset) +
-                " redirected below the text base");
-        uint32_t bogus = compress::CompressedImage::nibbleBase - 4;
-        for (unsigned b = 0; b < 4; ++b)
-            corrupted.data[reloc.dataOffset + b] =
-                static_cast<uint8_t>(bogus >> (24 - 8 * b));
+        putWord32(add("jump-table slot at .data+" +
+                      std::to_string(reloc.dataOffset) +
+                      " redirected below the text base")
+                      .data,
+                  reloc.dataOffset, compress::CompressedImage::nibbleBase - 4);
     }
     return mutants;
 }
 
-CorruptionCampaign
-runCorruptionCampaign(const Program &program,
-                      const compress::CompressedImage &image,
-                      uint64_t count, uint64_t seed, uint64_t max_steps)
+/** Execute a mutant that passed the loader, with panics trapped, and
+ *  compare against the pristine run. */
+void
+runContained(const compress::CompressedImage &image,
+             const ExecResult &expected, uint64_t max_steps,
+             MutantReport &report)
 {
-    CorruptionCampaign campaign;
-    auto tally = [&campaign](MutantReport report) {
-        ++campaign.total;
-        switch (report.outcome) {
-          case MutantOutcome::LoadRejected:
-            ++campaign.loadRejected;
-            break;
-          case MutantOutcome::Trapped:
-            ++campaign.trapped;
-            break;
-          case MutantOutcome::RanIdentical:
-            ++campaign.ranIdentical;
-            break;
-          case MutantOutcome::SilentDivergence:
-          case MutantOutcome::Panicked:
-            campaign.failures.push_back(std::move(report));
-            break;
+    try {
+        PanicTrap trap;
+        ExecResult result = runCompressed(image, max_steps);
+        if (result == expected) {
+            report.outcome = MutantOutcome::RanIdentical;
+        } else {
+            report.outcome = MutantOutcome::SilentDivergence;
+            report.detail =
+                "exit " + std::to_string(result.exitCode) + " vs " +
+                std::to_string(expected.exitCode) + ", " +
+                std::to_string(result.instCount) + " vs " +
+                std::to_string(expected.instCount) + " insts, output " +
+                (result.output == expected.output ? "equal" : "differs");
         }
-    };
-
-    ExecResult expected = runCompressed(image, max_steps);
-    std::vector<uint8_t> bytes = saveImage(image);
-    constexpr CorruptionKind kinds[] = {
-        CorruptionKind::BitFlip, CorruptionKind::Truncate,
-        CorruptionKind::Splice, CorruptionKind::LengthLie};
-    Rng rng(seed);
-    for (uint64_t i = 0; i < count; ++i) {
-        CorruptionKind kind = kinds[i % 4];
-        std::string description;
-        std::vector<uint8_t> mutant =
-            corruptBytes(bytes, kind, rng, description);
-        tally(classifyMutantBytes(
-            mutant, expected, max_steps,
-            std::string(corruptionKindName(kind)) + ": " + description));
+    } catch (const MachineCheckError &error) {
+        report.outcome = MutantOutcome::Trapped;
+        report.detail = error.what();
+    } catch (const PanicError &error) {
+        report.outcome = MutantOutcome::Panicked;
+        report.detail = error.what();
+    } catch (const std::runtime_error &error) {
+        // CC_FATAL: the watchdog step budget; part of the fault model.
+        report.outcome = MutantOutcome::Trapped;
+        report.detail = error.what();
     }
-    for (StructuralMutant &mutant : structuralMutants(program, image))
-        tally(classifyMutantImage(mutant.image, expected, max_steps,
-                                  std::move(mutant.description)));
-    return campaign;
+}
+
+/** Judge @p mutant by its kind's oracle. */
+MutantReport
+judgeMutant(const Program &program, const Mutant &mutant,
+            const PristineRun &pristine, const LockstepConfig &config)
+{
+    MutantReport report{mutant.kind, MutantOutcome::NoSite,
+                        mutant.description, {}};
+    if (!mutant.hasSite)
+        return report;
+    if (isLockstepKind(mutant.kind)) {
+        LockstepResult result = runLockstep(program, mutant.image, config);
+        if (result.ok()) {
+            report.outcome = MutantOutcome::Undetected;
+            report.detail = "after " +
+                            std::to_string(result.verifiedInsts) +
+                            " verified instructions";
+        } else {
+            report.outcome = MutantOutcome::Detected;
+            report.detail = formatReport(result);
+        }
+        return report;
+    }
+    if (isByteKind(mutant.kind)) {
+        Result<compress::CompressedImage> loaded =
+            tryLoadImage(mutant.bytes);
+        if (!loaded.ok()) {
+            report.outcome = MutantOutcome::LoadRejected;
+            report.detail = loaded.error().message();
+        } else {
+            runContained(loaded.value(), pristine.result, config.maxSteps,
+                         report);
+        }
+        return report;
+    }
+    if (std::optional<LoadError> error = validateImage(mutant.image)) {
+        report.outcome = MutantOutcome::LoadRejected;
+        report.detail = error->message();
+    } else {
+        runContained(mutant.image, pristine.result, config.maxSteps,
+                     report);
+    }
+    return report;
+}
+
+} // namespace
+
+const char *
+kindName(MutationKind kind)
+{
+    static constexpr const char *names[] = {
+        "dict-entry-word", "codeword-rank", "branch-disp", "bit-flip",
+        "truncate",        "splice",        "length-lie",  "structural"};
+    return names[static_cast<size_t>(kind)];
+}
+
+const char *
+outcomeName(MutantOutcome outcome)
+{
+    static constexpr const char *names[] = {
+        "detected",   "load-rejected",     "trapped",  "ran-identical",
+        "no-site",    "undetected",        "silent-divergence",
+        "panicked"};
+    return names[static_cast<size_t>(outcome)];
+}
+
+PristineRun
+runPristine(const compress::CompressedImage &image, uint64_t max_steps)
+{
+    CompressedCpu cpu(image);
+    const DecompressionEngine &engine = cpu.engine();
+    PristineRun pristine;
+    pristine.executed.assign(engine.items().size(), false);
+    pristine.redirected.assign(engine.items().size(), false);
+    // The observer sees each item after it retired; by then a taken
+    // branch has already moved the PC to its target.
+    uint32_t pc = cpu.pc();
+    pristine.result = cpu.run(
+        [&](const FetchEvent &event) {
+            uint32_t index = engine.itemIndexAt(
+                pc - compress::CompressedImage::nibbleBase);
+            uint32_t fall_through = pc + engine.items()[index].nibbles;
+            pristine.executed[index] = true;
+            pc = event.taken ? cpu.pc() : fall_through;
+            if (pc != fall_through)
+                pristine.redirected[index] = true;
+        },
+        max_steps);
+    return pristine;
+}
+
+void
+forEachMutant(const Program &program, const compress::CompressedImage &image,
+              const PristineRun &pristine, const MutationPlan &plan,
+              const std::function<void(const Mutant &)> &visit)
+{
+    DecompressionEngine engine(image);
+    std::vector<MutationKind> byte_kinds;
+    bool structural = false;
+    for (MutationKind kind : plan.kinds) {
+        if (isByteKind(kind)) {
+            byte_kinds.push_back(kind);
+            continue;
+        }
+        if (kind == MutationKind::Structural) {
+            structural = true;
+            continue;
+        }
+        auto inject = kind == MutationKind::DictEntryWord
+                          ? injectDictEntryWord
+                      : kind == MutationKind::CodewordRank
+                          ? injectCodewordRank
+                          : injectBranchDisp;
+        Rng rng(plan.seed);
+        visit(inject(image, engine, pristine, rng));
+    }
+    if (!byte_kinds.empty() && plan.count > 0) {
+        std::vector<uint8_t> bytes = saveImage(image);
+        Rng rng(plan.seed);
+        for (uint64_t i = 0; i < plan.count; ++i)
+            visit(corruptBytes(bytes, byte_kinds[i % byte_kinds.size()],
+                               rng));
+    }
+    if (structural)
+        for (const Mutant &mutant : structuralMutants(program, image))
+            visit(mutant);
+}
+
+size_t
+CampaignReport::count(MutantOutcome outcome) const
+{
+    return static_cast<size_t>(
+        std::count_if(mutants.begin(), mutants.end(),
+                      [outcome](const MutantReport &mutant) {
+                          return mutant.outcome == outcome;
+                      }));
+}
+
+bool
+CampaignReport::ok() const
+{
+    return std::all_of(mutants.begin(), mutants.end(),
+                       [](const MutantReport &mutant) {
+                           return mutant.acceptable();
+                       });
+}
+
+CampaignReport
+runCampaign(const Program &program, const compress::CompressedImage &image,
+            const MutationPlan &plan)
+{
+    PristineRun pristine = runPristine(image, plan.lockstep.maxSteps);
+    CampaignReport report;
+    forEachMutant(program, image, pristine, plan, [&](const Mutant &mutant) {
+        report.mutants.push_back(
+            judgeMutant(program, mutant, pristine, plan.lockstep));
+    });
+    return report;
 }
 
 } // namespace codecomp::verify

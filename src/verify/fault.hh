@@ -1,160 +1,151 @@
 /**
  * @file
- * Seeded fault injection for the lockstep harness: mutate one aspect of
- * a compressed image -- a dictionary entry word, a codeword's rank, or
- * a branch displacement -- in a way that provably fires during
- * execution, then let runLockstep demonstrate that the divergence is
- * caught and reported.
+ * Seeded mutation campaigns, the self-tests that prove the lockstep
+ * harness and the hardened loader catch what they claim to. A plan
+ * names kinds, a seed and a step budget; the runner makes one pristine
+ * run of the image, derives every mutant from it, and judges each by
+ * its kind's oracle:
  *
- * Mutations are chosen from a profiling run of the pristine image so
- * that the corrupted item is actually executed (and, for branches,
- * actually taken); sizes are preserved so the surrounding stream and
- * the address map stay valid.
+ *  - a lockstep fault mutates an executed item (dictionary word,
+ *    codeword rank, taken branch displacement), keeping every size so
+ *    the address map stays valid; runLockstep must report it;
+ *  - a byte mutation of the .cci file, or a structural mutation of the
+ *    in-memory image, must be load-rejected, machine-check trapped, or
+ *    run identically. An abort or a silent divergence is a hardening
+ *    failure.
  */
 
 #ifndef CODECOMP_VERIFY_FAULT_HH
 #define CODECOMP_VERIFY_FAULT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "compress/image.hh"
 #include "decompress/machine.hh"
 #include "program/program.hh"
-#include "support/rng.hh"
+#include "verify/lockstep.hh"
 
 namespace codecomp::verify {
 
-enum class FaultKind {
+enum class MutationKind : uint8_t {
+    // Lockstep faults: the harness must detect them.
     DictEntryWord, //!< corrupt one word of an executed dictionary entry
     CodewordRank,  //!< swap an executed codeword to a same-width rank
     BranchDisp,    //!< retarget an executed, taken relative branch
-};
-
-const char *faultKindName(FaultKind kind);
-
-struct FaultInjection
-{
-    FaultKind kind;
-    compress::CompressedImage image; //!< the mutated image
-    std::string description;        //!< what was mutated, and where
-};
-
-/**
- * Produce a mutated copy of @p image. The mutation site is chosen from
- * a profiling run of the pristine image. Deterministic in @p seed.
- */
-FaultInjection injectFault(const compress::CompressedImage &image,
-                           FaultKind kind, uint64_t seed);
-
-// ---------------------------------------------------------------------
-// Corruption campaign: adversarial mutations of *serialized* images and
-// of in-memory structures, each of which must be rejected by the loader,
-// trapped by a machine check, or be provably behavior-preserving. An
-// abort or a silent divergence is a hardening failure.
-// ---------------------------------------------------------------------
-
-/** Byte-level mutation applied to a serialized .cci file. */
-enum class CorruptionKind : uint8_t {
+    // Byte mutations of the serialized image: contained or identical.
     BitFlip,   //!< flip one bit anywhere in the file
     Truncate,  //!< cut the file short at an arbitrary byte
     Splice,    //!< copy one span of the file over another
     LengthLie, //!< overwrite 4 bytes with an arbitrary value
+    // The fixed set of in-memory structural mutants.
+    Structural,
 };
 
-const char *corruptionKindName(CorruptionKind kind);
+/** Stable name of @p kind ("dict-entry-word", "bit-flip", ...). */
+const char *kindName(MutationKind kind);
 
-/** How one mutant fared against the hardened load/execute pipeline. */
+inline bool
+isLockstepKind(MutationKind kind)
+{
+    return kind <= MutationKind::BranchDisp;
+}
+
+inline bool
+isByteKind(MutationKind kind)
+{
+    return kind >= MutationKind::BitFlip && kind <= MutationKind::LengthLie;
+}
+
+struct Mutant
+{
+    MutationKind kind;
+    bool hasSite = true;             //!< if not, description says why
+    std::string description;         //!< what was mutated, and where
+    compress::CompressedImage image; //!< lockstep and structural kinds
+    std::vector<uint8_t> bytes;      //!< byte kinds: the mutated file
+};
+
+/** How one mutant fared against its kind's oracle. */
 enum class MutantOutcome : uint8_t {
+    Detected,         //!< lockstep reported the fault
     LoadRejected,     //!< typed LoadError before any execution
     Trapped,          //!< machine check or watchdog during execution
     RanIdentical,     //!< executed; result matched the pristine run
-    SilentDivergence, //!< executed; result differed -- hardening failure
-    Panicked,         //!< internal invariant tripped -- hardening failure
+    NoSite,           //!< nothing to mutate; reported, not a finding
+    Undetected,       //!< lockstep verified the fault -- finding
+    SilentDivergence, //!< executed; result differed -- finding
+    Panicked,         //!< internal invariant tripped -- finding
 };
 
-const char *mutantOutcomeName(MutantOutcome outcome);
+const char *outcomeName(MutantOutcome outcome);
 
 struct MutantReport
 {
+    MutationKind kind;
     MutantOutcome outcome;
     std::string description; //!< what was mutated, and where
-    std::string detail;      //!< load error / fault / divergence text
+    /** Lockstep kinds: the divergence report, or how far the faulty
+     *  run verified; otherwise the load error, fault or divergence. */
+    std::string detail;
 
-    /** Reject, trap, and provably-identical runs are all safe. */
+    /** Not a finding. */
     bool
     acceptable() const
     {
-        return outcome == MutantOutcome::LoadRejected ||
-               outcome == MutantOutcome::Trapped ||
-               outcome == MutantOutcome::RanIdentical;
+        return outcome < MutantOutcome::Undetected;
     }
 };
 
 /**
- * Apply @p kind to a copy of @p bytes, drawing positions from @p rng;
- * @p description is set to a human-readable account of the mutation.
+ * What to mutate, in this order: one mutant per lockstep kind, each
+ * from its own Rng(seed); @p count byte mutants from one shared
+ * Rng(seed), the plan's byte kinds taking turns; then the structural
+ * set if planned.
  */
-std::vector<uint8_t> corruptBytes(const std::vector<uint8_t> &bytes,
-                                  CorruptionKind kind, Rng &rng,
-                                  std::string &description);
-
-/**
- * Load @p mutant through tryLoadImage and, if it loads, execute it
- * (panics trapped) and compare against @p expected -- the ExecResult of
- * the pristine image.
- */
-MutantReport classifyMutantBytes(const std::vector<uint8_t> &mutant,
-                                 const ExecResult &expected,
-                                 uint64_t max_steps,
-                                 std::string description);
-
-/** An in-memory mutated image (bypasses the file checksum). */
-struct StructuralMutant
+struct MutationPlan
 {
-    compress::CompressedImage image;
-    std::string description;
+    std::vector<MutationKind> kinds;
+    uint64_t count = 0;
+    uint64_t seed = 1;
+    LockstepConfig lockstep; //!< maxSteps budgets every run
 };
 
-/**
- * Deterministic set of in-memory structural mutations of @p image:
- * validator bait (illegal dictionary words, out-of-range ranks, lying
- * nibble counts, out-of-range entry points, truncated streams) plus
- * jump-table code pointers redirected out of the compressed text, which
- * load-validate cleanly but must machine-check when consumed.
- */
-std::vector<StructuralMutant>
-structuralMutants(const Program &program,
-                  const compress::CompressedImage &image);
-
-/** Validate and, if valid, execute one structural mutant. */
-MutantReport classifyMutantImage(const compress::CompressedImage &mutant,
-                                 const ExecResult &expected,
-                                 uint64_t max_steps,
-                                 std::string description);
-
-/** Tally of a whole campaign; ok() means no hardening failures. */
-struct CorruptionCampaign
+/** The unmutated image's run: its result and, per item (engine
+ *  index), whether it ran and whether control left it other than by
+ *  falling through. */
+struct PristineRun
 {
-    uint64_t total = 0;
-    uint64_t loadRejected = 0;
-    uint64_t trapped = 0;
-    uint64_t ranIdentical = 0;
-    std::vector<MutantReport> failures;
-
-    bool ok() const { return failures.empty(); }
+    ExecResult result;
+    std::vector<bool> executed, redirected;
 };
 
-/**
- * Run @p count seeded byte-level mutants of the serialized form of
- * @p image (kinds round-robin), then the structural mutant set, and
- * tally the outcomes. Deterministic in @p seed.
- */
-CorruptionCampaign
-runCorruptionCampaign(const Program &program,
-                      const compress::CompressedImage &image,
-                      uint64_t count, uint64_t seed, uint64_t max_steps);
+/** Run @p image; not halting within @p max_steps is CC_FATAL. */
+PristineRun runPristine(const compress::CompressedImage &image,
+                        uint64_t max_steps);
+
+/** Hand every mutant of @p plan, in plan order, to @p visit. */
+void forEachMutant(const Program &program,
+                   const compress::CompressedImage &image,
+                   const PristineRun &pristine, const MutationPlan &plan,
+                   const std::function<void(const Mutant &)> &visit);
+
+/** Every mutant's report, in plan order. */
+struct CampaignReport
+{
+    std::vector<MutantReport> mutants;
+
+    size_t count(MutantOutcome outcome) const;
+    bool ok() const; //!< no findings
+};
+
+/** Pristine run, then make every mutant of @p plan and judge it by its
+ *  kind's oracle (containment runs trap panics). */
+CampaignReport runCampaign(const Program &program,
+                           const compress::CompressedImage &image,
+                           const MutationPlan &plan);
 
 } // namespace codecomp::verify
 

@@ -12,12 +12,6 @@
 
 namespace codecomp::verify {
 
-namespace {
-
-/** Internal control-flow escape; deliberately not a std::exception. */
-struct StopRun
-{};
-
 std::string
 hex32(uint32_t v)
 {
@@ -25,6 +19,12 @@ hex32(uint32_t v)
     std::snprintf(buf, sizeof(buf), "0x%08x", v);
     return buf;
 }
+
+namespace {
+
+/** Internal control-flow escape; deliberately not a std::exception. */
+struct StopRun
+{};
 
 /**
  * The lockstep driver. Owns both processors and all comparison state;

@@ -101,6 +101,9 @@ std::string formatDivergence(const Divergence &divergence);
 /** Render a whole result: verdict line plus every divergence. */
 std::string formatReport(const LockstepResult &result);
 
+/** @p v as "0x" and eight hex digits, as every report prints it. */
+std::string hex32(uint32_t v);
+
 } // namespace codecomp::verify
 
 #endif // CODECOMP_VERIFY_LOCKSTEP_HH

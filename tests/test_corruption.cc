@@ -11,19 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "codegen/codegen.hh"
 #include "compress/compressor.hh"
 #include "compress/objfile.hh"
 #include "decompress/compressed_cpu.hh"
 #include "decompress/cpu.hh"
 #include "decode_oracle.hh"
-#include "support/rng.hh"
 #include "support/serialize.hh"
 #include "verify/fault.hh"
 #include "workloads/workloads.hh"
 
 using namespace codecomp;
 using namespace codecomp::compress;
+using codecomp::verify::MutantOutcome;
 
 namespace {
 
@@ -231,22 +233,20 @@ TEST(CorruptionSampled, SeededByteMutantsOnGccAreContained)
 {
     Program program = workloads::buildBenchmark("gcc");
     CompressedImage image = makeImage(program, Scheme::Nibble);
-    std::vector<uint8_t> bytes = saveImage(image);
-    ExecResult expected = runCompressed(image, kMaxSteps);
 
-    Rng rng(0x5eed2026);
-    constexpr verify::CorruptionKind kinds[] = {
-        verify::CorruptionKind::BitFlip, verify::CorruptionKind::Truncate,
-        verify::CorruptionKind::Splice, verify::CorruptionKind::LengthLie};
-    for (int i = 0; i < 240; ++i) {
-        std::string description;
-        std::vector<uint8_t> mutant =
-            verify::corruptBytes(bytes, kinds[i % 4], rng, description);
-        verify::MutantReport report = verify::classifyMutantBytes(
-            mutant, expected, kMaxSteps, description);
+    verify::MutationPlan plan;
+    plan.kinds = {verify::MutationKind::BitFlip,
+                  verify::MutationKind::Truncate,
+                  verify::MutationKind::Splice,
+                  verify::MutationKind::LengthLie};
+    plan.count = 240;
+    plan.seed = 0x5eed2026;
+    plan.lockstep.maxSteps = kMaxSteps;
+    for (const verify::MutantReport &report :
+         verify::runCampaign(program, image, plan).mutants) {
         EXPECT_TRUE(report.acceptable())
             << report.description << ": "
-            << verify::mutantOutcomeName(report.outcome) << "\n"
+            << verify::outcomeName(report.outcome) << "\n"
             << report.detail;
     }
 }
@@ -259,29 +259,27 @@ TEST(CorruptionStructural, MutantsRejectOrTrap)
     // includes redirected code pointers that pass validation and must
     // machine-check at run time.
     Program program = workloads::buildBenchmark("compress");
+    verify::MutationPlan plan;
+    plan.kinds = {verify::MutationKind::Structural};
+    plan.lockstep.maxSteps = kMaxSteps;
     for (Scheme scheme : kSchemes) {
-        CompressedImage image = makeImage(program, scheme);
-        ExecResult expected = runCompressed(image, kMaxSteps);
-        std::vector<verify::StructuralMutant> mutants =
-            verify::structuralMutants(program, image);
-        ASSERT_GT(mutants.size(), 4u) << schemeName(scheme);
+        verify::CampaignReport campaign =
+            verify::runCampaign(program, makeImage(program, scheme), plan);
+        ASSERT_GT(campaign.mutants.size(), 4u) << schemeName(scheme);
 
-        size_t rejected = 0, trapped = 0;
-        for (const verify::StructuralMutant &mutant : mutants) {
-            verify::MutantReport report = verify::classifyMutantImage(
-                mutant.image, expected, kMaxSteps, mutant.description);
+        for (const verify::MutantReport &report : campaign.mutants) {
             EXPECT_TRUE(report.acceptable())
                 << schemeName(scheme) << ": " << report.description
-                << ": " << verify::mutantOutcomeName(report.outcome)
+                << ": " << verify::outcomeName(report.outcome)
                 << "\n" << report.detail;
-            rejected += report.outcome == verify::MutantOutcome::LoadRejected;
-            trapped += report.outcome == verify::MutantOutcome::Trapped;
         }
         // Both defense layers are exercised: the validator refuses the
         // structurally-invalid images, and the redirected jump tables
         // get through to a machine check.
-        EXPECT_GT(rejected, 0u) << schemeName(scheme);
-        EXPECT_GT(trapped, 0u) << schemeName(scheme);
+        EXPECT_GT(campaign.count(verify::MutantOutcome::LoadRejected), 0u)
+            << schemeName(scheme);
+        EXPECT_GT(campaign.count(verify::MutantOutcome::Trapped), 0u)
+            << schemeName(scheme);
     }
 }
 
@@ -358,23 +356,47 @@ TEST(CorruptionStream, LoaderRejectsEveryReferenceFault)
 
 // ---------------- whole-campaign behavior ----------------
 
+/** Mutants that failed to be contained (hardening failures). */
+size_t
+failures(const verify::CampaignReport &campaign)
+{
+    return static_cast<size_t>(std::count_if(
+        campaign.mutants.begin(), campaign.mutants.end(),
+        [](const verify::MutantReport &m) { return !m.acceptable(); }));
+}
+
+/** The byte kinds plus the structural set: ccverify --corrupt. */
+verify::MutationPlan
+corruptionPlan(uint64_t count, uint64_t seed)
+{
+    verify::MutationPlan plan;
+    plan.kinds = {verify::MutationKind::BitFlip,
+                  verify::MutationKind::Truncate,
+                  verify::MutationKind::Splice,
+                  verify::MutationKind::LengthLie,
+                  verify::MutationKind::Structural};
+    plan.count = count;
+    plan.seed = seed;
+    plan.lockstep.maxSteps = kMaxSteps;
+    return plan;
+}
+
 TEST(CorruptionCampaign, SmokeAcrossSchemes)
 {
     Program program = workloads::buildBenchmark("compress");
     for (Scheme scheme : kSchemes) {
         CompressedImage image = makeImage(program, scheme);
-        verify::CorruptionCampaign campaign =
-            verify::runCorruptionCampaign(program, image, 60, 2026,
-                                          kMaxSteps);
+        verify::CampaignReport campaign =
+            verify::runCampaign(program, image, corruptionPlan(60, 2026));
         EXPECT_TRUE(campaign.ok()) << schemeName(scheme) << ": "
-                                   << campaign.failures.size()
-                                   << " failures";
-        EXPECT_GE(campaign.total, 60u);
-        EXPECT_GT(campaign.loadRejected, 0u);
-        EXPECT_EQ(campaign.total, campaign.loadRejected +
-                                      campaign.trapped +
-                                      campaign.ranIdentical +
-                                      campaign.failures.size());
+                                   << failures(campaign) << " failures";
+        EXPECT_GE(campaign.mutants.size(), 60u);
+        EXPECT_GT(campaign.count(verify::MutantOutcome::LoadRejected), 0u);
+        EXPECT_EQ(campaign.mutants.size(),
+                  campaign.count(verify::MutantOutcome::LoadRejected) +
+                      campaign.count(verify::MutantOutcome::Trapped) +
+                      campaign.count(verify::MutantOutcome::RanIdentical) +
+                      failures(campaign));
     }
 }
 
@@ -382,16 +404,46 @@ TEST(CorruptionCampaign, DeterministicInSeed)
 {
     Program program = smallProgram();
     CompressedImage image = makeImage(program, Scheme::Nibble);
-    verify::CorruptionCampaign first =
-        verify::runCorruptionCampaign(program, image, 40, 7, kMaxSteps);
-    verify::CorruptionCampaign second =
-        verify::runCorruptionCampaign(program, image, 40, 7, kMaxSteps);
-    EXPECT_TRUE(first.ok());
-    EXPECT_EQ(first.total, second.total);
-    EXPECT_EQ(first.loadRejected, second.loadRejected);
-    EXPECT_EQ(first.trapped, second.trapped);
-    EXPECT_EQ(first.ranIdentical, second.ranIdentical);
-    EXPECT_EQ(first.failures.size(), second.failures.size());
+    // The corruption plan, and a mixed one: the three lockstep faults
+    // draw from their own Rng(seed) ahead of the byte mutants' shared
+    // one.
+    verify::MutationPlan mixed = corruptionPlan(40, 7);
+    mixed.kinds.insert(mixed.kinds.begin(),
+                       {verify::MutationKind::DictEntryWord,
+                        verify::MutationKind::CodewordRank,
+                        verify::MutationKind::BranchDisp});
+    for (const verify::MutationPlan &plan : {corruptionPlan(40, 7), mixed}) {
+        verify::CampaignReport first =
+            verify::runCampaign(program, image, plan);
+        verify::CampaignReport second =
+            verify::runCampaign(program, image, plan);
+        EXPECT_TRUE(first.ok());
+        EXPECT_EQ(first.mutants.size(), second.mutants.size());
+        for (MutantOutcome outcome :
+             {MutantOutcome::Detected, MutantOutcome::LoadRejected,
+              MutantOutcome::Trapped, MutantOutcome::RanIdentical,
+              MutantOutcome::NoSite})
+            EXPECT_EQ(first.count(outcome), second.count(outcome))
+                << verify::outcomeName(outcome);
+        EXPECT_EQ(failures(first), failures(second));
+        // Every planned lockstep fault found a site and was caught.
+        EXPECT_EQ(first.count(MutantOutcome::Detected),
+                  static_cast<size_t>(std::count_if(
+                      plan.kinds.begin(), plan.kinds.end(),
+                      verify::isLockstepKind)));
+        for (size_t i = 0;
+             i < std::min(first.mutants.size(), second.mutants.size()); ++i)
+            EXPECT_EQ(first.mutants[i].description,
+                      second.mutants[i].description);
+    }
+    // The lockstep faults leave the byte mutants' shared Rng alone.
+    verify::CampaignReport alone =
+        verify::runCampaign(program, image, corruptionPlan(40, 7));
+    verify::CampaignReport both = verify::runCampaign(program, image, mixed);
+    ASSERT_EQ(both.mutants.size(), alone.mutants.size() + 3);
+    for (size_t i = 0; i < alone.mutants.size(); ++i)
+        EXPECT_EQ(both.mutants[i + 3].description,
+                  alone.mutants[i].description);
 }
 
 } // namespace

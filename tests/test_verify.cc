@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 
 #include "codegen/codegen.hh"
@@ -17,6 +18,7 @@
 #include "decompress/cpu.hh"
 #include "decompress/fault.hh"
 #include "isa/builder.hh"
+#include "support/logging.hh"
 #include "verify/fault.hh"
 #include "verify/lockstep.hh"
 #include "workloads/generator.hh"
@@ -385,9 +387,24 @@ TEST(IndirectBranchCheck, CompressedAttributesCorruptLrAtTheBranch)
 
 // ---------------- fault injection ----------------
 
+/** The lockstep fault @p kind of @p image, drawn from Rng(@p seed). */
+verify::Mutant
+lockstepFault(const Program &p, const CompressedImage &image,
+              verify::MutationKind kind, uint64_t seed)
+{
+    verify::MutationPlan plan;
+    plan.kinds = {kind};
+    plan.seed = seed;
+    verify::Mutant fault{};
+    verify::forEachMutant(p, image,
+                          verify::runPristine(image, plan.lockstep.maxSteps),
+                          plan, [&](const verify::Mutant &m) { fault = m; });
+    return fault;
+}
+
 class FaultInjectionKinds
     : public ::testing::TestWithParam<
-          std::tuple<verify::FaultKind, uint64_t>>
+          std::tuple<verify::MutationKind, uint64_t>>
 {};
 
 TEST_P(FaultInjectionKinds, SeededFaultIsReportedAsDivergence)
@@ -396,8 +413,7 @@ TEST_P(FaultInjectionKinds, SeededFaultIsReportedAsDivergence)
     Program p = workloads::buildBenchmark("compress");
     CompressedImage image = compressScheme(p, Scheme::Nibble);
 
-    verify::FaultInjection fault =
-        verify::injectFault(image, kind, seed);
+    verify::Mutant fault = lockstepFault(p, image, kind, seed);
     EXPECT_FALSE(fault.description.empty());
 
     verify::LockstepResult result =
@@ -416,22 +432,22 @@ TEST_P(FaultInjectionKinds, SeededFaultIsReportedAsDivergence)
 INSTANTIATE_TEST_SUITE_P(
     KindsAndSeeds, FaultInjectionKinds,
     ::testing::Combine(
-        ::testing::Values(verify::FaultKind::DictEntryWord,
-                          verify::FaultKind::CodewordRank,
-                          verify::FaultKind::BranchDisp),
+        ::testing::Values(verify::MutationKind::DictEntryWord,
+                          verify::MutationKind::CodewordRank,
+                          verify::MutationKind::BranchDisp),
         ::testing::Values(uint64_t{1}, uint64_t{2})),
     [](const auto &info) {
+        // "dict-entry-word" -> "DictEntryWord"
         std::string kind;
-        switch (std::get<0>(info.param)) {
-          case verify::FaultKind::DictEntryWord:
-            kind = "DictEntryWord";
-            break;
-          case verify::FaultKind::CodewordRank:
-            kind = "CodewordRank";
-            break;
-          case verify::FaultKind::BranchDisp:
-            kind = "BranchDisp";
-            break;
+        bool upper = true;
+        for (const char *c = verify::kindName(std::get<0>(info.param));
+             *c; ++c) {
+            if (*c == '-') {
+                upper = true;
+                continue;
+            }
+            kind += upper ? static_cast<char>(std::toupper(*c)) : *c;
+            upper = false;
         }
         return kind + "Seed" + std::to_string(std::get<1>(info.param));
     });
@@ -440,20 +456,80 @@ TEST(FaultInjectionDeterminism, SameSeedSameMutation)
 {
     Program p = workloads::buildBenchmark("compress");
     CompressedImage image = compressScheme(p, Scheme::Nibble);
-    verify::FaultInjection a = verify::injectFault(
-        image, verify::FaultKind::DictEntryWord, 42);
-    verify::FaultInjection b = verify::injectFault(
-        image, verify::FaultKind::DictEntryWord, 42);
+    verify::Mutant a =
+        lockstepFault(p, image, verify::MutationKind::DictEntryWord, 42);
+    verify::Mutant b =
+        lockstepFault(p, image, verify::MutationKind::DictEntryWord, 42);
     EXPECT_EQ(a.description, b.description);
     EXPECT_EQ(a.image.entriesByRank, b.image.entriesByRank);
+}
+
+TEST(MutationCampaign, NonHaltingProgramHonoursTheStepBudget)
+{
+    // Both families start from one pristine run under the plan's step
+    // budget, so a program that never halts is refused at that budget
+    // with a fatal (input) error, not a panic.
+    Program p = codegen::compile("int main() { while (1) { } return 0; }");
+    CompressedImage image = compressScheme(p, Scheme::Nibble);
+    for (verify::MutationKind kind :
+         {verify::MutationKind::DictEntryWord,
+          verify::MutationKind::BitFlip}) {
+        verify::MutationPlan plan;
+        plan.kinds = {kind};
+        plan.count = 4;
+        plan.lockstep.maxSteps = 100000;
+        try {
+            verify::runCampaign(p, image, plan);
+            ADD_FAILURE() << verify::kindName(kind) << " ran unbounded";
+        } catch (const PanicError &error) {
+            ADD_FAILURE() << verify::kindName(kind) << ": " << error.what();
+        } catch (const std::runtime_error &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("compressed program exceeded 100000 steps"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+}
+
+TEST(MutationCampaign, FaultWithNoSiteIsReportedNotPanicked)
+{
+    // No runtime: a handful of instructions, too few codewords for a
+    // same-width rank swap under some schemes. A missing site is an
+    // outcome; every other fault of the sweep still runs and is
+    // detected.
+    codegen::CompileOptions options;
+    options.includeRuntime = false;
+    Program p = codegen::compile("int main() { exit(3); }", options);
+    size_t no_site = 0;
+    for (Scheme scheme : allSchemes()) {
+        verify::MutationPlan plan;
+        plan.kinds = {verify::MutationKind::DictEntryWord,
+                      verify::MutationKind::CodewordRank,
+                      verify::MutationKind::BranchDisp};
+        verify::CampaignReport report =
+            verify::runCampaign(p, compressScheme(p, scheme), plan);
+        ASSERT_EQ(report.mutants.size(), 3u) << schemeName(scheme);
+        EXPECT_TRUE(report.ok()) << schemeName(scheme);
+        for (const verify::MutantReport &mutant : report.mutants) {
+            EXPECT_TRUE(mutant.outcome == verify::MutantOutcome::Detected ||
+                        mutant.outcome == verify::MutantOutcome::NoSite)
+                << schemeName(scheme) << " "
+                << verify::kindName(mutant.kind) << ": "
+                << verify::outcomeName(mutant.outcome);
+            EXPECT_FALSE(mutant.description.empty());
+        }
+        no_site += report.count(verify::MutantOutcome::NoSite);
+    }
+    EXPECT_GT(no_site, 0u);
 }
 
 TEST(LockstepReport, DivergenceCountAndWindowsAreBounded)
 {
     Program p = workloads::buildBenchmark("compress");
     CompressedImage image = compressScheme(p, Scheme::Nibble);
-    verify::FaultInjection fault = verify::injectFault(
-        image, verify::FaultKind::DictEntryWord, 3);
+    verify::Mutant fault =
+        lockstepFault(p, image, verify::MutationKind::DictEntryWord, 3);
 
     verify::LockstepConfig config;
     config.maxDivergences = 4;

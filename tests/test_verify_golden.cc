@@ -32,11 +32,10 @@ constexpr uint64_t faultSeed = 7;
 constexpr uint64_t cleanCheckInterval = 100000;
 
 uint64_t
-reportDigest(const verify::LockstepResult &result)
+textDigest(const std::string &text)
 {
-    std::string report = verify::formatReport(result);
-    return fnv1a64(reinterpret_cast<const uint8_t *>(report.data()),
-                   report.size());
+    return fnv1a64(reinterpret_cast<const uint8_t *>(text.data()),
+                   text.size());
 }
 
 /** Key: "<scheme>/<fault kind>" or "<scheme>/clean". */
@@ -108,17 +107,20 @@ TEST_P(LockstepGolden, ReportDigests)
         verify::LockstepConfig clean;
         clean.fullCheckInterval = cleanCheckInterval;
         check(prefix + "clean",
-              reportDigest(verify::runLockstep(program, image, clean)));
+              textDigest(verify::formatReport(
+                  verify::runLockstep(program, image, clean))));
 
-        for (verify::FaultKind kind :
-             {verify::FaultKind::DictEntryWord,
-              verify::FaultKind::CodewordRank,
-              verify::FaultKind::BranchDisp}) {
-            verify::FaultInjection fault =
-                verify::injectFault(image, kind, faultSeed);
-            check(prefix + verify::faultKindName(kind),
-                  reportDigest(verify::runLockstep(program, fault.image)));
-        }
+        // ccverify's --inject all path: one campaign, whose detail for
+        // a detected fault is the lockstep report.
+        verify::MutationPlan plan;
+        plan.kinds = {verify::MutationKind::DictEntryWord,
+                      verify::MutationKind::CodewordRank,
+                      verify::MutationKind::BranchDisp};
+        plan.seed = faultSeed;
+        for (const verify::MutantReport &fault :
+             verify::runCampaign(program, image, plan).mutants)
+            check(prefix + verify::kindName(fault.kind),
+                  textDigest(fault.detail));
     }
 }
 

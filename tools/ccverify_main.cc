@@ -27,15 +27,22 @@
  *                        trapped, or provably behavior-preserving
  *   --seed N             fault-injection / corruption seed
  *
+ * --inject and --corrupt build one mutation plan (verify/fault.hh);
+ * given together, each scheme runs both. Either mode first runs the
+ * pristine image within --max-steps.
+ *
  * Exit status follows tool_common.hh: 0 all verified (with --inject,
  * every fault detected; with --corrupt, every mutant contained);
- * 1 usage or input error; 2 a verification finding (divergence,
+ * 1 usage or input error, including a program that does not halt
+ * within --max-steps under --inject/--corrupt and an image with no
+ * site for a requested fault; 2 a verification finding (divergence,
  * undetected fault, or corruption-hardening failure); 3 internal
  * panic.
  */
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/compressor.hh"
@@ -73,79 +80,43 @@ hasMagic(const std::vector<uint8_t> &bytes, const char *magic)
            bytes[3] == magic[3];
 }
 
-/** One clean lockstep run; returns true if it verified. */
-bool
-verifyScheme(const Program &program, compress::Scheme scheme,
-             compress::StrategyKind strategy,
-             const verify::LockstepConfig &config)
+/** Print @p report as ccverify always has: for each lockstep fault its
+ *  mutation and verdict, then one tally line over the containment
+ *  mutants with every failure below it. */
+void
+printCampaign(const char *scheme, const verify::CampaignReport &report)
 {
-    compress::CompressorConfig cc;
-    cc.scheme = scheme;
-    cc.strategy = strategy;
-    compress::CompressedImage image =
-        compress::compressProgram(program, cc);
-    verify::LockstepResult result =
-        verify::runLockstep(program, image, config);
-    std::printf("[%s/%s] %s", compress::schemeName(scheme),
-                compress::strategyName(strategy),
-                verify::formatReport(result).c_str());
-    return result.ok();
-}
-
-/** Fault-injection self-test: the run must diverge and say why. */
-bool
-verifyInjected(const Program &program, compress::Scheme scheme,
-               compress::StrategyKind strategy, verify::FaultKind kind,
-               uint64_t seed, const verify::LockstepConfig &config)
-{
-    compress::CompressorConfig cc;
-    cc.scheme = scheme;
-    cc.strategy = strategy;
-    compress::CompressedImage image =
-        compress::compressProgram(program, cc);
-    verify::FaultInjection fault =
-        verify::injectFault(image, kind, seed);
-    verify::LockstepResult result =
-        verify::runLockstep(program, fault.image, config);
-    std::printf("[%s/%s] injected: %s\n", compress::schemeName(scheme),
-                verify::faultKindName(kind), fault.description.c_str());
-    if (result.ok()) {
-        std::printf("FAULT NOT DETECTED after %llu verified "
-                    "instructions\n",
-                    static_cast<unsigned long long>(result.verifiedInsts));
-        return false;
+    using verify::MutantOutcome;
+    size_t contained = 0, failures = 0;
+    for (const verify::MutantReport &mutant : report.mutants) {
+        if (!verify::isLockstepKind(mutant.kind)) {
+            ++contained;
+            failures += !mutant.acceptable();
+            continue;
+        }
+        const char *kind = verify::kindName(mutant.kind);
+        const char *description = mutant.description.c_str();
+        if (mutant.outcome == MutantOutcome::NoSite)
+            std::printf("[%s/%s] no site: %s\n", scheme, kind, description);
+        else if (mutant.outcome == MutantOutcome::Detected)
+            std::printf("[%s/%s] injected: %s\nfault detected: %s", scheme,
+                        kind, description, mutant.detail.c_str());
+        else
+            std::printf("[%s/%s] injected: %s\nFAULT NOT DETECTED %s\n",
+                        scheme, kind, description, mutant.detail.c_str());
     }
-    std::printf("fault detected: %s", verify::formatReport(result).c_str());
-    return true;
-}
-
-/** Corruption campaign: every mutant must be contained. */
-bool
-verifyCorrupt(const Program &program, compress::Scheme scheme,
-              compress::StrategyKind strategy, uint64_t count,
-              uint64_t seed, uint64_t max_steps)
-{
-    compress::CompressorConfig cc;
-    cc.scheme = scheme;
-    cc.strategy = strategy;
-    compress::CompressedImage image =
-        compress::compressProgram(program, cc);
-    verify::CorruptionCampaign campaign =
-        verify::runCorruptionCampaign(program, image, count, seed,
-                                      max_steps);
-    std::printf("[%s] corruption: %llu mutants: %llu load-rejected, "
-                "%llu trapped, %llu ran identical, %zu FAILURES\n",
-                compress::schemeName(scheme),
-                static_cast<unsigned long long>(campaign.total),
-                static_cast<unsigned long long>(campaign.loadRejected),
-                static_cast<unsigned long long>(campaign.trapped),
-                static_cast<unsigned long long>(campaign.ranIdentical),
-                campaign.failures.size());
-    for (const verify::MutantReport &failure : campaign.failures)
-        std::printf("  %s: %s\n    %s\n",
-                    verify::mutantOutcomeName(failure.outcome),
-                    failure.description.c_str(), failure.detail.c_str());
-    return campaign.ok();
+    if (contained == 0)
+        return;
+    std::printf("[%s] corruption: %zu mutants: %zu load-rejected, "
+                "%zu trapped, %zu ran identical, %zu FAILURES\n",
+                scheme, contained, report.count(MutantOutcome::LoadRejected),
+                report.count(MutantOutcome::Trapped),
+                report.count(MutantOutcome::RanIdentical), failures);
+    for (const verify::MutantReport &mutant : report.mutants)
+        if (!verify::isLockstepKind(mutant.kind) && !mutant.acceptable())
+            std::printf("  %s: %s\n    %s\n",
+                        verify::outcomeName(mutant.outcome),
+                        mutant.description.c_str(), mutant.detail.c_str());
 }
 
 int
@@ -153,8 +124,8 @@ run(int argc, char **argv)
 {
     std::string input, benchmark, scheme_arg = "all", inject_arg;
     compress::StrategyKind strategy = compress::StrategyKind::Greedy;
-    uint64_t seed = 1, corrupt_count = 0;
-    verify::LockstepConfig config;
+    verify::MutationPlan plan;
+    verify::LockstepConfig &config = plan.lockstep;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -182,9 +153,9 @@ run(int argc, char **argv)
         } else if (arg == "--inject" && i + 1 < argc) {
             inject_arg = argv[++i];
         } else if (arg == "--corrupt" && i + 1 < argc) {
-            corrupt_count = tools::flagValue<uint64_t>("--corrupt", argv[++i]);
+            plan.count = tools::flagValue<uint64_t>("--corrupt", argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = tools::flagValue<uint64_t>("--seed", argv[++i]);
+            plan.seed = tools::flagValue<uint64_t>("--seed", argv[++i]);
         } else if (!arg.empty() && arg[0] != '-') {
             input = arg;
         } else {
@@ -203,20 +174,19 @@ run(int argc, char **argv)
         return usage();
     }
 
-    std::vector<verify::FaultKind> kinds;
-    if (inject_arg == "all") {
-        kinds = {verify::FaultKind::DictEntryWord,
-                 verify::FaultKind::CodewordRank,
-                 verify::FaultKind::BranchDisp};
-    } else if (inject_arg == "dict") {
-        kinds = {verify::FaultKind::DictEntryWord};
-    } else if (inject_arg == "rank") {
-        kinds = {verify::FaultKind::CodewordRank};
-    } else if (inject_arg == "disp") {
-        kinds = {verify::FaultKind::BranchDisp};
-    } else if (!inject_arg.empty()) {
+    using verify::MutationKind;
+    for (auto [name, kind] : {std::pair{"dict", MutationKind::DictEntryWord},
+                              {"rank", MutationKind::CodewordRank},
+                              {"disp", MutationKind::BranchDisp}})
+        if (inject_arg == name || inject_arg == "all")
+            plan.kinds.push_back(kind);
+    if (!inject_arg.empty() && plan.kinds.empty())
         return usage();
-    }
+    if (plan.count > 0)
+        plan.kinds.insert(plan.kinds.end(),
+                          {MutationKind::BitFlip, MutationKind::Truncate,
+                           MutationKind::Splice, MutationKind::LengthLie,
+                           MutationKind::Structural});
 
     Program program;
     if (!benchmark.empty()) {
@@ -231,22 +201,31 @@ run(int argc, char **argv)
         program = loadProgram(bytes);
     }
 
-    bool ok = true;
+    bool finding = false, no_site = false;
     for (compress::Scheme scheme : schemes) {
-        if (corrupt_count > 0) {
-            ok = verifyCorrupt(program, scheme, strategy, corrupt_count,
-                               seed, config.maxSteps) &&
-                 ok;
-        } else if (kinds.empty()) {
-            ok = verifyScheme(program, scheme, strategy, config) && ok;
-        } else {
-            for (verify::FaultKind kind : kinds)
-                ok = verifyInjected(program, scheme, strategy, kind, seed,
-                                    config) &&
-                     ok;
+        compress::CompressorConfig cc;
+        cc.scheme = scheme;
+        cc.strategy = strategy;
+        compress::CompressedImage image =
+            compress::compressProgram(program, cc);
+        if (plan.kinds.empty()) {
+            verify::LockstepResult result =
+                verify::runLockstep(program, image, config);
+            std::printf("[%s/%s] %s", compress::schemeName(scheme),
+                        compress::strategyName(strategy),
+                        verify::formatReport(result).c_str());
+            finding = finding || !result.ok();
+            continue;
         }
+        verify::CampaignReport report =
+            verify::runCampaign(program, image, plan);
+        printCampaign(compress::schemeName(scheme), report);
+        finding = finding || !report.ok();
+        no_site = no_site || report.count(verify::MutantOutcome::NoSite) > 0;
     }
-    return ok ? tools::exitOk : tools::exitFinding;
+    if (finding)
+        return tools::exitFinding;
+    return no_site ? tools::exitUserError : tools::exitOk;
 }
 
 } // namespace
